@@ -6,8 +6,8 @@ Commands:
   sgroup <file> [--seed N]                      structural + witness report
   regress [--filter TAG] [--heavy]              corpus regression run
 
-Exit codes: 0 ok (including "fails criterion" verdicts), 2 parse error,
-3 cap exceeded / heavy compute gated.
+Exit codes: 0 ok (including "fails criterion" verdicts), 2 invalid input,
+3 cap exceeded / heavy compute gated / G0 of index above the bound.
 """
 
 from __future__ import annotations
@@ -20,27 +20,52 @@ import time
 import numpy as np
 
 from . import criterion, modrep, mu, sgroup, zoo
-from .errors import CapExceeded, FusionseedError, HeavyComputeDisabled
+from .errors import (CapExceeded, FusionseedError, HeavyComputeDisabled,
+                     IndexTooLarge, InvalidInstance, SubgroupViolation)
 from .gfp import FpMatrix
 from .grp import MatGroup, class_GG
 from .modrep import FpModule
 
 
+def _integer(x, what: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def _load_instance(path: str):
-    with open(path) as fh:
-        data = json.load(fh)
-    p = int(data["p"])
-    dim = int(data["dim"])
-    gens = []
-    for flat in data["generators"]:
-        arr = np.array(flat, dtype=np.int64)
-        if arr.size != dim * dim:
-            raise ValueError("generator entry count != dim^2")
-        gens.append(FpMatrix(p, arr.reshape(dim, dim)))
-    group = MatGroup(p, gens)
-    labels = data.get("labels", {})
-    family = data.get("family")
-    return FpModule(p, dim, group), labels, family
+    """(module, G0 or None, family) of an instance file.
+
+    G0 is generated by the generators that `labels.g0_generators` indexes.
+    Raises InvalidInstance for a file that is not a valid instance.
+    """
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        p = _integer(data["p"], "p")
+        dim = _integer(data["dim"], "dim")
+        if dim < 1:
+            raise ValueError(f"dim must be positive, got {dim}")
+        gens = []
+        for flat in data["generators"]:
+            if len(flat) != dim * dim:
+                raise ValueError("generator entry count != dim^2")
+            arr = np.array([_integer(x, "generator entry") for x in flat],
+                           dtype=np.int64)
+            gens.append(FpMatrix(p, arr.reshape(dim, dim)))
+        group = MatGroup(p, gens)
+        idx = data.get("labels", {}).get("g0_generators")
+        g0 = None
+        if idx:
+            if not all(0 <= _integer(i, "g0_generators index") < len(gens)
+                       for i in idx):
+                raise ValueError(f"g0_generators {idx} must index the "
+                                 f"{len(gens)} generators")
+            g0 = MatGroup(p, [gens[i] for i in idx])
+    except (OSError, ValueError, TypeError, KeyError, AttributeError,
+            SubgroupViolation) as exc:
+        raise InvalidInstance(exc) from exc
+    return FpModule(p, dim, group), g0, data.get("family")
 
 
 def _report_payload(rep, family, elapsed):
@@ -51,40 +76,33 @@ def _report_payload(rep, family, elapsed):
 
 
 def cmd_check(args) -> int:
-    try:
-        v, labels, family = _load_instance(args.path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+    v, g0, family = _load_instance(args.path)
     t0 = time.time()
-    try:
-        if family and family.get("tag") == "extraspecial_p7":
-            # out of enumeration scale: orbit-stabilizer route, gated
-            if not args.heavy:
-                raise HeavyComputeDisabled(
-                    "the p = 7 extraspecial normalizer needs --heavy")
-            res = zoo.heavy_extraspecial_check()
-            payload = {"mode": "heavy", "family": family, "result": res,
-                       "elapsed_s": round(time.time() - t0, 3)}
-        elif labels.get("g0_generators"):
-            idx = labels["g0_generators"]
-            g0 = MatGroup(v.p, [v.group.generators[i] for i in idx])
-            passers = criterion.enumerate_admissible(g0, v.group, v,
-                                                     seed=args.seed)
-            payload = {
-                "mode": "admissible",
-                "family": family,
-                "passing": [{"group_order": grp.order(),
-                             "report": rep.to_dict()}
-                            for grp, rep in passers],
-                "elapsed_s": round(time.time() - t0, 3),
-            }
-        else:
-            rep = criterion.evaluate(v, seed=args.seed)
-            payload = _report_payload(rep, family, time.time() - t0)
-    except (CapExceeded, HeavyComputeDisabled) as exc:
-        print(f"cap: {exc}", file=sys.stderr)
-        return 3
+    if family and family.get("tag") == "extraspecial_p7":
+        # out of enumeration scale: orbit-stabilizer route, gated
+        if not args.heavy:
+            raise HeavyComputeDisabled(
+                "the p = 7 extraspecial normalizer needs --heavy")
+        res = zoo.heavy_extraspecial_check()
+        payload = {"mode": "heavy", "family": family, "result": res,
+                   "elapsed_s": round(time.time() - t0, 3)}
+    elif g0 is not None:
+        if not g0.is_normal_in(v.group):
+            raise InvalidInstance("the group that g0_generators generate "
+                                  "is not normal in G")
+        passers = criterion.enumerate_admissible(g0, v.group, v,
+                                                 seed=args.seed)
+        payload = {
+            "mode": "admissible",
+            "family": family,
+            "passing": [{"group_order": grp.order(),
+                         "report": rep.to_dict()}
+                        for grp, rep in passers],
+            "elapsed_s": round(time.time() - t0, 3),
+        }
+    else:
+        rep = criterion.evaluate(v, seed=args.seed)
+        payload = _report_payload(rep, family, time.time() - t0)
     text = json.dumps(payload, sort_keys=True, indent=None)
     if args.out:
         with open(args.out, "w") as fh:
@@ -107,12 +125,11 @@ def cmd_zoo(args) -> int:
     if not matches:
         print(f"no instantiable family tagged {args.tag!r}", file=sys.stderr)
         return 2
-    spec = matches[args.index if args.index < len(matches) else 0]
-    try:
-        payload = zoo.emit_instance(spec, heavy=args.heavy)
-    except HeavyComputeDisabled as exc:
-        print(f"cap: {exc}", file=sys.stderr)
-        return 3
+    if not 0 <= args.index < len(matches):
+        print(f"index {args.index} out of range: {len(matches)} "
+              f"instantiable families tagged {args.tag!r}", file=sys.stderr)
+        return 2
+    payload = zoo.emit_instance(matches[args.index], heavy=args.heavy)
     text = json.dumps(payload, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:
@@ -123,53 +140,36 @@ def cmd_zoo(args) -> int:
 
 
 def cmd_sgroup(args) -> int:
-    try:
-        v, labels, family = _load_instance(args.path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+    v, _, family = _load_instance(args.path)
     t0 = time.time()
-    try:
-        rep = criterion.evaluate(v, seed=args.seed)
-        gg = class_GG(v.group)
-        out = {"criterion_passes": rep.passes, "family": family}
-        if gg.status != "not_in_G":
-            syl = gg.sylow
-            s, build = sgroup.build_s(v, syl)
-            out["build"] = {"dims": build.dims, "checks": build.checks,
-                            "ok": build.ok}
-            filt = modrep.w_filtration(
-                v, syl, check_elements=syl.normalizer_N.generators)
-            out["filtration"] = {
-                "quotient_dims": filt.quotient_dims,
-                "scalar_reports": filt.scalar_reports,
-            }
-            if rep.passes and v.dim + 1 <= sgroup.DESK_S_LIMIT:
-                x, a = sgroup.choose_x_a(s, v.group, syl)
-                hb = sgroup.hb_subgroups(s, x, a)
-                cs = modrep.canonical_subspaces(v, syl)
-                gv = mu.compute_gvee(v.group, syl, cs)
-                image = mu.mu_image(gv)
-                witnesses = []
-                q_specs = []
-                for kind, t in (("B", 0), ("H", 0)):
-                    if mu.contains_delta_t(image, -1 if kind == "H" else 0):
-                        th = sgroup.theta_witness(s, kind, 0, hb, v.group,
-                                                  syl, gv)
-                        witnesses.append({"kind": kind, "ok": th.ok,
-                                          "theta_order": th.theta_order,
-                                          "checks": th.checks})
-                        q_specs.append((kind, 0))
-                out["theta"] = witnesses
-                if q_specs:
-                    s2 = sgroup.step2_conditions(s, q_specs[:1], v.group,
-                                                 syl, gv, hb)
-                    out["step2"] = {"gamma_order": s2["gamma_order"],
-                                    "conditions": s2["conditions"],
-                                    "ok": s2["ok"]}
-    except (CapExceeded, HeavyComputeDisabled) as exc:
-        print(f"cap: {exc}", file=sys.stderr)
-        return 3
+    rep = criterion.evaluate(v, seed=args.seed)
+    out = {"criterion_passes": rep.passes, "family": family}
+    syl = rep.sylow
+    if syl is not None:
+        s, build = sgroup.build_s(v, syl)
+        out["build"] = {"dims": build.dims, "checks": build.checks,
+                        "ok": build.ok}
+        filt = modrep.w_filtration(
+            v, syl, check_elements=syl.normalizer_N.generators)
+        out["filtration"] = {
+            "quotient_dims": filt.quotient_dims,
+            "scalar_reports": filt.scalar_reports,
+        }
+        if rep.passes and v.dim + 1 <= sgroup.DESK_S_LIMIT:
+            x, a = sgroup.choose_x_a(s, v.group, syl)
+            hb = sgroup.hb_subgroups(s, x, a)
+            image = mu.DeltaSubgroup(v.p, rep.mu_report["image"])
+            thetas = [sgroup.theta_witness(s, kind, 0, hb, rep.gvee)
+                      for kind, t in (("B", 0), ("H", -1))
+                      if mu.contains_delta_t(image, t)]
+            out["theta"] = [{"kind": th.kind, "ok": th.ok,
+                             "theta_order": th.theta_order,
+                             "checks": th.checks} for th in thetas]
+            if thetas:
+                s2 = sgroup.step2_conditions(s, thetas[:1])
+                out["step2"] = {"gamma_order": s2["gamma_order"],
+                                "conditions": s2["conditions"],
+                                "ok": s2["ok"]}
     out["elapsed_s"] = round(time.time() - t0, 3)
     text = json.dumps(out, sort_keys=True)
     if args.out:
@@ -303,8 +303,6 @@ def _regress_entry(spec, heavy=False) -> bool:
         ok &= any(sc["subgroup"] == exp["strongly_closed"]
                   for sc in rep.strongly_closed)
     if "quotient_order" in exp:
-        from .grp import o_pprime
-        gg = class_GG(g)
         ok &= g.order() % exp["quotient_order"] == 0
     return ok
 
@@ -340,7 +338,14 @@ def main(argv=None) -> int:
     r.set_defaults(fn=cmd_regress)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except InvalidInstance as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return 2
+    except (CapExceeded, HeavyComputeDisabled, IndexTooLarge) as exc:
+        print(f"cap: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

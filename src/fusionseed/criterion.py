@@ -73,6 +73,9 @@ class CriterionReport:
     passes: bool = False
     notes: list = field(default_factory=list)
     seed: int = 1
+    # local data the report was computed from, passed on to sgroup
+    sylow: SylowData = field(repr=False, compare=False, default=None)
+    gvee: mu.GVee = field(repr=False, compare=False, default=None)
 
     def to_dict(self) -> dict:
         d = {
@@ -262,7 +265,7 @@ def evaluate(v: FpModule, seed: int = 1) -> CriterionReport:
     if gg.status == "not_in_G":
         rep.notes.append(f"rejected: {gg.reason}")
         return rep
-    syl = gg.sylow
+    syl = rep.sylow = gg.sylow
     rep.jordan_profile = modrep.jordan_profile(v, syl.u)
     rep.minimally_active = sum(1 for b in rep.jordan_profile if b > 1) <= 1
     cs = modrep.canonical_subspaces(v, syl)
@@ -282,7 +285,7 @@ def evaluate(v: FpModule, seed: int = 1) -> CriterionReport:
         rep.cond_d = {"skipped": "condition (a) fails; Z0 is not a line"}
         return rep
 
-    gvee = mu.compute_gvee(v.group, syl, cs)
+    gvee = rep.gvee = mu.compute_gvee(v.group, syl, cs)
     image = mu.mu_image(gvee)
     rep.mu_report = {
         "gvee_order": gvee.order(),
@@ -309,7 +312,9 @@ def evaluate(v: FpModule, seed: int = 1) -> CriterionReport:
         # post-hoc consistency with the necessary conditions
         assert gg.status == "in_GG", "passing instance must have full automizer"
         assert rep.minimally_active, "passing instance must be minimally active"
-        rep.indecomposable = modrep.is_indecomposable(v, syl, seed=seed)
+        # U acts nontrivially and V is minimally active, so the O^{p'}
+        # test is exact
+        rep.indecomposable = modrep.opp_fixed_in_commutator(v, opp)
         assert rep.indecomposable, "passing instance must be indecomposable"
         if "d1" in rep.cases:
             assert v.dim <= p - 1, "(d.1) forces dim <= p-1"

@@ -67,3 +67,7 @@ class SplitFailed(FusionseedError):
 
 class MuTooSmall(FusionseedError):
     pass
+
+
+class InvalidInstance(FusionseedError):
+    """An instance file that does not describe a valid instance."""

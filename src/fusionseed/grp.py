@@ -133,6 +133,11 @@ class MatGroup:
         ok = other.cache()._keys
         return all(k in ok for k in self.cache()._keys)
 
+    def is_normal_in(self, other: "MatGroup") -> bool:
+        """True iff other's generators conjugate this group into itself."""
+        return all(self.contains(g @ h @ g.inverse())
+                   for g in other.generators for h in self.generators)
+
     def is_abelian(self) -> bool:
         gens = self.generators
         return all((a @ b) == (b @ a) for i, a in enumerate(gens)
@@ -350,17 +355,14 @@ def intermediate_subgroups(g0: MatGroup, gbar: MatGroup,
     index = gbar.order() // g0.order()
     if index > max_index:
         raise IndexTooLarge(f"index {index} > {max_index}")
-    for gen in gbar.generators:
-        for h in g0.generators:
-            if not g0.contains(gen @ h @ gen.inverse()):
-                raise SubgroupViolation("g0 not normal in gbar")
+    if not g0.is_normal_in(gbar):
+        raise SubgroupViolation("g0 not normal in gbar")
     p = gbar.p.p
     stack = gbar.elements_stack()
     keys = gbar.keys()
     g0_idx = [keys[k] for k in g0.keys()]
     coset_of = np.full(gbar.order(), -1, dtype=np.int64)
     coset_of[g0_idx] = 0
-    reps = [0 if 0 in set(g0_idx) else g0_idx[0]]
     # identity is in g0; rep of coset 0 is the identity index
     ident_key = FpMatrix.identity(gbar.p, gbar.dim).key()
     reps = [keys[ident_key]]

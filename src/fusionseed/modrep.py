@@ -171,15 +171,23 @@ def is_indecomposable(v: FpModule, syl: SylowData, seed: int = 1) -> bool:
     """Indecomposability test.
 
     For minimally active modules with nontrivial U-action this is the exact
-    criterion C_V(O^{p'}(G)) <= [O^{p'}(G), V]; otherwise falls back to
-    summand splitting.
+    criterion `opp_fixed_in_commutator`; otherwise falls back to summand
+    splitting.
     """
     from .grp import o_pprime
     trivial_u = syl.u == FpMatrix.identity(v.p, v.dim)
     if not trivial_u and is_minimally_active(v, syl):
-        opp = o_pprime(v.group, syl)
-        return gfp.contains(commutator_space(v, opp), fixed_space(v, opp))
+        return opp_fixed_in_commutator(v, o_pprime(v.group, syl))
     return len(split_summands(v, seed=seed)) == 1
+
+
+def opp_fixed_in_commutator(v: FpModule, opp: MatGroup) -> bool:
+    """C_V(O) <= [O, V] for O = O^{p'}(G).
+
+    For a minimally active module on which U acts nontrivially this holds
+    exactly when V is indecomposable.
+    """
+    return gfp.contains(commutator_space(v, opp), fixed_space(v, opp))
 
 
 def w_filtration(v: FpModule, syl: SylowData, check_elements=()) -> Filtration:
@@ -214,18 +222,9 @@ def w_filtration(v: FpModule, syl: SylowData, check_elements=()) -> Filtration:
 def _action_scalar(v: FpModule, g: FpMatrix, space: Subspace, modulo: Subspace) -> int:
     """Scalar by which g acts on space/modulo (must be 1-dimensional)."""
     assert space.dim - modulo.dim == 1, "quotient not a line"
-    p = v.p.p
     for w in space.basis:
         if not modulo.contains_vector(w):
-            img = g.apply(w)
-            stacked = Subspace(v.p, v.dim,
-                               np.concatenate([modulo.basis,
-                                               w.reshape(1, -1)], axis=0))
-            coords = stacked.coordinates(img)
-            assert coords is not None, "space not g-invariant mod subspace"
-            # coefficient of w: w's row is last in RREF order only if pivot
-            # pattern allows; recompute directly instead
-            return _coeff_mod(v.p.p, modulo, w, img)
+            return _coeff_mod(v.p.p, modulo, w, g.apply(w))
     raise AssertionError("no coset representative found")
 
 
@@ -233,9 +232,9 @@ def _coeff_mod(p, modulo: Subspace, w, img) -> int:
     """c with img = c*w (mod modulo)."""
     rows = np.concatenate([modulo.basis, w.reshape(1, -1)], axis=0) if modulo.dim \
         else w.reshape(1, -1)
-    M = FpMatrix(Subspace(p, rows.shape[1], rows).p, rows.T)
+    M = FpMatrix(p, rows.T)
     x = gfp.solve(M, img)
-    assert x is not None
+    assert x is not None, "space not g-invariant mod subspace"
     return int(x[-1])
 
 

@@ -18,7 +18,7 @@ from .grp import MatGroup, SylowData
 from .modrep import CanonicalSubspaces
 
 
-def _primitive_root(p: int) -> int:
+def primitive_root(p: int) -> int:
     for g in range(2, p):
         seen = set()
         x = 1
@@ -99,7 +99,7 @@ def _delta_i(p: int, i: int) -> set:
 
 
 def _delta_kl(p: int, k: int, ell: int) -> set:
-    g = _primitive_root(p)
+    g = primitive_root(p)
     return set(DeltaSubgroup.generated(
         p, [(pow(g, ell, p), pow(g, k, p))]).elements)
 
@@ -177,7 +177,7 @@ def recognize(d: DeltaSubgroup) -> dict:
                 return out
     # product of two full diagonal families
     product_name = None
-    g = _primitive_root(p)
+    g = primitive_root(p)
     for a in range(p - 1):
         for b in range(a + 1, p - 1):
             prod = DeltaSubgroup.generated(
@@ -266,19 +266,19 @@ def compute_gvee(g: MatGroup, syl: SylowData,
     return GVee(gv_group, mu_values, gv_group.order(), syl)
 
 
-def mu_image(gv: GVee, *, faithful: bool = True) -> DeltaSubgroup:
-    """Set of mu-values; asserted to form a subgroup of Delta."""
+def mu_image(gv: GVee) -> DeltaSubgroup:
+    """Set of mu-values; checked to form a subgroup of Delta of order
+    |G-vee| / p (mu is faithful modulo U)."""
     pairs = set(gv.mu_values.values())
     try:
         d = DeltaSubgroup(gv.group.p, pairs)
     except NotASubgroup as exc:
         raise NotASubgroup(f"mu-image not a subgroup: {exc}") from exc
-    if faithful:
-        p = gv.group.p.p
-        if d.order * p != gv.order():
-            raise NotASubgroup(
-                f"|mu image| = {d.order} != |G-vee|/p = {gv.order() / p}; "
-                "action not faithful or computation error")
+    p = gv.group.p.p
+    if d.order * p != gv.order():
+        raise NotASubgroup(
+            f"|mu image| = {d.order} != |G-vee|/p = {gv.order() / p}; "
+            "action not faithful or computation error")
     return d
 
 

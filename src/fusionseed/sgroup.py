@@ -10,6 +10,7 @@ permutation groups on those sets and verified against their contracts.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,19 @@ class SGroup:
         self.Z0 = cs.Z0
         # Z_2(S): preimage in A of C_{A/Z}(u)
         self.Z2 = self._z2()
+
+    @functools.cached_property
+    def gamma(self) -> MatGroup:
+        """Gamma = A x| G, enumerated on first use and kept.
+
+        Raises CapExceeded before enumerating when p^n |G| is above G's
+        element cap.
+        """
+        g = self.v.group
+        order = self.p ** self.n * g.order()
+        if order > g.cap:
+            raise CapExceeded(f"|Gamma| = {order} exceeds cap {g.cap}")
+        return semidirect_affine(self.v, g).cache()
 
     def _z2(self) -> Subspace:
         p, n = self.p, self.n
@@ -279,10 +293,6 @@ def class_label(s: SGroup, subgroup_elements) -> tuple:
 def _a_mod_a0_coord(s: SGroup, vec) -> int:
     """Coordinate of vec in A/A0 w.r.t. the chosen a (0 if inside A0)."""
     a_vec = np.array(s._chosen_a[0], dtype=np.int64)
-    stacked = Subspace(s.v.p, s.n,
-                       np.concatenate([s.A0.basis, a_vec.reshape(1, -1)]))
-    coords = stacked.coordinates(vec)
-    assert coords is not None
     # coefficient of a: reduce vec by A0 then match against a
     r = np.array(vec, dtype=np.int64) % s.p
     for i, c in enumerate(s.A0._pivots):
@@ -297,7 +307,7 @@ def _a_mod_a0_coord(s: SGroup, vec) -> int:
     return int(r[nz[0]]) * pow(int(ra[nz[0]]), s.p - 2, s.p) % s.p
 
 
-def hb_subgroups(s: SGroup, x, a, verify_classes: bool = True):
+def hb_subgroups(s: SGroup, x, a):
     """H_i = Z<x a^i> and B_i = Z_2<x a^i> for 0 <= i <= p-1."""
     p = s.p
     s._chosen_a = a
@@ -310,7 +320,7 @@ def hb_subgroups(s: SGroup, x, a, verify_classes: bool = True):
         assert len(H) == p ** (s.Z.dim + 1)
         assert len(B) == p ** (s.Z2.dim + 1)
         out[i] = {"H": H, "B": B, "generator": gen}
-    if verify_classes and s.n + 1 <= DESK_S_LIMIT:
+    if s.n + 1 <= DESK_S_LIMIT:
         # S-conjugacy: conjugates of H_0 stay in class 0 and never hit H_1
         H0 = out[0]["H"]
         H1 = out[1]["H"]
@@ -421,9 +431,8 @@ class ThetaReport:
     opp_theta: dict = field(repr=False, default=None)
 
 
-def theta_witness(s: SGroup, kind: str, i: int, hb, g: MatGroup,
-                  syl: SylowData, gvee: mu.GVee,
-                  gamma: MatGroup = None) -> ThetaReport:
+def theta_witness(s: SGroup, kind: str, i: int, hb,
+                  gvee: mu.GVee) -> ThetaReport:
     """Build Theta <= Aut(P) for P = H_i or B_i and verify its contract.
 
     Checks: (i) Aut_S(P) is Sylow-p in Theta, (ii) O^{p'}(Theta)/Inn(P) has
@@ -443,7 +452,7 @@ def theta_witness(s: SGroup, kind: str, i: int, hb, g: MatGroup,
     pset = PermGroupOnSet(sorted(P_el))
 
     # alpha in G-vee with mu(alpha) generating Delta_t
-    gen_r = _primitive_root(p)
+    gen_r = mu.primitive_root(p)
     alpha_mat = None
     gv_stack = gvee.group.elements_stack()
     want = (gen_r, pow(gen_r, t % (p - 1), p))
@@ -508,7 +517,7 @@ def theta_witness(s: SGroup, kind: str, i: int, hb, g: MatGroup,
     aut_s = _induced_perms_from_normalizer_in_s(s, pset, P_el)
 
     # Lambda_P: restrictions of ambient (Gamma) automorphisms normalizing P
-    lam = _lambda_perms(s, pset, P_el, g, gamma)
+    lam = _lambda_perms(s, pset)
 
     inn_gens = _perm_gens_of(pset, inn)
     lam_gens = _perm_gens_of(pset, lam)
@@ -652,24 +661,21 @@ def _s_element_of_affine(s: SGroup, mat64) -> tuple:
     return None
 
 
-def _lambda_perms(s: SGroup, pset, P_el, g: MatGroup, gamma: MatGroup):
+def _lambda_perms(s: SGroup, pset):
     """Restrictions to P of ambient automorphisms normalizing P.
 
     Scans Gamma = A x| G for elements normalizing P and records the induced
     permutations of P.
     """
-    if gamma is None:
-        v = s.v
-        gamma = semidirect_affine(v, g).cache()
-    p, n = s.p, s.n
+    p = s.p
     P_aff_index = {affine_of_s_element(s, e).key(): pset.index[e]
                    for e in pset.elements}
     P_stack = np.array([affine_of_s_element(s, e).a for e in pset.elements],
                        dtype=np.int64)
-    P_gens = _small_generating_set(s, P_el)
+    P_gens = _small_generating_set(s, pset.elements)
     P_gen_aff = [affine_of_s_element(s, e).a for e in P_gens]
-    stack = gamma.elements_stack()
-    inv_stack = gamma.inverses_stack()
+    stack = s.gamma.elements_stack()
+    inv_stack = s.gamma.inverses_stack()
     out = {}
     for lo in range(0, stack.shape[0], 1 << 13):
         S64 = stack[lo:lo + (1 << 13)].astype(np.int64)
@@ -732,38 +738,26 @@ def _normalizer_in(pset, group_dict, subgroup_dict):
     return out
 
 
-def _primitive_root(p: int) -> int:
-    from .mu import _primitive_root as pr
-    return pr(p)
-
-
 # -- step-2 witness conditions ---------------------------------------------
 
-def step2_conditions(s: SGroup, q_specs, g: MatGroup, syl: SylowData,
-                     gvee: mu.GVee, hb) -> dict:
+def step2_conditions(s: SGroup, thetas) -> dict:
     """Verify the saturation-witness conditions on Gamma = A x| G.
 
-    q_specs: list of ('H'|'B', i) class representatives.
+    thetas: the `theta_witness` reports of the class representatives Q.
     (1) pairwise non-conjugacy in Gamma (and no containment),
     (2) each Q is p-centric in Gamma,
     (3) Out_S(Q) has order p and is non-normal in Theta/Inn(Q).
     """
-    p, n = s.p, s.n
-    gamma = semidirect_affine(s.v, g).cache()
+    p = s.p
+    gamma = s.gamma
     report = {"gamma_order": gamma.order(), "conditions": {}}
-    q_sets = []
-    thetas = []
-    for kind, i in q_specs:
-        els = hb[i]["H" if kind == "H" else "B"]
-        q_sets.append((kind, i, frozenset(els)))
-        thetas.append(theta_witness(s, kind, i, hb, g, syl, gvee,
-                                    gamma=gamma))
+    q_sets = [th.pset.elements for th in thetas]
     # (1) pairwise Gamma-conjugacy / containment via subgroup orbits,
     # compared through affine element keys (orbit members may leave S)
     cond1 = True
     orbits = []
     targets = []
-    for kind, i, els in q_sets:
+    for els in q_sets:
         orbits.append(_gamma_orbit_of_subgroup(s, gamma, els))
         targets.append(frozenset(affine_of_s_element(s, e).key()
                                  for e in els))
@@ -779,7 +773,7 @@ def step2_conditions(s: SGroup, q_specs, g: MatGroup, syl: SylowData,
     # (2) p-centric: Z(Q) is Sylow-p in C_Gamma(Q)
     cond2 = True
     centric = []
-    for kind, i, els in q_sets:
+    for els in q_sets:
         c_order = _gamma_centralizer_order(s, gamma, els)
         zq = _center_order(s, els)
         vp = 0

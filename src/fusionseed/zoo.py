@@ -18,6 +18,7 @@ from .errors import (ExtractionFailed, HeavyComputeDisabled, InvalidParams)
 from .gfp import FpMatrix, Subspace
 from .grp import MatGroup, class_GG
 from .modrep import FpModule
+from .mu import primitive_root
 
 
 @dataclass
@@ -45,11 +46,6 @@ def cycle_perm(n, cyc):
     for k in range(len(cyc)):
         img[cyc[k]] = cyc[(k + 1) % len(cyc)]
     return img
-
-
-def primitive_root(p: int) -> int:
-    from .mu import _primitive_root
-    return _primitive_root(p)
 
 
 # -- SL_2(p) family ---------------------------------------------------------
@@ -113,10 +109,9 @@ def sl2p(p: int, kind, heavy: bool = False):
     raise InvalidParams(f"unknown sl2p kind {kind!r}")
 
 
-def _coset_permutation_module(p) -> FpModule:
-    """F_p[G/U] for G = SL_2(p), U the upper unitriangular Sylow."""
-    e12, e21 = _sl2_gens(p)
-    g = MatGroup(p, [e12, e21]).cache()
+def _coset_permutation_module(g: MatGroup) -> FpModule:
+    """F_p[G/U] for U the Sylow p-subgroup that `class_GG` finds in G."""
+    p = g.p.p
     rep = class_GG(g)
     u = rep.sylow.u
     upow = [u.pow(k).a for k in range(p)]
@@ -145,7 +140,8 @@ def _coset_permutation_module(p) -> FpModule:
 
 
 def _coset_module_summands(p, seed: int = 1):
-    return modrep.split_summands(_coset_permutation_module(p), seed=seed)
+    return modrep.split_summands(
+        _coset_permutation_module(MatGroup(p, _sl2_gens(p))), seed=seed)
 
 
 def _projective_cover_trivial(p) -> FpModule:
@@ -701,37 +697,10 @@ def build_family(spec: FamilySpec, heavy: bool = False):
 
 def _gl23_two_two():
     """The dim-4 type 2/2 module of GL_2(3), from the coset module."""
-    g, v = extraspecial(3)
-    rep = class_GG(g)
-    u = rep.sylow.u
-    upow = [u.pow(k).a for k in range(3)]
-    g.cache()
-    stack = g.elements_stack()
-
-    def coset_key(m64):
-        return min(((m64 @ uk) % 3).astype(np.int8).tobytes() for uk in upow)
-
-    cosets = {}
-    mats = {}
-    for idx in range(stack.shape[0]):
-        m64 = stack[idx].astype(np.int64)
-        ck = coset_key(m64)
-        if ck not in cosets:
-            cosets[ck] = len(cosets)
-            mats[cosets[ck]] = m64
-    nc = len(cosets)
-    gens = []
-    for gen in g.generators:
-        pm = np.zeros((nc, nc), dtype=np.int64)
-        for ci in range(nc):
-            tgt = coset_key((gen.a @ mats[ci]) % 3)
-            pm[cosets[tgt], ci] = 1
-        gens.append(FpMatrix(3, pm))
-    cosmod = FpModule(3, nc, MatGroup(3, gens))
-    for w, emb in modrep.split_summands(cosmod):
+    g, _ = extraspecial(3)
+    for w, emb in modrep.split_summands(_coset_permutation_module(g)):
         if w.dim == 4:
-            grp = w.group
-            return grp, w
+            return w.group, w
     raise ExtractionFailed("dim-4 type 2/2 summand absent from F_3[G/U]")
 
 

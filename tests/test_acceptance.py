@@ -46,7 +46,7 @@ def test_criterion_1_simple_module_mu_law():
 def test_criterion_2_extension_mu_law():
     t0 = time.time()
     p = 5
-    summands = mr.split_summands(zoo._coset_permutation_module(p), seed=1)
+    summands = zoo._coset_module_summands(p)
     assert sorted(w.dim for w, _ in summands) == [1, 5, 6, 6, 6]
     seen = {}
     for w, _ in summands:
@@ -225,12 +225,12 @@ def test_criterion_6_witness_suite():
     x, a = sg.choose_x_a(s, g, syl)
     hb = sg.hb_subgroups(s, x, a)
     gv = mu.compute_gvee(g, syl, mr.canonical_subspaces(v, syl))
-    th_b = sg.theta_witness(s, "B", 0, hb, g, syl, gv)
-    th_h = sg.theta_witness(s, "H", 1, hb, g, syl, gv)
+    th_b = sg.theta_witness(s, "B", 0, hb, gv)
+    th_h = sg.theta_witness(s, "H", 1, hb, gv)
     for th in (th_b, th_h):
         assert th.ok and all(th.checks.values())
         assert th.theta0_over_inn == 120
-    rep = sg.step2_conditions(s, [("B", 0), ("H", 1)], g, syl, gv, hb)
+    rep = sg.step2_conditions(s, [th_b, th_h])
     assert rep["ok"]
     assert all(rep["conditions"].values())
     _mark("6 (theta and step-2 witnesses on the flagship)", t0, 60)

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+from fusionseed import cli, sgroup
+
 
 def run_cli(args, env=None):
     """Run the CLI in a child process that inherits this process's
@@ -91,3 +93,80 @@ def test_cap_env(tmp_path):
     assert code == 3
     # exit 3 is shared with the --heavy gate; the message names the cap
     assert "exceeds cap 10" in err
+
+
+def _instance(tmp_path, generators, labels=None):
+    """A p = 5, dim 2 instance file."""
+    payload = {"p": 5, "dim": 2, "generators": generators}
+    if labels is not None:
+        payload["labels"] = labels
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _assert_invalid(code, err, phrase):
+    assert code == 2
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert phrase in err
+
+
+E12 = [1, 1, 0, 1]
+D2 = [2, 0, 0, 1]      # diag(2, 1); <D2> is not normal in <E12, D2>
+
+
+def test_non_integer_entry_exit_2(tmp_path):
+    code, _, err = run_cli(["check", _instance(tmp_path, [[1, 1.5, 0, 1]])])
+    _assert_invalid(code, err, "must be an integer, got 1.5")
+
+
+def test_singular_generator_exit_2(tmp_path):
+    code, _, err = run_cli(["check", _instance(tmp_path, [[1, 1, 1, 1]])])
+    _assert_invalid(code, err, "not invertible")
+
+
+def test_non_normal_g0_exit_2(tmp_path):
+    path = _instance(tmp_path, [E12, D2], {"g0_generators": [1]})
+    code, _, err = run_cli(["check", path])
+    _assert_invalid(code, err, "not normal")
+
+
+def test_g0_index_out_of_range_exit_2(tmp_path):
+    for idx in ([2], [-1]):
+        path = _instance(tmp_path, [E12, D2], {"g0_generators": idx})
+        code, _, err = run_cli(["check", path])
+        _assert_invalid(code, err, "must index the 2 generators")
+
+
+def test_g0_index_above_bound_exit_3(tmp_path):
+    """G0 = 1 is normal in SL_2(5), of index 120 above the bound 64."""
+    path = _instance(tmp_path, [E12, [1, 0, 1, 1], [1, 0, 0, 1]],
+                     {"g0_generators": [2]})
+    code, _, err = run_cli(["check", path])
+    assert code == 3
+    assert err.strip() == "cap: index above the subgroup-enumeration bound"
+
+
+def test_zoo_emit_index_out_of_range_exit_2():
+    code, out, err = run_cli(["zoo", "emit", "sn_deleted", "--index", "99"])
+    assert out == ""
+    _assert_invalid(code, err, "index 99 out of range")
+
+
+def test_sgroup_builds_gamma_and_each_theta_once(tmp_path, monkeypatch):
+    """On the flagship, one Gamma serves every witness and step 2 reuses
+    the reported Theta instead of building it again."""
+    inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+    assert cli.main(["zoo", "emit", "sn_deleted", "--index", "0",
+                     "--out", str(inst)]) == 0
+    calls = {"semidirect_affine": 0, "theta_witness": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(sgroup, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(sgroup, name, counted)
+    assert cli.main(["sgroup", str(inst), "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert len(rep["theta"]) == 2 and rep["step2"]["ok"]
+    assert calls == {"semidirect_affine": 1, "theta_witness": 2}

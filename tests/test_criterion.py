@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import cycle, perm_mat
-from fusionseed import criterion as cr, gfp, modrep as mr, mu, zoo
+from fusionseed import criterion as cr, gfp, grp, modrep as mr, mu, zoo
 from fusionseed.criterion import E0, e0_menu
 from fusionseed.gfp import FpMatrix, Subspace
 from fusionseed.grp import MatGroup, class_GG, o_pprime
@@ -264,3 +264,19 @@ def test_index_too_large_guard():
     triv = MatGroup(5, [FpMatrix.identity(5, 5)])
     with pytest.raises(IndexTooLarge):
         cr.enumerate_admissible(triv, gbar, FpModule(5, 5, gbar))
+
+
+def test_evaluate_computes_o_pprime_once(monkeypatch):
+    """The indecomposability test of a passing instance reuses the
+    O^{p'}(G) that condition (d) computed."""
+    calls = []
+
+    def counted(*args, _fn=grp.o_pprime):
+        calls.append(args)
+        return _fn(*args)
+    monkeypatch.setattr(grp, "o_pprime", counted)
+    monkeypatch.setattr(cr, "o_pprime", counted)
+    _, v = zoo.symmetric(5, 5, "deleted", "S", 4)
+    rep = cr.evaluate(v)
+    assert rep.passes and rep.indecomposable
+    assert len(calls) == 1

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import cycle, perm_mat
 from fusionseed import modrep as mr, mu, sgroup as sg, zoo
-from fusionseed.errors import MuTooSmall
+from fusionseed.errors import CapExceeded, MuTooSmall
 from fusionseed.gfp import FpMatrix
 from fusionseed.grp import MatGroup, class_GG
 from fusionseed.modrep import FpModule
@@ -115,7 +115,7 @@ def test_class_action_of_normalizer(flagship, flagship_hb):
 def test_theta_witness_b0(flagship, flagship_hb):
     g, v, syl, s, _ = flagship
     x, a, hb, gv = flagship_hb
-    th = sg.theta_witness(s, "B", 0, hb, g, syl, gv)
+    th = sg.theta_witness(s, "B", 0, hb, gv)
     assert th.ok
     assert th.inn_order == 25             # |P / Z(P)| for P extraspecial 125
     assert th.theta0_over_inn == 120      # |SL_2(5)|
@@ -125,7 +125,7 @@ def test_theta_witness_b0(flagship, flagship_hb):
 def test_theta_witness_h_class(flagship, flagship_hb):
     g, v, syl, s, _ = flagship
     x, a, hb, gv = flagship_hb
-    th = sg.theta_witness(s, "H", 1, hb, g, syl, gv)
+    th = sg.theta_witness(s, "H", 1, hb, gv)
     assert th.ok
     assert th.inn_order == 1              # P = C_5^2 abelian
     assert th.theta0_over_inn == 120
@@ -146,15 +146,16 @@ def test_theta_h0_on_sp4_flagship():
     gv = mu.compute_gvee(g, syl, mr.canonical_subspaces(v, syl))
     # mu-image is Delta_0.2: the H-witness hypothesis Delta_-1 fails
     with pytest.raises(MuTooSmall):
-        sg.theta_witness(s, "H", 0, hb, g, syl, gv)
-    th = sg.theta_witness(s, "B", 0, hb, g, syl, gv)
+        sg.theta_witness(s, "H", 0, hb, gv)
+    th = sg.theta_witness(s, "B", 0, hb, gv)
     assert th.ok and th.theta0_over_inn == 120
 
 
 def test_step2_conditions(flagship, flagship_hb):
     g, v, syl, s, _ = flagship
     x, a, hb, gv = flagship_hb
-    rep = sg.step2_conditions(s, [("B", 0), ("H", 1)], g, syl, gv, hb)
+    rep = sg.step2_conditions(s, [sg.theta_witness(s, "B", 0, hb, gv),
+                                  sg.theta_witness(s, "H", 1, hb, gv)])
     assert rep["ok"]
     assert rep["gamma_order"] == 125 * 480
     assert rep["conditions"] == {"pairwise_nonconjugate": True,
@@ -165,7 +166,8 @@ def test_step2_conditions(flagship, flagship_hb):
 def test_step2_duplicate_fails(flagship, flagship_hb):
     g, v, syl, s, _ = flagship
     x, a, hb, gv = flagship_hb
-    rep = sg.step2_conditions(s, [("B", 0), ("B", 0)], g, syl, gv, hb)
+    th = sg.theta_witness(s, "B", 0, hb, gv)
+    rep = sg.step2_conditions(s, [th, th])
     assert not rep["conditions"]["pairwise_nonconjugate"]
 
 
@@ -225,10 +227,10 @@ def test_witnesses_for_exotic_h_family():
     hb = sg.hb_subgroups(s, x, a)
     gv = mu.compute_gvee(g120, syl, mr.canonical_subspaces(v, syl))
     assert mu.mu_image(gv) == mu.named(5, "Delta_-1")
-    for i in (0, 2):
-        th = sg.theta_witness(s, "H", i, hb, g120, syl, gv)
+    thetas = [sg.theta_witness(s, "H", i, hb, gv) for i in (0, 2)]
+    for th in thetas:
         assert th.ok
-    rep = sg.step2_conditions(s, [("H", 0), ("H", 2)], g120, syl, gv, hb)
+    rep = sg.step2_conditions(s, thetas)
     assert rep["ok"] and rep["gamma_order"] == 15000
 
 
@@ -242,5 +244,19 @@ def test_witnesses_for_exotic_b_family():
     x, a = sg.choose_x_a(s, gc, sylc)
     hb = sg.hb_subgroups(s, x, a)
     gv = mu.compute_gvee(gc, sylc, mr.canonical_subspaces(vc, sylc))
-    rep = sg.step2_conditions(s, [("B", 0), ("B", 1)], gc, sylc, gv, hb)
+    rep = sg.step2_conditions(
+        s, [sg.theta_witness(s, "B", i, hb, gv) for i in (0, 1)])
     assert rep["ok"] and rep["gamma_order"] == 5 ** 4 * 240
+
+
+def test_gamma_over_cap_raises_before_enumerating(monkeypatch):
+    """sn_deleted at p = 7: |Gamma| = 7^5 * 5040 is above the 2e7 cap, so
+    S.gamma refuses before building Gamma."""
+    g, v = zoo.symmetric(7, 7, "deleted", "S", 1)
+    s = sg.SGroup(v, class_GG(g).sylow)
+
+    def build(*args):
+        raise AssertionError("Gamma must not be built")
+    monkeypatch.setattr(sg, "semidirect_affine", build)
+    with pytest.raises(CapExceeded, match="84707280 exceeds cap"):
+        s.gamma
