@@ -7,7 +7,8 @@ Commands:
   regress [--filter TAG] [--heavy]              corpus regression run
 
 Exit codes: 0 ok (including "fails criterion" verdicts), 2 invalid input,
-3 cap exceeded / heavy compute gated / G0 of index above the bound.
+3 cap exceeded / heavy compute gated / G0 of index above the bound,
+4 a result check failed (an engine bug).
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import numpy as np
 
 from . import criterion, modrep, mu, sgroup, zoo
 from .errors import (CapExceeded, FusionseedError, HeavyComputeDisabled,
-                     IndexTooLarge, InvalidInstance, SubgroupViolation)
+                     IndexTooLarge, InvalidInstance, InvariantViolation,
+                     SubgroupViolation)
 from .gfp import FpMatrix
 from .grp import MatGroup, class_GG
 from .modrep import FpModule
@@ -156,12 +158,17 @@ def cmd_sgroup(args) -> int:
             "scalar_reports": filt.scalar_reports,
         }
         if rep.passes and v.dim + 1 <= sgroup.DESK_S_LIMIT:
+            image = mu.DeltaSubgroup(v.p, rep.mu_report["image"])
+            kinds = [kind for kind, t in (("B", 0), ("H", -1))
+                     if mu.contains_delta_t(image, t)]
+            if kinds:
+                # every Theta witness reads Gamma: refuse one over the cap
+                # before the S-arithmetic of hb_subgroups
+                s.gamma_order()
             x, a = sgroup.choose_x_a(s, v.group, syl)
             hb = sgroup.hb_subgroups(s, x, a)
-            image = mu.DeltaSubgroup(v.p, rep.mu_report["image"])
             thetas = [sgroup.theta_witness(s, kind, 0, hb, rep.gvee)
-                      for kind, t in (("B", 0), ("H", -1))
-                      if mu.contains_delta_t(image, t)]
+                      for kind in kinds]
             out["theta"] = [{"kind": th.kind, "ok": th.ok,
                              "theta_order": th.theta_order,
                              "checks": th.checks} for th in thetas]
@@ -346,6 +353,9 @@ def main(argv=None) -> int:
     except (CapExceeded, HeavyComputeDisabled, IndexTooLarge) as exc:
         print(f"cap: {exc}", file=sys.stderr)
         return 3
+    except InvariantViolation as exc:
+        print(f"invariant violated: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

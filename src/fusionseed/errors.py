@@ -71,3 +71,8 @@ class MuTooSmall(FusionseedError):
 
 class InvalidInstance(FusionseedError):
     """An instance file that does not describe a valid instance."""
+
+
+class InvariantViolation(FusionseedError):
+    """A result check failed: a theorem's conclusion or a computed
+    invariant does not hold, which signals an engine bug."""

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, IndexTooLarge, SubgroupViolation
+from .errors import (CapExceeded, IndexTooLarge, InvariantViolation,
+                     SubgroupViolation)
 from .gfp import FpMatrix, Prime, as_prime
 
 DEFAULT_CAP = int(os.environ.get("FUSIONSEED_CAP", 2 * 10 ** 7))
@@ -268,7 +269,10 @@ def class_GG(g: MatGroup) -> GGReport:
     if (order // p) % p == 0:
         return GGReport("not_in_G", order, reason="p^2 divides |G|")
     u = _find_order_p_element(g)
-    assert u is not None, "Cauchy: order-p element must exist"
+    if u is None:
+        raise InvariantViolation(
+            f"Cauchy: p = {p} divides |G| = {order} but no element of "
+            "order p was found")
     # U is normal iff every generator conjugates u back into U
     upow_keys = {u.pow(k).key() for k in range(1, p)}
     normal = all((gen @ u @ gen.inverse()).key() in upow_keys
@@ -280,7 +284,9 @@ def class_GG(g: MatGroup) -> GGReport:
     c_idx = g._scan_commuting([u])
     cgrp = g.subset_group(c_idx)
     autom = ngrp.order() // cgrp.order()
-    assert (p - 1) % autom == 0, "automizer order must divide p-1"
+    if (p - 1) % autom:
+        raise InvariantViolation(
+            f"automizer order {autom} does not divide p - 1 = {p - 1}")
     syl = SylowData(u, ngrp, cgrp, autom)
     status = "in_GG" if autom == p - 1 else "in_G_only"
     return GGReport(status, order, sylow=syl)
@@ -289,14 +295,11 @@ def class_GG(g: MatGroup) -> GGReport:
 def o_pprime(g: MatGroup, syl: SylowData) -> MatGroup:
     """Subgroup generated by all conjugates of u; equals O^{p'}(G)."""
     conj = g.conjugates_of(syl.u)
-    conj_keys = {c.key() for c in conj}
     gens = [syl.u]
     while True:
         sub = MatGroup(g.p, gens, cap=g.cap).cache()
         missing = [c for c in conj if c.key() not in sub._keys]
         if not missing:
-            sub_keys = set(sub._keys)
-            assert conj_keys <= sub_keys
             return sub
         gens.append(missing[0])
 
@@ -383,7 +386,9 @@ def intermediate_subgroups(g0: MatGroup, gbar: MatGroup,
                     coset_of[keys[members[j].astype(np.int8).tobytes()]] = new_c
                 queue.append(new_c)
     size = len(reps)
-    assert size == index
+    if size != index:
+        raise InvariantViolation(
+            f"{size} cosets of G0 found in G, but |G : G0| = {index}")
     mul = [[0] * size for _ in range(size)]
     for i in range(size):
         a = stack[reps[i]].astype(np.int64)
@@ -413,89 +418,121 @@ def scalar_subgroup(g: MatGroup) -> MatGroup:
 
 # -- Sylow normalizer by orbit-stabilizer (heavy instances) ---------------
 
+_ORBIT_CHUNK = 64   # orbit points conjugated per batched product
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for broadcastable float64 stacks with entries in [0, p).
+
+    Every product sum (at most n (p - 1)^2) is exact in float64, and so is
+    the floor of its quotient by p; numpy multiplies float64 stacks through
+    BLAS, several times faster than int64 stacks.
+    """
+    x = a @ b
+    q = x / p
+    np.floor(q, out=q)
+    q *= p
+    x -= q
+    return x
+
+
+def _row_keys(rows: np.ndarray) -> list:
+    """int8 bytes of each row of a (k, w) array reduced mod p."""
+    rows = np.ascontiguousarray(rows, dtype=np.int8)
+    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel().tolist()
+
+
+def _subgroup_keys(x: np.ndarray, p: int) -> list:
+    """Key of each <x[i]>: the least int8 bytes among x[i], ..., x[i]^(p-1).
+
+    Bytes compare as unsigned, so the least is found entry by entry: a
+    power replaces the best so far where it is smaller at the first entry
+    in which the two differ.
+    """
+    k = x.shape[0]
+    rows = np.arange(k)
+    best = x.astype(np.uint8).reshape(k, -1)
+    cur = x
+    for _ in range(p - 2):
+        cur = _mulmod(cur, x, p)
+        cand = cur.astype(np.uint8).reshape(k, -1)
+        first = (cand != best).argmax(axis=1)
+        less = cand[rows, first] < best[rows, first]
+        best[less] = cand[less]
+    return _row_keys(best)
+
+
 def sylow_normalizer_via_orbit(p, dim, generators, u: FpMatrix,
                                max_orbit: int = 10 ** 6):
     """N_G(<u>) for G = <generators> without enumerating G.
 
-    Computes the conjugation orbit of U = <u> with a transversal and closes
-    the Schreier generators; returns (N as MatGroup, orbit size).  |G| then
-    equals orbit_size * |N| by orbit-stabilizer.
+    Walks the conjugation orbit of U = <u> level by level, in chunks of
+    _ORBIT_CHUNK points conjugated by every generator at once, keeping a
+    transversal T with T^-1 u T the point it reaches.  The Schreier
+    generators (t g) T_j^-1 that are not yet in the stabilizer generate
+    N_G(U) (Schreier's lemma).  Returns (N as MatGroup, orbit size); |G|
+    then equals orbit_size * |N| by orbit-stabilizer.  Raises CapExceeded
+    when the orbit has more than max_orbit points.
     """
     pp = int(p)
-
-    def subgroup_key(mat64):
-        best = None
-        cur = mat64
-        for _ in range(1, pp):
-            k = (cur % pp).astype(np.int8).tobytes()
-            if best is None or k < best:
-                best = k
-            cur = cur @ mat64 % pp
-        return best
-
-    gens64 = [g.a for g in generators]
-    geninv64 = [g.inverse().a for g in generators]
-    u64 = u.a
-    k0 = subgroup_key(u64)
-    ident = np.eye(dim, dtype=np.int64)
-    orbit = {k0: 0}
-    trans = [ident]
-    trans_inv = [ident]
-    reps = [u64]
-    n_keys = {}
-    n_elems = []
-
-    def add_stab_element(mat64):
-        key = (mat64 % pp).astype(np.int8).tobytes()
-        if key in n_keys:
-            return
-        # close the stabilizer-so-far under the new element
-        frontier = [mat64 % pp]
-        if not n_elems:
-            n_keys[ident.astype(np.int8).tobytes()] = 0
-            n_elems.append(ident)
-        while frontier:
-            nxt = []
-            for f in frontier:
-                fk = f.astype(np.int8).tobytes()
-                if fk in n_keys:
-                    continue
-                n_keys[fk] = len(n_elems)
-                n_elems.append(f)
-                for h in list(n_elems):
-                    for prod in (f @ h % pp, h @ f % pp):
-                        pk = prod.astype(np.int8).tobytes()
-                        if pk not in n_keys:
-                            nxt.append(prod)
-            frontier = nxt
-
-    queue = [0]
-    while queue:
-        i = queue.pop()
-        t, ti, r = trans[i], trans_inv[i], reps[i]
-        for g, gi in zip(gens64, geninv64):
-            conj = gi @ r @ g % pp  # (t g)^-1 u (t g) orbit convention
-            k = subgroup_key(conj)
-            j = orbit.get(k)
-            if j is None:
-                if len(orbit) > max_orbit:
-                    raise CapExceeded("Sylow orbit exceeds bound")
-                orbit[k] = len(trans)
-                trans.append(t @ g % pp)
-                trans_inv.append(gi @ ti % pp)
-                reps.append(conj)
-                queue.append(len(trans) - 1)
-            else:
-                # Schreier generator: (t g) trans[j]^-1 stabilizes U
-                s = (t @ g % pp) @ trans_inv[j] % pp
-                add_stab_element(s)
-    stab_gens = [FpMatrix(p, m) for m in n_elems[1:]] or [FpMatrix.identity(p, dim)]
-    stack = np.array(n_elems, dtype=np.int8) if n_elems else \
-        np.eye(dim, dtype=np.int8)[None]
-    inv_stack = np.zeros_like(stack)
-    lookup = {m.astype(np.int8).tobytes(): idx for idx, m in enumerate(n_elems)}
-    for idx, m in enumerate(n_elems):
-        inv = FpMatrix(p, m).inverse().a.astype(np.int8)
-        inv_stack[idx] = inv
-    ngrp = MatGroup.from_elements(p, stab_gens, stack, inv_stack, lookup)
-    return ngrp, len(orbit)
+    n = dim
+    gens = np.array([g.a for g in generators], dtype=np.float64)
+    gens_inv = np.array([g.inverse().a for g in generators],
+                        dtype=np.float64)
+    m = len(gens)
+    uf = u.a.astype(np.float64)
+    orbit = {_subgroup_keys(uf[None], pp)[0]: 0}
+    trans = np.zeros((1024, n, n), dtype=np.int8)
+    trans_inv = np.zeros_like(trans)
+    trans[0] = trans_inv[0] = np.eye(n, dtype=np.int8)
+    stab_gens = []
+    stab = MatGroup(p, [FpMatrix.identity(p, n)]).cache()
+    stab_keys = stab.keys()
+    lo, hi = 0, 1
+    while lo < hi:
+        for c in range(lo, hi, _ORBIT_CHUNK):
+            t = trans[c:min(c + _ORBIT_CHUNK, hi)].astype(np.float64)
+            t_inv = trans_inv[c:c + len(t)].astype(np.float64)
+            reps = _mulmod(_mulmod(t_inv, uf, pp), t, pp)
+            # pair q = (point c + q // m, generator q % m)
+            conj = _mulmod(_mulmod(gens_inv, reps[:, None], pp), gens, pp)
+            keys = _subgroup_keys(conj.reshape(-1, n, n), pp)
+            tg = _mulmod(t[:, None], gens, pp).reshape(-1, n, n)
+            targets = np.array([orbit.get(k, -1) for k in keys])
+            fresh = []
+            for q in np.flatnonzero(targets < 0):
+                j = orbit.get(keys[q])
+                if j is None:
+                    if len(orbit) >= max_orbit:
+                        raise CapExceeded(
+                            f"Sylow orbit exceeds bound {max_orbit}")
+                    j = orbit[keys[q]] = len(orbit)
+                    fresh.append(q)
+                targets[q] = j
+            if fresh:
+                size = len(orbit)
+                if size > len(trans):
+                    grow = max(size, 2 * len(trans))
+                    trans = np.resize(trans, (grow, n, n))
+                    trans_inv = np.resize(trans_inv, (grow, n, n))
+                fresh = np.array(fresh)
+                trans[size - len(fresh):size] = tg[fresh]
+                trans_inv[size - len(fresh):size] = _mulmod(
+                    gens_inv[fresh % m], t_inv[fresh // m], pp)
+            # every pair that did not find a new point gives a Schreier
+            # generator (one that did gives the identity)
+            pairs = np.ones(len(keys), dtype=bool)
+            pairs[fresh] = False
+            schreier = _mulmod(tg[pairs],
+                               trans_inv[targets[pairs]].astype(np.float64),
+                               pp)
+            skeys = _row_keys(schreier.reshape(-1, n * n))
+            # a closure made for an earlier one may already hold a later one
+            for q in [q for q, k in enumerate(skeys) if k not in stab_keys]:
+                if skeys[q] not in stab_keys:
+                    stab_gens.append(
+                        FpMatrix(p, schreier[q].astype(np.int64)))
+                    stab = MatGroup(p, stab_gens).cache()
+                    stab_keys = stab.keys()
+        lo, hi = hi, len(orbit)
+    return stab, len(orbit)

@@ -45,6 +45,17 @@ class SGroup:
         # Z_2(S): preimage in A of C_{A/Z}(u)
         self.Z2 = self._z2()
 
+    def gamma_order(self) -> int:
+        """|Gamma| = p^n |G|, without building Gamma.
+
+        Raises CapExceeded when it is above G's element cap.
+        """
+        g = self.v.group
+        order = self.p ** self.n * g.order()
+        if order > g.cap:
+            raise CapExceeded(f"|Gamma| = {order} exceeds cap {g.cap}")
+        return order
+
     @functools.cached_property
     def gamma(self) -> MatGroup:
         """Gamma = A x| G, enumerated on first use and kept.
@@ -52,11 +63,8 @@ class SGroup:
         Raises CapExceeded before enumerating when p^n |G| is above G's
         element cap.
         """
-        g = self.v.group
-        order = self.p ** self.n * g.order()
-        if order > g.cap:
-            raise CapExceeded(f"|Gamma| = {order} exceeds cap {g.cap}")
-        return semidirect_affine(self.v, g).cache()
+        self.gamma_order()
+        return semidirect_affine(self.v, self.v.group).cache()
 
     def _z2(self) -> Subspace:
         p, n = self.p, self.n

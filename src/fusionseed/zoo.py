@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gfp, modrep, mu, tables
-from .errors import (ExtractionFailed, HeavyComputeDisabled, InvalidParams)
+from .errors import (ExtractionFailed, HeavyComputeDisabled, InvalidParams,
+                     InvariantViolation)
 from .gfp import FpMatrix, Subspace
 from .grp import MatGroup, class_GG
 from .modrep import FpModule
@@ -473,7 +474,7 @@ def extraspecial(p: int, heavy: bool = False):
     raise InvalidParams("extraspecial supports p in {3, 5, 7}")
 
 
-def heavy_extraspecial_check(progress=None) -> dict:
+def heavy_extraspecial_check() -> dict:
     """Sylow-normalizer data for the p = 7 extraspecial normalizer.
 
     Avoids full enumeration: finds an order-7 element from random generator
@@ -493,7 +494,9 @@ def heavy_extraspecial_check(progress=None) -> dict:
         if o % 7 == 0:
             u = word.pow(o // 7)
             break
-    assert u is not None, "no order-7 element found in random words"
+    if u is None:
+        raise InvariantViolation("no element of order 7 found in 10000 "
+                                 "random generator words")
     ngrp, orbit = sylow_normalizer_via_orbit(7, 8, gens, u, max_orbit=10 ** 5)
     n_order = ngrp.order()
     c_idx = ngrp._scan_commuting([u])

@@ -376,4 +376,4 @@ def test_criterion_8_heavy_extraspecial():
     assert res["mu_name"] == "Delta_3"
     assert res["group_order"] == 15482880
     assert res["automizer"] == 6
-    _mark("8 (heavy p=7 extraspecial)", t0, 1800)
+    _mark("8 (heavy p=7 extraspecial)", t0, 120)

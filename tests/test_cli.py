@@ -3,7 +3,11 @@ import os
 import subprocess
 import sys
 
-from fusionseed import cli, sgroup
+import pytest
+
+from fusionseed import cli, grp, sgroup, zoo
+from fusionseed.errors import InvariantViolation
+from fusionseed.gfp import FpMatrix
 
 
 def run_cli(args, env=None):
@@ -170,3 +174,40 @@ def test_sgroup_builds_gamma_and_each_theta_once(tmp_path, monkeypatch):
     rep = json.loads(out.read_text())
     assert len(rep["theta"]) == 2 and rep["step2"]["ok"]
     assert calls == {"semidirect_affine": 1, "theta_witness": 2}
+
+
+def test_sgroup_refuses_gamma_over_cap_before_hb_subgroups(
+        tmp_path, monkeypatch, capsys):
+    """sn_deleted at p = 7: |Gamma| = 7^5 * 5040 is above the 2e7 cap, so
+    sgroup ends before the S-conjugacy scan of hb_subgroups."""
+    inst = tmp_path / "inst.json"
+    assert cli.main(["zoo", "emit", "sn_deleted", "--index", "1",
+                     "--out", str(inst)]) == 0
+
+    def unexpected(*args):
+        raise AssertionError("hb_subgroups must not run")
+    monkeypatch.setattr(sgroup, "hb_subgroups", unexpected)
+    assert cli.main(["sgroup", str(inst)]) == 3
+    assert "|Gamma| = 84707280 exceeds cap" in capsys.readouterr().err
+
+
+def test_missing_order_p_element_exit_4(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(grp, "_find_order_p_element", lambda g: None)
+    path = _instance(tmp_path, [E12, [1, 0, 1, 1]])       # SL_2(5)
+    assert cli.main(["check", path]) == 4
+    assert "invariant violated: Cauchy" in capsys.readouterr().err
+
+
+def test_heavy_check_without_order_7_word_exit_4(tmp_path, monkeypatch,
+                                                 capsys):
+    """No random generator word of order divisible by 7: the heavy check
+    fails its search with a typed error, not a bare assert."""
+    inst = tmp_path / "es7.json"
+    assert cli.main(["zoo", "emit", "extraspecial_p7", "--heavy",
+                     "--out", str(inst)]) == 0
+    monkeypatch.setattr(FpMatrix, "order", lambda self, cap=None: 1)
+    with pytest.raises(InvariantViolation):
+        zoo.heavy_extraspecial_check()
+    assert cli.main(["check", str(inst), "--heavy"]) == 4
+    assert "invariant violated: no element of order 7" in \
+        capsys.readouterr().err

@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
 
 from conftest import cycle, perm_mat
-from fusionseed.errors import CapExceeded, SubgroupViolation
+from fusionseed import grp, zoo
+from fusionseed.errors import (CapExceeded, InvariantViolation,
+                             SubgroupViolation)
 from fusionseed.gfp import FpMatrix
 from fusionseed.grp import (MatGroup, class_GG, intermediate_subgroups,
                             o_pprime, product_covers, scalar_subgroup,
@@ -157,16 +160,62 @@ def test_orbit_stabilizer_consistency():
         assert len(subgroups) * syl.normalizer_N.order() == g.order()
 
 
+def gl2_group(p=5):
+    return MatGroup(p, [FpMatrix(p, [[1, 1], [0, 1]]),
+                        FpMatrix(p, [[1, 0], [1, 1]]),
+                        FpMatrix(p, [[2, 0], [0, 1]])])
+
+
 def test_sylow_normalizer_via_orbit_matches_scan():
-    gl25 = MatGroup(5, [FpMatrix(5, [[1, 1], [0, 1]]),
-                        FpMatrix(5, [[1, 0], [1, 1]]),
-                        FpMatrix(5, [[2, 0], [0, 1]])])
+    gl25 = gl2_group()
     rep = class_GG(gl25)
     ngrp, orbit = sylow_normalizer_via_orbit(5, 2, gl25.generators,
                                              rep.sylow.u)
     assert ngrp.order() == rep.sylow.normalizer_N.order()
     assert orbit * ngrp.order() == gl25.order()
     assert set(ngrp.keys()) == set(rep.sylow.normalizer_N.keys())
+
+
+def test_sylow_normalizer_via_orbit_extraspecial_p5():
+    """The orbit route against the scan of class_GG on |G| = 46,080."""
+    g, _ = zoo.extraspecial(5)
+    syl = class_GG(g).sylow
+    ngrp, orbit = sylow_normalizer_via_orbit(5, g.dim, g.generators, syl.u)
+    assert set(ngrp.keys()) == set(syl.normalizer_N.keys())
+    assert orbit * ngrp.order() == g.order() == 46080
+    assert (orbit, ngrp.order()) == (576, 80)
+
+
+def test_batched_keys_match_matrix_powers():
+    """The float64 products and the numpy subgroup key of the orbit route
+    against FpMatrix arithmetic, up to the largest supported prime."""
+    rng = np.random.default_rng(5)
+    for p in (7, 97):
+        x = rng.integers(0, p, (12, 8, 8))
+        y = rng.integers(0, p, (12, 8, 8))
+        prod = grp._mulmod(x.astype(np.float64), y.astype(np.float64), p)
+        assert (prod == x @ y % p).all()
+        keys = grp._subgroup_keys(x.astype(np.float64), p)
+        assert keys == [min(FpMatrix(p, m).pow(k).key() for k in range(1, p))
+                        for m in x]
+
+
+def test_orbit_bound_is_exact():
+    """GL_2(5) has 6 Sylow 5-subgroups: max_orbit=6 admits the orbit,
+    max_orbit=5 refuses it."""
+    gl25 = gl2_group()
+    u = class_GG(gl25).sylow.u
+    _, orbit = sylow_normalizer_via_orbit(5, 2, gl25.generators, u,
+                                          max_orbit=6)
+    assert orbit == 6
+    with pytest.raises(CapExceeded):
+        sylow_normalizer_via_orbit(5, 2, gl25.generators, u, max_orbit=5)
+
+
+def test_class_gg_without_order_p_element_raises(monkeypatch):
+    monkeypatch.setattr(grp, "_find_order_p_element", lambda g: None)
+    with pytest.raises(InvariantViolation, match="Cauchy"):
+        class_GG(s5_group())
 
 
 def brute_force_class(g):
