@@ -85,7 +85,7 @@ def cmd_check(args) -> int:
         if not args.heavy:
             raise HeavyComputeDisabled(
                 "the p = 7 extraspecial normalizer needs --heavy")
-        res = zoo.heavy_extraspecial_check()
+        res = zoo.heavy_extraspecial_check(v)
         payload = {"mode": "heavy", "family": family, "result": res,
                    "elapsed_s": round(time.time() - t0, 3)}
     elif g0 is not None:
@@ -162,8 +162,8 @@ def cmd_sgroup(args) -> int:
             kinds = [kind for kind, t in (("B", 0), ("H", -1))
                      if mu.contains_delta_t(image, t)]
             if kinds:
-                # every Theta witness reads Gamma: refuse one over the cap
-                # before the S-arithmetic of hb_subgroups
+                # step 2 reports |Gamma|: refuse one over the cap before
+                # the work of hb_subgroups
                 s.gamma_order()
             x, a = sgroup.choose_x_a(s, v.group, syl)
             hb = sgroup.hb_subgroups(s, x, a)
@@ -230,7 +230,8 @@ def _regress_entry(spec, heavy=False) -> bool:
     exp = spec.expected
     try:
         if spec.tag == "extraspecial_p7":
-            res = zoo.heavy_extraspecial_check()
+            res = zoo.heavy_extraspecial_check(
+                zoo.extraspecial(7, heavy=True)[1])
             return (res["n_over_u"] == exp["n_over_u"]
                     and res["mu_name"] == exp["mu_name"]
                     and res["group_order"] == exp["group_order"])

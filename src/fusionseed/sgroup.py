@@ -1,11 +1,12 @@
 """The p-group S = A x| U and its local automorphism data.
 
-S-elements are pairs (a, k) for a in A = F_p^n and k in Z/p, multiplying by
-(a, k)(b, l) = (a + u^k b, k + l) where u is the Sylow generator's matrix.
-Z(S), [S,S], Z_2(S) and A_0 are subspaces of A; the essential-candidate
-subgroups H_i = Z<x a^i> and B_i = Z_2<x a^i> are realized as explicit
-element sets, and the local automorphism groups Theta are built as
-permutation groups on those sets and verified against their contracts.
+S-elements are affine matrices [[u^k, c], [0, 1]] for c in A = F_p^n and
+u the Sylow generator's matrix, so S is a subgroup of Gamma = A x| G in the
+same representation.  Z(S), [S,S], Z_2(S) and A_0 are subspaces of A; the
+essential-candidate subgroups H_i = Z<x a^i> and B_i = Z_2<x a^i> are
+MatGroups, and the local automorphism groups Theta are built as
+permutation groups on their elements and verified against their contracts.
+Gamma itself is only ever read through its generators.
 """
 
 from __future__ import annotations
@@ -16,18 +17,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gfp, modrep, mu
-from .errors import CapExceeded, MuTooSmall, SplitFailed
+from .errors import CapExceeded, InvariantViolation, MuTooSmall, SplitFailed
 from .gfp import FpMatrix, Subspace
-from .grp import MatGroup, SylowData
+from .grp import MatGroup, SylowData, _row_keys
 from .modrep import FpModule
 
 DESK_S_LIMIT = 6    # refuse full S-element enumeration above p**DESK_S_LIMIT
+_CONJ_CHUNK = 1 << 12   # ambient elements conjugated per batched product
 
 
-# -- element arithmetic ----------------------------------------------------
+# -- S and its subgroups as affine matrices ---------------------------------
 
 class SGroup:
-    """S = A x| U with cached u-powers and the distinguished subspaces."""
+    """S = A x| U with cached u-powers and the distinguished subspaces.
+
+    An S-element (c, u^k) is the affine matrix [[u^k, c], [0, 1]] of Gamma =
+    A x| G, so (c, u^k)(b, u^l) = (c + u^k b, u^(k+l)); subgroups of S are
+    MatGroups of such matrices.
+    """
 
     def __init__(self, v: FpModule, syl: SylowData):
         self.v = v
@@ -58,13 +65,41 @@ class SGroup:
 
     @functools.cached_property
     def gamma(self) -> MatGroup:
-        """Gamma = A x| G, enumerated on first use and kept.
+        """Gamma = A x| G by its generators, never enumerated.
 
-        Raises CapExceeded before enumerating when p^n |G| is above G's
-        element cap.
+        Raises CapExceeded when p^n |G| is above G's element cap.
         """
         self.gamma_order()
-        return semidirect_affine(self.v, self.v.group).cache()
+        return semidirect_affine(self.v, self.v.group)
+
+    @functools.cached_property
+    def S(self) -> MatGroup:
+        """S = A x| U, enumerated; refused above p**DESK_S_LIMIT elements."""
+        if self.n + 1 > DESK_S_LIMIT:
+            raise CapExceeded(f"|S| = p^{self.n + 1} above the desk limit")
+        return semidirect_affine(self.v, MatGroup(self.v.p, [self.u])).cache()
+
+    # A subgroup P of S outside A maps onto U in G, so an (a, g) in Gamma
+    # that normalizes (centralizes) P has g in N_G(U) (C_G(U)): these two
+    # ambients hold every element of Gamma that normalizes (centralizes) P.
+    @functools.cached_property
+    def a_by_normalizer(self) -> MatGroup:
+        """A x| N_G(U), enumerated."""
+        return _a_by(self.v, self.syl.normalizer_N)
+
+    @functools.cached_property
+    def a_by_centralizer(self) -> MatGroup:
+        """A x| C_G(U), enumerated."""
+        return _a_by(self.v, self.syl.centralizer_C)
+
+    def translation(self, w) -> FpMatrix:
+        """The translation (w, u^0) of A."""
+        return _affine(self.v.p, np.eye(self.n, dtype=np.int64), w)
+
+    def subgroup(self, space: Subspace, *extra: FpMatrix) -> MatGroup:
+        """<space, extra> for a subspace of A and S-elements, enumerated."""
+        gens = [self.translation(w) for w in space.basis] + list(extra)
+        return MatGroup(self.v.p, gens).cache()
 
     def _z2(self) -> Subspace:
         p, n = self.p, self.n
@@ -76,41 +111,6 @@ class SGroup:
         C = gfp.kernel_basis(FpMatrix(self.p, self.Z.basis)).basis
         return gfp.kernel_basis(FpMatrix(self.p, C @ m % p))
 
-    # -- element ops ------------------------------------------------------
-    def e(self, vec, k: int):
-        return (tuple(int(x) % self.p for x in vec), k % self.p)
-
-    def identity(self):
-        return (tuple([0] * self.n), 0)
-
-    def mul(self, x, y):
-        (a, k), (b, l) = x, y
-        vec = (np.array(a, dtype=np.int64)
-               + self.upow[k] @ np.array(b, dtype=np.int64)) % self.p
-        return (tuple(int(t) for t in vec), (k + l) % self.p)
-
-    def inv(self, x):
-        (a, k) = x
-        vec = (-(self.upow[(-k) % self.p] @ np.array(a, dtype=np.int64))) % self.p
-        return (tuple(int(t) for t in vec), (-k) % self.p)
-
-    def power(self, x, e: int):
-        out = self.identity()
-        cur = x
-        e %= self.order_bound()
-        if e < 0:
-            cur = self.inv(cur)
-            e = -e
-        while e:
-            if e & 1:
-                out = self.mul(out, cur)
-            cur = self.mul(cur, cur)
-            e >>= 1
-        return out
-
-    def order_bound(self):
-        return self.p ** (self.n + 1)
-
     def sigma(self, a_vec) -> np.ndarray:
         """sum_{i<p} u^i a  (the p-th power obstruction of (a, 1))."""
         s = np.zeros(self.n, dtype=np.int64)
@@ -119,55 +119,39 @@ class SGroup:
             s = (s + self.upow[k] @ a) % self.p
         return s
 
-    def element_order(self, x) -> int:
-        cur = x
-        k = 1
-        while cur != self.identity():
-            cur = self.mul(cur, x)
-            k += 1
-        return k
 
-    def subgroup_elements(self, gens):
-        """BFS closure of S-elements."""
-        seen = {self.identity()}
-        frontier = [self.identity()]
-        gens = list(gens)
-        while frontier:
-            nxt = []
-            for f in frontier:
-                for g in gens:
-                    h = self.mul(f, g)
-                    if h not in seen:
-                        seen.add(h)
-                        nxt.append(h)
-                    h2 = self.mul(g, f)
-                    if h2 not in seen:
-                        seen.add(h2)
-                        nxt.append(h2)
-            frontier = nxt
-        return seen
+def _affine(p, block, vec) -> FpMatrix:
+    """The affine matrix [[block, vec], [0, 1]] of w -> block w + vec."""
+    n = len(vec)
+    a = np.eye(n + 1, dtype=np.int64)
+    a[:n, :n] = block
+    a[:n, n] = vec
+    return FpMatrix(p, a)
 
-    def all_elements(self):
-        if self.n + 1 > DESK_S_LIMIT:
-            raise CapExceeded(f"|S| = p^{self.n + 1} above the desk limit")
-        out = []
-        from itertools import product
-        for vec in product(range(self.p), repeat=self.n):
-            for k in range(self.p):
-                out.append((vec, k))
-        return out
 
-    def subspace_elements(self, s: Subspace, shift_k: int = 0):
-        """All (w, shift_k) with w in the subspace."""
-        from itertools import product
-        out = []
-        basis = s.basis
-        for coeffs in product(range(self.p), repeat=s.dim):
-            w = np.zeros(self.n, dtype=np.int64)
-            for c, row in zip(coeffs, basis):
-                w = (w + c * row) % self.p
-            out.append((tuple(int(t) for t in w), shift_k))
-        return out
+def semidirect_affine(v: FpModule, g: MatGroup) -> MatGroup:
+    """A x| g as (n+1) x (n+1) affine matrices, not enumerated."""
+    one = np.eye(v.dim, dtype=np.int64)
+    gens = [_affine(v.p, m.a, np.zeros(v.dim, dtype=np.int64))
+            for m in g.generators]
+    gens += [_affine(v.p, one, e) for e in one]
+    return MatGroup(v.p, gens, cap=g.cap)
+
+
+def _a_by(v: FpModule, h: MatGroup) -> MatGroup:
+    """A x| h, enumerated, over a few generators of h picked greedily.
+
+    (The subgroups that class_GG returns list every element as a generator.)
+    """
+    gens = []
+    sub = MatGroup(h.p, [FpMatrix.identity(h.p, h.dim)]).cache()
+    for i in range(h.order()):
+        if sub.order() == h.order():
+            break
+        if not sub.contains(h.element(i)):
+            gens.append(h.element(i))
+            sub = MatGroup(h.p, gens, cap=h.cap).cache()
+    return semidirect_affine(v, sub).cache()
 
 
 @dataclass
@@ -200,13 +184,14 @@ def build_s(v: FpModule, syl: SylowData) -> tuple[SGroup, BuildReport]:
 
 
 def choose_x_a(s: SGroup, g: MatGroup, syl: SylowData):
-    """x = (0, 1) and a spanning the N_G(U)-invariant complement of A0/S'.
+    """x = (0, u) and the translation a = (a, u^0), with a spanning the
+    N_G(U)-invariant complement of A0/S'.
 
     The complement line in A/S' is found by averaging any projection onto
     A0/S' over coset representatives of U in N_G(U) (order prime to p).
     """
     p, n = s.p, s.n
-    x = s.e([0] * n, 1)
+    x = _affine(s.v.p, s.u.a, np.zeros(n, dtype=np.int64))
     N = syl.normalizer_N
     N.cache()
     # coordinates of A/S'
@@ -216,7 +201,8 @@ def choose_x_a(s: SGroup, g: MatGroup, syl: SylowData):
     # image of A0 in the quotient
     a0_rows = np.array([proj.apply(w) for w in s.A0.basis], dtype=np.int64)
     W0 = Subspace(s.v.p, q, a0_rows)
-    assert W0.dim == q - 1
+    if W0.dim != q - 1:
+        raise InvariantViolation("A0/S' must be a hyperplane of A/S'")
     # a projector onto W0 along an arbitrary complement direction:
     # write v = w + t*e_comp with w in W0, send v to w
     comp_col = [c for c in range(q) if c not in W0._pivots][0]
@@ -245,17 +231,17 @@ def choose_x_a(s: SGroup, g: MatGroup, syl: SylowData):
     inv_cnt = pow(len(reps) % p, p - 2, p)
     Pbar = acc * inv_cnt % p
     L = gfp.kernel_basis(FpMatrix(s.v.p, Pbar))
-    assert L.dim == 1, "invariant complement must be a line"
+    if L.dim != 1:
+        raise InvariantViolation("invariant complement must be a line")
     # lift the line generator back to A
     lift = _lift_from_quotient(s, proj, L.basis[0])
-    a = s.e(lift, 0)
     # verification: S'<a> is N-invariant
     spa = gfp.add(s.Sprime, Subspace(s.v.p, n, lift.reshape(1, -1)))
-    for gen in N.generators:
-        assert gfp.image_of_subspace(gen, spa) == spa, \
-            "S'<a> not normalizer-invariant"
-    assert not s.A0.contains_vector(lift), "a must lie outside A0"
-    return x, a
+    if any(gfp.image_of_subspace(gen, spa) != spa for gen in N.generators):
+        raise InvariantViolation("S'<a> not normalizer-invariant")
+    if s.A0.contains_vector(lift):
+        raise InvariantViolation("a must lie outside A0")
+    return x, s.translation(lift)
 
 
 def quot_action(proj: FpMatrix, g64: np.ndarray, p: int, n: int, q: int):
@@ -284,23 +270,22 @@ def _inv_arr(a: np.ndarray, p: int) -> np.ndarray:
     return FpMatrix(p, a).inverse().a
 
 
-def class_label(s: SGroup, subgroup_elements) -> tuple:
-    """(kind-invariant) class label i of Z<x a^i>-style subgroups.
+def class_label(s: SGroup, m: FpMatrix) -> int:
+    """Class label i of the Z<x a^i>-style subgroups holding m = (c, u^k).
 
-    For a generator (c, k) with k != 0, the label is gamma / k where gamma
-    is the A/A0-coordinate of c.
+    For k != 0 the label is gamma / k, where gamma is the A/A0-coordinate
+    of c.
     """
     p, n = s.p, s.n
-    for (c, k) in subgroup_elements:
-        if k % p:
-            gamma = _a_mod_a0_coord(s, np.array(c, dtype=np.int64))
-            return gamma * pow(k, p - 2, p) % p
-    raise ValueError("subgroup lies inside A")
+    for k in range(1, p):
+        if (m.a[:n, :n] == s.upow[k]).all():
+            return _a_mod_a0_coord(s, m.a[:n, n]) * pow(k, p - 2, p) % p
+    raise ValueError("element lies inside A")
 
 
 def _a_mod_a0_coord(s: SGroup, vec) -> int:
     """Coordinate of vec in A/A0 w.r.t. the chosen a (0 if inside A0)."""
-    a_vec = np.array(s._chosen_a[0], dtype=np.int64)
+    a_vec = s._chosen_a.a[:s.n, s.n]
     # coefficient of a: reduce vec by A0 then match against a
     r = np.array(vec, dtype=np.int64) % s.p
     for i, c in enumerate(s.A0._pivots):
@@ -311,7 +296,8 @@ def _a_mod_a0_coord(s: SGroup, vec) -> int:
         if ra[c]:
             ra = (ra - ra[c] * s.A0.basis[i]) % s.p
     nz = np.nonzero(ra)[0]
-    assert nz.size
+    if not nz.size:
+        raise InvariantViolation("a must lie outside A0")
     return int(r[nz[0]]) * pow(int(ra[nz[0]]), s.p - 2, s.p) % s.p
 
 
@@ -321,43 +307,39 @@ def hb_subgroups(s: SGroup, x, a):
     s._chosen_a = a
     out = {}
     for i in range(p):
-        ai = s.power(a, i)
-        gen = s.mul(x, ai)
-        H = s.subgroup_elements(s.subspace_elements(s.Z) + [gen])
-        B = s.subgroup_elements(s.subspace_elements(s.Z2) + [gen])
-        assert len(H) == p ** (s.Z.dim + 1)
-        assert len(B) == p ** (s.Z2.dim + 1)
+        gen = x @ a.pow(i)
+        H = s.subgroup(s.Z, gen)
+        B = s.subgroup(s.Z2, gen)
+        if H.order() != p ** (s.Z.dim + 1) or \
+                B.order() != p ** (s.Z2.dim + 1):
+            raise InvariantViolation(f"|H_{i}| or |B_{i}| is not |Z| p or "
+                                     "|Z_2| p")
         out[i] = {"H": H, "B": B, "generator": gen}
     if s.n + 1 <= DESK_S_LIMIT:
         # S-conjugacy: conjugates of H_0 stay in class 0 and never hit H_1
-        H0 = out[0]["H"]
-        H1 = out[1]["H"]
-        for t in s.all_elements():
-            ti = s.inv(t)
-            conj = frozenset(s.mul(s.mul(t, h), ti) for h in H0)
-            assert class_label(s, conj) == 0
-            assert conj != frozenset(H1)
+        # (a conjugate equal to H_1 would hold a conjugate of x a^0)
+        for c in s.S.conjugates_of(out[0]["generator"]):
+            if class_label(s, c) != 0:
+                raise InvariantViolation("an S-conjugate of H_0 left class 0")
+            if out[1]["H"].contains(c):
+                raise InvariantViolation("an S-conjugate of x lies in H_1")
     return out
 
 
 # -- permutation automorphism machinery ------------------------------------
 
 class PermGroupOnSet:
-    """Automorphisms of a finite group as permutations of its element list."""
+    """Automorphisms of a subgroup P of S as permutations of P's elements,
+    indexed by P's int8 element stack and its keys."""
 
-    def __init__(self, elements):
-        self.elements = list(elements)
-        self.index = {e: i for i, e in enumerate(self.elements)}
-        self.n = len(self.elements)
+    def __init__(self, group: MatGroup):
+        self.group = group
+        self.elements = group.elements_stack()
+        self.index = group.keys()
+        self.n = group.order()
 
     def identity_perm(self):
         return np.arange(self.n, dtype=np.int64)
-
-    def perm_from_map(self, fn):
-        arr = np.empty(self.n, dtype=np.int64)
-        for i, e in enumerate(self.elements):
-            arr[i] = self.index[fn(e)]
-        return arr
 
     @staticmethod
     def key(perm) -> bytes:
@@ -392,35 +374,47 @@ class PermGroupOnSet:
                 seen = self._close_with(gens, cap=cap)
         return seen
 
+    def perm_of_images(self, images: np.ndarray):
+        """The permutation sending element j to images[j], or None when an
+        image lies outside P."""
+        idx = [self.index.get(k)
+               for k in _row_keys(images.reshape(self.n, -1))]
+        return None if None in idx else np.array(idx, dtype=np.int64)
 
-def _hom_from_gen_images(s: SGroup, pset: PermGroupOnSet, gens, images):
+
+def _hom_from_gen_images(pset: PermGroupOnSet, gens, images):
     """Permutation of the subgroup induced by generator images, or None.
 
     Extends multiplicatively along a BFS and verifies consistency, so the
     result is an automorphism whenever it returns non-None.
     """
-    ident = s.identity()
-    imap = {ident: ident}
-    frontier = [ident]
-    pairs = list(zip(gens, images))
+    p = pset.group.p.p
+    ident = np.eye(pset.group.dim, dtype=np.int64)
+    imap = {ident.astype(np.int8).tobytes(): (ident, ident)}
+    frontier = [ident.astype(np.int8).tobytes()]
+    pairs = [(g.a, img.a) for g, img in zip(gens, images)]
     while frontier:
         nxt = []
         for f in frontier:
+            fm, fi = imap[f]
             for g, img in pairs:
-                h = s.mul(f, g)
-                hi = s.mul(imap[f], img)
-                if h in imap:
-                    if imap[h] != hi:
+                h, hi = fm @ g % p, fi @ img % p
+                k = h.astype(np.int8).tobytes()
+                if k in imap:
+                    if not (imap[k][1] == hi).all():
                         return None
                 else:
-                    imap[h] = hi
-                    nxt.append(h)
+                    imap[k] = (h, hi)
+                    nxt.append(k)
         frontier = nxt
     if len(imap) != pset.n:
         return None
-    if len(set(imap.values())) != pset.n:
+    perm = pset.perm_of_images(
+        np.array([imap[k][1] for k in _row_keys(
+            pset.elements.reshape(pset.n, -1))]))
+    if perm is None or len(set(perm.tolist())) != pset.n:
         return None
-    return pset.perm_from_map(lambda e: imap[e])
+    return perm
 
 
 @dataclass
@@ -453,11 +447,11 @@ def theta_witness(s: SGroup, kind: str, i: int, hb,
     image = mu.mu_image(gvee)
     if not mu.contains_delta_t(image, t):
         raise MuTooSmall(f"mu-image lacks Delta_{t}")
-    P_el = hb[i]["H" if kind == "H" else "B"]
+    P = hb[i]["H" if kind == "H" else "B"]
     gen_x = hb[i]["generator"]
-    if s.element_order(gen_x) != p:
+    if gen_x.order() != p:
         raise SplitFailed("P does not split over P meet A")
-    pset = PermGroupOnSet(sorted(P_el))
+    pset = PermGroupOnSet(P)
 
     # alpha in G-vee with mu(alpha) generating Delta_t
     gen_r = mu.primitive_root(p)
@@ -472,60 +466,51 @@ def theta_witness(s: SGroup, kind: str, i: int, hb,
     if alpha_mat is None:
         raise MuTooSmall(f"no G-vee element with mu generating Delta_{t}")
 
-    z0 = s.Z0.basis[0]
+    z0 = s.translation(s.Z0.basis[0])
     if kind == "H":
         # P = Z^* x P^* with Z^* = C_Z(alpha), P^* = Z0<x> = C_p^2;
         # SL_2 standard generators act on the (z0, x) coordinates:
         # E12: z0 -> z0, x -> z0 x ; E21: z0 -> z0 x, x -> x
         zstar = gfp.intersect(
             s.Z, gfp.kernel_basis(alpha_mat - FpMatrix.identity(s.v.p, n)))
-        assert zstar.dim == s.Z.dim - 1
-        zs_gens = [s.e(w, 0) for w in zstar.basis]
-        gens_P = zs_gens + [s.e(z0, 0), gen_x]
-        img1 = zs_gens + [s.e(z0, 0), s.mul(s.e(z0, 0), gen_x)]
-        img2 = zs_gens + [s.mul(s.e(z0, 0), gen_x), gen_x]
-        perm1 = _hom_from_gen_images(s, pset, gens_P, img1)
-        perm2 = _hom_from_gen_images(s, pset, gens_P, img2)
-        assert perm1 is not None and perm2 is not None, \
-            "SL_2 generators must define automorphisms of C_p^2 x Z^*"
-        theta0_gens = [perm1, perm2]
+        if zstar.dim != s.Z.dim - 1:
+            raise InvariantViolation("C_Z(alpha) must be a hyperplane of Z")
+        zs_gens = [s.translation(w) for w in zstar.basis]
+        gens_P = zs_gens + [z0, gen_x]
+        img1 = zs_gens + [z0, z0 @ gen_x]
+        img2 = zs_gens + [z0 @ gen_x, gen_x]
+        what = "SL_2 generators must define automorphisms of C_p^2 x Z^*"
     else:
         # P = Z^* x P^* with P^* = (Z2 meet S')<x> extraspecial p^{1+2}
         z2sp = gfp.intersect(s.Z2, s.Sprime)
-        assert z2sp.dim == 2
+        if z2sp.dim != 2:
+            raise InvariantViolation("Z_2 meet S' must have rank 2")
         # v-vector: a generator of (Z2 meet S') - Z0 with [x, v] = z0-normalized
-        vvec = None
-        for w in z2sp.basis:
-            if not s.Z0.contains_vector(w):
-                vvec = np.array(w, dtype=np.int64)
-                break
-        assert vvec is not None
+        vvec = next(np.array(w, dtype=np.int64) for w in z2sp.basis
+                    if not s.Z0.contains_vector(w))
         # [x, v] = (u - 1) v ; rescale v so that [x, v] = z0 exactly
         comm = (s.u.a @ vvec - vvec) % p
-        coef = _line_coeff(s, z0, comm)
-        assert coef is not None and coef != 0
-        vvec = vvec * pow(coef, p - 2, p) % p
-        comm = (s.u.a @ vvec - vvec) % p
-        assert (comm == np.array(z0)).all()
+        coef = _line_coeff(s, s.Z0.basis[0], comm)
+        if not coef:
+            raise InvariantViolation("[x, v] must be a nonzero multiple of z0")
+        vel = s.translation(vvec * pow(coef, p - 2, p) % p)
         zstar = _alpha_complement_in_z(s, alpha_mat)
-        vel = s.e(vvec, 0)
-        zs_gens = [s.e(w, 0) for w in zstar.basis]
-        gens_P = zs_gens + [s.e(z0, 0), vel, gen_x]
+        zs_gens = [s.translation(w) for w in zstar.basis]
+        gens_P = zs_gens + [z0, vel, gen_x]
         # E12: x -> v x, v -> v ; E21: v -> x v, x -> x
-        img_e12 = zs_gens + [s.e(z0, 0), vel, s.mul(vel, gen_x)]
-        img_e21 = zs_gens + [s.e(z0, 0), s.mul(gen_x, vel), gen_x]
-        perm1 = _hom_from_gen_images(s, pset, gens_P, img_e12)
-        perm2 = _hom_from_gen_images(s, pset, gens_P, img_e21)
-        assert perm1 is not None and perm2 is not None, \
-            "SL_2 lifts must define automorphisms of the extraspecial part"
-        theta0_gens = [perm1, perm2]
+        img1 = zs_gens + [z0, vel, vel @ gen_x]
+        img2 = zs_gens + [z0, gen_x @ vel, gen_x]
+        what = "SL_2 lifts must define automorphisms of the extraspecial part"
+    theta0_gens = [_hom_from_gen_images(pset, gens_P, img)
+                   for img in (img1, img2)]
+    if any(perm is None for perm in theta0_gens):
+        raise InvariantViolation(what)
 
-    # inner automorphisms and Aut_S(P)
-    inn = _inner_perms(s, pset, P_el)
-    aut_s = _induced_perms_from_normalizer_in_s(s, pset, P_el)
-
-    # Lambda_P: restrictions of ambient (Gamma) automorphisms normalizing P
-    lam = _lambda_perms(s, pset)
+    # inner automorphisms, Aut_S(P) and Lambda_P: the restrictions of the
+    # automorphisms of Gamma normalizing P
+    inn = _conjugation_perms(P, pset)
+    aut_s = _conjugation_perms(s.S, pset)
+    lam = _conjugation_perms(s.a_by_normalizer, pset)
 
     inn_gens = _perm_gens_of(pset, inn)
     lam_gens = _perm_gens_of(pset, lam)
@@ -550,21 +535,22 @@ def theta_witness(s: SGroup, kind: str, i: int, hb,
     checks["opp_is_theta0"] = set(opp) == set(theta0)
     # (iii): normalizer of Aut_S(P) inside O^{p'}(Theta) moves Z into Z0
     norm_opp = _normalizer_in(pset, opp, aut_s)
-    z_els = s.subspace_elements(s.Z)
+    z_idx = [pset.index[k] for k in s.subgroup(s.Z).keys()]
+    z_els = pset.elements[z_idx].astype(np.int64)
     ok3 = True
     for perm in norm_opp.values():
-        for ze in z_els:
-            img = pset.elements[perm[pset.index[ze]]]
-            diff = (np.array(img[0]) - np.array(ze[0])) % p
-            if img[1] != ze[1] or not s.Z0.contains_vector(diff):
-                ok3 = False
+        img = pset.elements[perm[z_idx]].astype(np.int64)
+        diff = (img[:, :n, n] - z_els[:, :n, n]) % p
+        if not (img[:, :n, :n] == np.eye(n, dtype=np.int64)).all() or \
+                not all(s.Z0.contains_vector(d) for d in diff):
+            ok3 = False
     checks["normalizer_fixes_Z_mod_Z0"] = ok3
     # (iv): N_Theta(Aut_S(P)) equals Lambda_P
     norm_theta = _normalizer_in(pset, theta, aut_s)
     checks["normalizer_equals_lambda"] = set(norm_theta) == set(lam)
 
     ok = all(checks.values())
-    return ThetaReport(kind, len(P_el), len(inn), theta_order,
+    return ThetaReport(kind, pset.n, len(inn), theta_order,
                        len(theta0) // len(inn), checks, ok,
                        pset=pset, theta=theta, inn=inn,
                        aut_s=aut_s, opp_theta=theta0)
@@ -599,27 +585,41 @@ def _alpha_complement_in_z(s: SGroup, alpha_mat: FpMatrix) -> Subspace:
     return fixed
 
 
-def _inner_perms(s: SGroup, pset: PermGroupOnSet, P_el):
-    """Inn(P), closed from conjugation by a small generating set."""
-    gens = _small_generating_set(s, P_el)
-    perms = [pset.perm_from_map(lambda e, t=t0: s.mul(s.mul(t, e), s.inv(t)))
-             for t0 in gens]
-    return pset.close(perms)
+def _conjugation_perms(ambient: MatGroup, pset: PermGroupOnSet) -> dict:
+    """key -> perm of the automorphisms of P that conjugation by the
+    elements of ambient normalizing P induces.
 
-
-def _induced_perms_from_normalizer_in_s(s: SGroup, pset, P_el):
-    """Aut_S(P): permutations induced by N_S(P)."""
-    P_set = frozenset(P_el)
-    p_gens = _small_generating_set(s, P_el)
+    An element normalizes P when it conjugates P's generators into P; the
+    automorphism depends only on those images, so each is formed once.
+    """
+    p = ambient.p.p
+    gens = pset.group.generators
+    stack = ambient.elements_stack()
+    inv = ambient.inverses_stack()
+    first = {}          # generator images -> first ambient index
+    for lo in range(0, len(stack), _CONJ_CHUNK):
+        t = stack[lo:lo + _CONJ_CHUNK].astype(np.int64)
+        ti = inv[lo:lo + _CONJ_CHUNK].astype(np.int64)
+        conj = np.stack([t @ q.a % p @ ti % p for q in gens], axis=1)
+        idx = [pset.index.get(k)
+               for k in _row_keys(conj.reshape(len(t) * len(gens), -1))]
+        for j in range(len(t)):
+            images = tuple(idx[j * len(gens):(j + 1) * len(gens)])
+            if None not in images:
+                first.setdefault(images, lo + j)
     out = {}
-    for t0 in s.all_elements():
-        ti = s.inv(t0)
-        if any(s.mul(s.mul(t0, h), ti) not in P_set for h in p_gens):
-            continue
-        perm = pset.perm_from_map(
-            lambda e, t=t0: s.mul(s.mul(t, e), s.inv(t)))
+    elems = pset.elements.astype(np.int64)
+    for j in first.values():
+        perm = pset.perm_of_images(stack[j].astype(np.int64) @ elems % p
+                                   @ inv[j].astype(np.int64) % p)
         out[PermGroupOnSet.key(perm)] = perm
     return out
+
+
+def _centralizer_order(ambient: MatGroup, P: MatGroup) -> int:
+    """|C_ambient(P)|: the elements of ambient commuting with P's
+    generators."""
+    return len(ambient._scan_commuting(P.generators))
 
 
 def _perm_gens_of(pset, group_dict):
@@ -632,88 +632,6 @@ def _perm_gens_of(pset, group_dict):
             closed = pset._close_with(gens)
         if len(closed) == len(group_dict):
             break
-    return gens
-
-
-def semidirect_affine(v: FpModule, g: MatGroup) -> MatGroup:
-    """Gamma = A x| G as (n+1) x (n+1) affine matrices."""
-    p, n = v.p.p, v.dim
-    gens = []
-    for m in g.generators:
-        a = np.eye(n + 1, dtype=np.int64)
-        a[:n, :n] = m.a
-        gens.append(FpMatrix(v.p, a))
-    for j in range(n):
-        a = np.eye(n + 1, dtype=np.int64)
-        a[j, n] = 1
-        gens.append(FpMatrix(v.p, a))
-    return MatGroup(v.p, gens, cap=g.cap)
-
-
-def affine_of_s_element(s: SGroup, e) -> FpMatrix:
-    (c, k) = e
-    n = s.n
-    a = np.eye(n + 1, dtype=np.int64)
-    a[:n, :n] = s.upow[k % s.p]
-    a[:n, n] = np.array(c, dtype=np.int64)
-    return FpMatrix(s.v.p, a)
-
-
-def _s_element_of_affine(s: SGroup, mat64) -> tuple:
-    n = s.n
-    vec = tuple(int(t) % s.p for t in mat64[:n, n])
-    blk = mat64[:n, :n] % s.p
-    for k in range(s.p):
-        if (blk == s.upow[k]).all():
-            return (vec, k)
-    return None
-
-
-def _lambda_perms(s: SGroup, pset):
-    """Restrictions to P of ambient automorphisms normalizing P.
-
-    Scans Gamma = A x| G for elements normalizing P and records the induced
-    permutations of P.
-    """
-    p = s.p
-    P_aff_index = {affine_of_s_element(s, e).key(): pset.index[e]
-                   for e in pset.elements}
-    P_stack = np.array([affine_of_s_element(s, e).a for e in pset.elements],
-                       dtype=np.int64)
-    P_gens = _small_generating_set(s, pset.elements)
-    P_gen_aff = [affine_of_s_element(s, e).a for e in P_gens]
-    stack = s.gamma.elements_stack()
-    inv_stack = s.gamma.inverses_stack()
-    out = {}
-    for lo in range(0, stack.shape[0], 1 << 13):
-        S64 = stack[lo:lo + (1 << 13)].astype(np.int64)
-        SI64 = inv_stack[lo:lo + (1 << 13)].astype(np.int64)
-        mask = np.ones(S64.shape[0], dtype=bool)
-        for q in P_gen_aff:
-            conj = (S64 @ q % p) @ SI64 % p
-            ok = np.array([conj[j].astype(np.int8).tobytes() in P_aff_index
-                           for j in range(conj.shape[0])])
-            mask &= ok
-        for j in np.nonzero(mask)[0]:
-            conj_all = (S64[j] @ P_stack % p) @ SI64[j] % p
-            perm = np.array(
-                [P_aff_index[conj_all[t].astype(np.int8).tobytes()]
-                 for t in range(conj_all.shape[0])], dtype=np.int64)
-            out[PermGroupOnSet.key(perm)] = perm
-    return out
-
-
-def _small_generating_set(s: SGroup, P_el):
-    """A few elements generating P (greedy closure growth)."""
-    target = frozenset(P_el)
-    gens = []
-    have = {s.identity()}
-    for e in sorted(P_el):
-        if e not in have:
-            gens.append(e)
-            have = s.subgroup_elements(gens)
-            if have == target:
-                break
     return gens
 
 
@@ -757,20 +675,15 @@ def step2_conditions(s: SGroup, thetas) -> dict:
     (3) Out_S(Q) has order p and is non-normal in Theta/Inn(Q).
     """
     p = s.p
-    gamma = s.gamma
-    report = {"gamma_order": gamma.order(), "conditions": {}}
-    q_sets = [th.pset.elements for th in thetas]
+    report = {"gamma_order": s.gamma_order(), "conditions": {}}
+    qs = [th.pset.group for th in thetas]
     # (1) pairwise Gamma-conjugacy / containment via subgroup orbits,
     # compared through affine element keys (orbit members may leave S)
     cond1 = True
-    orbits = []
-    targets = []
-    for els in q_sets:
-        orbits.append(_gamma_orbit_of_subgroup(s, gamma, els))
-        targets.append(frozenset(affine_of_s_element(s, e).key()
-                                 for e in els))
-    for a in range(len(q_sets)):
-        for b in range(len(q_sets)):
+    orbits = [_gamma_orbit_of_subgroup(s.gamma, q) for q in qs]
+    targets = [frozenset(q.keys()) for q in qs]
+    for a in range(len(qs)):
+        for b in range(len(qs)):
             if a == b:
                 continue
             for member in orbits[a]:
@@ -781,9 +694,9 @@ def step2_conditions(s: SGroup, thetas) -> dict:
     # (2) p-centric: Z(Q) is Sylow-p in C_Gamma(Q)
     cond2 = True
     centric = []
-    for els in q_sets:
-        c_order = _gamma_centralizer_order(s, gamma, els)
-        zq = _center_order(s, els)
+    for q in qs:
+        c_order = _centralizer_order(s.a_by_centralizer, q)
+        zq = _centralizer_order(q, q)
         vp = 0
         tmp = c_order
         while tmp % p == 0:
@@ -824,47 +737,21 @@ def step2_conditions(s: SGroup, thetas) -> dict:
     return report
 
 
-def _gamma_orbit_of_subgroup(s: SGroup, gamma: MatGroup, els):
+def _gamma_orbit_of_subgroup(gamma: MatGroup, q: MatGroup):
     """Orbit of a subgroup under Gamma-conjugation, as affine key sets."""
-    p = s.p
-    el_mats = [affine_of_s_element(s, e).a for e in els]
-    start = frozenset(m.astype(np.int8).tobytes() for m in el_mats)
-    seen = {start}
-    gens64 = [(g.a, g.inverse().a) for g in gamma.generators]
-    queue = [el_mats]
+    p = gamma.p.p
+    seen = {frozenset(q.keys())}
+    gens = [(g.a, g.inverse().a) for g in gamma.generators]
+    queue = [q.elements_stack().astype(np.int64)]
     while queue:
         mats = queue.pop()
-        for g64, gi64 in gens64:
-            conj = [(g64 @ m % p) @ gi64 % p for m in mats]
-            key = frozenset(m.astype(np.int8).tobytes() for m in conj)
+        for g, gi in gens:
+            conj = g @ mats % p @ gi % p
+            key = frozenset(_row_keys(conj.reshape(len(conj), -1)))
             if key not in seen:
                 seen.add(key)
                 queue.append(conj)
     return seen
-
-
-def _gamma_centralizer_order(s: SGroup, gamma: MatGroup, els) -> int:
-    p = s.p
-    gens = _small_generating_set(s, els)
-    gen64 = [affine_of_s_element(s, e).a for e in gens]
-    stack = gamma.elements_stack()
-    total = 0
-    for lo in range(0, stack.shape[0], 1 << 14):
-        S64 = stack[lo:lo + (1 << 14)].astype(np.int64)
-        mask = np.ones(S64.shape[0], dtype=bool)
-        for q in gen64:
-            mask &= (S64 @ q % p == q @ S64 % p).all(axis=(1, 2))
-        total += int(mask.sum())
-    return total
-
-
-def _center_order(s: SGroup, els) -> int:
-    gens = _small_generating_set(s, els)
-    cnt = 0
-    for e in els:
-        if all(s.mul(e, g) == s.mul(g, e) for g in gens):
-            cnt += 1
-    return cnt
 
 
 def unique_abelian_index_p(s: SGroup) -> bool:
@@ -872,47 +759,24 @@ def unique_abelian_index_p(s: SGroup) -> bool:
     p, n = s.p, s.n
     if n + 1 > DESK_S_LIMIT:
         raise CapExceeded("exhaustive index-p scan is desk-scale only")
-    # index-p subgroups = kernels of epimorphisms S -> C_p, i.e. hyperplanes
-    # of S / [S,S] (exponent p, so Frattini = [S,S])
+    # index-p subgroups = kernels of epimorphisms S -> C_p, i.e. preimages
+    # of the hyperplanes of S / [S,S] (exponent p, so Frattini = [S,S]); S/S'
+    # has the coordinates (c at the free columns of S', k) of (c, u^k)
     sp = s.Sprime
-    quot_dim = n + 1 - sp.dim
+    free = [col for col in range(n) if col not in sp._pivots]
     count_abelian = 0
     from itertools import product
-    seen = set()
-    for coeffs in product(range(p), repeat=quot_dim):
-        if all(c == 0 for c in coeffs):
-            continue
-        # functional on S/S': fn(a, k) = f_A(a mod S') + c_k * k
-        key = _normalize_functional(coeffs, p)
-        if key in seen:
-            continue
-        seen.add(key)
-        els = [e for e in s.all_elements()
-               if _functional_value(s, coeffs, e) == 0]
-        assert len(els) == p ** n
-        gens = _small_generating_set(s, els)
-        if all(s.mul(a, b) == s.mul(b, a)
-               for ii, a in enumerate(gens) for b in gens[ii + 1:]):
-            count_abelian += 1
+    for coeffs in product(range(p), repeat=len(free) + 1):
+        if next((c for c in coeffs if c), 0) != 1:
+            continue        # one functional per kernel: first nonzero is 1
+        hyper = gfp.kernel_basis(FpMatrix(p, [coeffs])).basis
+        lifts = []
+        for row in hyper:
+            c = np.zeros(n, dtype=np.int64)
+            c[free] = row[:-1]
+            lifts.append(_affine(s.v.p, s.upow[row[-1]], c))
+        k = s.subgroup(sp, *lifts)
+        if k.order() != p ** n:
+            raise InvariantViolation("a kernel of S -> C_p has index != p")
+        count_abelian += k.is_abelian()
     return count_abelian == 1
-
-
-def _normalize_functional(coeffs, p):
-    arr = [c % p for c in coeffs]
-    first = next(c for c in arr if c)
-    inv = pow(first, p - 2, p)
-    return tuple(c * inv % p for c in arr)
-
-
-def _functional_value(s: SGroup, coeffs, e) -> int:
-    (c, k) = e
-    # coordinates of (c mod S', k) in S/S'
-    p = s.p
-    r = np.array(c, dtype=np.int64) % p
-    sp = s.Sprime
-    for i, col in enumerate(sp._pivots):
-        if r[col]:
-            r = (r - r[col] * sp.basis[i]) % p
-    free = [col for col in range(s.n) if col not in sp._pivots]
-    vals = [int(r[col]) for col in free] + [k % p]
-    return sum(cc * vv for cc, vv in zip(coeffs, vals)) % p

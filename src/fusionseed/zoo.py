@@ -474,30 +474,29 @@ def extraspecial(p: int, heavy: bool = False):
     raise InvalidParams("extraspecial supports p in {3, 5, 7}")
 
 
-def heavy_extraspecial_check() -> dict:
-    """Sylow-normalizer data for the p = 7 extraspecial normalizer.
+def heavy_extraspecial_check(v: FpModule) -> dict:
+    """Sylow-normalizer data for the p = 7 extraspecial normalizer module v.
 
-    Avoids full enumeration: finds an order-7 element from random generator
+    Avoids full enumeration: finds an order-p element from random generator
     words, runs the orbit-stabilizer normalizer computation, and computes
     the mu-image of G-vee directly inside N.
     """
     from .grp import sylow_normalizer_via_orbit, SylowData
-    p = 7
-    g, v = extraspecial(7, heavy=True)
+    p, n = v.p.p, v.dim
     rng = np.random.default_rng(1)
-    gens = g.generators
+    gens = v.group.generators
     u = None
-    word = FpMatrix.identity(7, 8)
+    word = FpMatrix.identity(p, n)
     for _ in range(10000):
         word = word @ gens[int(rng.integers(0, len(gens)))]
         o = word.order(cap=10 ** 4)
-        if o % 7 == 0:
-            u = word.pow(o // 7)
+        if o % p == 0:
+            u = word.pow(o // p)
             break
     if u is None:
-        raise InvariantViolation("no element of order 7 found in 10000 "
+        raise InvariantViolation(f"no element of order {p} found in 10000 "
                                  "random generator words")
-    ngrp, orbit = sylow_normalizer_via_orbit(7, 8, gens, u, max_orbit=10 ** 5)
+    ngrp, orbit = sylow_normalizer_via_orbit(p, n, gens, u, max_orbit=10 ** 5)
     n_order = ngrp.order()
     c_idx = ngrp._scan_commuting([u])
     cgrp = ngrp.subset_group(c_idx)

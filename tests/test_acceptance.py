@@ -371,7 +371,7 @@ def test_criterion_7_oracle_equivalences():
                            "extraspecial-normalizer verification")
 def test_criterion_8_heavy_extraspecial():
     t0 = time.time()
-    res = zoo.heavy_extraspecial_check()
+    res = zoo.heavy_extraspecial_check(zoo.extraspecial(7, heavy=True)[1])
     assert res["n_over_u"] == 36
     assert res["mu_name"] == "Delta_3"
     assert res["group_order"] == 15482880

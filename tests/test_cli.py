@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from fusionseed import cli, grp, sgroup, zoo
@@ -158,22 +159,45 @@ def test_zoo_emit_index_out_of_range_exit_2():
     _assert_invalid(code, err, "index 99 out of range")
 
 
-def test_sgroup_builds_gamma_and_each_theta_once(tmp_path, monkeypatch):
-    """On the flagship, one Gamma serves every witness and step 2 reuses
-    the reported Theta instead of building it again."""
+def test_sgroup_never_enumerates_gamma_and_builds_each_theta_once(
+        tmp_path, monkeypatch):
+    """On the flagship, no group of order |Gamma| = p^n |G| is enumerated,
+    and step 2 reuses the reported Theta instead of building it again."""
     inst, out = tmp_path / "inst.json", tmp_path / "out.json"
     assert cli.main(["zoo", "emit", "sn_deleted", "--index", "0",
                      "--out", str(inst)]) == 0
-    calls = {"semidirect_affine": 0, "theta_witness": 0}
-    for name in calls:
-        def counted(*args, _fn=getattr(sgroup, name), _name=name):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(sgroup, name, counted)
+    enumerated, calls = [], {"theta_witness": 0}
+    cache = grp.MatGroup.cache
+
+    def counted_cache(group):
+        cache(group)
+        enumerated.append(len(group._keys))
+        return group
+    monkeypatch.setattr(grp.MatGroup, "cache", counted_cache)
+
+    def counted_theta(*args, _fn=sgroup.theta_witness):
+        calls["theta_witness"] += 1
+        return _fn(*args)
+    monkeypatch.setattr(sgroup, "theta_witness", counted_theta)
     assert cli.main(["sgroup", str(inst), "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
     assert len(rep["theta"]) == 2 and rep["step2"]["ok"]
-    assert calls == {"semidirect_affine": 1, "theta_witness": 2}
+    assert rep["step2"]["gamma_order"] == 60000
+    assert enumerated and max(enumerated) < 60000
+    assert calls == {"theta_witness": 2}
+
+
+def test_sgroup_invariant_violation_exit_4(tmp_path, monkeypatch, capsys):
+    """A failed result check inside sgroup ends with exit 4, not a bare
+    assert (which python -O strips)."""
+    inst = tmp_path / "inst.json"
+    assert cli.main(["zoo", "emit", "sn_deleted", "--index", "0",
+                     "--out", str(inst)]) == 0
+    # every S-conjugate of H_0 now reads as class 1
+    monkeypatch.setattr(sgroup, "_a_mod_a0_coord", lambda s, vec: 1)
+    assert cli.main(["sgroup", str(inst)]) == 4
+    assert "invariant violated: an S-conjugate of H_0 left class 0" in \
+        capsys.readouterr().err
 
 
 def test_sgroup_refuses_gamma_over_cap_before_hb_subgroups(
@@ -205,9 +229,37 @@ def test_heavy_check_without_order_7_word_exit_4(tmp_path, monkeypatch,
     inst = tmp_path / "es7.json"
     assert cli.main(["zoo", "emit", "extraspecial_p7", "--heavy",
                      "--out", str(inst)]) == 0
+    v = zoo.extraspecial(7, heavy=True)[1]
     monkeypatch.setattr(FpMatrix, "order", lambda self, cap=None: 1)
     with pytest.raises(InvariantViolation):
-        zoo.heavy_extraspecial_check()
+        zoo.heavy_extraspecial_check(v)
     assert cli.main(["check", str(inst), "--heavy"]) == 4
     assert "invariant violated: no element of order 7" in \
         capsys.readouterr().err
+
+
+def test_heavy_check_reads_the_instance_file(tmp_path, monkeypatch, capsys):
+    """check --heavy runs the generators of the file, here in a seeded
+    basis T g T^-1, and never builds the corpus group itself."""
+    inst = tmp_path / "es7.json"
+    assert cli.main(["zoo", "emit", "extraspecial_p7", "--heavy",
+                     "--out", str(inst)]) == 0
+    payload = json.loads(inst.read_text())
+    rng = np.random.default_rng(17)
+    while True:
+        t = FpMatrix(7, rng.integers(0, 7, size=(8, 8)))
+        if t.is_invertible():
+            break
+    payload["generators"] = [
+        (t @ FpMatrix(7, np.reshape(g, (8, 8))) @ t.inverse()).a
+        .reshape(-1).tolist() for g in payload["generators"]]
+    inst.write_text(json.dumps(payload))
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("the corpus group must not be built")
+    monkeypatch.setattr(zoo, "extraspecial", unexpected)
+    assert cli.main(["check", str(inst), "--heavy"]) == 0
+    res = json.loads(capsys.readouterr().out)["result"]
+    assert res["group_order"] == 15482880
+    assert res["n_over_u"] == 36
+    assert res["mu_name"] == "Delta_3"

@@ -30,15 +30,15 @@ def flagship_hb(flagship):
 
 def test_element_arithmetic(flagship):
     _, _, _, s, _ = flagship
-    x = s.e([0, 0, 0], 1)
-    assert s.element_order(x) == 5
-    a = s.e([1, 2, 0], 0)
-    prod = s.mul(a, x)
-    assert prod[1] == 1
-    assert s.mul(prod, s.inv(prod)) == s.identity()
-    # p-th power of (a, 1) is (sum u^i a, 0)
-    e = s.mul(a, x)
-    assert s.power(e, 5) == (tuple(int(t) for t in s.sigma([1, 2, 0])), 0)
+    x = s.S.generators[0]                  # (0, u)
+    assert (x.a[:3, :3] == s.u.a).all() and not x.a[:3, 3].any()
+    assert x.order() == 5
+    a = s.translation([1, 2, 0])
+    prod = a @ x
+    assert (prod.a[:3, :3] == s.u.a).all()
+    assert prod @ prod.inverse() == FpMatrix.identity(5, 4)
+    # p-th power of (a, u) is (sum u^i a, 1): (T_a X)^p = T_sigma(a)
+    assert prod.pow(5) == s.translation(s.sigma([1, 2, 0]))
 
 
 def test_build_s_structural_laws(flagship):
@@ -53,11 +53,12 @@ def test_build_s_structural_laws(flagship):
 def test_choose_x_a(flagship):
     g, v, syl, s, _ = flagship
     x, a = sg.choose_x_a(s, g, syl)
-    assert x == s.e([0, 0, 0], 1)
-    assert s.element_order(x) == 5
-    assert not s.A0.contains_vector(np.array(a[0]))
+    assert x == s.S.generators[0]
+    assert x.order() == 5
+    assert (a.a[:3, :3] == np.eye(3)).all()      # a lies in A
+    assert not s.A0.contains_vector(a.a[:3, 3])
     # sigma vanishes exactly when dim <= p - 1
-    assert not s.sigma(a[0]).any()
+    assert not s.sigma(a.a[:3, 3]).any()
 
 
 def test_sigma_nonzero_at_dim_p():
@@ -77,12 +78,10 @@ def test_hb_subgroups_and_classes(flagship, flagship_hb):
     _, _, _, s, _ = flagship
     x, a, hb, _ = flagship_hb
     assert len(hb) == 5
-    assert len(hb[0]["H"]) == 25 and len(hb[0]["B"]) == 125
+    assert hb[0]["H"].order() == 25 and hb[0]["B"].order() == 125
     # A0-translation invariance: replacing a by a * s' keeps the classes
-    sprime_el = s.e(s.Sprime.basis[0], 0)
-    a_alt = s.mul(a, sprime_el)
-    gen_alt = s.mul(x, a_alt)
-    assert sg.class_label(s, [gen_alt]) == 1
+    a_alt = a @ s.translation(s.Sprime.basis[0])
+    assert sg.class_label(s, x @ a_alt) == 1
 
 
 def test_class_action_of_normalizer(flagship, flagship_hb):
@@ -97,12 +96,11 @@ def test_class_action_of_normalizer(flagship, flagship_hb):
         mat = FpMatrix(5, stack[i])
         r, sval = gv.mu_values[mat.key()]
         in_dm = (sval == pow(r, m, p))
-        # induced action on S: (c, k) -> (g c, r k)
+        # induced action on S: conjugation by (0, g), (c, u^k) -> (g c, u^rk)
+        g_aff = sg.semidirect_affine(v, MatGroup(5, [mat])).generators[0]
         for j in (1, 2):
-            gen = hb[j]["generator"]
-            img = (tuple(int(t) for t in mat.apply(np.array(gen[0]))),
-                   r * gen[1] % p)
-            lbl = sg.class_label(s, [img])
+            img = g_aff @ hb[j]["generator"] @ g_aff.inverse()
+            lbl = sg.class_label(s, img)
             if in_dm:
                 assert lbl == j
                 checked_in += 1
@@ -171,15 +169,54 @@ def test_step2_duplicate_fails(flagship, flagship_hb):
     assert not rep["conditions"]["pairwise_nonconjugate"]
 
 
-def test_step2_non_centric_subgroup():
+@pytest.fixture(scope="module")
+def flagship_gamma(flagship):
+    """The whole Gamma = A x| G of the flagship, enumerated (60,000)."""
+    g, v, _, _, _ = flagship
+    return sg.semidirect_affine(v, g).cache()
+
+
+@pytest.mark.parametrize("kind", ["H", "B"])
+@pytest.mark.parametrize("i", [0, 1])
+def test_restricted_ambients_match_full_gamma(flagship, flagship_hb,
+                                              flagship_gamma, kind, i):
+    """Lambda_P and |C_Gamma(P)| read only A x| N_G(U) and A x| C_G(U);
+    a brute-force scan of every element of Gamma gives the same."""
+    _, _, _, s, _ = flagship
+    P = flagship_hb[2][i][kind]
+    p, d = 5, P.dim
+    weights = p ** np.arange(d * d, dtype=np.int64)
+
+    def codes(m):
+        return m.reshape(*m.shape[:-2], d * d) @ weights
+
+    elems = P.elements_stack().astype(np.int64)
+    pc = codes(elems)
+    order = np.argsort(pc)
+    stack = flagship_gamma.elements_stack().astype(np.int64)
+    inv = flagship_gamma.inverses_stack().astype(np.int64)
+    lam, central = set(), 0
+    for lo in range(0, len(stack), 512):
+        t, ti = stack[lo:lo + 512, None], inv[lo:lo + 512, None]
+        c = codes(t @ elems % p @ ti % p)             # (chunk, |P|)
+        normal = np.isin(c, pc).all(axis=1)
+        perms = order[np.searchsorted(pc[order], c[normal])]
+        lam.update(sg.PermGroupOnSet.key(perm) for perm in perms)
+        central += int((c == pc).all(axis=1).sum())
+    pset = sg.PermGroupOnSet(P)
+    assert set(sg._conjugation_perms(s.a_by_normalizer, pset)) == lam
+    assert sg._centralizer_order(s.a_by_centralizer, P) == central
+    assert s.a_by_normalizer.order() < flagship_gamma.order()
+
+
+def test_step2_non_centric_subgroup(flagship_gamma):
     """A proper subgroup of A is centralized by all of A: not p-centric."""
     g, v = zoo.symmetric(5, 5, "deleted", "S", 4)
     syl = class_GG(g).sylow
     s, _ = sg.build_s(v, syl)
-    gamma = sg.semidirect_affine(v, g).cache()
-    z_els = s.subspace_elements(s.Z)
-    c_order = sg._gamma_centralizer_order(s, gamma, z_els)
-    center = sg._center_order(s, z_els)
+    z = s.subgroup(s.Z)
+    c_order = sg._centralizer_order(flagship_gamma, z)
+    center = sg._centralizer_order(z, z)
     p = 5
     vp = 0
     tmp = c_order
