@@ -151,8 +151,9 @@ def cmd_sgroup(args) -> int:
         s, build = sgroup.build_s(v, syl)
         out["build"] = {"dims": build.dims, "checks": build.checks,
                         "ok": build.ok}
+        N = syl.normalizer_N
         filt = modrep.w_filtration(
-            v, syl, check_elements=syl.normalizer_N.generators)
+            v, syl, check_elements=[N.element(i) for i in range(N.order())])
         out["filtration"] = {
             "quotient_dims": filt.quotient_dims,
             "scalar_reports": filt.scalar_reports,

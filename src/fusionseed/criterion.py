@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import gfp, modrep, mu, tables
-from .errors import IndexTooLarge
+from .errors import IndexTooLarge, InvariantViolation
 from .gfp import Subspace
 from .grp import (MatGroup, SylowData, class_GG, intermediate_subgroups,
                   o_pprime, product_covers)
@@ -309,16 +309,19 @@ def evaluate(v: FpModule, seed: int = 1) -> CriterionReport:
                 rep.strongly_closed.append({"e0": e0.tag(), "subgroup": sc})
             rep.exotic.append(exotic_lookup(p, v.dim, cs.m, e0,
                                             gg.group_order))
-        # post-hoc consistency with the necessary conditions
-        assert gg.status == "in_GG", "passing instance must have full automizer"
-        assert rep.minimally_active, "passing instance must be minimally active"
         # U acts nontrivially and V is minimally active, so the O^{p'}
         # test is exact
         rep.indecomposable = modrep.opp_fixed_in_commutator(v, opp)
-        assert rep.indecomposable, "passing instance must be indecomposable"
-        if "d1" in rep.cases:
-            assert v.dim <= p - 1, "(d.1) forces dim <= p-1"
-        assert rep.e0_count >= 1
+        # post-hoc consistency with the necessary conditions
+        for holds, law in (
+                (gg.status == "in_GG", "have full automizer"),
+                (rep.minimally_active, "be minimally active"),
+                (rep.indecomposable, "be indecomposable"),
+                ("d1" not in rep.cases or v.dim <= p - 1,
+                 "have dim <= p-1 in case (d.1)"),
+                (rep.e0_count >= 1, "have a nonempty menu")):
+            if not holds:
+                raise InvariantViolation(f"passing instance must {law}")
     return rep
 
 

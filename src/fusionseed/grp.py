@@ -2,13 +2,16 @@
 
 Groups are given by generating matrices; enumeration is a breadth-first
 closure with canonical byte keys, capped by default at 2e7 elements
-(override with the FUSIONSEED_CAP environment variable).  Normalizers and
-centralizers are computed by full scans over the cached element stack.
+(override with the FUSIONSEED_CAP environment variable).  The Sylow data
+never enumerates G: U's orbit walk gives N_G(U) and |G|, C_G(U) is a scan
+inside N_G(U), and O^{p'}(G) is the normal closure of U on generators.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,15 +24,13 @@ DEFAULT_CAP = int(os.environ.get("FUSIONSEED_CAP", 2 * 10 ** 7))
 _CHUNK = 1 << 15
 
 
-def _stack_key(arr_int8: np.ndarray) -> bytes:
-    return arr_int8.tobytes()
-
-
 class MatGroup:
     """Matrix group over F_p given by invertible generators.
 
     The element cache, once built, holds the full element stack (int8),
-    a key -> index dict, and the matching stack of inverses.
+    a key -> index dict, and the matching stack of inverses.  The order is
+    counted from the cache, or read from what `class_GG` recorded when
+    there is none.
     """
 
     def __init__(self, p, generators, cap: int = DEFAULT_CAP):
@@ -48,6 +49,7 @@ class MatGroup:
         self._stack = None        # (N, n, n) int8
         self._inv_stack = None    # (N, n, n) int8
         self._keys = None         # bytes -> index
+        self._order = None
 
     # -- enumeration ------------------------------------------------------
     def cache(self) -> "MatGroup":
@@ -95,6 +97,7 @@ class MatGroup:
         g._stack = np.ascontiguousarray(stack, dtype=np.int8)
         g._inv_stack = np.ascontiguousarray(inv_stack, dtype=np.int8)
         g._keys = dict(keys)
+        g._order = None
         return g
 
     def subset_group(self, indices, generators=None) -> "MatGroup":
@@ -110,7 +113,9 @@ class MatGroup:
                                       keys, self.cap)
 
     def order(self) -> int:
-        return len(self.cache()._keys)
+        if self._order is None or self._stack is not None:
+            return len(self.cache()._keys)
+        return self._order
 
     def elements_stack(self) -> np.ndarray:
         return self.cache()._stack
@@ -127,9 +132,6 @@ class MatGroup:
     def contains(self, m: FpMatrix) -> bool:
         return m.key() in self.cache()._keys
 
-    def index_of(self, m: FpMatrix):
-        return self.cache()._keys.get(m.key())
-
     def is_subgroup_of(self, other: "MatGroup") -> bool:
         ok = other.cache()._keys
         return all(k in ok for k in self.cache()._keys)
@@ -145,25 +147,6 @@ class MatGroup:
                    for b in gens[i + 1:])
 
     # -- scans -------------------------------------------------------------
-    def _scan_normalizing(self, u: FpMatrix):
-        """Indices of elements g with g u g^-1 in <u>."""
-        p, n = self.p.p, self.dim
-        self.cache()
-        upows = [u.pow(k).a.astype(np.int8) for k in range(1, p)]
-        utarget = np.array(upows, dtype=np.int64)  # (p-1, n, n)
-        out = []
-        N = self._stack.shape[0]
-        u64 = u.a
-        for lo in range(0, N, _CHUNK):
-            S = self._stack[lo:lo + _CHUNK].astype(np.int64)
-            SI = self._inv_stack[lo:lo + _CHUNK].astype(np.int64)
-            conj = (S @ u64 % p) @ SI % p          # (k, n, n)
-            mask = np.zeros(conj.shape[0], dtype=bool)
-            for t in utarget:
-                mask |= (conj == t).all(axis=(1, 2))
-            out.extend((lo + np.nonzero(mask)[0]).tolist())
-        return out
-
     def _scan_commuting(self, mats) -> list:
         """Indices of elements commuting with every matrix in mats."""
         p = self.p.p
@@ -210,9 +193,6 @@ class SylowData:
     centralizer_C: MatGroup
     automizer_order: int
 
-    def u_powers(self):
-        return [self.u.pow(k) for k in range(int(self.u.p))]
-
     def r_of(self, g: FpMatrix) -> int:
         """Exponent r with g u g^-1 = u^r."""
         conj = g @ self.u @ g.inverse()
@@ -230,89 +210,120 @@ class GGReport:
     sylow: SylowData | None = None
 
 
-def _find_order_p_element(g: MatGroup) -> FpMatrix | None:
-    """First element of multiplicative order exactly p, by batched powering."""
-    p = g.p.p
-    n = g.dim
-    ident = np.eye(n, dtype=np.int64)
-    stack = g.elements_stack()
-    N = stack.shape[0]
-    for lo in range(0, N, _CHUNK):
-        S = stack[lo:lo + _CHUNK].astype(np.int64)
-        result = None
-        acc = S.copy()
-        k = p
-        while k:
-            if k & 1:
-                result = acc.copy() if result is None else \
-                    np.einsum("kij,kjl->kil", result, acc) % p
-            k >>= 1
-            if k:
-                acc = np.einsum("kij,kjl->kil", acc, acc) % p
-        is_p = (result == ident).all(axis=(1, 2)) & \
-            ~(S == ident).all(axis=(1, 2))
-        idx = np.nonzero(is_p)[0]
-        if idx.size:
-            return g.element(lo + int(idx[0]))
+ORDER_P_WORDS = 10000    # seeded random generator words searched for u
+
+
+def order_p_element(g: MatGroup) -> FpMatrix | None:
+    """An element of order p from the first of ORDER_P_WORDS seeded random
+    generator words whose order p divides, or None.
+
+    A word's semisimple part has order dividing L = lcm(p^i - 1, i <= n),
+    so w^L, a power of w's unipotent part prime to p, is 1 exactly when p
+    does not divide the order of w; p-th powers take it down to order p.
+    Words are powered 100 at a time.
+    """
+    p, n = g.p.p, g.dim
+    exponent = math.lcm(*(p ** i - 1 for i in range(1, n + 1)))
+    rng = random.Random(1)
+    gens = [h.a.astype(np.float64) for h in g.generators]
+    word = np.eye(n)
+    for _ in range(ORDER_P_WORDS // 100):
+        words = []
+        for _ in range(100):
+            word = _mulmod(word, gens[rng.randrange(len(gens))], p)
+            words.append(word)
+        words, unipotent = np.array(words), np.eye(n)
+        for bit in bin(exponent)[2:]:          # square and multiply
+            unipotent = _mulmod(unipotent, unipotent, p)
+            if bit == "1":
+                unipotent = _mulmod(unipotent, words, p)
+        for m in unipotent:
+            if (m != np.eye(n)).any():
+                u = FpMatrix(g.p, m.astype(np.int64))
+                while u.pow(p) != FpMatrix.identity(g.p, n):
+                    u = u.pow(p)
+                return u
     return None
+
+
+def sylow_data(g: MatGroup, u: FpMatrix) -> tuple[SylowData, int]:
+    """Local data at U = <u> and |U^G|, from U's orbit walk (bounded by
+    g's element cap) and a centralizer scan inside N_G(U)."""
+    p = g.p.p
+    ngrp, orbit = sylow_normalizer_via_orbit(g.p, g.dim, g.generators, u,
+                                             max_orbit=g.cap)
+    cgrp = ngrp.centralizer_of([u])
+    autom = ngrp.order() // cgrp.order()
+    if (p - 1) % autom:
+        raise InvariantViolation(
+            f"automizer order {autom} does not divide p - 1 = {p - 1}")
+    return SylowData(u, ngrp, cgrp, autom), orbit
 
 
 def class_GG(g: MatGroup) -> GGReport:
     """Classify g against the order-p non-normal-Sylow classes.
 
+    |G| = |U^G| |N_G(U)| is recorded on g, or checked if g is enumerated;
+    g is enumerated only when no random word has order divisible by p.
     'in_GG' additionally requires automizer order exactly p - 1.
     """
     p = g.p.p
-    order = g.order()
-    if order % p != 0:
-        return GGReport("not_in_G", order, reason="p does not divide |G|")
-    if (order // p) % p == 0:
-        return GGReport("not_in_G", order, reason="p^2 divides |G|")
-    u = _find_order_p_element(g)
+    u = order_p_element(g)
     if u is None:
+        order = g.order()
+        if order % p:
+            return GGReport("not_in_G", order,
+                            reason="p does not divide |G|")
         raise InvariantViolation(
             f"Cauchy: p = {p} divides |G| = {order} but no element of "
             "order p was found")
-    # U is normal iff every generator conjugates u back into U
-    upow_keys = {u.pow(k).key() for k in range(1, p)}
-    normal = all((gen @ u @ gen.inverse()).key() in upow_keys
-                 for gen in g.generators)
-    if normal:
-        return GGReport("not_in_G", order, reason="Sylow p-subgroup is normal")
-    n_idx = g._scan_normalizing(u)
-    ngrp = g.subset_group(n_idx)
-    c_idx = g._scan_commuting([u])
-    cgrp = g.subset_group(c_idx)
-    autom = ngrp.order() // cgrp.order()
-    if (p - 1) % autom:
+    syl, orbit = sylow_data(g, u)
+    order = orbit * syl.normalizer_N.order()
+    if g._stack is not None and order != len(g._keys):
         raise InvariantViolation(
-            f"automizer order {autom} does not divide p - 1 = {p - 1}")
-    syl = SylowData(u, ngrp, cgrp, autom)
-    status = "in_GG" if autom == p - 1 else "in_G_only"
+            f"|U^G| |N_G(U)| = {order} but |G| = {len(g._keys)}")
+    g._order = order
+    if (order // p) % p == 0:
+        return GGReport("not_in_G", order, reason="p^2 divides |G|")
+    if orbit == 1:
+        return GGReport("not_in_G", order, reason="Sylow p-subgroup is normal")
+    status = "in_GG" if syl.automizer_order == p - 1 else "in_G_only"
     return GGReport(status, order, sylow=syl)
 
 
 def o_pprime(g: MatGroup, syl: SylowData) -> MatGroup:
-    """Subgroup generated by all conjugates of u; equals O^{p'}(G)."""
-    conj = g.conjugates_of(syl.u)
+    """O^{p'}(G), the normal closure of U = <u>: each generator of the
+    closure is conjugated by G's generators, and a conjugate outside the
+    closure becomes a new generator (and is conjugated in turn)."""
     gens = [syl.u]
-    while True:
-        sub = MatGroup(g.p, gens, cap=g.cap).cache()
-        missing = [c for c in conj if c.key() not in sub._keys]
-        if not missing:
-            return sub
-        gens.append(missing[0])
+    sub = MatGroup(g.p, gens, cap=g.cap).cache()
+    for h in gens:
+        for x in g.generators:
+            c = x @ h @ x.inverse()
+            if not sub.contains(c):
+                gens.append(c)
+                sub = MatGroup(g.p, gens, cap=g.cap).cache()
+    return sub
 
 
 def product_covers(g: MatGroup, h: MatGroup, x: MatGroup) -> bool:
-    """True iff |h| * |x| / |h meet x| equals |g|, with h, x <= g."""
-    gk = set(g.keys())
-    hk = set(h.keys())
-    xk = set(x.keys())
-    if not hk <= gk or not xk <= gk:
-        raise SubgroupViolation("h and x must be subgroups of g")
-    meet = len(hk & xk)
-    return len(hk) * len(xk) == meet * len(gk)
+    """True iff g = hx, for x normalizing h; g itself is not enumerated.
+
+    hx is then a subgroup, holds g when it holds g's generators, and equals
+    g when also |h| |x| / |h meet x| = |g|.  Raises SubgroupViolation when
+    x does not normalize h.
+    """
+    if not h.is_normal_in(x):
+        raise SubgroupViolation("x must normalize h")
+    hk = h.keys()
+    x_inv = x.inverses_stack().astype(np.int64)
+    for a in g.generators:
+        # a lies in hx iff a y^-1 lies in h for some y in x
+        a_x_inv = (a.a @ x_inv % g.p.p).reshape(len(x_inv), -1)
+        if not any(k in hk for k in _row_keys(a_x_inv)):
+            return False
+    meet = sum(k in hk for k in x.keys())
+    return h.order() * x.order() == meet * g.order()
 
 
 def _subgroups_of_table(mul, e: int, size: int):
@@ -416,7 +427,7 @@ def scalar_subgroup(g: MatGroup) -> MatGroup:
     return g.subset_group(np.nonzero(is_scalar)[0].tolist())
 
 
-# -- Sylow normalizer by orbit-stabilizer (heavy instances) ---------------
+# -- Sylow normalizer by orbit-stabilizer ---------------------------------
 
 _ORBIT_CHUNK = 64   # orbit points conjugated per batched product
 

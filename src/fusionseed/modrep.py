@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gfp
-from .errors import (DimTooLarge, FiltrationHypothesisFailed,
+from .errors import (DimensionMismatch, DimTooLarge,
+                     FiltrationHypothesisFailed, InvariantViolation,
                      NotUnipotentOfOrderP, PrimeMismatch)
 from .gfp import FpMatrix, Subspace, as_prime
 from .grp import MatGroup, SylowData
@@ -29,8 +30,10 @@ class FpModule:
 
     def __post_init__(self):
         self.p = as_prime(self.p)
-        assert self.dim >= 1
-        assert self.group.dim == self.dim and self.group.p.p == self.p.p
+        if self.dim < 1 or self.group.dim != self.dim:
+            raise DimensionMismatch("module and group dimensions differ")
+        if self.group.p.p != self.p.p:
+            raise PrimeMismatch("module and group primes differ")
 
     def gens(self):
         return self.group.generators
@@ -79,7 +82,8 @@ def jordan_profile(v: FpModule, x: FpMatrix):
         geq_k1 = ranks[k] - ranks[k + 1]
         blocks.extend([k] * (geq_k - geq_k1))
     blocks.sort(reverse=True)
-    assert sum(blocks) == n
+    if sum(blocks) != n:
+        raise InvariantViolation(f"Jordan blocks {blocks} do not sum to {n}")
     return blocks
 
 
@@ -221,11 +225,12 @@ def w_filtration(v: FpModule, syl: SylowData, check_elements=()) -> Filtration:
 
 def _action_scalar(v: FpModule, g: FpMatrix, space: Subspace, modulo: Subspace) -> int:
     """Scalar by which g acts on space/modulo (must be 1-dimensional)."""
-    assert space.dim - modulo.dim == 1, "quotient not a line"
+    if space.dim - modulo.dim != 1:
+        raise InvariantViolation("quotient not a line")
     for w in space.basis:
         if not modulo.contains_vector(w):
             return _coeff_mod(v.p.p, modulo, w, g.apply(w))
-    raise AssertionError("no coset representative found")
+    raise InvariantViolation("no coset representative found")
 
 
 def _coeff_mod(p, modulo: Subspace, w, img) -> int:
@@ -234,7 +239,8 @@ def _coeff_mod(p, modulo: Subspace, w, img) -> int:
         else w.reshape(1, -1)
     M = FpMatrix(p, rows.T)
     x = gfp.solve(M, img)
-    assert x is not None, "space not g-invariant mod subspace"
+    if x is None:
+        raise InvariantViolation("space not g-invariant mod subspace")
     return int(x[-1])
 
 
@@ -431,7 +437,8 @@ def split_summands(v: FpModule, seed: int = 1, tries: int = 40):
         return [(mod, embed)]
 
     out = rec(v, FpMatrix.identity(v.p, v.dim))
-    assert sum(m.dim for m, _ in out) == v.dim
+    if sum(m.dim for m, _ in out) != v.dim:
+        raise InvariantViolation("summand dimensions do not add up")
     return out
 
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotASubgroup, UnknownName, Z0NotLine
+from .errors import (InvariantViolation, NotASubgroup, UnknownName,
+                     Z0NotLine)
 from .gfp import FpMatrix, as_prime
 from .grp import MatGroup, SylowData
 from .modrep import CanonicalSubspaces
@@ -27,7 +28,7 @@ def primitive_root(p: int) -> int:
             seen.add(x)
         if len(seen) == p - 1:
             return g
-    raise AssertionError("no primitive root (p not prime?)")
+    raise InvariantViolation(f"no primitive root mod {p}")
 
 
 class DeltaSubgroup:
@@ -259,7 +260,8 @@ def compute_gvee(g: MatGroup, syl: SylowData,
             img = mat.apply(z0)
             nzc = np.nonzero(z0)[0][0]
             s = int(img[nzc]) * pow(int(z0[nzc]), p - 2, p) % p
-            assert ((s * z0) % p == img).all(), "Z0 not preserved"
+            if not ((s * z0) % p == img).all():
+                raise InvariantViolation("Z0 not preserved")
             members.append(idx)
             mu_values[mat.key()] = (r, s)
     gv_group = N.subset_group(members)

@@ -85,12 +85,12 @@ class SGroup:
     @functools.cached_property
     def a_by_normalizer(self) -> MatGroup:
         """A x| N_G(U), enumerated."""
-        return _a_by(self.v, self.syl.normalizer_N)
+        return semidirect_affine(self.v, self.syl.normalizer_N).cache()
 
     @functools.cached_property
     def a_by_centralizer(self) -> MatGroup:
         """A x| C_G(U), enumerated."""
-        return _a_by(self.v, self.syl.centralizer_C)
+        return semidirect_affine(self.v, self.syl.centralizer_C).cache()
 
     def translation(self, w) -> FpMatrix:
         """The translation (w, u^0) of A."""
@@ -136,22 +136,6 @@ def semidirect_affine(v: FpModule, g: MatGroup) -> MatGroup:
             for m in g.generators]
     gens += [_affine(v.p, one, e) for e in one]
     return MatGroup(v.p, gens, cap=g.cap)
-
-
-def _a_by(v: FpModule, h: MatGroup) -> MatGroup:
-    """A x| h, enumerated, over a few generators of h picked greedily.
-
-    (The subgroups that class_GG returns list every element as a generator.)
-    """
-    gens = []
-    sub = MatGroup(h.p, [FpMatrix.identity(h.p, h.dim)]).cache()
-    for i in range(h.order()):
-        if sub.order() == h.order():
-            break
-        if not sub.contains(h.element(i)):
-            gens.append(h.element(i))
-            sub = MatGroup(h.p, gens, cap=h.cap).cache()
-    return semidirect_affine(v, sub).cache()
 
 
 @dataclass
@@ -270,41 +254,40 @@ def _inv_arr(a: np.ndarray, p: int) -> np.ndarray:
     return FpMatrix(p, a).inverse().a
 
 
-def class_label(s: SGroup, m: FpMatrix) -> int:
-    """Class label i of the Z<x a^i>-style subgroups holding m = (c, u^k).
+def class_label(s: SGroup, m: FpMatrix, a: FpMatrix) -> int:
+    """Class label i of the Z<x a^i>-style subgroups holding m = (c, u^k),
+    for the translation a that `choose_x_a` returns.
 
     For k != 0 the label is gamma / k, where gamma is the A/A0-coordinate
-    of c.
+    of c in units of a's.
     """
     p, n = s.p, s.n
+    unit = _a_mod_a0_coord(s, a.a[:n, n])
+    if not unit:
+        raise InvariantViolation("a must lie outside A0")
     for k in range(1, p):
         if (m.a[:n, :n] == s.upow[k]).all():
-            return _a_mod_a0_coord(s, m.a[:n, n]) * pow(k, p - 2, p) % p
+            gamma = _a_mod_a0_coord(s, m.a[:n, n])
+            return gamma * pow(unit * k, p - 2, p) % p
     raise ValueError("element lies inside A")
 
 
 def _a_mod_a0_coord(s: SGroup, vec) -> int:
-    """Coordinate of vec in A/A0 w.r.t. the chosen a (0 if inside A0)."""
-    a_vec = s._chosen_a.a[:s.n, s.n]
-    # coefficient of a: reduce vec by A0 then match against a
+    """Coordinate of vec in the line A/A0: after reduction by A0's echelon
+    basis, its entry at the one column where A0 has no pivot."""
     r = np.array(vec, dtype=np.int64) % s.p
     for i, c in enumerate(s.A0._pivots):
         if r[c]:
             r = (r - r[c] * s.A0.basis[i]) % s.p
-    ra = a_vec.copy()
-    for i, c in enumerate(s.A0._pivots):
-        if ra[c]:
-            ra = (ra - ra[c] * s.A0.basis[i]) % s.p
-    nz = np.nonzero(ra)[0]
-    if not nz.size:
-        raise InvariantViolation("a must lie outside A0")
-    return int(r[nz[0]]) * pow(int(ra[nz[0]]), s.p - 2, s.p) % s.p
+    free = [c for c in range(s.n) if c not in s.A0._pivots]
+    if len(free) != 1:
+        raise InvariantViolation("A0 must be a hyperplane of A")
+    return int(r[free[0]])
 
 
 def hb_subgroups(s: SGroup, x, a):
     """H_i = Z<x a^i> and B_i = Z_2<x a^i> for 0 <= i <= p-1."""
     p = s.p
-    s._chosen_a = a
     out = {}
     for i in range(p):
         gen = x @ a.pow(i)
@@ -319,7 +302,7 @@ def hb_subgroups(s: SGroup, x, a):
         # S-conjugacy: conjugates of H_0 stay in class 0 and never hit H_1
         # (a conjugate equal to H_1 would hold a conjugate of x a^0)
         for c in s.S.conjugates_of(out[0]["generator"]):
-            if class_label(s, c) != 0:
+            if class_label(s, c, a) != 0:
                 raise InvariantViolation("an S-conjugate of H_0 left class 0")
             if out[1]["H"].contains(c):
                 raise InvariantViolation("an S-conjugate of x lies in H_1")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import gfp, modrep, mu, tables
+from . import gfp, grp, modrep, mu, tables
 from .errors import (ExtractionFailed, HeavyComputeDisabled, InvalidParams,
                      InvariantViolation)
 from .gfp import FpMatrix, Subspace
@@ -477,30 +477,18 @@ def extraspecial(p: int, heavy: bool = False):
 def heavy_extraspecial_check(v: FpModule) -> dict:
     """Sylow-normalizer data for the p = 7 extraspecial normalizer module v.
 
-    Avoids full enumeration: finds an order-p element from random generator
-    words, runs the orbit-stabilizer normalizer computation, and computes
-    the mu-image of G-vee directly inside N.
+    The local data of `class_GG`, but G is never enumerated: the search
+    for u fails instead, and O^{p'}(G) is not computed.
     """
-    from .grp import sylow_normalizer_via_orbit, SylowData
-    p, n = v.p.p, v.dim
-    rng = np.random.default_rng(1)
-    gens = v.group.generators
-    u = None
-    word = FpMatrix.identity(p, n)
-    for _ in range(10000):
-        word = word @ gens[int(rng.integers(0, len(gens)))]
-        o = word.order(cap=10 ** 4)
-        if o % p == 0:
-            u = word.pow(o // p)
-            break
+    p = v.p.p
+    u = grp.order_p_element(v.group)
     if u is None:
-        raise InvariantViolation(f"no element of order {p} found in 10000 "
-                                 "random generator words")
-    ngrp, orbit = sylow_normalizer_via_orbit(p, n, gens, u, max_orbit=10 ** 5)
+        raise InvariantViolation(f"no element of order {p} found in "
+                                 f"{grp.ORDER_P_WORDS} random generator "
+                                 "words")
+    syl, orbit = grp.sylow_data(v.group, u)
+    ngrp = syl.normalizer_N
     n_order = ngrp.order()
-    c_idx = ngrp._scan_commuting([u])
-    cgrp = ngrp.subset_group(c_idx)
-    syl = SylowData(u, ngrp, cgrp, n_order // cgrp.order())
     cs = modrep.canonical_subspaces(v, syl)
     gv = mu.compute_gvee(ngrp, syl, cs)
     image = mu.mu_image(gv)

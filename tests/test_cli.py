@@ -215,8 +215,45 @@ def test_sgroup_refuses_gamma_over_cap_before_hb_subgroups(
     assert "|Gamma| = 84707280 exceeds cap" in capsys.readouterr().err
 
 
+def test_check_never_enumerates_g(tmp_path, monkeypatch):
+    """check reads |G| = 46,080 of extraspecial_p5 from U's orbit walk: no
+    enumerated group is as large as G."""
+    inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+    assert cli.main(["zoo", "emit", "extraspecial_p5", "--out",
+                     str(inst)]) == 0
+    enumerated = []
+    cache = grp.MatGroup.cache
+
+    def counted_cache(group):
+        cache(group)
+        enumerated.append(len(group._keys))
+        return group
+    monkeypatch.setattr(grp.MatGroup, "cache", counted_cache)
+    assert cli.main(["check", str(inst), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["group_order"] == 46080
+    assert enumerated and max(enumerated) < 46080
+
+
+def test_check_report_unchanged_under_python_O(tmp_path):
+    """Every result check is a raise, so python -O, which strips asserts,
+    gives the flagship the same report."""
+    inst = tmp_path / "inst.json"
+    run_cli(["zoo", "emit", "sn_deleted", "--index", "0", "--out", str(inst)])
+    reports = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "fusionseed.cli", "check",
+             str(inst)], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        rep = json.loads(proc.stdout)
+        rep.pop("elapsed_s")
+        reports.append(rep)
+    assert reports[0] == reports[1]
+    assert reports[0]["passes"] is True
+
+
 def test_missing_order_p_element_exit_4(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(grp, "_find_order_p_element", lambda g: None)
+    monkeypatch.setattr(grp, "order_p_element", lambda g: None)
     path = _instance(tmp_path, [E12, [1, 0, 1, 1]])       # SL_2(5)
     assert cli.main(["check", path]) == 4
     assert "invariant violated: Cauchy" in capsys.readouterr().err
@@ -230,7 +267,7 @@ def test_heavy_check_without_order_7_word_exit_4(tmp_path, monkeypatch,
     assert cli.main(["zoo", "emit", "extraspecial_p7", "--heavy",
                      "--out", str(inst)]) == 0
     v = zoo.extraspecial(7, heavy=True)[1]
-    monkeypatch.setattr(FpMatrix, "order", lambda self, cap=None: 1)
+    monkeypatch.setattr(grp, "order_p_element", lambda g: None)
     with pytest.raises(InvariantViolation):
         zoo.heavy_extraspecial_check(v)
     assert cli.main(["check", str(inst), "--heavy"]) == 4

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,17 @@ def test_class_gg_p_not_dividing():
     assert class_GG(g).status == "not_in_G"
 
 
+def test_class_gg_p_not_dividing_large_element_orders():
+    """A Singer cycle of GL_3(23), of order 23^3 - 1 = 12,166: every word
+    has a large order prime to p, and the search still ends quickly."""
+    singer = MatGroup(23, [FpMatrix(23, [[0, 0, 10], [1, 0, 1], [0, 1, 0]])])
+    t0 = time.time()
+    rep = class_GG(singer)
+    assert (rep.status, rep.group_order) == ("not_in_G", 12166)
+    assert rep.reason == "p does not divide |G|"
+    assert time.time() - t0 < 20
+
+
 def test_o_pprime_s5_and_sl2():
     s5 = s5_group()
     rep = class_GG(s5)
@@ -111,9 +124,13 @@ def test_product_covers():
     assert product_covers(s5, s5, triv)
     assert product_covers(s5, a5, transp)
     assert not product_covers(s5, a5, triv)
+    # 2I normalizes A5, but A5 x <2I> does not hold the transpositions
     outside = MatGroup(5, [FpMatrix.scalar(5, 5, 2)])
+    assert not product_covers(s5, a5, outside)
+    # <(1 2)> does not normalize <(0 1)>
+    other = MatGroup(5, [perm_mat(5, cycle(5, [1, 2]))])
     with pytest.raises(SubgroupViolation):
-        product_covers(s5, a5, outside)
+        product_covers(s5, transp, other)
 
 
 def test_intermediate_subgroups_small():
@@ -166,24 +183,53 @@ def gl2_group(p=5):
                         FpMatrix(p, [[2, 0], [0, 1]])])
 
 
-def test_sylow_normalizer_via_orbit_matches_scan():
-    gl25 = gl2_group()
-    rep = class_GG(gl25)
-    ngrp, orbit = sylow_normalizer_via_orbit(5, 2, gl25.generators,
-                                             rep.sylow.u)
-    assert ngrp.order() == rep.sylow.normalizer_N.order()
-    assert orbit * ngrp.order() == gl25.order()
-    assert set(ngrp.keys()) == set(rep.sylow.normalizer_N.keys())
+def scan_normalizer_centralizer(g, u):
+    """Key sets of N_G(<u>) and C_G(<u>) by a scan of g's element stack."""
+    p = g.p.p
+    upows = np.array([u.pow(k).a for k in range(1, p)])
+    stack, inverses = g.elements_stack(), g.inverses_stack()
+    n_keys, c_keys = set(), set()
+    for lo in range(0, len(stack), 4096):
+        s = stack[lo:lo + 4096]
+        conj = (s.astype(np.int64) @ u.a % p) @ \
+            inverses[lo:lo + 4096].astype(np.int64) % p
+        hits = (conj[:, None] == upows[None]).all(axis=(2, 3))
+        n_keys.update(m.tobytes() for m in s[hits.any(axis=1)])
+        c_keys.update(m.tobytes() for m in s[hits[:, 0]])
+    return n_keys, c_keys
 
 
-def test_sylow_normalizer_via_orbit_extraspecial_p5():
-    """The orbit route against the scan of class_GG on |G| = 46,080."""
-    g, _ = zoo.extraspecial(5)
-    syl = class_GG(g).sylow
-    ngrp, orbit = sylow_normalizer_via_orbit(5, g.dim, g.generators, syl.u)
-    assert set(ngrp.keys()) == set(syl.normalizer_N.keys())
-    assert orbit * ngrp.order() == g.order() == 46080
-    assert (orbit, ngrp.order()) == (576, 80)
+ENUMERABLE_CORPUS = [(k, spec) for k, spec in enumerate(zoo.table_corpus())
+                     if spec.instantiable and spec.tag not in (
+                         "extraspecial_p7", "sl2p_ext", "sl2p_mu_law")]
+
+
+@pytest.mark.parametrize("k, spec", ENUMERABLE_CORPUS,
+                         ids=[f"{k}-{spec.tag}" for k, spec in
+                              ENUMERABLE_CORPUS])
+def test_class_gg_matches_bfs_and_scan(k, spec):
+    """class_GG's |G| (from U's orbit), N_G(U) and C_G(U) against BFS
+    enumeration and a normalizer/centralizer scan of the enumerated G."""
+    g, _ = zoo.build_family(spec)
+    rep = class_GG(g)
+    assert g._stack is None                 # the orbit route, not BFS
+    bfs = MatGroup(g.p, g.generators).cache()
+    assert rep.group_order == g.order() == bfs.order()
+    n_keys, c_keys = scan_normalizer_centralizer(bfs, rep.sylow.u)
+    assert set(rep.sylow.normalizer_N.keys()) == n_keys
+    assert set(rep.sylow.centralizer_C.keys()) == c_keys
+
+
+def test_class_gg_checks_an_enumerated_order(monkeypatch):
+    """On an enumerated G, |U^G| |N_G(U)| must equal the counted |G|."""
+    u = class_GG(gl2_group()).sylow.u
+    g = gl2_group()
+    assert g.order() == 480
+    # a wrong walk: N = U and 6 orbit points give 30
+    monkeypatch.setattr(grp, "sylow_normalizer_via_orbit",
+                        lambda *args, **kw: (MatGroup(5, [u]), 6))
+    with pytest.raises(InvariantViolation, match="= 30 but"):
+        class_GG(g)
 
 
 def test_batched_keys_match_matrix_powers():
@@ -213,7 +259,7 @@ def test_orbit_bound_is_exact():
 
 
 def test_class_gg_without_order_p_element_raises(monkeypatch):
-    monkeypatch.setattr(grp, "_find_order_p_element", lambda g: None)
+    monkeypatch.setattr(grp, "order_p_element", lambda g: None)
     with pytest.raises(InvariantViolation, match="Cauchy"):
         class_GG(s5_group())
 

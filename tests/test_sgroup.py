@@ -81,7 +81,19 @@ def test_hb_subgroups_and_classes(flagship, flagship_hb):
     assert hb[0]["H"].order() == 25 and hb[0]["B"].order() == 125
     # A0-translation invariance: replacing a by a * s' keeps the classes
     a_alt = a @ s.translation(s.Sprime.basis[0])
-    assert sg.class_label(s, x @ a_alt) == 1
+    assert sg.class_label(s, x @ a_alt, a) == 1
+
+
+def test_class_label_right_after_choose_x_a():
+    """class_label reads a from its argument, so it needs no earlier
+    hb_subgroups call on the same S."""
+    g, v = zoo.symmetric(5, 5, "deleted", "S", 4)
+    syl = class_GG(g).sylow
+    s, _ = sg.build_s(v, syl)
+    x, a = sg.choose_x_a(s, g, syl)
+    assert sg.class_label(s, x @ a, a) == 1
+    assert sg.class_label(s, x @ a.pow(3), a) == 3
+    assert sg.class_label(s, (x @ a).pow(2), a) == 1
 
 
 def test_class_action_of_normalizer(flagship, flagship_hb):
@@ -100,7 +112,7 @@ def test_class_action_of_normalizer(flagship, flagship_hb):
         g_aff = sg.semidirect_affine(v, MatGroup(5, [mat])).generators[0]
         for j in (1, 2):
             img = g_aff @ hb[j]["generator"] @ g_aff.inverse()
-            lbl = sg.class_label(s, img)
+            lbl = sg.class_label(s, img, a)
             if in_dm:
                 assert lbl == j
                 checked_in += 1
