@@ -25,7 +25,7 @@ from .errors import (CapExceeded, FusionseedError, HeavyComputeDisabled,
                      IndexTooLarge, InvalidInstance, InvariantViolation,
                      SubgroupViolation)
 from .gfp import FpMatrix
-from .grp import MatGroup, class_GG
+from .grp import MatGroup, class_GG, o_pprime
 from .modrep import FpModule
 
 
@@ -200,6 +200,7 @@ def cmd_regress(args) -> int:
         if spec.tag == "extraspecial_p7" and not args.heavy:
             print("SKIP (needs --heavy) extraspecial_p7")
             continue
+        t0 = time.time()
         if spec.tag == "sl2p_ext":
             ok = _regress_sl2p_ext(spec)
         elif spec.tag == "sl2p_mu_law":
@@ -208,7 +209,8 @@ def cmd_regress(args) -> int:
             ok = _regress_entry(spec, heavy=args.heavy)
         ran += 1
         print(("PASS " if ok else "FAIL ") + spec.tag + " "
-              + json.dumps(zoo._json_params(spec.params), sort_keys=True))
+              + json.dumps(zoo._json_params(spec.params), sort_keys=True)
+              + f" ({time.time() - t0:.2f} s)")
         failures += (not ok)
     print(f"regress: {ran} run, {failures} failed")
     return 1 if failures else 0
@@ -251,7 +253,6 @@ def _regress_entry(spec, heavy=False) -> bool:
         k = monomial_k_order(q["p"], q["n"], q["t"], q["R"])
         return g.order() // k == exp["h_order"]
     if "passers" in exp or spec.params.get("admissible"):
-        from .grp import o_pprime
         gg = class_GG(g)
         opp = o_pprime(g, gg.sylow)
         passers = criterion.enumerate_admissible(opp, g, v)

@@ -3,8 +3,10 @@
 Groups are given by generating matrices; enumeration is a breadth-first
 closure with canonical byte keys, capped by default at 2e7 elements
 (override with the FUSIONSEED_CAP environment variable).  The Sylow data
-never enumerates G: U's orbit walk gives N_G(U) and |G|, C_G(U) is a scan
-inside N_G(U), and O^{p'}(G) is the normal closure of U on generators.
+never enumerates G: U's orbit walk gives N_G(U) and leaves on G a one-level
+chain (`OrbitChain`) that gives |G| and membership by a sift, C_G(U) is a
+scan inside N_G(U), and O^{p'}(G) is the normal closure of U on generators,
+whose every closure is sifted through its own chain, never enumerated.
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ class MatGroup:
     """Matrix group over F_p given by invertible generators.
 
     The element cache, once built, holds the full element stack (int8),
-    a key -> index dict, and the matching stack of inverses.  The order is
-    counted from the cache, or read from what `class_GG` recorded when
-    there is none.
+    a key -> index dict, and the matching stack of inverses.  A group that
+    is not enumerated but carries an `OrbitChain` (left by
+    `sylow_normalizer_via_orbit`) reads its order from the chain and tests
+    membership by a sift; any other group enumerates itself for both.
     """
 
     def __init__(self, p, generators, cap: int = DEFAULT_CAP):
@@ -49,7 +52,7 @@ class MatGroup:
         self._stack = None        # (N, n, n) int8
         self._inv_stack = None    # (N, n, n) int8
         self._keys = None         # bytes -> index
-        self._order = None
+        self.chain = None         # OrbitChain of this group, if walked
 
     # -- enumeration ------------------------------------------------------
     def cache(self) -> "MatGroup":
@@ -97,7 +100,7 @@ class MatGroup:
         g._stack = np.ascontiguousarray(stack, dtype=np.int8)
         g._inv_stack = np.ascontiguousarray(inv_stack, dtype=np.int8)
         g._keys = dict(keys)
-        g._order = None
+        g.chain = None
         return g
 
     def subset_group(self, indices, generators=None) -> "MatGroup":
@@ -112,10 +115,13 @@ class MatGroup:
         return MatGroup.from_elements(self.p, generators, stack, inv_stack,
                                       keys, self.cap)
 
+    def _sifts(self) -> bool:
+        return self._stack is None and self.chain is not None
+
     def order(self) -> int:
-        if self._order is None or self._stack is not None:
-            return len(self.cache()._keys)
-        return self._order
+        if self._sifts():
+            return self.chain.order()
+        return len(self.cache()._keys)
 
     def elements_stack(self) -> np.ndarray:
         return self.cache()._stack
@@ -130,7 +136,20 @@ class MatGroup:
         return FpMatrix(self.p, self.cache()._stack[i])
 
     def contains(self, m: FpMatrix) -> bool:
+        if self._sifts():
+            return bool(self.chain.members(m.a[None], m.inverse().a[None])[0])
         return m.key() in self.cache()._keys
+
+    def members(self, stack: np.ndarray, inv_stack: np.ndarray) -> np.ndarray:
+        """Whether each matrix of a (k, n, n) stack with entries in [0, p)
+        lies in the group; inv_stack holds their inverses (read only by the
+        sift)."""
+        if self._sifts():
+            return self.chain.members(stack, inv_stack)
+        keys = self.cache()._keys
+        return np.array([k in keys for k in
+                         _row_keys(stack.reshape(len(stack), self.dim ** 2))],
+                        dtype=bool)
 
     def is_subgroup_of(self, other: "MatGroup") -> bool:
         ok = other.cache()._keys
@@ -138,8 +157,13 @@ class MatGroup:
 
     def is_normal_in(self, other: "MatGroup") -> bool:
         """True iff other's generators conjugate this group into itself."""
-        return all(self.contains(g @ h @ g.inverse())
-                   for g in other.generators for h in self.generators)
+        p, n = self.p.p, self.dim
+        g, g_inv = _stacks(other.generators)
+        h, h_inv = _stacks(self.generators)
+        conj = _mulmod(_mulmod(g[:, None], h, p), g_inv[:, None], p)
+        conj_inv = _mulmod(_mulmod(g[:, None], h_inv, p), g_inv[:, None], p)
+        return bool(self.members(conj.reshape(-1, n, n),
+                                 conj_inv.reshape(-1, n, n)).all())
 
     def is_abelian(self) -> bool:
         gens = self.generators
@@ -248,10 +272,11 @@ def order_p_element(g: MatGroup) -> FpMatrix | None:
 
 def sylow_data(g: MatGroup, u: FpMatrix) -> tuple[SylowData, int]:
     """Local data at U = <u> and |U^G|, from U's orbit walk (bounded by
-    g's element cap) and a centralizer scan inside N_G(U)."""
+    g's element cap, and leaving its chain on g) and a centralizer scan
+    inside N_G(U)."""
     p = g.p.p
     ngrp, orbit = sylow_normalizer_via_orbit(g.p, g.dim, g.generators, u,
-                                             max_orbit=g.cap)
+                                             max_orbit=g.cap, into=g)
     cgrp = ngrp.centralizer_of([u])
     autom = ngrp.order() // cgrp.order()
     if (p - 1) % autom:
@@ -263,9 +288,10 @@ def sylow_data(g: MatGroup, u: FpMatrix) -> tuple[SylowData, int]:
 def class_GG(g: MatGroup) -> GGReport:
     """Classify g against the order-p non-normal-Sylow classes.
 
-    |G| = |U^G| |N_G(U)| is recorded on g, or checked if g is enumerated;
-    g is enumerated only when no random word has order divisible by p.
-    'in_GG' additionally requires automizer order exactly p - 1.
+    U's orbit walk leaves its chain on g, so |G| = |U^G| |N_G(U)| is g's
+    order from then on; it is checked if g is enumerated.  g is enumerated
+    only when no random word has order divisible by p.  'in_GG'
+    additionally requires automizer order exactly p - 1.
     """
     p = g.p.p
     u = order_p_element(g)
@@ -282,7 +308,6 @@ def class_GG(g: MatGroup) -> GGReport:
     if g._stack is not None and order != len(g._keys):
         raise InvariantViolation(
             f"|U^G| |N_G(U)| = {order} but |G| = {len(g._keys)}")
-    g._order = order
     if (order // p) % p == 0:
         return GGReport("not_in_G", order, reason="p^2 divides |G|")
     if orbit == 1:
@@ -293,16 +318,33 @@ def class_GG(g: MatGroup) -> GGReport:
 
 def o_pprime(g: MatGroup, syl: SylowData) -> MatGroup:
     """O^{p'}(G), the normal closure of U = <u>: each generator of the
-    closure is conjugated by G's generators, and a conjugate outside the
-    closure becomes a new generator (and is conjugated in turn)."""
-    gens = [syl.u]
-    sub = MatGroup(g.p, gens, cap=g.cap).cache()
-    for h in gens:
-        for x in g.generators:
-            c = x @ h @ x.inverse()
-            if not sub.contains(c):
-                gens.append(c)
-                sub = MatGroup(g.p, gens, cap=g.cap).cache()
+    closure is conjugated by G's generators, and a conjugate that does not
+    sift through the closure's chain becomes a new generator (and is
+    conjugated in turn).  Each closure gets its chain from a fresh walk of
+    U's orbit; none is enumerated."""
+    p = g.p.p
+    x, x_inv = _stacks(g.generators)
+    gens, gens_inv = [syl.u], [syl.u.inverse()]
+    sub = _walked(g, gens, syl.u)
+    i = 0
+    while i < len(gens):
+        conj = _mulmod(_mulmod(x, gens[i].a, p), x_inv, p)
+        conj_inv = _mulmod(_mulmod(x, gens_inv[i].a, p), x_inv, p)
+        for q in np.flatnonzero(~sub.members(conj, conj_inv)):
+            # a closure made for an earlier conjugate may hold this one
+            if not sub.members(conj[q:q + 1], conj_inv[q:q + 1])[0]:
+                gens.append(FpMatrix(g.p, conj[q].astype(np.int64)))
+                gens_inv.append(FpMatrix(g.p, conj_inv[q].astype(np.int64)))
+                sub = _walked(g, gens, syl.u)
+        i += 1
+    return sub
+
+
+def _walked(g: MatGroup, gens: list, u: FpMatrix) -> MatGroup:
+    """The subgroup <gens> of g, holding u, with the chain of U's orbit."""
+    sub = MatGroup(g.p, gens, cap=g.cap)
+    sylow_normalizer_via_orbit(g.p, g.dim, sub.generators, u,
+                               max_orbit=g.cap, into=sub)
     return sub
 
 
@@ -315,14 +357,15 @@ def product_covers(g: MatGroup, h: MatGroup, x: MatGroup) -> bool:
     """
     if not h.is_normal_in(x):
         raise SubgroupViolation("x must normalize h")
-    hk = h.keys()
-    x_inv = x.inverses_stack().astype(np.int64)
-    for a in g.generators:
-        # a lies in hx iff a y^-1 lies in h for some y in x
-        a_x_inv = (a.a @ x_inv % g.p.p).reshape(len(x_inv), -1)
-        if not any(k in hk for k in _row_keys(a_x_inv)):
+    p = g.p.p
+    xs, xs_inv = x.elements_stack(), x.inverses_stack()
+    xs64, xs_inv64 = xs.astype(np.float64), xs_inv.astype(np.float64)
+    for a, a_inv in zip(*_stacks(g.generators)):
+        # a lies in hx iff a y^-1 (inverse y a^-1) lies in h for some y in x
+        if not h.members(_mulmod(a, xs_inv64, p),
+                         _mulmod(xs64, a_inv, p)).any():
             return False
-    meet = sum(k in hk for k in x.keys())
+    meet = int(h.members(xs, xs_inv).sum())
     return h.order() * x.order() == meet * g.order()
 
 
@@ -447,6 +490,12 @@ def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
+def _stacks(mats) -> tuple[np.ndarray, np.ndarray]:
+    """float64 stacks of the matrices mats and of their inverses."""
+    return (np.array([m.a for m in mats], dtype=np.float64),
+            np.array([m.inverse().a for m in mats], dtype=np.float64))
+
+
 def _row_keys(rows: np.ndarray) -> list:
     """int8 bytes of each row of a (k, w) array reduced mod p."""
     rows = np.ascontiguousarray(rows, dtype=np.int8)
@@ -473,17 +522,68 @@ def _subgroup_keys(x: np.ndarray, p: int) -> list:
     return _row_keys(best)
 
 
+@dataclass
+class OrbitChain:
+    """A one-level exact chain of H at the base point U = <u>.
+
+    `orbit` maps the key of each conjugate <T_j^-1 u T_j> to j, `trans_inv`
+    holds T_j^-1 (int8), and `stabilizer` is N_H(U), enumerated.  The orbit
+    is complete and the stabilizer holds every Schreier generator, so
+    |H| = |orbit| |N_H(U)|, and m lies in H exactly when <m^-1 u m> is an
+    orbit point j and m T_j^-1 lies in N_H(U): a sift with no random step.
+    """
+    u: FpMatrix
+    orbit: dict
+    trans_inv: np.ndarray
+    stabilizer: MatGroup
+
+    def order(self) -> int:
+        return len(self.orbit) * self.stabilizer.order()
+
+    def members(self, stack: np.ndarray, inv_stack: np.ndarray) -> np.ndarray:
+        """Whether each matrix of stack (inverses in inv_stack) lies in H."""
+        p, n = self.u.p.p, self.u.rows
+        uf = self.u.a.astype(np.float64)
+        stab_keys = self.stabilizer.keys()
+        out = np.zeros(len(stack), dtype=bool)
+        for lo in range(0, len(stack), _CHUNK):
+            m = stack[lo:lo + _CHUNK].astype(np.float64)
+            m_inv = inv_stack[lo:lo + _CHUNK].astype(np.float64)
+            keys = _subgroup_keys(_mulmod(_mulmod(m_inv, uf, p), m, p), p)
+            j = np.array([self.orbit.get(k, -1) for k in keys],
+                         dtype=np.int64)
+            hit = np.flatnonzero(j >= 0)
+            n_part = _mulmod(m[hit], self.trans_inv[j[hit]].astype(np.float64),
+                             p)
+            out[lo + hit] = [k in stab_keys for k in
+                             _row_keys(n_part.reshape(len(hit), n * n))]
+        return out
+
+
 def sylow_normalizer_via_orbit(p, dim, generators, u: FpMatrix,
-                               max_orbit: int = 10 ** 6):
+                               max_orbit: int = 10 ** 6,
+                               into: MatGroup | None = None):
     """N_G(<u>) for G = <generators> without enumerating G.
 
-    Walks the conjugation orbit of U = <u> level by level, in chunks of
-    _ORBIT_CHUNK points conjugated by every generator at once, keeping a
-    transversal T with T^-1 u T the point it reaches.  The Schreier
-    generators (t g) T_j^-1 that are not yet in the stabilizer generate
-    N_G(U) (Schreier's lemma).  Returns (N as MatGroup, orbit size); |G|
-    then equals orbit_size * |N| by orbit-stabilizer.  Raises CapExceeded
-    when the orbit has more than max_orbit points.
+    Returns (N as MatGroup, orbit size); |G| then equals orbit_size * |N|
+    by orbit-stabilizer.  When `into` is the MatGroup of these generators,
+    the walk's `OrbitChain` is left on it, which then gives its order and
+    membership without enumeration.  Raises CapExceeded when the orbit has
+    more than max_orbit points.
+    """
+    chain = _orbit_chain(p, dim, generators, u, max_orbit)
+    if into is not None:
+        into.chain = chain
+    return chain.stabilizer, len(chain.orbit)
+
+
+def _orbit_chain(p, dim, generators, u: FpMatrix,
+                 max_orbit: int) -> OrbitChain:
+    """Walks the conjugation orbit of U = <u> under <generators> level by
+    level, in chunks of _ORBIT_CHUNK points conjugated by every generator
+    at once, keeping a transversal T with T^-1 u T the point it reaches.
+    The Schreier generators (t g) T_j^-1 that are not yet in the stabilizer
+    generate N_G(U) (Schreier's lemma).
     """
     pp = int(p)
     n = dim
@@ -546,4 +646,4 @@ def sylow_normalizer_via_orbit(p, dim, generators, u: FpMatrix,
                     stab = MatGroup(p, stab_gens).cache()
                     stab_keys = stab.keys()
         lo, hi = hi, len(orbit)
-    return stab, len(orbit)
+    return OrbitChain(u, orbit, trans_inv[:len(orbit)].copy(), stab)

@@ -18,7 +18,7 @@ from .errors import (DimensionMismatch, DimTooLarge,
                      FiltrationHypothesisFailed, InvariantViolation,
                      NotUnipotentOfOrderP, PrimeMismatch)
 from .gfp import FpMatrix, Subspace, as_prime
-from .grp import MatGroup, SylowData
+from .grp import MatGroup, SylowData, o_pprime
 
 
 @dataclass
@@ -178,7 +178,6 @@ def is_indecomposable(v: FpModule, syl: SylowData, seed: int = 1) -> bool:
     criterion `opp_fixed_in_commutator`; otherwise falls back to summand
     splitting.
     """
-    from .grp import o_pprime
     trivial_u = syl.u == FpMatrix.identity(v.p, v.dim)
     if not trivial_u and is_minimally_active(v, syl):
         return opp_fixed_in_commutator(v, o_pprime(v.group, syl))

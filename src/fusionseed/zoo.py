@@ -17,7 +17,7 @@ from . import gfp, grp, modrep, mu, tables
 from .errors import (ExtractionFailed, HeavyComputeDisabled, InvalidParams,
                      InvariantViolation)
 from .gfp import FpMatrix, Subspace
-from .grp import MatGroup, class_GG
+from .grp import MatGroup, class_GG, o_pprime
 from .modrep import FpModule
 from .mu import primitive_root
 
@@ -513,8 +513,6 @@ def strongly_closed_example(p: int, which: str):
     which = 'c': the quotient module F_p^p / constants with the automizer
     O^{p'}(Gamma) . mu^-1(Delta_0) (case d3, every nonempty class set I).
     """
-    from . import criterion as _cr  # noqa: F401  (no cycle at call time)
-    from .grp import o_pprime
     zeta = primitive_root(p)
     gens = [perm_matrix(p, cycle_perm(p, [0, 1])),
             perm_matrix(p, cycle_perm(p, list(range(p)))),

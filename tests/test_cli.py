@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -88,6 +89,9 @@ def test_regress_filtered():
     code, out, _ = run_cli(["regress", "--filter", "gl2_3"])
     assert code == 0
     assert "PASS gl2_3" in out
+    # each entry's wall time ends its PASS/FAIL line
+    line = next(l for l in out.splitlines() if l.startswith("PASS gl2_3"))
+    assert re.search(r" \(\d+\.\d\d s\)$", line)
 
 
 def test_cap_env(tmp_path):
@@ -232,6 +236,27 @@ def test_check_never_enumerates_g(tmp_path, monkeypatch):
     assert cli.main(["check", str(inst), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["group_order"] == 46080
     assert enumerated and max(enumerated) < 46080
+
+
+def test_check_never_enumerates_o_pprime(tmp_path, monkeypatch):
+    """check on an_deleted (p = 7, |G| = 362,880) reads |O^{p'}(G)| =
+    |A_9| = 181,440 from the closure's chain: no enumerated group is as
+    large as O^{p'}(G)."""
+    inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+    assert cli.main(["zoo", "emit", "an_deleted", "--out", str(inst)]) == 0
+    enumerated = []
+    cache = grp.MatGroup.cache
+
+    def counted_cache(group):
+        cache(group)
+        enumerated.append(len(group._keys))
+        return group
+    monkeypatch.setattr(grp.MatGroup, "cache", counted_cache)
+    assert cli.main(["check", str(inst), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["group_order"] == 362880
+    assert report["cond_d"]["o_pprime_order"] == 181440
+    assert enumerated and max(enumerated) < 181440
 
 
 def test_check_report_unchanged_under_python_O(tmp_path):

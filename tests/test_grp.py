@@ -220,6 +220,43 @@ def test_class_gg_matches_bfs_and_scan(k, spec):
     assert set(rep.sylow.centralizer_C.keys()) == c_keys
 
 
+@pytest.mark.parametrize("k, spec", ENUMERABLE_CORPUS,
+                         ids=[f"{k}-{spec.tag}" for k, spec in
+                              ENUMERABLE_CORPUS])
+def test_o_pprime_chain_matches_bfs(k, spec):
+    """The chain-backed O^{p'}(G) against its BFS enumeration: the order,
+    a sift of every element of G (those outside O^{p'}(G) included), and
+    the answers of is_normal_in and product_covers."""
+    g, _ = zoo.build_family(spec)
+    syl = class_GG(g).sylow
+    opp = o_pprime(g, syl)
+    assert opp._stack is None and g._stack is None
+    bfs_opp = MatGroup(g.p, opp.generators).cache()
+    assert opp.order() == bfs_opp.order()
+
+    bfs = MatGroup(g.p, g.generators).cache()
+    stack, inverses = bfs.elements_stack(), bfs.inverses_stack()
+    inside = opp.members(stack, inverses)
+    keys = bfs_opp.keys()
+    assert inside.tolist() == [m.tobytes() in keys for m in stack]
+    assert inside.sum() == opp.order() < g.order()
+    assert g.members(stack, inverses).all()      # G's own chain
+
+    u_chain = grp._walked(g, [syl.u], syl.u)
+    u_bfs = MatGroup(g.p, [syl.u])
+    for chained, enumerated in ((opp, bfs_opp), (u_chain, u_bfs)):
+        assert chained.is_normal_in(g) == enumerated.is_normal_in(g)
+    assert opp.is_normal_in(g) and not u_chain.is_normal_in(g)
+    assert u_chain._stack is None
+    triv = MatGroup(g.p, [FpMatrix.identity(g.p, g.dim)])
+    for x in (syl.normalizer_N, syl.centralizer_C, triv):
+        assert (product_covers(g, opp, x)
+                == product_covers(g, bfs_opp, x))
+    # Frattini: G = O^{p'}(G) N_G(U)
+    assert product_covers(g, opp, syl.normalizer_N)
+    assert opp._stack is None
+
+
 def test_class_gg_checks_an_enumerated_order(monkeypatch):
     """On an enumerated G, |U^G| |N_G(U)| must equal the counted |G|."""
     u = class_GG(gl2_group()).sylow.u
