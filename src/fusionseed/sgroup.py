@@ -4,9 +4,11 @@ S-elements are affine matrices [[u^k, c], [0, 1]] for c in A = F_p^n and
 u the Sylow generator's matrix, so S is a subgroup of Gamma = A x| G in the
 same representation.  Z(S), [S,S], Z_2(S) and A_0 are subspaces of A; the
 essential-candidate subgroups H_i = Z<x a^i> and B_i = Z_2<x a^i> are
-MatGroups, and the local automorphism groups Theta are built as
-permutation groups on their elements and verified against their contracts.
-Gamma itself is only ever read through its generators.
+MatGroups.  The automorphisms of such a P that Gamma, S and P induce, and
+|C_Gamma(P)|, come from one F_p solve per element of N_G(U), U or C_G(U),
+so neither Gamma nor A x| N_G(U) is enumerated.  The local automorphism
+groups Theta are permutation groups on P's elements, keyed by exact codes
+of their generator images, and verified against their contracts.
 """
 
 from __future__ import annotations
@@ -19,11 +21,10 @@ import numpy as np
 from . import gfp, modrep, mu
 from .errors import CapExceeded, InvariantViolation, MuTooSmall, SplitFailed
 from .gfp import FpMatrix, Subspace
-from .grp import MatGroup, SylowData, _row_keys
+from .grp import MatGroup, SylowData, _row_keys, _stacks
 from .modrep import FpModule
 
 DESK_S_LIMIT = 6    # refuse full S-element enumeration above p**DESK_S_LIMIT
-_CONJ_CHUNK = 1 << 12   # ambient elements conjugated per batched product
 
 
 # -- S and its subgroups as affine matrices ---------------------------------
@@ -79,19 +80,6 @@ class SGroup:
             raise CapExceeded(f"|S| = p^{self.n + 1} above the desk limit")
         return semidirect_affine(self.v, MatGroup(self.v.p, [self.u])).cache()
 
-    # A subgroup P of S outside A maps onto U in G, so an (a, g) in Gamma
-    # that normalizes (centralizes) P has g in N_G(U) (C_G(U)): these two
-    # ambients hold every element of Gamma that normalizes (centralizes) P.
-    @functools.cached_property
-    def a_by_normalizer(self) -> MatGroup:
-        """A x| N_G(U), enumerated."""
-        return semidirect_affine(self.v, self.syl.normalizer_N).cache()
-
-    @functools.cached_property
-    def a_by_centralizer(self) -> MatGroup:
-        """A x| C_G(U), enumerated."""
-        return semidirect_affine(self.v, self.syl.centralizer_C).cache()
-
     def translation(self, w) -> FpMatrix:
         """The translation (w, u^0) of A."""
         return _affine(self.v.p, np.eye(self.n, dtype=np.int64), w)
@@ -107,8 +95,7 @@ class SGroup:
         m = (self.u.a - one) % p
         if self.Z.dim == n:
             return Subspace.full(self.p, n)
-        # rows C with kernel exactly Z: kernel of Z-basis as column space
-        C = gfp.kernel_basis(FpMatrix(self.p, self.Z.basis)).basis
+        C = _annihilator(self.Z)
         return gfp.kernel_basis(FpMatrix(self.p, C @ m % p))
 
     def sigma(self, a_vec) -> np.ndarray:
@@ -121,12 +108,16 @@ class SGroup:
 
 
 def _affine(p, block, vec) -> FpMatrix:
+    return FpMatrix(p, _affine_array(block, vec))
+
+
+def _affine_array(block, vec) -> np.ndarray:
     """The affine matrix [[block, vec], [0, 1]] of w -> block w + vec."""
     n = len(vec)
     a = np.eye(n + 1, dtype=np.int64)
     a[:n, :n] = block
     a[:n, n] = vec
-    return FpMatrix(p, a)
+    return a
 
 
 def semidirect_affine(v: FpModule, g: MatGroup) -> MatGroup:
@@ -309,60 +300,174 @@ def hb_subgroups(s: SGroup, x, a):
     return out
 
 
-# -- permutation automorphism machinery ------------------------------------
+# -- automorphisms of P keyed by generator images ----------------------------
+
+_PERM_CAP = 10 ** 6       # elements of one automorphism group of P
+_PERM_CHUNK = 1 << 14    # coset elements coded per batch in `extend`
+
+
+@dataclass
+class PermGroup:
+    """A group of automorphisms of P: its elements as a permutation stack
+    sorted by code, their sorted int64 codes, and its generators."""
+    perms: np.ndarray
+    codes: np.ndarray
+    gens: np.ndarray
+
+    def order(self) -> int:
+        return len(self.codes)
+
+    def contains(self, codes: np.ndarray) -> np.ndarray:
+        """Whether each code is the code of an element."""
+        return _in_sorted(self.codes, codes)
+
+
+def _unique(codes: np.ndarray):
+    """The sorted distinct codes and the index of each one's first
+    occurrence."""
+    order = np.argsort(codes, kind="stable")
+    c = codes[order]
+    first = np.ones(len(c), dtype=bool)
+    first[1:] = c[1:] != c[:-1]
+    return c[first], order[first]
+
+
+def _in_sorted(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    pos = np.minimum(np.searchsorted(sorted_codes, codes),
+                     len(sorted_codes) - 1)
+    return sorted_codes[pos] == codes
+
+
+def _inverse(perms: np.ndarray) -> np.ndarray:
+    """The inverse of each row of a (m, |P|) permutation stack."""
+    inv = np.empty_like(perms)
+    inv[np.arange(len(perms))[:, None], perms] = np.arange(
+        perms.shape[1], dtype=perms.dtype)
+    return inv
+
+
+def _conjugates(ts: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    """t h t^-1 for every t in ts and h in hs, as one permutation stack."""
+    inner = hs[:, _inverse(ts)]                       # h[t^-1[j]]
+    return ts[np.arange(len(ts))[None, :, None], inner].reshape(
+        -1, ts.shape[1])
+
 
 class PermGroupOnSet:
-    """Automorphisms of a subgroup P of S as permutations of P's elements,
-    indexed by P's int8 element stack and its keys."""
+    """Automorphisms of P = <W, x'> <= S, with W = P meet A and x' = (c, u),
+    as permutations of P's elements (int16 when |P| allows).
 
-    def __init__(self, group: MatGroup):
-        self.group = group
+    Permutations compose as arrays, (f g)[j] = f[g[j]].  An automorphism is
+    fixed by the images of P's k generators, so its code packs their element
+    indices in base |P|: an exact int64 key, refused with CapExceeded when
+    |P|^k does not fit.
+    """
+
+    def __init__(self, group: MatGroup, space: Subspace, x: FpMatrix):
+        self.group, self.space, self.x = group, space, x
+        self.n = group.order()
+        k = len(group.generators)
+        if self.n ** k >= 1 << 63:
+            raise CapExceeded(f"automorphism codes |P|^k = {self.n}^{k} "
+                              "do not fit int64")
         self.elements = group.elements_stack()
         self.index = group.keys()
-        self.n = group.order()
+        self.gen_idx = np.array([self.index[g.key()]
+                                 for g in group.generators])
+        self.weights = self.n ** np.arange(k, dtype=np.int64)
+        self.dtype = np.int16 if self.n <= 1 << 15 else np.int32
 
-    def identity_perm(self):
-        return np.arange(self.n, dtype=np.int64)
+    def _pack(self, images: np.ndarray) -> np.ndarray:
+        """Codes from a (..., k) stack of generator images."""
+        return images.astype(np.int64) @ self.weights
 
-    @staticmethod
-    def key(perm) -> bytes:
-        return perm.astype(np.int32).tobytes()
+    def codes(self, perms: np.ndarray) -> np.ndarray:
+        return self._pack(perms[..., self.gen_idx])
 
-    def _close_with(self, gens, cap=10 ** 6):
-        seen = {}
-        ident = self.identity_perm()
-        seen[self.key(ident)] = ident
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for f in frontier:
-                for g in gens:
-                    h = f[g]
-                    k = self.key(h)
-                    if k not in seen:
-                        seen[k] = h
-                        nxt.append(h)
-                        if len(seen) > cap:
-                            raise CapExceeded("perm closure exceeds cap")
-            frontier = nxt
-        return seen
+    def indices(self, mats: np.ndarray) -> np.ndarray:
+        """Element index of each matrix of a (..., d, d) stack; -1 for a
+        matrix outside P."""
+        d = self.group.dim
+        idx = [self.index.get(k, -1)
+               for k in _row_keys(mats.reshape(-1, d * d))]
+        return np.array(idx, dtype=np.int64).reshape(mats.shape[:-2])
 
-    def close(self, perms, cap=10 ** 6):
-        """Closure of a perm collection, selecting generators greedily."""
-        gens = []
-        seen = {self.key(self.identity_perm()): self.identity_perm()}
-        for g in perms:
-            if self.key(g) not in seen:
-                gens.append(g)
-                seen = self._close_with(gens, cap=cap)
-        return seen
+    def conjugation_perms(self, mats, invs) -> np.ndarray:
+        """The automorphisms of P that conjugation by each matrix of the
+        (m, d, d) stack mats (inverses invs) induces; each must normalize
+        P."""
+        p = self.group.p.p
+        mats, invs = mats.astype(np.int64), invs.astype(np.int64)
+        elems = self.elements.astype(np.int64)
+        idx = self.indices(mats[:, None] @ elems % p @ invs[:, None] % p)
+        if (idx < 0).any():
+            raise InvariantViolation("a normalizing element moves P")
+        return idx.astype(self.dtype)
 
-    def perm_of_images(self, images: np.ndarray):
-        """The permutation sending element j to images[j], or None when an
-        image lies outside P."""
-        idx = [self.index.get(k)
-               for k in _row_keys(images.reshape(self.n, -1))]
-        return None if None in idx else np.array(idx, dtype=np.int64)
+    def close(self, gens) -> PermGroup:
+        """<gens>."""
+        ident = np.arange(self.n, dtype=self.dtype)[None]
+        return self.extend(PermGroup(ident, self.codes(ident), ident[:0]),
+                           gens)
+
+    def extend(self, group: PermGroup, new) -> PermGroup:
+        """<group, new>, by frontier batches under all new generators.
+
+        Every element found brings its whole coset group y, so the elements
+        stay a union of such cosets, which left multiplication by group's
+        own generators preserves: only the new generators multiply the
+        frontier, and candidates are compared by code before any
+        permutation is formed.
+        """
+        new = np.asarray(new, dtype=self.dtype).reshape(-1, self.n)
+        h, gx = group.perms, self.gen_idx
+        known, found, frontier = group.codes, [h], h
+        step = max(1, _PERM_CHUNK // len(h))
+        while len(frontier) and len(new):
+            c = self._pack(new[:, frontier[:, gx]]).reshape(-1)
+            c, first = _unique(c)
+            fresh = ~_in_sorted(known, c)
+            c = c[fresh]
+            gi, fi = np.divmod(first[fresh], len(frontier))
+            level = []
+            while len(c):
+                ys = new[gi[:step, None], frontier[fi[:step]]]
+                cc = self._pack(h[:, ys[:, gx]]).reshape(-1)
+                cc, at = _unique(cc)
+                keep = ~_in_sorted(known, cc)
+                hi, yi = np.divmod(at[keep], len(ys))
+                level.append(h[hi[:, None], ys[yi]])
+                known = np.sort(np.concatenate([known, cc[keep]]))
+                if len(known) > _PERM_CAP:
+                    raise CapExceeded(
+                        f"automorphism group exceeds cap {_PERM_CAP}")
+                left = ~_in_sorted(known, c[step:])
+                c, gi, fi = c[step:][left], gi[step:][left], fi[step:][left]
+            frontier = np.concatenate(level) if level else h[:0]
+            found.append(frontier)
+        perms = np.concatenate(found)
+        codes = self.codes(perms)
+        order = np.argsort(codes)
+        return PermGroup(perms[order], codes[order],
+                         np.concatenate([group.gens, new]))
+
+    def normal_closure(self, gens, under: np.ndarray) -> PermGroup:
+        """The normal closure of <gens> under <under>: the closure grows by
+        the conjugates of its generators by under until each lies in it."""
+        group = self.close(gens)
+        while True:
+            conj = _conjugates(under, group.gens)
+            out = conj[~group.contains(self.codes(conj))]
+            if not len(out):
+                return group
+            group = self.extend(group, out)
+
+    def normalizing(self, perms: np.ndarray, sub: PermGroup) -> np.ndarray:
+        """Whether each permutation t normalizes sub: t h t^-1 lies in sub
+        for each generator h of sub, evaluated at P's generators only."""
+        inv = _inverse(perms)[:, self.gen_idx]
+        vals = perms[np.arange(len(perms))[None, :, None], sub.gens[:, inv]]
+        return sub.contains(self._pack(vals)).all(axis=0)
 
 
 def _hom_from_gen_images(pset: PermGroupOnSet, gens, images):
@@ -392,12 +497,85 @@ def _hom_from_gen_images(pset: PermGroupOnSet, gens, images):
         frontier = nxt
     if len(imap) != pset.n:
         return None
-    perm = pset.perm_of_images(
-        np.array([imap[k][1] for k in _row_keys(
-            pset.elements.reshape(pset.n, -1))]))
-    if perm is None or len(set(perm.tolist())) != pset.n:
+    perm = pset.indices(np.array([imap[k][1] for k in _row_keys(
+        pset.elements.reshape(pset.n, -1))]))
+    if (perm < 0).any() or len(set(perm.tolist())) != pset.n:
         return None
-    return perm
+    return perm.astype(pset.dtype)
+
+
+# -- Inn(P), Aut_S(P), Lambda_P and C_Gamma(P) by F_p solves -----------------
+#
+# An element (a, g) of Gamma normalizing (centralizing) P = <W, (c, u)>
+# maps P's image U in G to itself, so g lies in N_G(U) (C_G(U)).  With
+# g u g^-1 = u^k and gW = W, it normalizes P exactly when
+#     (1 - u^k) a = c_k - g c  mod W,   c_k = (1 + u + ... + u^(k-1)) c,
+# and the solutions a form a coset of T = {a : (1 - u) a in W}: one solve
+# per element of N_G(U), and no ambient group is enumerated.
+
+def _annihilator(space: Subspace) -> np.ndarray:
+    """Rows q with q w = 0 exactly for the w in space."""
+    if space.is_zero():
+        return np.eye(space.ambient, dtype=np.int64)
+    return gfp.kernel_basis(FpMatrix(space.p, space.basis)).basis
+
+
+def normalizer_perms(s: SGroup, pset: PermGroupOnSet, mats, invs
+                     ) -> np.ndarray:
+    """Generators of the automorphisms of P induced by the (a, g) in Gamma
+    normalizing P with g in the (m, n, n) stack mats of N_G(U) elements
+    (inverses invs): the translations by T and one solution per g that
+    admits one."""
+    p, n = s.p, s.n
+    one = np.eye(n, dtype=np.int64)
+    q = _annihilator(pset.space)
+    c = pset.x.a[:n, n]
+    mats, invs = mats.astype(np.int64), invs.astype(np.int64)
+    upow = np.array(s.upow)
+    # k with g u = u^k g, and whether g keeps W
+    hit = (mats[:, None] @ s.u.a % p == upow @ mats[:, None] % p).all(
+        axis=(2, 3))
+    if not hit.any(axis=1).all():
+        raise InvariantViolation("an element outside N_G(U)")
+    ks = hit.argmax(axis=1)
+    keeps = ~(q @ mats @ pset.space.basis.T % p).any(axis=(1, 2))
+    ck = np.cumsum([u @ c for u in s.upow], axis=0) % p     # ck[k-1] = c_k
+    t = gfp.kernel_basis(FpMatrix(p, q @ (one - s.u.a) % p)).basis
+    gens = [(_affine_array(one, w), _affine_array(one, -w % p)) for w in t]
+    for g, gi, k in zip(mats[keeps], invs[keeps], ks[keeps]):
+        a = gfp.solve(FpMatrix(p, q @ (one - upow[k]) % p),
+                      q @ (ck[k - 1] - g @ c) % p)
+        if a is not None:
+            gens.append((_affine_array(g, a), _affine_array(gi, -gi @ a % p)))
+    return pset.conjugation_perms(np.array([m for m, _ in gens]),
+                                  np.array([mi for _, mi in gens]))
+
+
+def local_automorphisms(s: SGroup, pset: PermGroupOnSet):
+    """Inn(P), Aut_S(P) and Lambda_P: the automorphisms of P induced by
+    conjugation by P's generators, by the elements of S normalizing P, and
+    by the elements of Gamma normalizing P."""
+    upow = np.array(s.upow)
+    N = s.syl.normalizer_N
+    inn = pset.conjugation_perms(*_stacks(pset.group.generators))
+    aut_s = normalizer_perms(s, pset, upow, upow[-np.arange(s.p)])
+    lam = normalizer_perms(s, pset, N.elements_stack(), N.inverses_stack())
+    return pset.close(inn), pset.close(aut_s), pset.close(lam)
+
+
+def centralizer_order(s: SGroup, pset: PermGroupOnSet) -> int:
+    """|C_Gamma(P)|: (a, g) centralizes P = <W, (c, u)> exactly when g in
+    C_G(U) fixes W pointwise and (1 - u) a = c - g c.  That is solvable
+    when c - g c lies in Im(1 - u) = [U, A] = S', and its solutions are a
+    coset of ker(1 - u) = Z."""
+    p, n = s.p, s.n
+    mats = s.syl.centralizer_C.elements_stack().astype(np.int64)
+    w = pset.space.basis.T
+    c = pset.x.a[:n, n]
+    fixes = ((mats @ w - w) % p == 0).all(axis=(1, 2))
+    solvable = ~((c - mats @ c) % p @ _annihilator(s.Sprime).T % p).any(
+        axis=1)
+    return p ** s.Z.dim * int((fixes & solvable).sum())
 
 
 @dataclass
@@ -410,10 +588,10 @@ class ThetaReport:
     checks: dict
     ok: bool
     pset: PermGroupOnSet = field(repr=False, default=None)
-    theta: dict = field(repr=False, default=None)      # key -> perm
-    inn: dict = field(repr=False, default=None)
-    aut_s: dict = field(repr=False, default=None)
-    opp_theta: dict = field(repr=False, default=None)
+    theta: PermGroup = field(repr=False, default=None)
+    inn: PermGroup = field(repr=False, default=None)
+    aut_s: PermGroup = field(repr=False, default=None)
+    opp_theta: PermGroup = field(repr=False, default=None)
 
 
 def theta_witness(s: SGroup, kind: str, i: int, hb,
@@ -434,7 +612,7 @@ def theta_witness(s: SGroup, kind: str, i: int, hb,
     gen_x = hb[i]["generator"]
     if gen_x.order() != p:
         raise SplitFailed("P does not split over P meet A")
-    pset = PermGroupOnSet(P)
+    pset = PermGroupOnSet(P, s.Z if kind == "H" else s.Z2, gen_x)
 
     # alpha in G-vee with mu(alpha) generating Delta_t
     gen_r = mu.primitive_root(p)
@@ -489,52 +667,44 @@ def theta_witness(s: SGroup, kind: str, i: int, hb,
     if any(perm is None for perm in theta0_gens):
         raise InvariantViolation(what)
 
-    # inner automorphisms, Aut_S(P) and Lambda_P: the restrictions of the
-    # automorphisms of Gamma normalizing P
-    inn = _conjugation_perms(P, pset)
-    aut_s = _conjugation_perms(s.S, pset)
-    lam = _conjugation_perms(s.a_by_normalizer, pset)
-
-    inn_gens = _perm_gens_of(pset, inn)
-    lam_gens = _perm_gens_of(pset, lam)
-    theta = pset.close(lam_gens + theta0_gens + inn_gens)
-    theta0 = pset.close(theta0_gens + inn_gens)
+    inn, aut_s, lam = local_automorphisms(s, pset)
+    theta0_gens = np.concatenate([theta0_gens, inn.gens])
+    theta = pset.extend(lam, theta0_gens)
+    theta0 = pset.close(theta0_gens)
 
     # O^{p'}(Theta): normal closure of the Sylow-p subgroup Aut_S(P)
-    opp = _opp_of_perm_group(pset, theta, aut_s, p)
+    opp = pset.normal_closure(aut_s.gens, theta.gens)
 
     sl2_order = p * (p * p - 1)
     checks = {}
-    aut_s_keys = set(aut_s)
-    checks["aut_s_in_theta"] = aut_s_keys <= set(theta)
-    theta_order = len(theta)
+    checks["aut_s_in_theta"] = bool(theta.contains(aut_s.codes).all())
+    theta_order = theta.order()
     vp = 0
     tmp = theta_order
     while tmp % p == 0:
         vp += 1
         tmp //= p
-    checks["aut_s_is_sylow"] = (len(aut_s) == p ** vp)
-    checks["theta0_over_inn_is_sl2"] = len(theta0) == len(inn) * sl2_order
-    checks["opp_is_theta0"] = set(opp) == set(theta0)
+    checks["aut_s_is_sylow"] = aut_s.order() == p ** vp
+    checks["theta0_over_inn_is_sl2"] = \
+        theta0.order() == inn.order() * sl2_order
+    checks["opp_is_theta0"] = np.array_equal(opp.codes, theta0.codes)
     # (iii): normalizer of Aut_S(P) inside O^{p'}(Theta) moves Z into Z0
-    norm_opp = _normalizer_in(pset, opp, aut_s)
+    norm_opp = opp.perms[pset.normalizing(opp.perms, aut_s)]
     z_idx = [pset.index[k] for k in s.subgroup(s.Z).keys()]
     z_els = pset.elements[z_idx].astype(np.int64)
-    ok3 = True
-    for perm in norm_opp.values():
-        img = pset.elements[perm[z_idx]].astype(np.int64)
-        diff = (img[:, :n, n] - z_els[:, :n, n]) % p
-        if not (img[:, :n, :n] == np.eye(n, dtype=np.int64)).all() or \
-                not all(s.Z0.contains_vector(d) for d in diff):
-            ok3 = False
-    checks["normalizer_fixes_Z_mod_Z0"] = ok3
+    img = pset.elements[norm_opp[:, z_idx]].astype(np.int64)
+    diff = (img[..., :n, n] - z_els[:, :n, n]) % p
+    checks["normalizer_fixes_Z_mod_Z0"] = bool(
+        (img[..., :n, :n] == np.eye(n, dtype=np.int64)).all()
+        and not (diff @ _annihilator(s.Z0).T % p).any())
     # (iv): N_Theta(Aut_S(P)) equals Lambda_P
-    norm_theta = _normalizer_in(pset, theta, aut_s)
-    checks["normalizer_equals_lambda"] = set(norm_theta) == set(lam)
+    norm_theta = theta.codes[pset.normalizing(theta.perms, aut_s)]
+    checks["normalizer_equals_lambda"] = np.array_equal(norm_theta,
+                                                        lam.codes)
 
     ok = all(checks.values())
-    return ThetaReport(kind, pset.n, len(inn), theta_order,
-                       len(theta0) // len(inn), checks, ok,
+    return ThetaReport(kind, pset.n, inn.order(), theta_order,
+                       theta0.order() // inn.order(), checks, ok,
                        pset=pset, theta=theta, inn=inn,
                        aut_s=aut_s, opp_theta=theta0)
 
@@ -568,83 +738,10 @@ def _alpha_complement_in_z(s: SGroup, alpha_mat: FpMatrix) -> Subspace:
     return fixed
 
 
-def _conjugation_perms(ambient: MatGroup, pset: PermGroupOnSet) -> dict:
-    """key -> perm of the automorphisms of P that conjugation by the
-    elements of ambient normalizing P induces.
-
-    An element normalizes P when it conjugates P's generators into P; the
-    automorphism depends only on those images, so each is formed once.
-    """
-    p = ambient.p.p
-    gens = pset.group.generators
-    stack = ambient.elements_stack()
-    inv = ambient.inverses_stack()
-    first = {}          # generator images -> first ambient index
-    for lo in range(0, len(stack), _CONJ_CHUNK):
-        t = stack[lo:lo + _CONJ_CHUNK].astype(np.int64)
-        ti = inv[lo:lo + _CONJ_CHUNK].astype(np.int64)
-        conj = np.stack([t @ q.a % p @ ti % p for q in gens], axis=1)
-        idx = [pset.index.get(k)
-               for k in _row_keys(conj.reshape(len(t) * len(gens), -1))]
-        for j in range(len(t)):
-            images = tuple(idx[j * len(gens):(j + 1) * len(gens)])
-            if None not in images:
-                first.setdefault(images, lo + j)
-    out = {}
-    elems = pset.elements.astype(np.int64)
-    for j in first.values():
-        perm = pset.perm_of_images(stack[j].astype(np.int64) @ elems % p
-                                   @ inv[j].astype(np.int64) % p)
-        out[PermGroupOnSet.key(perm)] = perm
-    return out
-
-
 def _centralizer_order(ambient: MatGroup, P: MatGroup) -> int:
     """|C_ambient(P)|: the elements of ambient commuting with P's
     generators."""
     return len(ambient._scan_commuting(P.generators))
-
-
-def _perm_gens_of(pset, group_dict):
-    """Small generating subset of a closed perm-group dict."""
-    gens = []
-    closed = {pset.key(pset.identity_perm()): pset.identity_perm()}
-    for key, perm in group_dict.items():
-        if key not in closed:
-            gens.append(perm)
-            closed = pset._close_with(gens)
-        if len(closed) == len(group_dict):
-            break
-    return gens
-
-
-def _opp_of_perm_group(pset, group_dict, sylow_dict, p):
-    """Normal closure of the Sylow-p subgroup inside a closed perm group."""
-    psyl = _perm_gens_of(pset, sylow_dict)
-    conj_gens = {}
-    for g in group_dict.values():
-        ginv = np.argsort(g)
-        for sp in psyl:
-            c = g[sp[ginv]]
-            conj_gens[PermGroupOnSet.key(c)] = c
-    return pset.close(list(conj_gens.values()))
-
-
-def _normalizer_in(pset, group_dict, subgroup_dict):
-    """{g in group : g normalizes the subgroup} (conjugates of generators)."""
-    subgroup_keys = set(subgroup_dict)
-    sub_gens = _perm_gens_of(pset, subgroup_dict)
-    out = {}
-    for key, g in group_dict.items():
-        ginv = np.argsort(g)
-        ok = True
-        for sp in sub_gens:
-            if PermGroupOnSet.key(g[sp[ginv]]) not in subgroup_keys:
-                ok = False
-                break
-        if ok:
-            out[key] = g
-    return out
 
 
 # -- step-2 witness conditions ---------------------------------------------
@@ -661,25 +758,27 @@ def step2_conditions(s: SGroup, thetas) -> dict:
     report = {"gamma_order": s.gamma_order(), "conditions": {}}
     qs = [th.pset.group for th in thetas]
     # (1) pairwise Gamma-conjugacy / containment via subgroup orbits,
-    # compared through affine element keys (orbit members may leave S)
+    # compared through affine element keys (orbit members may leave S);
+    # vacuous for a single subgroup
     cond1 = True
-    orbits = [_gamma_orbit_of_subgroup(s.gamma, q) for q in qs]
-    targets = [frozenset(q.keys()) for q in qs]
-    for a in range(len(qs)):
-        for b in range(len(qs)):
-            if a == b:
-                continue
-            for member in orbits[a]:
-                if member <= targets[b]:
-                    cond1 = False
+    if len(qs) > 1:
+        orbits = [_gamma_orbit_of_subgroup(s.gamma, q) for q in qs]
+        targets = [frozenset(q.keys()) for q in qs]
+        for a in range(len(qs)):
+            for b in range(len(qs)):
+                if a == b:
+                    continue
+                for member in orbits[a]:
+                    if member <= targets[b]:
+                        cond1 = False
     report["conditions"]["pairwise_nonconjugate"] = cond1
 
     # (2) p-centric: Z(Q) is Sylow-p in C_Gamma(Q)
     cond2 = True
     centric = []
-    for q in qs:
-        c_order = _centralizer_order(s.a_by_centralizer, q)
-        zq = _centralizer_order(q, q)
+    for th in thetas:
+        c_order = centralizer_order(s, th.pset)
+        zq = _centralizer_order(th.pset.group, th.pset.group)
         vp = 0
         tmp = c_order
         while tmp % p == 0:
@@ -691,27 +790,15 @@ def step2_conditions(s: SGroup, thetas) -> dict:
     report["conditions"]["p_centric"] = cond2
     report["centric_detail"] = centric
 
-    # (3) Out_S(Q) of order p, non-normal in Theta/Inn
+    # (3) Out_S(Q) of order p, non-normal in Theta/Inn: some generator of
+    # Theta fails to normalize Aut_S(Q) Inn(Q)
     cond3 = True
     for th in thetas:
-        outs = len(th.aut_s) // max(1, len(set(th.aut_s) & set(th.inn)))
+        outs = th.aut_s.order() // int(
+            th.inn.contains(th.aut_s.codes).sum())
         order_p = outs == p
-        # non-normality: some theta-conjugate of Aut_S(P) leaves Aut_S(P)Inn
-        aut_keys = set(th.aut_s)
-        coset_keys = set()
-        for ak, aperm in th.aut_s.items():
-            for ik, iperm in th.inn.items():
-                coset_keys.add(PermGroupOnSet.key(aperm[iperm]))
-        nonnormal = False
-        for key, gperm in th.theta.items():
-            ginv = np.argsort(gperm)
-            for sk, sperm in th.aut_s.items():
-                c = gperm[sperm[ginv]]
-                if PermGroupOnSet.key(c) not in coset_keys:
-                    nonnormal = True
-                    break
-            if nonnormal:
-                break
+        aut_s_inn = th.pset.extend(th.aut_s, th.inn.gens)
+        nonnormal = not th.pset.normalizing(th.theta.gens, aut_s_inn).all()
         cond3 &= order_p and nonnormal
     report["conditions"]["strongly_p_embedded_normalizer"] = cond3
     report["theta_checks"] = [{"kind": th.kind, "ok": th.ok,

@@ -191,6 +191,31 @@ def test_sgroup_never_enumerates_gamma_and_builds_each_theta_once(
     assert calls == {"theta_witness": 2}
 
 
+@pytest.mark.parametrize("tag, index, which, s_order", [
+    ("sn_deleted", 0, None, 5 ** 4), ("str_closed", 1, "c", 5 ** 5)])
+def test_sgroup_never_enumerates_more_than_s(tmp_path, monkeypatch, tag,
+                                             index, which, s_order):
+    """Lambda_P, Aut_S(P) and C_Gamma(P) come from solves in N_G(U): on
+    the flagship and on str_closed c no enumerated group is larger than
+    S."""
+    inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+    assert cli.main(["zoo", "emit", tag, "--index", str(index),
+                     "--out", str(inst)]) == 0
+    family = json.loads(inst.read_text())["family"]
+    assert family["params"].get("which") == which
+    enumerated = []
+    cache = grp.MatGroup.cache
+
+    def counted_cache(group):
+        cache(group)
+        enumerated.append(len(group._keys))
+        return group
+    monkeypatch.setattr(grp.MatGroup, "cache", counted_cache)
+    assert cli.main(["sgroup", str(inst), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["step2"]["ok"]
+    assert max(enumerated) == s_order
+
+
 def test_sgroup_invariant_violation_exit_4(tmp_path, monkeypatch, capsys):
     """A failed result check inside sgroup ends with exit 4, not a bare
     assert (which python -O strips)."""
@@ -259,22 +284,37 @@ def test_check_never_enumerates_o_pprime(tmp_path, monkeypatch):
     assert enumerated and max(enumerated) < 181440
 
 
-def test_check_report_unchanged_under_python_O(tmp_path):
-    """Every result check is a raise, so python -O, which strips asserts,
-    gives the flagship the same report."""
+def _plain_and_O_reports(tmp_path, command):
+    """The flagship's report from `command`, run plainly and under
+    python -O, each without elapsed_s."""
     inst = tmp_path / "inst.json"
     run_cli(["zoo", "emit", "sn_deleted", "--index", "0", "--out", str(inst)])
     reports = []
     for flags in ([], ["-O"]):
         proc = subprocess.run(
-            [sys.executable, *flags, "-m", "fusionseed.cli", "check",
+            [sys.executable, *flags, "-m", "fusionseed.cli", command,
              str(inst)], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         rep = json.loads(proc.stdout)
         rep.pop("elapsed_s")
         reports.append(rep)
+    return reports
+
+
+def test_check_report_unchanged_under_python_O(tmp_path):
+    """Every result check is a raise, so python -O, which strips asserts,
+    gives the flagship the same report."""
+    reports = _plain_and_O_reports(tmp_path, "check")
     assert reports[0] == reports[1]
     assert reports[0]["passes"] is True
+
+
+def test_sgroup_report_unchanged_under_python_O(tmp_path):
+    """The witness layer checks by raising too: sgroup on the flagship
+    reports the same under python -O."""
+    reports = _plain_and_O_reports(tmp_path, "sgroup")
+    assert reports[0] == reports[1]
+    assert reports[0]["step2"]["ok"] is True
 
 
 def test_missing_order_p_element_exit_4(tmp_path, monkeypatch, capsys):

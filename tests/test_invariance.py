@@ -1,5 +1,6 @@
-"""Metamorphic properties of `check`: its report, apart from elapsed_s,
-does not depend on the basis of V or on the choice of generating set."""
+"""Metamorphic properties of `check` and `sgroup`: their reports, apart
+from elapsed_s, do not depend on the basis of V (nor, for `check`, on the
+choice of generating set)."""
 
 import functools
 import json
@@ -7,6 +8,7 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from fusionseed import cli, zoo
@@ -19,6 +21,7 @@ ENTRIES = [("sn_deleted", {"p": 5, "n": 5, "group": "S", "scalar_order": 4}),
            ("gl2_3", {"p": 3})]
 
 PROPERTY = settings(max_examples=6, deadline=None, derandomize=True)
+SGROUP_ENTRIES = [0, 2]     # sn_deleted (the flagship) and str_closed c
 
 
 @functools.lru_cache(maxsize=None)
@@ -29,13 +32,14 @@ def _payload(entry: int) -> str:
     return json.dumps(zoo.emit_instance(spec))
 
 
-def _check(payload: dict) -> str:
-    """The check report of an instance payload, without elapsed_s."""
+def _run(command: str, payload: dict) -> str:
+    """The report of a CLI command on an instance payload, without
+    elapsed_s."""
     with tempfile.TemporaryDirectory() as tmp:
         inst, out = os.path.join(tmp, "inst.json"), os.path.join(tmp, "out")
         with open(inst, "w") as fh:
             json.dump(payload, fh)
-        assert cli.main(["check", inst, "--out", out]) == 0
+        assert cli.main([command, inst, "--out", out]) == 0
         with open(out) as fh:
             report = json.load(fh)
     report.pop("elapsed_s")
@@ -43,8 +47,8 @@ def _check(payload: dict) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def _reference(entry: int) -> str:
-    return _check(json.loads(_payload(entry)))
+def _reference(entry: int, command: str = "check") -> str:
+    return _run(command, json.loads(_payload(entry)))
 
 
 def _matrices(payload):
@@ -53,9 +57,9 @@ def _matrices(payload):
             for g in payload["generators"]]
 
 
-@PROPERTY
-@given(entry=st.integers(0, len(ENTRIES) - 1), seed=st.integers(0, 2 ** 32))
-def test_report_invariant_under_change_of_basis(entry, seed):
+def _in_random_basis(entry: int, seed: int) -> dict:
+    """The entry's payload with every generator g written as T g T^-1, for
+    a random invertible T drawn from the seed."""
     payload = json.loads(_payload(entry))
     p, n = payload["p"], payload["dim"]
     rng = np.random.default_rng(seed)
@@ -66,7 +70,22 @@ def test_report_invariant_under_change_of_basis(entry, seed):
     t_inv = t.inverse().a
     payload["generators"] = [(t.a @ g % p @ t_inv % p).reshape(-1).tolist()
                              for g in _matrices(payload)]
-    assert _check(payload) == _reference(entry)
+    return payload
+
+
+@PROPERTY
+@given(entry=st.integers(0, len(ENTRIES) - 1), seed=st.integers(0, 2 ** 32))
+def test_report_invariant_under_change_of_basis(entry, seed):
+    assert _run("check", _in_random_basis(entry, seed)) == _reference(entry)
+
+
+@pytest.mark.parametrize("entry", SGROUP_ENTRIES)
+@settings(max_examples=2, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32))
+def test_sgroup_report_invariant_under_change_of_basis(entry, seed):
+    """S, Theta and the step-2 witnesses report the same in any basis."""
+    assert _run("sgroup", _in_random_basis(entry, seed)) == \
+        _reference(entry, "sgroup")
 
 
 @PROPERTY
@@ -81,4 +100,4 @@ def test_report_invariant_under_change_of_generators(entry, seed):
     a, b = rng.integers(0, len(gens), size=2)
     gens.insert(int(rng.integers(0, len(gens) + 1)), gens[a] @ gens[b] % p)
     payload["generators"] = [g.reshape(-1).tolist() for g in gens]
-    assert _check(payload) == _reference(entry)
+    assert _run("check", payload) == _reference(entry)

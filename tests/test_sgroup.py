@@ -188,15 +188,28 @@ def flagship_gamma(flagship):
     return sg.semidirect_affine(v, g).cache()
 
 
-@pytest.mark.parametrize("kind", ["H", "B"])
-@pytest.mark.parametrize("i", [0, 1])
-def test_restricted_ambients_match_full_gamma(flagship, flagship_hb,
-                                              flagship_gamma, kind, i):
-    """Lambda_P and |C_Gamma(P)| read only A x| N_G(U) and A x| C_G(U);
-    a brute-force scan of every element of Gamma gives the same."""
-    _, _, _, s, _ = flagship
-    P = flagship_hb[2][i][kind]
-    p, d = 5, P.dim
+@pytest.fixture(scope="module")
+def str_closed_c():
+    """S, H_i/B_i and the whole Gamma of str_closed c, enumerated
+    (|Gamma| = 5^4 * 240 = 150,000)."""
+    g, v = zoo.strongly_closed_example(5, "c")
+    syl = class_GG(g).sylow
+    s, _ = sg.build_s(v, syl)
+    x, a = sg.choose_x_a(s, g, syl)
+    return s, sg.hb_subgroups(s, x, a), sg.semidirect_affine(v, g).cache()
+
+
+@pytest.fixture(scope="module")
+def flagship_case(flagship, flagship_hb, flagship_gamma):
+    return flagship[3], flagship_hb[2], flagship_gamma
+
+
+def _scan(pset, ambient):
+    """Brute force over every element of ambient: the codes of the
+    automorphisms of P that the elements normalizing P induce, and the
+    number of elements centralizing P."""
+    P = pset.group
+    p, d = P.p.p, P.dim
     weights = p ** np.arange(d * d, dtype=np.int64)
 
     def codes(m):
@@ -205,20 +218,40 @@ def test_restricted_ambients_match_full_gamma(flagship, flagship_hb,
     elems = P.elements_stack().astype(np.int64)
     pc = codes(elems)
     order = np.argsort(pc)
-    stack = flagship_gamma.elements_stack().astype(np.int64)
-    inv = flagship_gamma.inverses_stack().astype(np.int64)
-    lam, central = set(), 0
+    stack = ambient.elements_stack().astype(np.int64)
+    inv = ambient.inverses_stack().astype(np.int64)
+    auts, central = set(), 0
     for lo in range(0, len(stack), 512):
         t, ti = stack[lo:lo + 512, None], inv[lo:lo + 512, None]
         c = codes(t @ elems % p @ ti % p)             # (chunk, |P|)
         normal = np.isin(c, pc).all(axis=1)
         perms = order[np.searchsorted(pc[order], c[normal])]
-        lam.update(sg.PermGroupOnSet.key(perm) for perm in perms)
+        auts.update(pset.codes(perms).tolist())
         central += int((c == pc).all(axis=1).sum())
-    pset = sg.PermGroupOnSet(P)
-    assert set(sg._conjugation_perms(s.a_by_normalizer, pset)) == lam
-    assert sg._centralizer_order(s.a_by_centralizer, P) == central
-    assert s.a_by_normalizer.order() < flagship_gamma.order()
+    return auts, central
+
+
+AMBIENT_CASES = [pytest.param(case, i, kind, id=f"{prefix}{i}-{kind}")
+                 for case, prefix in (("flagship_case", ""),
+                                      ("str_closed_c", "str_closed_c-"))
+                 for kind in ("H", "B") for i in (0, 1)]
+
+
+@pytest.mark.parametrize("case, i, kind", AMBIENT_CASES)
+def test_restricted_ambients_match_full_gamma(request, case, i, kind):
+    """Lambda_P and |C_Gamma(P)| from one F_p solve per element of N_G(U)
+    and C_G(U) equal a brute-force scan of every element of Gamma; Aut_S(P)
+    and Inn(P) equal the scans of S and of P."""
+    s, hb, gamma = request.getfixturevalue(case)
+    pset = sg.PermGroupOnSet(hb[i][kind], s.Z if kind == "H" else s.Z2,
+                             hb[i]["generator"])
+    inn, aut_s, lam = sg.local_automorphisms(s, pset)
+    lam_scan, central = _scan(pset, gamma)
+    assert set(lam.codes.tolist()) == lam_scan
+    assert sg.centralizer_order(s, pset) == central
+    assert set(aut_s.codes.tolist()) == _scan(pset, s.S)[0]
+    assert set(inn.codes.tolist()) == _scan(pset, pset.group)[0]
+    assert aut_s.order() < lam.order()
 
 
 def test_step2_non_centric_subgroup(flagship_gamma):
@@ -309,3 +342,76 @@ def test_gamma_over_cap_raises_before_enumerating(monkeypatch):
     monkeypatch.setattr(sg, "semidirect_affine", build)
     with pytest.raises(CapExceeded, match="84707280 exceeds cap"):
         s.gamma
+
+
+def _bfs(gens):
+    """Plain closure of a list of permutations: bytes -> permutation."""
+    ident = np.arange(len(gens[0]), dtype=gens[0].dtype)
+    seen = {ident.tobytes(): ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for f in frontier:
+            for g in gens:
+                h = f[g]
+                if h.tobytes() not in seen:
+                    seen[h.tobytes()] = h
+                    nxt.append(h)
+        frontier = nxt
+    return seen
+
+
+def _greedy_bfs(perms):
+    """Plain closure, re-closed from scratch at each new generator."""
+    gens = [perms[0]]
+    seen = _bfs(gens)
+    for h in perms[1:]:
+        if h.tobytes() not in seen:
+            gens.append(h)
+            seen = _bfs(gens)
+    return seen
+
+
+def _keys(perms):
+    return {perm.tobytes() for perm in perms}
+
+
+@pytest.mark.parametrize("kind, i", [("B", 0), ("H", 0), ("H", 1)])
+def test_perm_layer_matches_dict_bfs(flagship, flagship_hb, kind, i):
+    """Theta's closure by generator-image codes, O^{p'}(Theta) as a normal
+    closure on generators and N_Theta(Aut_S(P)) by conjugation at the
+    generators only equal a plain dict BFS over whole permutations."""
+    _, _, _, s, _ = flagship
+    _, _, hb, gv = flagship_hb
+    th = sg.theta_witness(s, kind, i, hb, gv)
+    theta, aut_s, pset = th.theta, th.aut_s, th.pset
+    ref_theta = _bfs(list(theta.gens))
+    assert _keys(theta.perms) == set(ref_theta)
+    conj = [t[h[np.argsort(t)]] for t in ref_theta.values()
+            for h in aut_s.gens]
+    opp = pset.normal_closure(aut_s.gens, theta.gens)
+    assert _keys(opp.perms) == set(_greedy_bfs(conj))
+    assert _keys(th.opp_theta.perms) == _keys(opp.perms)
+    ref_aut_s = _bfs(list(aut_s.gens))
+    assert _keys(aut_s.perms) == set(ref_aut_s)
+    ref_norm = {k for k, t in ref_theta.items()
+                if all(t[h[np.argsort(t)]].tobytes() in ref_aut_s
+                       for h in aut_s.gens)}
+    assert _keys(theta.perms[pset.normalizing(theta.perms, aut_s)]) == \
+        ref_norm
+    assert len(ref_norm) < len(ref_theta)
+    # every generator of the subgroup counts, in any order
+    for gens in (aut_s.gens, aut_s.gens[::-1]):
+        sub = sg.PermGroup(aut_s.perms, aut_s.codes, gens)
+        assert pset.normalizing(theta.perms, sub).sum() == len(ref_norm)
+
+
+def test_perm_codes_refused_beyond_int64(flagship):
+    """An automorphism's code packs k generator images in base |P|: with
+    |P| = 5, 27 generators fit int64 (5^27 < 2^63) and 28 raise
+    CapExceeded."""
+    _, _, _, s, _ = flagship
+    z = s.translation(s.Z.basis[0])
+    assert sg.PermGroupOnSet(MatGroup(5, [z] * 27), s.Z, z).n == 5
+    with pytest.raises(CapExceeded, match="do not fit int64"):
+        sg.PermGroupOnSet(MatGroup(5, [z] * 28), s.Z, z)
