@@ -64,10 +64,13 @@ def _load_instance(path: str):
                 raise ValueError(f"g0_generators {idx} must index the "
                                  f"{len(gens)} generators")
             g0 = MatGroup(p, [gens[i] for i in idx])
+        family = data.get("family")
+        if family is not None and not isinstance(family, dict):
+            raise ValueError(f"family must be an object, got {family!r}")
     except (OSError, ValueError, TypeError, KeyError, AttributeError,
             SubgroupViolation) as exc:
         raise InvalidInstance(exc) from exc
-    return FpModule(p, dim, group), g0, data.get("family")
+    return FpModule(p, dim, group), g0, family
 
 
 def _report_payload(rep, family, elapsed):
@@ -158,14 +161,10 @@ def cmd_sgroup(args) -> int:
             "quotient_dims": filt.quotient_dims,
             "scalar_reports": filt.scalar_reports,
         }
-        if rep.passes and v.dim + 1 <= sgroup.DESK_S_LIMIT:
+        if rep.passes:
             image = mu.DeltaSubgroup(v.p, rep.mu_report["image"])
             kinds = [kind for kind, t in (("B", 0), ("H", -1))
                      if mu.contains_delta_t(image, t)]
-            if kinds:
-                # step 2 reports |Gamma|: refuse one over the cap before
-                # the work of hb_subgroups
-                s.gamma_order()
             x, a = sgroup.choose_x_a(s, v.group, syl)
             hb = sgroup.hb_subgroups(s, x, a)
             thetas = [sgroup.theta_witness(s, kind, 0, hb, rep.gvee)

@@ -189,24 +189,6 @@ class MatGroup:
     def centralizer_of(self, mats) -> "MatGroup":
         return self.subset_group(self._scan_commuting(mats))
 
-    def conjugates_of(self, u: FpMatrix) -> list:
-        """All distinct conjugates g u g^-1, as FpMatrix."""
-        p = self.p.p
-        self.cache()
-        seen = {}
-        N = self._stack.shape[0]
-        u64 = u.a
-        for lo in range(0, N, _CHUNK):
-            S = self._stack[lo:lo + _CHUNK].astype(np.int64)
-            SI = self._inv_stack[lo:lo + _CHUNK].astype(np.int64)
-            conj = ((S @ u64 % p) @ SI % p).astype(np.int8)
-            for j in range(conj.shape[0]):
-                k = conj[j].tobytes()
-                if k not in seen:
-                    seen[k] = conj[j].copy()
-            del S, SI, conj
-        return [FpMatrix(self.p, a) for a in seen.values()]
-
 
 # -- Sylow data ----------------------------------------------------------
 

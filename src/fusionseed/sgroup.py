@@ -9,6 +9,12 @@ MatGroups.  The automorphisms of such a P that Gamma, S and P induce, and
 so neither Gamma nor A x| N_G(U) is enumerated.  The local automorphism
 groups Theta are permutation groups on P's elements, keyed by exact codes
 of their generator images, and verified against their contracts.
+
+S itself is never enumerated, at any scale: the S-classes of the H_i come
+from a subspace test (the S-conjugates of (c, u) are the (c + w, u) with w
+in S'), A's uniqueness as abelian subgroup of index p from dim Z(S), and
+|Gamma| = p^n |G| is a number.  The only groups enumerated are the H_i,
+the B_i and subgroups of N_G(U).
 """
 
 from __future__ import annotations
@@ -23,8 +29,6 @@ from .errors import CapExceeded, InvariantViolation, MuTooSmall, SplitFailed
 from .gfp import FpMatrix, Subspace
 from .grp import MatGroup, SylowData, _row_keys, _stacks
 from .modrep import FpModule
-
-DESK_S_LIMIT = 6    # refuse full S-element enumeration above p**DESK_S_LIMIT
 
 
 # -- S and its subgroups as affine matrices ---------------------------------
@@ -54,31 +58,20 @@ class SGroup:
         self.Z2 = self._z2()
 
     def gamma_order(self) -> int:
-        """|Gamma| = p^n |G|, without building Gamma.
-
-        Raises CapExceeded when it is above G's element cap.
-        """
-        g = self.v.group
-        order = self.p ** self.n * g.order()
-        if order > g.cap:
-            raise CapExceeded(f"|Gamma| = {order} exceeds cap {g.cap}")
-        return order
+        """|Gamma| = p^n |G|, without building Gamma."""
+        return self.p ** self.n * self.v.group.order()
 
     @functools.cached_property
     def gamma(self) -> MatGroup:
-        """Gamma = A x| G by its generators, never enumerated.
+        """Gamma = A x| G by its generators, for the subgroup orbits of
+        step-2 condition (1).
 
         Raises CapExceeded when p^n |G| is above G's element cap.
         """
-        self.gamma_order()
+        order, cap = self.gamma_order(), self.v.group.cap
+        if order > cap:
+            raise CapExceeded(f"|Gamma| = {order} exceeds cap {cap}")
         return semidirect_affine(self.v, self.v.group)
-
-    @functools.cached_property
-    def S(self) -> MatGroup:
-        """S = A x| U, enumerated; refused above p**DESK_S_LIMIT elements."""
-        if self.n + 1 > DESK_S_LIMIT:
-            raise CapExceeded(f"|S| = p^{self.n + 1} above the desk limit")
-        return semidirect_affine(self.v, MatGroup(self.v.p, [self.u])).cache()
 
     def translation(self, w) -> FpMatrix:
         """The translation (w, u^0) of A."""
@@ -137,7 +130,11 @@ class BuildReport:
 
 
 def build_s(v: FpModule, syl: SylowData) -> tuple[SGroup, BuildReport]:
-    """Construct S and verify the structural size laws."""
+    """Construct S and verify the structural size laws.
+
+    A_unique: two distinct abelian subgroups of index p meet in Z(S) with
+    index p^2, so A is the unique one exactly when |S : Z(S)| > p^2.
+    """
     s = SGroup(v, syl)
     p, n = s.p, s.n
     dims = {
@@ -153,6 +150,7 @@ def build_s(v: FpModule, syl: SylowData) -> tuple[SGroup, BuildReport]:
         "Z2_over_Z_is_p": s.Z2.dim == s.Z.dim + 1,
         "Z2_inside_A0": gfp.contains(s.A0, s.Z2),
         "Z2_meet_Sprime_rank2": z2_meet_sp.dim == 2,
+        "A_unique": s.Z.dim <= n - 2,
     }
     ok = all(checks.values())
     return s, BuildReport(dims, checks, ok)
@@ -277,11 +275,20 @@ def _a_mod_a0_coord(s: SGroup, vec) -> int:
 
 
 def hb_subgroups(s: SGroup, x, a):
-    """H_i = Z<x a^i> and B_i = Z_2<x a^i> for 0 <= i <= p-1."""
-    p = s.p
+    """H_i = Z<x a^i> and B_i = Z_2<x a^i> for 0 <= i <= p-1.
+
+    The S-conjugates of x' = (c, u) are the (c + w, u) with w in S' =
+    Im(1 - u).  So those of H_0's generator x stay in class 0 exactly when
+    S' lies in A0, and one lies in H_1, whose elements over u are the
+    (t_1 + z, u) with z in Z, exactly when t_1 - t_0 lies in S' + Z.
+    """
+    p, n = s.p, s.n
     out = {}
     for i in range(p):
         gen = x @ a.pow(i)
+        label = class_label(s, gen, a)
+        if label != i:
+            raise InvariantViolation(f"x a^{i} has class label {label}")
         H = s.subgroup(s.Z, gen)
         B = s.subgroup(s.Z2, gen)
         if H.order() != p ** (s.Z.dim + 1) or \
@@ -289,14 +296,11 @@ def hb_subgroups(s: SGroup, x, a):
             raise InvariantViolation(f"|H_{i}| or |B_{i}| is not |Z| p or "
                                      "|Z_2| p")
         out[i] = {"H": H, "B": B, "generator": gen}
-    if s.n + 1 <= DESK_S_LIMIT:
-        # S-conjugacy: conjugates of H_0 stay in class 0 and never hit H_1
-        # (a conjugate equal to H_1 would hold a conjugate of x a^0)
-        for c in s.S.conjugates_of(out[0]["generator"]):
-            if class_label(s, c, a) != 0:
-                raise InvariantViolation("an S-conjugate of H_0 left class 0")
-            if out[1]["H"].contains(c):
-                raise InvariantViolation("an S-conjugate of x lies in H_1")
+    if not gfp.contains(s.A0, s.Sprime):
+        raise InvariantViolation("an S-conjugate of H_0 left class 0")
+    t0, t1 = (out[i]["generator"].a[:n, n] for i in (0, 1))
+    if gfp.add(s.Sprime, s.Z).contains_vector((t1 - t0) % p):
+        raise InvariantViolation("an S-conjugate of x lies in H_1")
     return out
 
 
@@ -822,31 +826,3 @@ def _gamma_orbit_of_subgroup(gamma: MatGroup, q: MatGroup):
                 seen.add(key)
                 queue.append(conj)
     return seen
-
-
-def unique_abelian_index_p(s: SGroup) -> bool:
-    """Exhaustively check that A is the unique abelian index-p subgroup."""
-    p, n = s.p, s.n
-    if n + 1 > DESK_S_LIMIT:
-        raise CapExceeded("exhaustive index-p scan is desk-scale only")
-    # index-p subgroups = kernels of epimorphisms S -> C_p, i.e. preimages
-    # of the hyperplanes of S / [S,S] (exponent p, so Frattini = [S,S]); S/S'
-    # has the coordinates (c at the free columns of S', k) of (c, u^k)
-    sp = s.Sprime
-    free = [col for col in range(n) if col not in sp._pivots]
-    count_abelian = 0
-    from itertools import product
-    for coeffs in product(range(p), repeat=len(free) + 1):
-        if next((c for c in coeffs if c), 0) != 1:
-            continue        # one functional per kernel: first nonzero is 1
-        hyper = gfp.kernel_basis(FpMatrix(p, [coeffs])).basis
-        lifts = []
-        for row in hyper:
-            c = np.zeros(n, dtype=np.int64)
-            c[free] = row[:-1]
-            lifts.append(_affine(s.v.p, s.upow[row[-1]], c))
-        k = s.subgroup(sp, *lifts)
-        if k.order() != p ** n:
-            raise InvariantViolation("a kernel of S -> C_p has index != p")
-        count_abelian += k.is_abelian()
-    return count_abelian == 1

@@ -496,7 +496,7 @@ def heavy_extraspecial_check(v: FpModule) -> dict:
         "group_order": orbit * n_order,
         "orbit": orbit,
         "normalizer_order": n_order,
-        "n_over_u": n_order // 7,
+        "n_over_u": n_order // p,
         "automizer": syl.automizer_order,
         "mu_image": image.sorted_pairs(),
         "mu_name": mu.recognize(image)["name"],

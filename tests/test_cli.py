@@ -64,6 +64,14 @@ def test_malformed_instance_exit_2(tmp_path):
     notjson.write_text("this is not json")
     code, _, _ = run_cli(["check", str(notjson)])
     assert code == 2
+    # a family field that is not an object
+    family = tmp_path / "family.json"
+    family.write_text('{"p": 5, "dim": 2, "generators": [[1, 1, 0, 1]], '
+                      '"family": "x"}')
+    for command in ("check", "sgroup"):
+        code, out, err = run_cli([command, str(family)])
+        assert out == ""
+        _assert_invalid(code, err, "family must be an object, got 'x'")
 
 
 def test_heavy_gate_exit_3():
@@ -195,9 +203,9 @@ def test_sgroup_never_enumerates_gamma_and_builds_each_theta_once(
     ("sn_deleted", 0, None, 5 ** 4), ("str_closed", 1, "c", 5 ** 5)])
 def test_sgroup_never_enumerates_more_than_s(tmp_path, monkeypatch, tag,
                                              index, which, s_order):
-    """Lambda_P, Aut_S(P) and C_Gamma(P) come from solves in N_G(U): on
-    the flagship and on str_closed c no enumerated group is larger than
-    S."""
+    """Lambda_P, Aut_S(P) and C_Gamma(P) come from solves in N_G(U), and
+    the S-classes from a subspace test: on the flagship and on str_closed c
+    every enumerated group is smaller than S."""
     inst, out = tmp_path / "inst.json", tmp_path / "out.json"
     assert cli.main(["zoo", "emit", tag, "--index", str(index),
                      "--out", str(inst)]) == 0
@@ -213,7 +221,7 @@ def test_sgroup_never_enumerates_more_than_s(tmp_path, monkeypatch, tag,
     monkeypatch.setattr(grp.MatGroup, "cache", counted_cache)
     assert cli.main(["sgroup", str(inst), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["step2"]["ok"]
-    assert max(enumerated) == s_order
+    assert max(enumerated) < s_order
 
 
 def test_sgroup_invariant_violation_exit_4(tmp_path, monkeypatch, capsys):
@@ -222,26 +230,70 @@ def test_sgroup_invariant_violation_exit_4(tmp_path, monkeypatch, capsys):
     inst = tmp_path / "inst.json"
     assert cli.main(["zoo", "emit", "sn_deleted", "--index", "0",
                      "--out", str(inst)]) == 0
-    # every S-conjugate of H_0 now reads as class 1
+    # every element of S outside A now reads as class 1
     monkeypatch.setattr(sgroup, "_a_mod_a0_coord", lambda s, vec: 1)
     assert cli.main(["sgroup", str(inst)]) == 4
-    assert "invariant violated: an S-conjugate of H_0 left class 0" in \
+    assert "invariant violated: x a^0 has class label 1" in \
         capsys.readouterr().err
 
 
-def test_sgroup_refuses_gamma_over_cap_before_hb_subgroups(
-        tmp_path, monkeypatch, capsys):
-    """sn_deleted at p = 7: |Gamma| = 7^5 * 5040 is above the 2e7 cap, so
-    sgroup ends before the S-conjugacy scan of hb_subgroups."""
-    inst = tmp_path / "inst.json"
+# (tag, zoo emit index, p, dim, |G|) of the passing corpus entries whose
+# witnesses need neither S nor Gamma enumerated
+WITNESS_ENTRIES = [("an_deleted", 0, 7, 8, 362880),
+                   ("monomial", 2, 5, 6, 3840),
+                   ("extraspecial_p5", 0, 5, 4, 46080),
+                   ("sn_deleted", 1, 7, 5, 5040)]
+
+
+@pytest.mark.parametrize("tag, index, p, dim, g_order", WITNESS_ENTRIES,
+                         ids=[f"{e[0]}-{e[1]}" for e in WITNESS_ENTRIES])
+def test_sgroup_certifies_witnesses_at_every_scale(tmp_path, tag, index, p,
+                                                   dim, g_order):
+    """|S| up to 7^9 and |Gamma| up to 7^8 * 9!, above the 2e7 cap: sgroup
+    builds Theta and step 2 with every check true and reports |Gamma| =
+    p^n |G| as a number."""
+    inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+    assert cli.main(["zoo", "emit", tag, "--index", str(index),
+                     "--out", str(inst)]) == 0
+    assert cli.main(["sgroup", str(inst), "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["criterion_passes"] is True
+    assert rep["build"]["ok"] and all(rep["build"]["checks"].values())
+    assert rep["build"]["dims"]["S"] == dim + 1
+    assert rep["theta"]
+    for th in rep["theta"]:
+        assert th["ok"] and th["checks"] and all(th["checks"].values())
+    step2 = rep["step2"]
+    assert step2["ok"] and all(step2["conditions"].values())
+    assert step2["gamma_order"] == p ** dim * g_order
+
+
+def test_sgroup_full_report_above_the_gamma_cap(tmp_path, monkeypatch):
+    """sn_deleted at p = 7: |Gamma| = 7^5 * 5040 = 84,707,280 is above the
+    2e7 cap, and sgroup reports it with the H-witness of its d2 menu;
+    Gamma itself is never built."""
+    inst, out = tmp_path / "inst.json", tmp_path / "out.json"
     assert cli.main(["zoo", "emit", "sn_deleted", "--index", "1",
                      "--out", str(inst)]) == 0
 
     def unexpected(*args):
-        raise AssertionError("hb_subgroups must not run")
-    monkeypatch.setattr(sgroup, "hb_subgroups", unexpected)
-    assert cli.main(["sgroup", str(inst)]) == 3
-    assert "|Gamma| = 84707280 exceeds cap" in capsys.readouterr().err
+        raise AssertionError("Gamma must not be built")
+    monkeypatch.setattr(sgroup, "semidirect_affine", unexpected)
+    assert cli.main(["sgroup", str(inst), "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    rep.pop("elapsed_s")
+    assert rep["family"]["tag"] == "sn_deleted"
+    assert rep["build"]["dims"] == {"S": 6, "Z": 1, "Sprime": 4, "Z0": 1,
+                                    "Z2": 2, "A0": 4}
+    assert rep["build"]["ok"] and rep["build"]["checks"]["A_unique"]
+    assert [th["kind"] for th in rep["theta"]] == ["H"]
+    assert all(th["ok"] for th in rep["theta"])
+    assert rep["step2"] == {"gamma_order": 84707280,
+                            "conditions": {"pairwise_nonconjugate": True,
+                                           "p_centric": True,
+                                           "strongly_p_embedded_normalizer":
+                                               True},
+                            "ok": True}
 
 
 def test_check_never_enumerates_g(tmp_path, monkeypatch):
@@ -284,11 +336,12 @@ def test_check_never_enumerates_o_pprime(tmp_path, monkeypatch):
     assert enumerated and max(enumerated) < 181440
 
 
-def _plain_and_O_reports(tmp_path, command):
-    """The flagship's report from `command`, run plainly and under
-    python -O, each without elapsed_s."""
+def _plain_and_O_reports(tmp_path, command, index=0):
+    """The report of sn_deleted entry `index` (0 is the flagship) from
+    `command`, run plainly and under python -O, each without elapsed_s."""
     inst = tmp_path / "inst.json"
-    run_cli(["zoo", "emit", "sn_deleted", "--index", "0", "--out", str(inst)])
+    run_cli(["zoo", "emit", "sn_deleted", "--index", str(index),
+             "--out", str(inst)])
     reports = []
     for flags in ([], ["-O"]):
         proc = subprocess.run(
@@ -310,11 +363,12 @@ def test_check_report_unchanged_under_python_O(tmp_path):
 
 
 def test_sgroup_report_unchanged_under_python_O(tmp_path):
-    """The witness layer checks by raising too: sgroup on the flagship
-    reports the same under python -O."""
-    reports = _plain_and_O_reports(tmp_path, "sgroup")
-    assert reports[0] == reports[1]
-    assert reports[0]["step2"]["ok"] is True
+    """The witness layer checks by raising too: sgroup on the flagship and
+    on sn_deleted p = 7 reports the same under python -O."""
+    for index in (0, 1):
+        reports = _plain_and_O_reports(tmp_path, "sgroup", index)
+        assert reports[0] == reports[1]
+        assert reports[0]["step2"]["ok"] is True
 
 
 def test_missing_order_p_element_exit_4(tmp_path, monkeypatch, capsys):

@@ -18,10 +18,12 @@ from fusionseed.gfp import FpMatrix
 ENTRIES = [("sn_deleted", {"p": 5, "n": 5, "group": "S", "scalar_order": 4}),
            ("sl2p_simple", {"p": 5, "kind": ("Vi", 4)}),
            ("str_closed", {"p": 5, "which": "c"}),
-           ("gl2_3", {"p": 3})]
+           ("gl2_3", {"p": 3}),
+           ("extraspecial_p5", {"p": 5})]
 
 PROPERTY = settings(max_examples=6, deadline=None, derandomize=True)
-SGROUP_ENTRIES = [0, 2]     # sn_deleted (the flagship) and str_closed c
+# sn_deleted (the flagship), str_closed c and extraspecial_p5
+SGROUP_ENTRIES = [0, 2, 4]
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,12 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import cycle, perm_mat
-from fusionseed import modrep as mr, mu, sgroup as sg, zoo
+from fusionseed import gfp, modrep as mr, mu, sgroup as sg, zoo
 from fusionseed.errors import CapExceeded, MuTooSmall
 from fusionseed.gfp import FpMatrix
 from fusionseed.grp import MatGroup, class_GG
 from fusionseed.modrep import FpModule
+
+
+def _s_group(s):
+    """S = A x| U, enumerated: the test oracle that the engine never
+    builds."""
+    return sg.semidirect_affine(s.v, MatGroup(s.v.p, [s.u])).cache()
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +38,7 @@ def flagship_hb(flagship):
 
 def test_element_arithmetic(flagship):
     _, _, _, s, _ = flagship
-    x = s.S.generators[0]                  # (0, u)
+    x = _s_group(s).generators[0]          # (0, u)
     assert (x.a[:3, :3] == s.u.a).all() and not x.a[:3, 3].any()
     assert x.order() == 5
     a = s.translation([1, 2, 0])
@@ -53,7 +61,7 @@ def test_build_s_structural_laws(flagship):
 def test_choose_x_a(flagship):
     g, v, syl, s, _ = flagship
     x, a = sg.choose_x_a(s, g, syl)
-    assert x == s.S.generators[0]
+    assert x == _s_group(s).generators[0]
     assert x.order() == 5
     assert (a.a[:3, :3] == np.eye(3)).all()      # a lies in A
     assert not s.A0.contains_vector(a.a[:3, 3])
@@ -249,9 +257,33 @@ def test_restricted_ambients_match_full_gamma(request, case, i, kind):
     lam_scan, central = _scan(pset, gamma)
     assert set(lam.codes.tolist()) == lam_scan
     assert sg.centralizer_order(s, pset) == central
-    assert set(aut_s.codes.tolist()) == _scan(pset, s.S)[0]
+    assert set(aut_s.codes.tolist()) == _scan(pset, _s_group(s))[0]
     assert set(inn.codes.tolist()) == _scan(pset, pset.group)[0]
     assert aut_s.order() < lam.order()
+
+
+@pytest.mark.parametrize("case", ["flagship_case", "str_closed_c"])
+def test_s_conjugates_of_x_are_its_sprime_coset(request, case):
+    """hb_subgroups' subspace test rests on this: conjugating x = (c, u)
+    by every element of S gives exactly the (c + w, u) with w in S'.  On
+    that set the conjugation scan it replaces finds every label 0 and no
+    element of H_1."""
+    s, hb, _ = request.getfixturevalue(case)
+    p, x = s.p, hb[0]["generator"]
+    S = _s_group(s)
+    conj = S.elements_stack().astype(np.int64) @ x.a % p @ \
+        S.inverses_stack().astype(np.int64) % p
+    coset = [FpMatrix(p, t) @ x
+             for t in s.subgroup(s.Sprime).elements_stack()]
+    assert {m.tobytes() for m in conj.astype(np.int8)} == \
+        {m.key() for m in coset}
+    assert len(coset) == p ** s.Sprime.dim
+    # x a = (u a, u): u a has a's coordinate in A/A0, the unit of the labels
+    n = s.n
+    a = s.translation(hb[1]["generator"].a[:n, n] - x.a[:n, n])
+    for m in coset:
+        assert not hb[1]["H"].contains(m)
+        assert sg.class_label(s, m, a) == 0
 
 
 def test_step2_non_centric_subgroup(flagship_gamma):
@@ -271,27 +303,75 @@ def test_step2_non_centric_subgroup(flagship_gamma):
     assert p ** vp != center   # fails the p-centric test
 
 
-def test_unique_abelian_index_p(flagship):
-    _, _, _, s, _ = flagship
-    assert sg.unique_abelian_index_p(s)
-
-
 def test_semidirect_affine_order():
     g, v = zoo.symmetric(5, 5, "deleted", "S", 4)
     gamma = sg.semidirect_affine(v, g)
     assert gamma.order() == 5 ** 3 * 480
 
 
+def _unique_abelian_index_p(s) -> bool:
+    """Exhaustively check that A is the unique abelian index-p subgroup.
+
+    The index-p subgroups are the kernels of the epimorphisms S -> C_p,
+    i.e. the preimages of the hyperplanes of S/[S,S] (exponent p, so the
+    Frattini subgroup is [S,S]); S/S' has the coordinates (c at the free
+    columns of S', k) of (c, u^k).
+    """
+    p, n = s.p, s.n
+    free = [col for col in range(n) if col not in s.Sprime._pivots]
+    count_abelian = 0
+    for coeffs in itertools.product(range(p), repeat=len(free) + 1):
+        if next((c for c in coeffs if c), 0) != 1:
+            continue        # one functional per kernel: first nonzero is 1
+        hyper = gfp.kernel_basis(FpMatrix(p, [coeffs])).basis
+        lifts = []
+        for row in hyper:
+            c = np.zeros(n, dtype=np.int64)
+            c[free] = row[:-1]
+            lifts.append(sg._affine(s.v.p, s.upow[row[-1]], c))
+        k = s.subgroup(s.Sprime, *lifts)
+        assert k.order() == p ** n      # a kernel of S -> C_p has index p
+        count_abelian += k.is_abelian()
+    return count_abelian == 1
+
+
+def test_unique_abelian_index_p(flagship):
+    _, _, _, s, rep = flagship
+    assert _unique_abelian_index_p(s)
+    assert rep.checks["A_unique"]
+
+
 def test_abelian_index_p_not_unique_at_rank1_commutator():
     """When [S,S] is a line, S is extraspecial-like and the abelian
-    index-p subgroup is not unique."""
-    from fusionseed.modrep import FpModule
+    index-p subgroup is not unique; build_s reads that from dim Z(S)."""
     nat = FpModule(5, 2, MatGroup(5, [FpMatrix(5, [[1, 1], [0, 1]]),
                                       FpMatrix(5, [[1, 0], [1, 1]])]))
-    syl = class_GG(nat.group).sylow
-    s = sg.SGroup(nat, syl)
+    s, rep = sg.build_s(nat, class_GG(nat.group).sylow)
     assert s.Sprime.dim == 1
-    assert not sg.unique_abelian_index_p(s)
+    assert not _unique_abelian_index_p(s)
+    assert not rep.checks["A_unique"] and not rep.ok
+
+
+# every instantiable corpus entry with |S| = p^(n+1) <= p^6, the scale an
+# exhaustive scan of S's index-p subgroups reaches
+SMALL_ENTRIES = [spec for spec in zoo.table_corpus()
+                 if spec.instantiable and spec.tag not in (
+                     "sl2p_ext", "sl2p_mu_law", "extraspecial_p7")
+                 and zoo.build_family(spec)[1].dim + 1 <= 6]
+
+
+@pytest.mark.parametrize("spec", SMALL_ENTRIES,
+                         ids=[f"{spec.tag}-{k}"
+                              for k, spec in enumerate(SMALL_ENTRIES)])
+def test_a_unique_matches_exhaustive_scan(spec):
+    """build_s's A_unique, read from dim Z(S), equals an exhaustive scan
+    of S's index-p subgroups: false on extraspecial_p3, where [S,S] is a
+    line, and true on every other small corpus entry."""
+    v = zoo.build_family(spec)[1]
+    s, build = sg.build_s(v, class_GG(v.group).sylow)
+    unique = _unique_abelian_index_p(s)
+    assert build.checks["A_unique"] == unique
+    assert unique == (spec.tag != "extraspecial_p3")
 
 
 def test_witnesses_for_exotic_h_family():
