@@ -2,9 +2,13 @@
 
 Commands:
   check <file> [--out F] [--heavy] [--seed N]   run the decision pipeline
-  zoo list | zoo emit <tag> [--index K] [--out F]
+  zoo list | zoo emit <tag> [--index K] [--out F] [--heavy]
   sgroup <file> [--seed N]                      structural + witness report
   regress [--filter TAG] [--heavy]              corpus regression run
+
+`regress` runs every instantiable corpus row as `check` runs the row's
+emitted instance, and `zoo.row_failures` compares that report with the
+row; a FAIL line names the keys the report misses.
 
 Exit codes: 0 ok (including "fails criterion" verdicts), 2 invalid input,
 3 cap exceeded / heavy compute gated / G0 of index above the bound,
@@ -36,14 +40,22 @@ def _integer(x, what: str) -> int:
 
 
 def _load_instance(path: str):
-    """(module, G0 or None, family) of an instance file.
-
-    G0 is generated by the generators that `labels.g0_generators` indexes.
-    Raises InvalidInstance for a file that is not a valid instance.
-    """
+    """(module, G0 or None, family) of an instance file."""
     try:
         with open(path) as fh:
             data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InvalidInstance(exc) from exc
+    return _parse_instance(data)
+
+
+def _parse_instance(data):
+    """(module, G0 or None, family) of an instance payload.
+
+    G0 is generated by the generators that `labels.g0_generators` indexes.
+    Raises InvalidInstance for a payload that is not a valid instance.
+    """
+    try:
         p = _integer(data["p"], "p")
         dim = _integer(data["dim"], "dim")
         if dim < 1:
@@ -67,53 +79,61 @@ def _load_instance(path: str):
         family = data.get("family")
         if family is not None and not isinstance(family, dict):
             raise ValueError(f"family must be an object, got {family!r}")
-    except (OSError, ValueError, TypeError, KeyError, AttributeError,
+    except (ValueError, TypeError, KeyError, AttributeError,
             SubgroupViolation) as exc:
         raise InvalidInstance(exc) from exc
     return FpModule(p, dim, group), g0, family
 
 
-def _report_payload(rep, family, elapsed):
-    payload = rep.to_dict()
-    payload["family"] = family
-    payload["elapsed_s"] = round(elapsed, 3)
-    return payload
+def _needs_heavy(family) -> bool:
+    """Whether the instance's corpus row is out of enumeration scale, as
+    the `heavy` param that `zoo emit` writes into its family says."""
+    params = (family or {}).get("params")
+    return isinstance(params, dict) and params.get("heavy") is True
 
 
-def cmd_check(args) -> int:
-    v, g0, family = _load_instance(args.path)
+def check_report(v, g0, family, seed: int = 1, heavy: bool = False) -> dict:
+    """The payload `check` writes for an instance: the orbit-stabilizer
+    data of a heavy row, the passers of every G0 <= H <= G when G0 is
+    given, or else the criterion report of G."""
     t0 = time.time()
-    if family and family.get("tag") == "extraspecial_p7":
-        # out of enumeration scale: orbit-stabilizer route, gated
-        if not args.heavy:
+    if _needs_heavy(family):
+        if not heavy:
             raise HeavyComputeDisabled(
                 "the p = 7 extraspecial normalizer needs --heavy")
-        res = zoo.heavy_extraspecial_check(v)
-        payload = {"mode": "heavy", "family": family, "result": res,
-                   "elapsed_s": round(time.time() - t0, 3)}
+        payload = {"mode": "heavy", "family": family,
+                   "result": zoo.heavy_extraspecial_check(v)}
     elif g0 is not None:
         if not g0.is_normal_in(v.group):
             raise InvalidInstance("the group that g0_generators generate "
                                   "is not normal in G")
-        passers = criterion.enumerate_admissible(g0, v.group, v,
-                                                 seed=args.seed)
+        passers = criterion.enumerate_admissible(g0, v.group, v, seed=seed)
         payload = {
             "mode": "admissible",
             "family": family,
             "passing": [{"group_order": grp.order(),
                          "report": rep.to_dict()}
                         for grp, rep in passers],
-            "elapsed_s": round(time.time() - t0, 3),
         }
     else:
-        rep = criterion.evaluate(v, seed=args.seed)
-        payload = _report_payload(rep, family, time.time() - t0)
-    text = json.dumps(payload, sort_keys=True, indent=None)
-    if args.out:
-        with open(args.out, "w") as fh:
+        payload = criterion.evaluate(v, seed=seed).to_dict()
+        payload["family"] = family
+    payload["elapsed_s"] = round(time.time() - t0, 3)
+    return payload
+
+
+def _write(payload: dict, out) -> None:
+    text = json.dumps(payload, sort_keys=True)
+    if out:
+        with open(out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def cmd_check(args) -> int:
+    v, g0, family = _load_instance(args.path)
+    _write(check_report(v, g0, family, args.seed, args.heavy), args.out)
     return 0
 
 
@@ -134,13 +154,8 @@ def cmd_zoo(args) -> int:
         print(f"index {args.index} out of range: {len(matches)} "
               f"instantiable families tagged {args.tag!r}", file=sys.stderr)
         return 2
-    payload = zoo.emit_instance(matches[args.index], heavy=args.heavy)
-    text = json.dumps(payload, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(zoo.emit_instance(matches[args.index], heavy=args.heavy),
+           args.out)
     return 0
 
 
@@ -178,13 +193,31 @@ def cmd_sgroup(args) -> int:
                                 "conditions": s2["conditions"],
                                 "ok": s2["ok"]}
     out["elapsed_s"] = round(time.time() - t0, 3)
-    text = json.dumps(out, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(out, args.out)
     return 0
+
+
+def _json_copy(payload: dict) -> dict:
+    return json.loads(json.dumps(payload))
+
+
+def _row_report(spec, heavy: bool) -> dict:
+    """The report `zoo.row_failures` reads for a corpus row: `check` on
+    the row's emitted instance, as JSON reads it back.
+
+    A row with `passers` or `passing_orders` also gets the `passing` list
+    of the admissible report with G0 = O^{p'}(G); a heavy row gives the
+    `result` block of its heavy report.
+    """
+    v, _, family = _parse_instance(zoo.emit_instance(spec, heavy=heavy))
+    report = _json_copy(check_report(v, None, family, heavy=heavy))
+    if report.get("mode") == "heavy":
+        return report["result"]
+    if "passers" in spec.expected or "passing_orders" in spec.expected:
+        g0 = o_pprime(v.group, class_GG(v.group).sylow)
+        report["passing"] = _json_copy(
+            check_report(v, g0, family, heavy=heavy))["passing"]
+    return report
 
 
 def cmd_regress(args) -> int:
@@ -196,124 +229,23 @@ def cmd_regress(args) -> int:
         if not spec.instantiable:
             print(f"SKIP (metadata) {spec.tag} {spec.params.get('family', spec.params.get('G0', ''))}")
             continue
-        if spec.tag == "extraspecial_p7" and not args.heavy:
-            print("SKIP (needs --heavy) extraspecial_p7")
+        if spec.params.get("heavy") and not args.heavy:
+            print(f"SKIP (needs --heavy) {spec.tag}")
             continue
         t0 = time.time()
-        if spec.tag == "sl2p_ext":
-            ok = _regress_sl2p_ext(spec)
-        elif spec.tag == "sl2p_mu_law":
-            ok = zoo.mu_law_holds(spec.params["p"])
-        else:
-            ok = _regress_entry(spec, heavy=args.heavy)
+        try:
+            missed = zoo.row_failures(_row_report(spec, args.heavy),
+                                      spec.expected, spec.params)
+        except FusionseedError as exc:
+            missed = [f"{type(exc).__name__}: {exc}"]
         ran += 1
-        print(("PASS " if ok else "FAIL ") + spec.tag + " "
-              + json.dumps(zoo._json_params(spec.params), sort_keys=True)
-              + f" ({time.time() - t0:.2f} s)")
-        failures += (not ok)
+        line = (("FAIL " if missed else "PASS ") + spec.tag + " "
+                + json.dumps(zoo._json_params(spec.params), sort_keys=True)
+                + f" ({time.time() - t0:.2f} s)")
+        print(line + (": " + ", ".join(missed) if missed else ""))
+        failures += bool(missed)
     print(f"regress: {ran} run, {failures} failed")
     return 1 if failures else 0
-
-
-def _regress_sl2p_ext(spec) -> bool:
-    p = spec.params["p"]
-    expected = spec.expected["mu_by_socle"]
-    got = {}
-    for i in sorted(expected):
-        g, v = zoo.sl2p(p, ("Vji", p + 1 - i, i))
-        gg = class_GG(g)
-        cs = modrep.canonical_subspaces(v, gg.sylow)
-        image = mu.mu_image(mu.compute_gvee(g, gg.sylow, cs))
-        got[i] = mu.recognize(image)["name"]
-    return got == expected
-
-
-def _regress_entry(spec, heavy=False) -> bool:
-    exp = spec.expected
-    try:
-        if spec.tag == "extraspecial_p7":
-            res = zoo.heavy_extraspecial_check(
-                zoo.extraspecial(7, heavy=True)[1])
-            return (res["n_over_u"] == exp["n_over_u"]
-                    and res["mu_name"] == exp["mu_name"]
-                    and res["group_order"] == exp["group_order"])
-        g, v = zoo.build_family(spec, heavy=heavy)
-    except FusionseedError as exc:
-        print(f"  build error: {exc}")
-        return False
-    if "group_order" in exp and g.order() != exp["group_order"]:
-        return False
-    if spec.tag == "extraspecial_p3":
-        gg = class_GG(g)
-        return modrep.jordan_profile(v, gg.sylow.u) == exp["profile"]
-    if "h_order" in exp:
-        from .zoo import monomial_k_order
-        q = spec.params
-        k = monomial_k_order(q["p"], q["n"], q["t"], q["R"])
-        return g.order() // k == exp["h_order"]
-    if "passers" in exp or spec.params.get("admissible"):
-        gg = class_GG(g)
-        opp = o_pprime(g, gg.sylow)
-        passers = criterion.enumerate_admissible(opp, g, v)
-        ok = True
-        if "passers" in exp:
-            got = {grp.order(): rep for grp, rep in passers}
-            if set(got) != set(exp["passers"]):
-                return False
-            for order, want in exp["passers"].items():
-                rep = got[order]
-                if rep.cases != want["cases"]:
-                    ok = False
-                for e0 in want["e0"]:
-                    verd = [x for x in rep.exotic if x["e0"] == e0]
-                    realized = verd[0]["realized_by"] if verd else "missing"
-                    if want["realizable"] is None:
-                        ok &= bool(verd) and verd[0]["verdict"] == "exotic"
-                    else:
-                        ok &= realized == want["realizable"]
-                if "strongly_closed" in want:
-                    ok &= any(sc["subgroup"] == want["strongly_closed"]
-                              for sc in rep.strongly_closed)
-        if "by_order" in exp:
-            got = {grp.order(): rep for grp, rep in passers}
-            if sorted(got) != sorted(exp["passing_orders"]):
-                return False
-            for order, want in exp["by_order"].items():
-                rep = got[order]
-                ok &= rep.cases == want["cases"]
-                ok &= rep.e0_count == want["e0_count"]
-                for e0, fam in want["realizable"].items():
-                    verd = [x for x in rep.exotic if x["e0"] == e0]
-                    ok &= bool(verd) and verd[0].get("realized_by") == fam
-        return ok
-    rep = criterion.evaluate(v)
-    ok = True
-    if "cases" in exp:
-        ok &= rep.cases == exp["cases"]
-    if "e0" in exp:
-        ok &= [e.tag() for e in rep.e0_menu] == exp["e0"]
-    if "e0_count" in exp:
-        ok &= rep.e0_count == exp["e0_count"]
-    if "mu_name" in exp:
-        ok &= rep.mu_report.get("recognized", {}).get("name") == exp["mu_name"]
-    if "dim" in exp:
-        ok &= v.dim == exp["dim"]
-    if exp.get("all_exotic"):
-        ok &= all(x["verdict"] == "exotic" for x in rep.exotic)
-    if exp.get("exotic"):
-        ok &= all(x["verdict"] == "exotic" for x in rep.exotic)
-    if "realizable" in exp:
-        for e0, fam in exp["realizable"].items():
-            if e0 == "full_H":
-                e0 = "H{" + ",".join(str(i) for i in range(rep.p)) + "}"
-            verd = [x for x in rep.exotic if x["e0"] == e0]
-            ok &= bool(verd) and verd[0].get("realized_by") == fam
-    if "strongly_closed" in exp:
-        ok &= any(sc["subgroup"] == exp["strongly_closed"]
-                  for sc in rep.strongly_closed)
-    if "quotient_order" in exp:
-        ok &= g.order() % exp["quotient_order"] == 0
-    return ok
 
 
 def main(argv=None) -> int:

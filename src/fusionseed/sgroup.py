@@ -13,8 +13,9 @@ of their generator images, and verified against their contracts.
 S itself is never enumerated, at any scale: the S-classes of the H_i come
 from a subspace test (the S-conjugates of (c, u) are the (c + w, u) with w
 in S'), A's uniqueness as abelian subgroup of index p from dim Z(S), and
-|Gamma| = p^n |G| is a number.  The only groups enumerated are the H_i,
-the B_i and subgroups of N_G(U).
+|Gamma| = p^n |G| is a number.  The only groups enumerated are the H_i
+and B_i that are read (`cmd_sgroup` reads class 0 only) and subgroups of
+N_G(U).
 """
 
 from __future__ import annotations
@@ -274,8 +275,26 @@ def _a_mod_a0_coord(s: SGroup, vec) -> int:
     return int(r[free[0]])
 
 
+class _ClassSubgroups(dict):
+    """{"generator": x a^i}, with H_i = Z<x a^i> and B_i = Z_2<x a^i>
+    enumerated when first read and checked to have order |Z| p or |Z_2| p."""
+
+    def __init__(self, s: SGroup, i: int, gen: FpMatrix):
+        super().__init__(generator=gen)
+        self.s, self.i = s, i
+
+    def __missing__(self, kind):
+        space, name = {"H": (self.s.Z, "Z"), "B": (self.s.Z2, "Z_2")}[kind]
+        group = self.s.subgroup(space, self["generator"])
+        if group.order() != self.s.p ** (space.dim + 1):
+            raise InvariantViolation(f"|{kind}_{self.i}| is not |{name}| p")
+        self[kind] = group
+        return group
+
+
 def hb_subgroups(s: SGroup, x, a):
-    """H_i = Z<x a^i> and B_i = Z_2<x a^i> for 0 <= i <= p-1.
+    """H_i = Z<x a^i> and B_i = Z_2<x a^i> for 0 <= i <= p-1, each
+    enumerated only when it is first read.
 
     The S-conjugates of x' = (c, u) are the (c + w, u) with w in S' =
     Im(1 - u).  So those of H_0's generator x stay in class 0 exactly when
@@ -289,13 +308,7 @@ def hb_subgroups(s: SGroup, x, a):
         label = class_label(s, gen, a)
         if label != i:
             raise InvariantViolation(f"x a^{i} has class label {label}")
-        H = s.subgroup(s.Z, gen)
-        B = s.subgroup(s.Z2, gen)
-        if H.order() != p ** (s.Z.dim + 1) or \
-                B.order() != p ** (s.Z2.dim + 1):
-            raise InvariantViolation(f"|H_{i}| or |B_{i}| is not |Z| p or "
-                                     "|Z_2| p")
-        out[i] = {"H": H, "B": B, "generator": gen}
+        out[i] = _ClassSubgroups(s, i, gen)
     if not gfp.contains(s.A0, s.Sprime):
         raise InvariantViolation("an S-conjugate of H_0 left class 0")
     t0, t1 = (out[i]["generator"].a[:n, n] for i in (0, 1))

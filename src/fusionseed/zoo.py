@@ -3,7 +3,7 @@
 Families: symmetric/alternating permutation-module variants, the rank-2
 unipotent family V_i = Sym^{i-1}(natural) with its dimension p+-1
 extensions, monomial (wreath-type) groups, and the extraspecial-normalizer
-groups at p in {3, 5, 7}.
+groups at p in {3, 5, 7}.  Corpus rows are data; `row_failures` judges them.
 """
 
 from __future__ import annotations
@@ -55,10 +55,12 @@ def _sl2_gens(p):
     return FpMatrix(p, [[1, 1], [0, 1]]), FpMatrix(p, [[1, 0], [1, 1]])
 
 
-def sl2p(p: int, kind, heavy: bool = False):
+def sl2p(p: int, kind):
     """(group, module) for the rank-2 family.
 
     kind: ('Vi', i) simple Sym^{i-1};
+          ('SL2_Vi', i) SL_2(p)'s own image on Sym^{i-1}, without the
+          diagonal torus and the scalars that ('Vi', i) adjoins;
           ('Vji', j, i) the dim p+1 indecomposable with socle dim i;
           ('V1p21',) the projective cover of the trivial module, dim p;
           ('Vext_pm1', which) for which in ('sub', 'quot'): the dim p-1
@@ -69,17 +71,18 @@ def sl2p(p: int, kind, heavy: bool = False):
     e12, e21 = _sl2_gens(p)
     zeta = primitive_root(p)
     dz = FpMatrix(p, [[zeta, 0], [0, 1]])
-    if kind[0] == "Vi":
+    if kind[0] in ("Vi", "SL2_Vi"):
         i = kind[1]
         if not 2 <= i <= p:
-            raise InvalidParams("Vi needs 2 <= i <= p")
+            raise InvalidParams(f"{kind[0]} needs 2 <= i <= p")
         k = i - 1
-        gens0 = [modrep.sym_power_matrix(e12, k), modrep.sym_power_matrix(e21, k)]
-        gens = gens0 + [modrep.sym_power_matrix(dz, k)]
-        if i % 2 == 1:
-            # odd dimension: action factors through the projective group;
-            # adjoin the full scalar group
-            gens = gens + [FpMatrix.scalar(p, i, zeta)]
+        gens = [modrep.sym_power_matrix(e12, k), modrep.sym_power_matrix(e21, k)]
+        if kind[0] == "Vi":
+            gens.append(modrep.sym_power_matrix(dz, k))
+            if i % 2 == 1:
+                # odd dimension: action factors through the projective
+                # group; adjoin the full scalar group
+                gens.append(FpMatrix.scalar(p, i, zeta))
         g = MatGroup(p, gens)
         return g, FpModule(p, i, g)
     if kind[0] == "Vji":
@@ -250,6 +253,17 @@ def extension_group(w: FpModule, zeta: int) -> MatGroup:
 
 # -- symmetric / alternating family -----------------------------------------
 
+def _perm_gens(n: int, group: str):
+    """Images lists of two generators of S_n or A_n."""
+    if group == "S":
+        return [cycle_perm(n, [0, 1]), cycle_perm(n, list(range(n)))]
+    if group == "A":
+        # an n-cycle is even only for odd n
+        cyc = list(range(n)) if n % 2 == 1 else list(range(1, n))
+        return [cycle_perm(n, [0, 1, 2]), cycle_perm(n, cyc)]
+    raise InvalidParams("group must be 'S' or 'A'")
+
+
 def symmetric(p: int, n: int, kind: str, group: str = "S",
               scalar_order: int = 1):
     """(group, module) for permutation-module variants.
@@ -263,19 +277,7 @@ def symmetric(p: int, n: int, kind: str, group: str = "S",
     """
     if not p <= n <= 2 * p - 1:
         raise InvalidParams("need p <= n <= 2p - 1")
-    if group == "S":
-        pgens = [perm_matrix(p, cycle_perm(n, [0, 1])),
-                 perm_matrix(p, cycle_perm(n, list(range(n))))]
-    elif group == "A":
-        if n % 2 == 1:
-            pgens = [perm_matrix(p, cycle_perm(n, [0, 1, 2])),
-                     perm_matrix(p, cycle_perm(n, list(range(n))))]
-        else:
-            pgens = [perm_matrix(p, cycle_perm(n, [0, 1, 2])),
-                     perm_matrix(p, cycle_perm(n, list(range(1, n))))]
-    else:
-        raise InvalidParams("group must be 'S' or 'A'")
-    gens = list(pgens)
+    gens = [perm_matrix(p, img) for img in _perm_gens(n, group)]
     if scalar_order > 1:
         if (p - 1) % scalar_order:
             raise InvalidParams("scalar_order must divide p-1")
@@ -314,12 +316,6 @@ def monomial(p: int, n: int, t: int, R, h_type: str):
     if t <= 1 or (p - 1) % t:
         raise InvalidParams("need 1 < t dividing p-1")
     zeta = primitive_root(p)
-    if R == "full":
-        r_els = {(a, b) for a in range(1, p) for b in range(1, p)}
-    elif R == "trivial":
-        r_els = {(1, 1)}
-    else:
-        r_els = set(mu.DeltaSubgroup.generated(p, list(R)).elements)
     b = pow(zeta, (p - 1) // t, p)     # generator of the order-t subgroup
     diag_gens = []
     for j in range(n - 1):
@@ -327,28 +323,13 @@ def monomial(p: int, n: int, t: int, R, h_type: str):
         d[j] = b
         d[j + 1] = pow(b, p - 2, p)
         diag_gens.append(FpMatrix(p, np.diag(d)))
-    mu_t = {pow(b, k, p) for k in range(t)}
-    for (x, y) in sorted(r_els):
-        lifted = False
-        for c in range(1, p):
-            if pow(c, t, p) != y:
-                continue
-            eps = x * pow(pow(c, n, p), p - 2, p) % p   # x * c^{-n}
-            if eps in mu_t:
-                d = np.full(n, c, dtype=np.int64)
-                d[0] = c * eps % p
-                diag_gens.append(FpMatrix(p, np.diag(d)))
-                lifted = True
-                break
-        # unliftable R-elements simply do not occur in K
-    if h_type == "S":
-        hgens = [cycle_perm(n, [0, 1]), cycle_perm(n, list(range(n)))]
-    elif h_type == "A":
-        if n % 2 == 1:
-            hgens = [cycle_perm(n, [0, 1, 2]), cycle_perm(n, list(range(n)))]
-        else:
-            hgens = [cycle_perm(n, [0, 1, 2]),
-                     cycle_perm(n, list(range(1, n)))]
+    # unliftable R-elements simply do not occur in K
+    for c, eps in _r_lifts(p, n, t, R).values():
+        d = np.full(n, c, dtype=np.int64)
+        d[0] = c * eps % p
+        diag_gens.append(FpMatrix(p, np.diag(d)))
+    if h_type in ("S", "A"):
+        hgens = _perm_gens(n, h_type)
     elif h_type == "CpCp-1":
         if n != p:
             raise InvalidParams("CpCp-1 needs n = p")
@@ -381,25 +362,30 @@ def _pgl2_perm(p, a, b, c, d):
     return img
 
 
-def monomial_k_order(p, n, t, R) -> int:
-    """|K| = t^{n-1} * |liftable part of R| (for order cross-checks)."""
-    zeta = primitive_root(p)
-    b = pow(zeta, (p - 1) // t, p)
-    mu_t = {pow(b, k, p) for k in range(t)}
+def _r_lifts(p, n, t, R) -> dict:
+    """{(x, y): (c, eps)} over the liftable elements of R, in sorted order:
+    the least c with c^t = y and eps = x c^-n in the order-t subgroup."""
     if R == "full":
         r_els = {(a, c) for a in range(1, p) for c in range(1, p)}
     elif R == "trivial":
         r_els = {(1, 1)}
     else:
         r_els = set(mu.DeltaSubgroup.generated(p, list(R)).elements)
-    liftable = set()
-    for (x, y) in r_els:
+    b = pow(primitive_root(p), (p - 1) // t, p)
+    mu_t = {pow(b, k, p) for k in range(t)}
+    lifts = {}
+    for (x, y) in sorted(r_els):
         for c in range(1, p):
-            if pow(c, t, p) == y and \
-                    x * pow(pow(c, n, p), p - 2, p) % p in mu_t:
-                liftable.add((x, y))
+            eps = x * pow(pow(c, n, p), p - 2, p) % p   # x * c^{-n}
+            if pow(c, t, p) == y and eps in mu_t:
+                lifts[(x, y)] = (c, eps)
                 break
-    return t ** (n - 1) * len(liftable)
+    return lifts
+
+
+def monomial_k_order(p, n, t, R) -> int:
+    """|K| = t^{n-1} * |liftable part of R| (for order cross-checks)."""
+    return t ** (n - 1) * len(_r_lifts(p, n, t, R))
 
 
 # -- extraspecial-normalizer family ------------------------------------------
@@ -513,21 +499,11 @@ def strongly_closed_example(p: int, which: str):
     which = 'c': the quotient module F_p^p / constants with the automizer
     O^{p'}(Gamma) . mu^-1(Delta_0) (case d3, every nonempty class set I).
     """
-    zeta = primitive_root(p)
-    gens = [perm_matrix(p, cycle_perm(p, [0, 1])),
-            perm_matrix(p, cycle_perm(p, list(range(p)))),
-            FpMatrix.scalar(p, p, zeta)]
-    gamma = MatGroup(p, gens)
-    big = FpModule(p, p, gamma)
-    if which == "a":
-        v = big
-        target = "Delta_-1"
-    elif which == "c":
-        const = Subspace(p, p, np.ones((1, p), dtype=np.int64))
-        v, _ = modrep.quotient_module(big, const)
-        target = "Delta_0"
-    else:
+    kinds = {"a": ("full", "Delta_-1"), "c": ("quot", "Delta_0")}
+    if which not in kinds:
         raise InvalidParams("which must be 'a' or 'c'")
+    kind, target = kinds[which]
+    _, v = symmetric(p, p, kind, "S", p - 1)
     gg = class_GG(v.group)
     cs = modrep.canonical_subspaces(v, gg.sylow)
     gv = mu.compute_gvee(v.group, gg.sylow, cs)
@@ -535,21 +511,6 @@ def strongly_closed_example(p: int, which: str):
     pre = mu.preimage(gv, mu.named(p, target))
     g = MatGroup(p, opp.generators + pre.generators)
     return g, FpModule(p, v.dim, g)
-
-
-def mu_law_holds(p: int) -> bool:
-    """The simple-family law: mu(G0-vee) = {(u^2, u^{i-1})} for all V_i."""
-    for i in range(2, p + 1):
-        g, v = sl2p(p, ("Vi", i))
-        g0 = MatGroup(p, g.generators[:2])
-        v0 = FpModule(p, v.dim, g0)
-        gg = class_GG(g0)
-        cs = modrep.canonical_subspaces(v0, gg.sylow)
-        image = mu.mu_image(mu.compute_gvee(g0, gg.sylow, cs))
-        expected = {(u * u % p, pow(u, i - 1, p)) for u in range(1, p)}
-        if set(image.elements) != expected:
-            return False
-    return True
 
 
 # -- corpus -------------------------------------------------------------------
@@ -573,11 +534,11 @@ def table_corpus():
         "sl2p_simple", {"p": 5, "kind": ("Vi", 4)},
         expected={"cases": ["d1", "d2", "d3"], "e0_count": 33,
                   "all_exotic": True}))
-    entries.append(FamilySpec(
-        "sl2p_ext", {"p": 5},
-        expected={"mu_by_socle": {2: "Delta_1", 3: "Delta_2", 4: "Delta_-1"}}))
-    entries.append(FamilySpec("sl2p_mu_law", {"p": 5}, expected={}))
-    entries.append(FamilySpec("sl2p_mu_law", {"p": 7}, expected={}))
+    # the dim p+1 extensions with socle dimension i: mu = Delta_{i-1}
+    for i, name in ((2, "Delta_1"), (3, "Delta_2"), (4, "Delta_-1")):
+        entries.append(FamilySpec(
+            "sl2p_ext", {"p": 5, "kind": ("Vji", 6 - i, i)},
+            expected={"mu_name": name}))
     entries.append(FamilySpec(
         "str_closed", {"p": 5, "which": "a"},
         expected={"cases": ["d2"], "e0": ["H{0}"],
@@ -638,6 +599,13 @@ def table_corpus():
         "extraspecial_p7", {"p": 7, "heavy": True},
         expected={"n_over_u": 36, "mu_name": "Delta_3",
                   "group_order": 15482880}))
+    # SL_2(p) on V_i obeys the simple-family law mu = {(u^2, u^(i-1))}
+    for p in (5, 7):
+        for i in range(2, p + 1):
+            law = {(u * u % p, pow(u, i - 1, p)) for u in range(1, p)}
+            entries.append(FamilySpec(
+                "sl2p_mu_law", {"p": p, "kind": ("SL2_Vi", i)},
+                expected={"mu_image": [list(pair) for pair in sorted(law)]}))
     # metadata-only rows (not constructible from first principles here)
     for row in tables.REALIZABILITY_ROWS:
         if not row.instantiable:
@@ -655,13 +623,98 @@ def table_corpus():
     return entries
 
 
+# Row keys that describe the row's construction, not its `check` report:
+# `two_transitive` says the permutation part of a monomial group is
+# 2-transitive, which no report records.
+ROW_KEYS_NOT_COMPARED = {"two_transitive"}
+# row key -> the report field that must equal the row's value
+_ROW_FIELDS = {"group_order": "group_order", "dim": "dim", "cases": "cases",
+               "e0": "e0_menu", "e0_count": "e0_count",
+               "profile": "jordan_profile", "n_over_u": "n_over_u"}
+
+
+def _passing(rep) -> dict:
+    return {x["group_order"]: x["report"] for x in rep["passing"]}
+
+
+def _verdict_holds(rep, e0: str, family) -> bool:
+    """e0's verdict is realizable by `family`, or exotic for family None."""
+    verdict = "exotic" if family is None else "realizable"
+    return any(x["e0"] == e0 and x["verdict"] == verdict
+               and x["realized_by"] == family for x in rep["exotic"])
+
+
+def _key_holds(rep, key: str, want, q: dict) -> bool:
+    """Whether the report meets one row key; an unknown key fails."""
+    if key in _ROW_FIELDS:
+        return rep[_ROW_FIELDS[key]] == want
+    if key == "mu_name":     # the heavy `result` block names mu at top level
+        return want == (rep["mu_name"] if "mu_name" in rep
+                        else rep["mu"]["recognized"]["name"])
+    if key == "mu_image":
+        return rep["mu"]["image"] == want
+    if key in ("exotic", "all_exotic"):
+        return want == (bool(rep["exotic"]) and all(
+            x["verdict"] == "exotic" for x in rep["exotic"]))
+    if key == "realizable":
+        full_h = "H{" + ",".join(map(str, range(q["p"]))) + "}"
+        return all(_verdict_holds(rep, full_h if e0 == "full_H" else e0, fam)
+                   for e0, fam in want.items())
+    if key == "strongly_closed":
+        return any(sc["subgroup"] == want for sc in rep["strongly_closed"])
+    if key == "quotient_order":
+        return rep["group_order"] % want == 0
+    if key == "h_order":
+        return rep["group_order"] == want * monomial_k_order(
+            q["p"], q["n"], q["t"], q["R"])
+    if key == "passing_orders":
+        return sorted(_passing(rep)) == sorted(want)
+    return key in ROW_KEYS_NOT_COMPARED
+
+
+def _nested_failures(rep, key: str, want: dict, q: dict) -> list:
+    """`passers` or `by_order`: a row for each admissible group's order."""
+    got = _passing(rep)
+    failed = [key] if key == "passers" and set(want) != set(got) else []
+    for order, row in want.items():
+        if key == "passers" and "realizable" in row:
+            # one family (None: exotic) for each class set of its e0
+            row = {**row, "realizable": dict.fromkeys(row["e0"],
+                                                      row["realizable"])}
+        if order not in got:
+            failed.append(f"{key}.{order}")
+        else:
+            failed += [f"{key}.{order}.{name}"
+                       for name in row_failures(got[order], row, q)]
+    return failed
+
+
+def row_failures(report: dict, expected: dict, params: dict) -> list:
+    """Names of the keys of a corpus row's `expected` that `report` misses.
+
+    report: the row's `check` report as JSON reads it back; an admissible
+    row's also carries the `passing` list of its admissible report, and
+    the heavy row's is the `result` block of its heavy report.  Nested
+    keys are named by their path, as in `by_order.240.cases`.  Empty when
+    the report meets the row.
+    """
+    failed = []
+    for key, want in expected.items():
+        try:
+            if key in ("passers", "by_order"):
+                failed += _nested_failures(report, key, want, params)
+            elif not _key_holds(report, key, want, params):
+                failed.append(key)
+        except (KeyError, TypeError, IndexError):
+            failed.append(key)
+    return failed
+
+
 def build_family(spec: FamilySpec, heavy: bool = False):
     """(group, module) for an instantiable corpus entry."""
     tag, q = spec.tag, spec.params
-    if tag == "sl2p_simple":
+    if tag in ("sl2p_simple", "sl2p_ext", "sl2p_mu_law"):
         return sl2p(q["p"], q["kind"])
-    if tag == "sl2p_ext":
-        raise InvalidParams("sl2p_ext entries are handled summand-by-summand")
     if tag in ("sn_deleted", "an_deleted"):
         return symmetric(q["p"], q["n"], "deleted", q["group"],
                          q["scalar_order"])

@@ -102,6 +102,141 @@ def test_regress_filtered():
     assert re.search(r" \(\d+\.\d\d s\)$", line)
 
 
+def test_zoo_emit_every_listed_row(tmp_path, capsys):
+    """Every row that `zoo list` shows without [metadata only] emits, with
+    --heavy for the heavy row, and the file carries the listed params."""
+    assert cli.main(["zoo", "list"]) == 0
+    listed = [line.split(None, 2)[1:]
+              for line in capsys.readouterr().out.splitlines()
+              if not line.endswith("[metadata only]")]
+    assert len(listed) == len([e for e in zoo.table_corpus()
+                               if e.instantiable])
+    out = tmp_path / "inst.json"
+    for k, (tag, params) in enumerate(listed):
+        index = [t for t, _ in listed[:k]].count(tag)
+        heavy = ["--heavy"] if json.loads(params).get("heavy") else []
+        assert cli.main(["zoo", "emit", tag, "--index", str(index),
+                         "--out", str(out)] + heavy) == 0, (tag, index)
+        family = json.loads(out.read_text())["family"]
+        assert family == {"tag": tag, "params": json.loads(params)}
+
+
+def test_regress_passes_every_row(capsys):
+    """Full regress: a PASS line for every instantiable row but the heavy
+    one, the sl2p_ext and sl2p_mu_law rows included."""
+    assert cli.main(["regress"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [e for e in zoo.table_corpus()
+            if e.instantiable and not e.params.get("heavy")]
+    passed = [line.split()[1] for line in lines if line.startswith("PASS ")]
+    assert passed == [e.tag for e in rows]
+    assert passed.count("sl2p_ext") == 3 and \
+        passed.count("sl2p_mu_law") == 10
+    assert "SKIP (needs --heavy) extraspecial_p7" in lines
+    assert lines[-1] == f"regress: {len(rows)} run, 0 failed"
+
+
+def test_regress_fail_lines_name_keys_and_errors(monkeypatch, capsys):
+    """A FAIL line names the keys the report misses, an unknown key among
+    them; a FusionseedError fails its row and the run goes on."""
+    rows = [zoo.FamilySpec("gl2_3", {"p": 3}, expected={
+                "dim": 5, "mu_name": "Delta_-1", "bogus": 1}),
+            zoo.FamilySpec("monomial", {"p": 5, "n": 5, "t": 3,
+                                        "R": "trivial", "h_type": "S"}),
+            zoo.FamilySpec("extraspecial_p3", {"p": 3},
+                           expected={"group_order": 48, "profile": [2]})]
+    monkeypatch.setattr(zoo, "table_corpus", lambda: rows)
+    assert cli.main(["regress"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r'FAIL gl2_3 \{"p": 3\} \(\d+\.\d\d s\): dim, bogus',
+                        lines[0])
+    assert lines[1].startswith("FAIL monomial") and \
+        lines[1].endswith(": InvalidParams: need 1 < t dividing p-1")
+    assert lines[2].startswith("PASS extraspecial_p3")
+    assert lines[3] == "regress: 3 run, 2 failed"
+
+
+def _mutants(value, path=()):
+    """(path, mutant) pairs: one change at each leaf of a row's expected
+    value, and one added key in each of its dicts."""
+    if isinstance(value, dict):
+        yield path + ("bogus",), {**value, "bogus": "bogus"}
+        for key, sub in value.items():
+            for sub_path, mutant in _mutants(sub, path + (key,)):
+                yield sub_path, {**value, key: mutant}
+    elif isinstance(value, bool):
+        yield path, not value
+    elif isinstance(value, int):
+        yield path, value + 1
+    elif isinstance(value, str):
+        yield path, value + "'"
+    elif value is None:
+        yield path, "'"
+    else:
+        yield path, value + value[-1:] if value else ["'"]
+
+
+def _keys(value):
+    if isinstance(value, dict):
+        for key, sub in value.items():
+            yield key
+            yield from _keys(sub)
+
+
+def _flip_verdicts(value):
+    """The report with every verdict swapped between exotic and
+    realizable."""
+    if isinstance(value, list):
+        return [_flip_verdicts(x) for x in value]
+    if not isinstance(value, dict):
+        return value
+    out = {key: _flip_verdicts(sub) for key, sub in value.items()}
+    if "verdict" in value:
+        out["verdict"] = {"exotic": "realizable",
+                          "realizable": "exotic"}[value["verdict"]]
+    return out
+
+
+@pytest.fixture(scope="module")
+def row_reports():
+    """Every instantiable row but the heavy one, with the report that
+    regress compares with it, computed once."""
+    return [(spec, cli._row_report(spec, heavy=False))
+            for spec in zoo.table_corpus()
+            if spec.instantiable and not spec.params.get("heavy")]
+
+
+def test_row_failures_names_every_mutated_key(row_reports):
+    """Each row's report meets the row; changing any value of the row,
+    adding a key at any level, or dropping a passer fails and is named by
+    its key path, and so does flipping the report's verdicts."""
+    assert zoo.ROW_KEYS_NOT_COMPARED == {"two_transitive"}
+    mutants = 0
+    for spec, report in row_reports:
+        assert zoo.row_failures(report, spec.expected, spec.params) == []
+        for path, mutant in _mutants(spec.expected):
+            if path[0] in zoo.ROW_KEYS_NOT_COMPARED:
+                continue
+            failed = set(zoo.row_failures(report, mutant, spec.params))
+            prefixes = {".".join(map(str, path[:k]))
+                        for k in range(1, len(path) + 1)}
+            assert failed & prefixes, (spec.tag, spec.params, path, failed)
+            mutants += 1
+        assert "bogus" in zoo.row_failures(
+            report, {**spec.expected, "bogus": 1}, spec.params)
+        # a row that states verdicts fails on the report with them flipped
+        if {"exotic", "all_exotic", "realizable"} & set(_keys(spec.expected)):
+            assert zoo.row_failures(_flip_verdicts(report), spec.expected,
+                                    spec.params)
+        # `passers` lists every passing group: dropping one fails too
+        passers = spec.expected.get("passers", {})
+        for order in passers:
+            fewer = {o: row for o, row in passers.items() if o != order}
+            assert "passers" in zoo.row_failures(
+                report, {**spec.expected, "passers": fewer}, spec.params)
+    assert mutants > 100
+
+
 def test_cap_env(tmp_path):
     inst = tmp_path / "inst.json"
     run_cli(["zoo", "emit", "sn_deleted", "--index", "0", "--out", str(inst)])

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import cycle, perm_mat
 from fusionseed import gfp, modrep as mr, mu, sgroup as sg, zoo
-from fusionseed.errors import CapExceeded, MuTooSmall
+from fusionseed.errors import (CapExceeded, InvariantViolation,
+                               MuTooSmall)
 from fusionseed.gfp import FpMatrix
 from fusionseed.grp import MatGroup, class_GG
 from fusionseed.modrep import FpModule
@@ -90,6 +91,22 @@ def test_hb_subgroups_and_classes(flagship, flagship_hb):
     # A0-translation invariance: replacing a by a * s' keeps the classes
     a_alt = a @ s.translation(s.Sprime.basis[0])
     assert sg.class_label(s, x @ a_alt, a) == 1
+
+
+def test_hb_subgroups_enumerate_on_first_read(flagship, monkeypatch):
+    """hb_subgroups enumerates no H_i or B_i: each is enumerated when first
+    read, once, and its order is checked against |Z| p or |Z_2| p."""
+    g, _, syl, s, _ = flagship
+    x, a = sg.choose_x_a(s, g, syl)
+    hb = sg.hb_subgroups(s, x, a)
+    assert all(set(entry) == {"generator"} for entry in hb.values())
+    assert hb[2]["B"].order() == 125 and set(hb[2]) == {"generator", "B"}
+    assert hb[2]["B"] is hb[2]["B"]
+    # a subgroup of the wrong order: <x a^3> alone has order p, not |Z| p
+    monkeypatch.setattr(s, "subgroup", lambda space, *extra:
+                        MatGroup(s.v.p, list(extra)).cache())
+    with pytest.raises(InvariantViolation, match=r"\|H_3\| is not \|Z\| p"):
+        hb[3]["H"]
 
 
 def test_class_label_right_after_choose_x_a():
@@ -355,8 +372,7 @@ def test_abelian_index_p_not_unique_at_rank1_commutator():
 # every instantiable corpus entry with |S| = p^(n+1) <= p^6, the scale an
 # exhaustive scan of S's index-p subgroups reaches
 SMALL_ENTRIES = [spec for spec in zoo.table_corpus()
-                 if spec.instantiable and spec.tag not in (
-                     "sl2p_ext", "sl2p_mu_law", "extraspecial_p7")
+                 if spec.instantiable and spec.tag != "extraspecial_p7"
                  and zoo.build_family(spec)[1].dim + 1 <= 6]
 
 
@@ -365,13 +381,15 @@ SMALL_ENTRIES = [spec for spec in zoo.table_corpus()
                               for k, spec in enumerate(SMALL_ENTRIES)])
 def test_a_unique_matches_exhaustive_scan(spec):
     """build_s's A_unique, read from dim Z(S), equals an exhaustive scan
-    of S's index-p subgroups: false on extraspecial_p3, where [S,S] is a
-    line, and true on every other small corpus entry."""
+    of S's index-p subgroups: false on extraspecial_p3 and on SL_2(p)'s
+    natural module V_2, where [S,S] is a line and S is extraspecial of
+    order p^3, and true on every other small corpus entry."""
     v = zoo.build_family(spec)[1]
     s, build = sg.build_s(v, class_GG(v.group).sylow)
     unique = _unique_abelian_index_p(s)
     assert build.checks["A_unique"] == unique
-    assert unique == (spec.tag != "extraspecial_p3")
+    assert unique == (spec.tag != "extraspecial_p3"
+                      and spec.params.get("kind") != ("SL2_Vi", 2))
 
 
 def test_witnesses_for_exotic_h_family():

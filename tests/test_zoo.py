@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fusionseed import criterion as cr, modrep as mr, zoo
+from fusionseed import criterion as cr, modrep as mr, mu, zoo
 from fusionseed.errors import HeavyComputeDisabled, InvalidParams
 from fusionseed.grp import class_GG, o_pprime
 
@@ -220,5 +220,22 @@ def test_strongly_closed_example_constructors():
     assert rep.passes and "d3" in rep.cases
 
 
-def test_mu_law_helper():
-    assert zoo.mu_law_holds(5)
+def test_mu_law_rows():
+    """One sl2p_mu_law row per (p, i), p in {5, 7} and 2 <= i <= p: SL_2(p)
+    on V_i, whose mu-image is the row's law {(u^2, u^(i-1))}."""
+    rows = [e for e in zoo.table_corpus() if e.tag == "sl2p_mu_law"]
+    assert [(e.params["p"], e.params["kind"]) for e in rows] == [
+        (p, ("SL2_Vi", i)) for p in (5, 7) for i in range(2, p + 1)]
+    for e in rows:
+        p, i = e.params["p"], e.params["kind"][1]
+        law = {(u * u % p, pow(u, i - 1, p)) for u in range(1, p)}
+        assert sorted(map(tuple, e.expected["mu_image"])) == sorted(law)
+        g, v = zoo.build_family(e)
+        # the first two generators of ('Vi', i): no torus, no scalars
+        full = zoo.sl2p(p, ("Vi", i))[0]
+        assert [m.a.tolist() for m in g.generators] == \
+            [m.a.tolist() for m in full.generators[:2]]
+        gg = class_GG(g)
+        cs = mr.canonical_subspaces(v, gg.sylow)
+        image = mu.mu_image(mu.compute_gvee(g, gg.sylow, cs))
+        assert set(image.elements) == law, (p, i)
