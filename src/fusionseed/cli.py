@@ -28,7 +28,7 @@ from . import criterion, modrep, mu, sgroup, zoo
 from .errors import (CapExceeded, FusionseedError, HeavyComputeDisabled,
                      IndexTooLarge, InvalidInstance, InvariantViolation,
                      SubgroupViolation)
-from .gfp import FpMatrix
+from .gfp import FpMatrix, as_prime
 from .grp import MatGroup, class_GG, o_pprime
 from .modrep import FpModule
 
@@ -56,7 +56,7 @@ def _parse_instance(data):
     Raises InvalidInstance for a payload that is not a valid instance.
     """
     try:
-        p = _integer(data["p"], "p")
+        p = as_prime(_integer(data["p"], "p")).p
         dim = _integer(data["dim"], "dim")
         if dim < 1:
             raise ValueError(f"dim must be positive, got {dim}")
@@ -64,7 +64,8 @@ def _parse_instance(data):
         for flat in data["generators"]:
             if len(flat) != dim * dim:
                 raise ValueError("generator entry count != dim^2")
-            arr = np.array([_integer(x, "generator entry") for x in flat],
+            # reduced as Python ints, so no entry overflows int64
+            arr = np.array([_integer(x, "generator entry") % p for x in flat],
                            dtype=np.int64)
             gens.append(FpMatrix(p, arr.reshape(dim, dim)))
         group = MatGroup(p, gens)

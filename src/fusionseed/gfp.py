@@ -87,7 +87,7 @@ class FpMatrix:
 
     __slots__ = ("p", "a", "_key", "_inv")
 
-    def __init__(self, p, arr):
+    def __init__(self, p, arr, inv=None):
         self.p = as_prime(p)
         a = np.array(arr, dtype=np.int64) % self.p.p
         if a.ndim != 2:
@@ -95,7 +95,7 @@ class FpMatrix:
         a.setflags(write=False)
         self.a = a
         self._key = None
-        self._inv = None
+        self._inv = None if inv is None else FpMatrix(p, inv)
 
     # -- construction helpers -------------------------------------------
     @staticmethod

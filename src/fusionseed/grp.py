@@ -5,8 +5,8 @@ closure with canonical byte keys, capped by default at 2e7 elements
 (override with the FUSIONSEED_CAP environment variable).  The Sylow data
 never enumerates G: U's orbit walk gives N_G(U) and leaves on G a one-level
 chain (`OrbitChain`) that gives |G| and membership by a sift, C_G(U) is a
-scan inside N_G(U), and O^{p'}(G) is the normal closure of U on generators,
-whose every closure is sifted through its own chain, never enumerated.
+scan inside N_G(U), and O^{p'}(G) is generated by conjugates of u read from
+that chain until its own U-orbit is G's, never enumerated.
 """
 
 from __future__ import annotations
@@ -133,7 +133,9 @@ class MatGroup:
         return self.cache()._keys
 
     def element(self, i: int) -> FpMatrix:
-        return FpMatrix(self.p, self.cache()._stack[i])
+        """The i-th element, carrying its inverse from the inverse stack."""
+        self.cache()
+        return FpMatrix(self.p, self._stack[i], self._inv_stack[i])
 
     def contains(self, m: FpMatrix) -> bool:
         if self._sifts():
@@ -299,27 +301,41 @@ def class_GG(g: MatGroup) -> GGReport:
 
 
 def o_pprime(g: MatGroup, syl: SylowData) -> MatGroup:
-    """O^{p'}(G), the normal closure of U = <u>: each generator of the
-    closure is conjugated by G's generators, and a conjugate that does not
-    sift through the closure's chain becomes a new generator (and is
-    conjugated in turn).  Each closure gets its chain from a fresh walk of
-    U's orbit; none is enumerated."""
-    p = g.p.p
-    x, x_inv = _stacks(g.generators)
-    gens, gens_inv = [syl.u], [syl.u.inverse()]
+    """O^{p'}(G), generated by u and conjugates T_j^-1 u T_j from G's chain
+    at u, for orbit indices j in a seeded shuffle; a conjugate that sifts
+    into the closure so far is skipped.  The closure, made of p-elements,
+    lies in O^{p'}(G); once its U-orbit is G's, it holds every Sylow
+    p-subgroup and so is O^{p'}(G).  None is enumerated."""
+    chain = g.chain
+    if chain is None or chain.u != syl.u:
+        raise InvariantViolation("o_pprime needs G's orbit chain at u")
+    p, size = g.p.p, len(chain.orbit)
+    u, u_inv = _stacks([syl.u])
+    gens = [syl.u]
     sub = _walked(g, gens, syl.u)
-    i = 0
-    while i < len(gens):
-        conj = _mulmod(_mulmod(x, gens[i].a, p), x_inv, p)
-        conj_inv = _mulmod(_mulmod(x, gens_inv[i].a, p), x_inv, p)
-        for q in np.flatnonzero(~sub.members(conj, conj_inv)):
-            # a closure made for an earlier conjugate may hold this one
-            if not sub.members(conj[q:q + 1], conj_inv[q:q + 1])[0]:
-                gens.append(FpMatrix(g.p, conj[q].astype(np.int64)))
-                gens_inv.append(FpMatrix(g.p, conj_inv[q].astype(np.int64)))
-                sub = _walked(g, gens, syl.u)
-        i += 1
+    for j in _orbit_draws(size):
+        if len(sub.chain.orbit) == size:
+            break
+        t_inv = chain.trans_inv[j]
+        t = FpMatrix(g.p, t_inv).inverse().a
+        conj = _mulmod(_mulmod(t_inv, u, p), t, p)
+        conj_inv = _mulmod(_mulmod(t_inv, u_inv, p), t, p)
+        if not sub.members(conj, conj_inv)[0]:
+            gens.append(FpMatrix(g.p, conj[0], conj_inv[0]))
+            sub = _walked(g, gens, syl.u)
+    if len(sub.chain.orbit) != size:
+        raise InvariantViolation("the conjugates of u miss part of U's orbit")
     return sub
+
+
+def _orbit_draws(size: int):
+    """1, ..., size - 1 in a seeded lazy Fisher-Yates shuffle."""
+    rng = random.Random(1)
+    swapped = {}
+    for i in range(1, size):
+        k = rng.randrange(i, size)
+        yield swapped.get(k, k)
+        swapped[k] = swapped.pop(i, i)
 
 
 def _walked(g: MatGroup, gens: list, u: FpMatrix) -> MatGroup:
@@ -333,21 +349,15 @@ def _walked(g: MatGroup, gens: list, u: FpMatrix) -> MatGroup:
 def product_covers(g: MatGroup, h: MatGroup, x: MatGroup) -> bool:
     """True iff g = hx, for x normalizing h; g itself is not enumerated.
 
-    hx is then a subgroup, holds g when it holds g's generators, and equals
-    g when also |h| |x| / |h meet x| = |g|.  Raises SubgroupViolation when
-    x does not normalize h.
+    When h and x lie in g and x normalizes h, hx is a subgroup of g of
+    order |h| |x| / |h meet x|, so it is g exactly when that order is |g|.
+    Raises SubgroupViolation when x does not normalize h.
     """
+    if not all(g.members(*_stacks(k.generators)).all() for k in (h, x)):
+        return False
     if not h.is_normal_in(x):
         raise SubgroupViolation("x must normalize h")
-    p = g.p.p
-    xs, xs_inv = x.elements_stack(), x.inverses_stack()
-    xs64, xs_inv64 = xs.astype(np.float64), xs_inv.astype(np.float64)
-    for a, a_inv in zip(*_stacks(g.generators)):
-        # a lies in hx iff a y^-1 (inverse y a^-1) lies in h for some y in x
-        if not h.members(_mulmod(a, xs_inv64, p),
-                         _mulmod(xs64, a_inv, p)).any():
-            return False
-    meet = int(h.members(xs, xs_inv).sum())
+    meet = int(h.members(x.elements_stack(), x.inverses_stack()).sum())
     return h.order() * x.order() == meet * g.order()
 
 
@@ -387,8 +397,6 @@ def _subgroups_of_table(mul, e: int, size: int):
 def intermediate_subgroups(g0: MatGroup, gbar: MatGroup,
                            max_index: int = 64) -> list[MatGroup]:
     """All subgroups H with g0 <= H <= gbar, for g0 normal of small index."""
-    g0.cache()
-    gbar.cache()
     if not g0.is_subgroup_of(gbar):
         raise SubgroupViolation("g0 not contained in gbar")
     index = gbar.order() // g0.order()

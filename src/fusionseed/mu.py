@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import (InvariantViolation, NotASubgroup, UnknownName,
                      Z0NotLine)
-from .gfp import FpMatrix, as_prime
+from .gfp import as_prime
 from .grp import MatGroup, SylowData
 from .modrep import CanonicalSubspaces
 
@@ -233,33 +233,27 @@ def compute_gvee(g: MatGroup, syl: SylowData,
         raise Z0NotLine(f"dim Z0 = {cs.Z0.dim}")
     p = g.p.p
     N = syl.normalizer_N
-    N.cache()
-    z_basis = cs.Z.basis
     z0 = cs.Z0.basis[0]
+    nzc = np.nonzero(z0)[0][0]
+    z0_inv = pow(int(z0[nzc]), p - 2, p)
     stack = N.elements_stack()
-    nel = stack.shape[0]
     members = []
     mu_values = {}
     upow_keys = {syl.u.pow(k).key(): k for k in range(1, p)}
-    for lo in range(0, nel, 1 << 14):
+    for lo in range(0, len(stack), 1 << 14):
         S = stack[lo:lo + (1 << 14)].astype(np.int64)
-        # condition: (alpha - 1) Z <= Z0, i.e. alpha z - z in <z0> for z in Z-basis
+        # (alpha - 1) Z <= Z0: alpha z - z lies in <z0> for z in Z's basis
         ok = np.ones(S.shape[0], dtype=bool)
-        for z in z_basis:
-            img = (S @ z) % p - z
-            img %= p
-            # each img row must be a multiple of z0
-            nzc = np.nonzero(z0)[0][0]
-            coef = img[:, nzc] * pow(int(z0[nzc]), p - 2, p) % p
+        for z in cs.Z.basis:
+            img = (S @ z - z) % p
+            coef = img[:, nzc] * z0_inv % p
             ok &= ((coef[:, None] * z0[None, :]) % p == img).all(axis=1)
         for j in np.nonzero(ok)[0]:
             idx = lo + int(j)
-            mat = FpMatrix(g.p, stack[idx])
-            conj = mat @ syl.u @ mat.inverse()
-            r = upow_keys[conj.key()]
+            mat = N.element(idx)
+            r = upow_keys[(mat @ syl.u @ mat.inverse()).key()]
             img = mat.apply(z0)
-            nzc = np.nonzero(z0)[0][0]
-            s = int(img[nzc]) * pow(int(z0[nzc]), p - 2, p) % p
+            s = int(img[nzc]) * z0_inv % p
             if not ((s * z0) % p == img).all():
                 raise InvariantViolation("Z0 not preserved")
             members.append(idx)
@@ -286,12 +280,6 @@ def mu_image(gv: GVee) -> DeltaSubgroup:
 
 def preimage(gv: GVee, d: DeltaSubgroup) -> MatGroup:
     """Subgroup {g in G-vee : mu(g) in d}; always contains U."""
-    keep = []
-    grp = gv.group
-    grp.cache()
-    stack = grp.elements_stack()
-    for i in range(stack.shape[0]):
-        key = stack[i].tobytes()
-        if gv.mu_values[key] in d:
-            keep.append(i)
-    return grp.subset_group(keep)
+    stack = gv.group.elements_stack()
+    return gv.group.subset_group([i for i in range(len(stack))
+                                  if gv.mu_values[stack[i].tobytes()] in d])

@@ -8,6 +8,7 @@ groups at p in {3, 5, 7}.  Corpus rows are data; `row_failures` judges them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -143,9 +144,11 @@ def _coset_permutation_module(g: MatGroup) -> FpModule:
     return FpModule(p, nc, MatGroup(p, gens))
 
 
-def _coset_module_summands(p, seed: int = 1):
-    return modrep.split_summands(
-        _coset_permutation_module(MatGroup(p, _sl2_gens(p))), seed=seed)
+@functools.lru_cache(maxsize=None)
+def _coset_module_summands(p):
+    """The summands of F_p[SL_2(p)/U], split once per p."""
+    return tuple(modrep.split_summands(
+        _coset_permutation_module(MatGroup(p, _sl2_gens(p)))))
 
 
 def _projective_cover_trivial(p) -> FpModule:

@@ -72,6 +72,17 @@ def test_malformed_instance_exit_2(tmp_path):
         code, out, err = run_cli([command, str(family)])
         assert out == ""
         _assert_invalid(code, err, "family must be an object, got 'x'")
+    # an entry outside int64 is reduced mod p as a Python int: 10^30 is 0
+    # mod 5, so this generator is singular; p is validated first
+    huge = tmp_path / "huge.json"
+    for p, phrase in ((5, "generator not invertible"),
+                      (4, "p must be an odd prime")):
+        huge.write_text(f'{{"p": {p}, "dim": 2, "generators": '
+                        '[[1000000000000000000000000000000, 1, 0, 1]]}')
+        for command in ("check", "sgroup"):
+            code, out, err = run_cli([command, str(huge)])
+            assert out == ""
+            _assert_invalid(code, err, phrase)
 
 
 def test_heavy_gate_exit_3():

@@ -1,10 +1,11 @@
+import itertools
 import time
 
 import numpy as np
 import pytest
 
 from conftest import cycle, perm_mat
-from fusionseed import grp, zoo
+from fusionseed import gfp, grp, modrep, mu, zoo
 from fusionseed.errors import (CapExceeded, InvariantViolation,
                              SubgroupViolation)
 from fusionseed.gfp import FpMatrix
@@ -264,6 +265,129 @@ def test_o_pprime_chain_matches_bfs(k, spec):
     # Frattini: G = O^{p'}(G) N_G(U)
     assert product_covers(g, opp, syl.normalizer_N)
     assert opp._stack is None
+
+
+SMALL_CORPUS = [(k, spec) for k, spec in ENUMERABLE_CORPUS
+                if spec.tag in ("sl2p_simple", "str_closed", "sn_deleted",
+                                "sn_perm", "gl2_3", "extraspecial_p3")]
+
+
+def _products(h, x):
+    """Key set of every product of an element of h and one of x, both
+    enumerated."""
+    p, n = h.p.p, h.dim
+    prods = (h.elements_stack().astype(np.int64)[:, None]
+             @ x.elements_stack().astype(np.int64) % p)
+    return {m.tobytes() for m in prods.reshape(-1, n, n).astype(np.int8)}
+
+
+def _outside(g_keys, p, n):
+    """A transvection I + E_ij that is not in the group, or None."""
+    for i, j in itertools.permutations(range(n), 2):
+        m = np.eye(n, dtype=np.int64)
+        m[i, j] = 1
+        if FpMatrix(p, m).key() not in g_keys:
+            return FpMatrix(p, m)
+    return None
+
+
+@pytest.mark.parametrize("k, spec", SMALL_CORPUS,
+                         ids=[f"{k}-{spec.tag}" for k, spec in SMALL_CORPUS])
+def test_product_covers_against_brute_force(k, spec):
+    """product_covers(g, h, x) against |hx| counted over enumerated
+    elements, for h in {G, O^{p'}(G)} and x in {N_G(U), C_G(U), 1, G-vee,
+    each mu-preimage of check_d}, and false when h or x leaves g."""
+    g, v = zoo.build_family(spec)
+    syl = class_GG(g).sylow
+    opp = o_pprime(g, syl)
+    gv = mu.compute_gvee(g, syl, modrep.canonical_subspaces(v, syl))
+    image = mu.mu_image(gv)
+    pres = [mu.preimage(gv, d) for d in
+            (mu.named(g.p, name) for name in ("Delta_-1", "Delta_0"))
+            if d <= image]
+    triv = MatGroup(g.p, [FpMatrix.identity(g.p, g.dim)])
+    bfs = MatGroup(g.p, g.generators).cache()
+    g_keys = set(bfs.keys())
+    answers = []
+    for h, h_bfs in ((g, bfs), (opp, MatGroup(g.p, opp.generators))):
+        for x in [syl.normalizer_N, syl.centralizer_C, triv, gv.group] + pres:
+            covers = product_covers(g, h, x)
+            assert covers == (_products(h_bfs, x) == g_keys)
+            answers.append(covers)
+    assert True in answers and False in answers
+    assert g._stack is None and opp._stack is None
+    out = _outside(g_keys, g.p.p, g.dim)
+    if out is not None:     # GL_2(3) itself has nothing outside
+        assert not product_covers(g, MatGroup(g.p, [out]), triv)
+        assert not product_covers(g, g, MatGroup(g.p, [out]))
+
+
+@pytest.mark.parametrize("k, spec", SMALL_CORPUS,
+                         ids=[f"{k}-{spec.tag}" for k, spec in SMALL_CORPUS])
+def test_o_pprime_from_conjugates_of_u(k, spec, monkeypatch):
+    """O^{p'}(G) is generated by conjugates of u, is normal in G, and has
+    the BFS order also when the draws first hit conjugates that the
+    closure already holds."""
+    g, _ = zoo.build_family(spec)
+    syl = class_GG(g).sylow
+    bfs = MatGroup(g.p, g.generators).cache()
+    conj_keys = {c.key() for c in _conjugates(bfs, syl.u)}
+    opp = o_pprime(g, syl)
+    bfs_opp = MatGroup(g.p, opp.generators).cache()
+    assert all(c.key() in conj_keys for c in opp.generators)
+    assert bfs_opp.is_normal_in(bfs)
+
+    # draw first an orbit point whose closure with u is proper, if any,
+    # then every orbit point that closure holds, then the rest
+    chain, size = g.chain, len(g.chain.orbit)
+
+    def conjugate(j):
+        t_inv = FpMatrix(g.p, chain.trans_inv[j])
+        return t_inv @ syl.u @ t_inv.inverse()
+
+    closures = {j: grp._walked(g, [syl.u, conjugate(j)], syl.u)
+                for j in range(1, min(size, 12))}
+    first = min(closures, key=lambda j: len(closures[j].chain.orbit))
+    held = [chain.orbit[key] for key in closures[first].chain.orbit]
+    order = [first] + [j for j in held if j not in (0, first)]
+    order += [j for j in range(1, size) if j not in order]
+    monkeypatch.setattr(grp, "_orbit_draws", lambda n: iter(order))
+    forced = o_pprime(g, syl)
+    assert forced.order() == bfs_opp.order()
+    assert forced.generators[1] == conjugate(first)
+    later = {chain.orbit[grp._subgroup_keys(c.a[None].astype(np.float64),
+                                            g.p.p)[0]]
+             for c in forced.generators[2:]}
+    assert not later & set(held)
+
+
+def test_o_pprime_needs_the_chain_at_u():
+    g = s5_group()
+    syl = class_GG(g).sylow
+    g.chain = None
+    with pytest.raises(InvariantViolation, match="orbit chain"):
+        o_pprime(g, syl)
+    other = class_GG(g).sylow
+    g.chain.u = other.u.pow(2)
+    with pytest.raises(InvariantViolation, match="orbit chain"):
+        o_pprime(g, other)
+
+
+@pytest.mark.parametrize("tag", ["sn_deleted", "gl2_3"])
+def test_element_carries_its_stored_inverse(tag, monkeypatch):
+    """element(i) reads its inverse from the inverse stack: no RREF."""
+    spec = next(s for s in zoo.table_corpus() if s.tag == tag)
+    built, _ = zoo.build_family(spec)
+    g = MatGroup(built.p, built.generators).cache()
+    calls = []
+    real = gfp._rref_array
+    monkeypatch.setattr(gfp, "_rref_array",
+                        lambda *a: calls.append(1) or real(*a))
+    ident = FpMatrix.identity(g.p, g.dim)
+    for i in range(g.order()):
+        m = g.element(i)
+        assert m @ m.inverse() == ident
+    assert calls == []
 
 
 def test_class_gg_checks_an_enumerated_order(monkeypatch):

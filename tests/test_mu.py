@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fusionseed import modrep as mr, mu
+from fusionseed import gfp, modrep as mr, mu, zoo
 from fusionseed.errors import NotASubgroup, UnknownName, Z0NotLine
 from fusionseed.gfp import FpMatrix
 from fusionseed.grp import MatGroup, class_GG
@@ -180,3 +180,18 @@ def test_dim_p_plus_1_mu_size_law():
     image = mu.mu_image(mu.compute_gvee(g_sc, rep.sylow, cs))
     n_over_u = rep.sylow.normalizer_N.order() // p
     assert image.order == n_over_u // (p - 1)
+
+
+def test_compute_gvee_reads_stored_inverses(monkeypatch):
+    """On the flagship, compute_gvee takes every inverse it needs from
+    N_G(U)'s inverse stack: it runs no RREF."""
+    g, v = zoo.symmetric(5, 5, "deleted", "S", 4)
+    syl = class_GG(g).sylow
+    cs = mr.canonical_subspaces(v, syl)
+    calls = []
+    real = gfp._rref_array
+    monkeypatch.setattr(gfp, "_rref_array",
+                        lambda *a: calls.append(1) or real(*a))
+    gv = mu.compute_gvee(g, syl, cs)
+    assert calls == []
+    assert gv.order() == 80 and mu.mu_image(gv) == mu.named(5, "Delta")

@@ -38,6 +38,18 @@ def test_sl2p_dim_p_plus_1_socles():
         assert mr.is_minimally_active(v, rep.sylow)
 
 
+def test_sl2p_splits_the_coset_module_once(monkeypatch):
+    """The three dim p+1 rows share one split of F_5[SL_2(5)/U]."""
+    zoo._coset_module_summands.cache_clear()
+    splits = []
+    real = mr.split_summands
+    monkeypatch.setattr(mr, "split_summands",
+                        lambda *a, **kw: splits.append(1) or real(*a, **kw))
+    for i in (2, 3, 4):
+        zoo.sl2p(5, ("Vji", 6 - i, i))
+    assert len(splits) == 1
+
+
 def test_sl2p_dim_p_minus_1():
     g, vs = zoo.sl2p(5, ("Vext_pm1", "sub"))
     assert vs.dim == 4 and zoo.socle_min_dim(vs) == 1
