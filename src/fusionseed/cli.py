@@ -1,9 +1,9 @@
 """Command-line driver.
 
 Commands:
-  check <file> [--out F] [--heavy] [--seed N]   run the decision pipeline
+  check <file> [--out F] [--heavy]              run the decision pipeline
   zoo list | zoo emit <tag> [--index K] [--out F] [--heavy]
-  sgroup <file> [--seed N]                      structural + witness report
+  sgroup <file> [--out F]                       structural + witness report
   regress [--filter TAG] [--heavy]              corpus regression run
 
 `regress` runs every instantiable corpus row as `check` runs the row's
@@ -93,7 +93,7 @@ def _needs_heavy(family) -> bool:
     return isinstance(params, dict) and params.get("heavy") is True
 
 
-def check_report(v, g0, family, seed: int = 1, heavy: bool = False) -> dict:
+def check_report(v, g0, family, heavy: bool = False) -> dict:
     """The payload `check` writes for an instance: the orbit-stabilizer
     data of a heavy row, the passers of every G0 <= H <= G when G0 is
     given, or else the criterion report of G."""
@@ -108,7 +108,7 @@ def check_report(v, g0, family, seed: int = 1, heavy: bool = False) -> dict:
         if not g0.is_normal_in(v.group):
             raise InvalidInstance("the group that g0_generators generate "
                                   "is not normal in G")
-        passers = criterion.enumerate_admissible(g0, v.group, v, seed=seed)
+        passers = criterion.enumerate_admissible(g0, v.group, v)
         payload = {
             "mode": "admissible",
             "family": family,
@@ -117,7 +117,7 @@ def check_report(v, g0, family, seed: int = 1, heavy: bool = False) -> dict:
                         for grp, rep in passers],
         }
     else:
-        payload = criterion.evaluate(v, seed=seed).to_dict()
+        payload = criterion.evaluate(v).to_dict()
         payload["family"] = family
     payload["elapsed_s"] = round(time.time() - t0, 3)
     return payload
@@ -134,7 +134,7 @@ def _write(payload: dict, out) -> None:
 
 def cmd_check(args) -> int:
     v, g0, family = _load_instance(args.path)
-    _write(check_report(v, g0, family, args.seed, args.heavy), args.out)
+    _write(check_report(v, g0, family, args.heavy), args.out)
     return 0
 
 
@@ -163,7 +163,7 @@ def cmd_zoo(args) -> int:
 def cmd_sgroup(args) -> int:
     v, _, family = _load_instance(args.path)
     t0 = time.time()
-    rep = criterion.evaluate(v, seed=args.seed)
+    rep = criterion.evaluate(v)
     out = {"criterion_passes": rep.passes, "family": family}
     syl = rep.sylow
     if syl is not None:
@@ -173,9 +173,12 @@ def cmd_sgroup(args) -> int:
         N = syl.normalizer_N
         filt = modrep.w_filtration(
             v, syl, check_elements=[N.element(i) for i in range(N.order())])
+        # sorted, so that the report does not follow N's generating set
         out["filtration"] = {
             "quotient_dims": filt.quotient_dims,
-            "scalar_reports": filt.scalar_reports,
+            "scalar_reports": sorted(
+                filt.scalar_reports,
+                key=lambda r: (r["r"], r["t"], r["law_holds"])),
         }
         if rep.passes:
             image = mu.DeltaSubgroup(v.p, rep.mu_report["image"])
@@ -257,7 +260,6 @@ def main(argv=None) -> int:
     c.add_argument("path")
     c.add_argument("--out")
     c.add_argument("--heavy", action="store_true")
-    c.add_argument("--seed", type=int, default=1)
     c.set_defaults(fn=cmd_check)
 
     z = sub.add_parser("zoo", help="list or emit corpus families")
@@ -271,7 +273,6 @@ def main(argv=None) -> int:
     s = sub.add_parser("sgroup", help="structural report for an instance")
     s.add_argument("path")
     s.add_argument("--out")
-    s.add_argument("--seed", type=int, default=1)
     s.set_defaults(fn=cmd_sgroup)
 
     r = sub.add_parser("regress", help="run the corpus regression")

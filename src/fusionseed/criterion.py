@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import gfp, modrep, mu, tables
-from .errors import IndexTooLarge, InvariantViolation
+from .errors import InvariantViolation
 from .gfp import Subspace
 from .grp import (MatGroup, SylowData, class_GG, intermediate_subgroups,
                   o_pprime, product_covers)
@@ -72,7 +72,6 @@ class CriterionReport:
     exotic: list = field(default_factory=list)
     passes: bool = False
     notes: list = field(default_factory=list)
-    seed: int = 1
     # local data the report was computed from, passed on to sgroup
     sylow: SylowData = field(repr=False, compare=False, default=None)
     gvee: mu.GVee = field(repr=False, compare=False, default=None)
@@ -104,7 +103,6 @@ class CriterionReport:
             "exotic": self.exotic,
             "passes": self.passes,
             "notes": self.notes,
-            "seed": self.seed,
         }
         return d
 
@@ -254,12 +252,12 @@ def exotic_lookup(p: int, rank: int, m: int, e0: E0, group_order: int) -> dict:
     return verdict
 
 
-def evaluate(v: FpModule, seed: int = 1) -> CriterionReport:
+def evaluate(v: FpModule) -> CriterionReport:
     """Run the full pipeline on a faithful module and produce the report."""
     p = v.p.p
     gg = class_GG(v.group)
     rep = CriterionReport(p=p, dim=v.dim, gg_status=gg.status,
-                          group_order=gg.group_order, seed=seed)
+                          group_order=gg.group_order)
     rep.notes.append("exponent-p carrier; the general exponent branch "
                      "(sigma outside Fr(Z) bookkeeping) is not implemented")
     if gg.status == "not_in_G":
@@ -325,15 +323,12 @@ def evaluate(v: FpModule, seed: int = 1) -> CriterionReport:
     return rep
 
 
-def enumerate_admissible(g0: MatGroup, gbar: MatGroup, v: FpModule,
-                         seed: int = 1, max_index: int = 64):
+def enumerate_admissible(g0: MatGroup, gbar: MatGroup, v: FpModule):
     """Run the pipeline on every G with g0 <= G <= gbar; return passers."""
-    if gbar.order() // g0.order() > max_index:
-        raise IndexTooLarge("index above the subgroup-enumeration bound")
     out = []
-    for grp in intermediate_subgroups(g0, gbar, max_index=max_index):
+    for grp in intermediate_subgroups(g0, gbar):
         vv = FpModule(v.p, v.dim, grp)
-        rep = evaluate(vv, seed=seed)
+        rep = evaluate(vv)
         if rep.passes:
             out.append((grp, rep))
     return out

@@ -6,7 +6,9 @@ closure with canonical byte keys, capped by default at 2e7 elements
 never enumerates G: U's orbit walk gives N_G(U) and leaves on G a one-level
 chain (`OrbitChain`) that gives |G| and membership by a sift, C_G(U) is a
 scan inside N_G(U), and O^{p'}(G) is generated by conjugates of u read from
-that chain until its own U-orbit is G's, never enumerated.
+that chain until its own U-orbit is G's, never enumerated.  The groups
+between a normal G0 and G come from a walk of G0's cosets whose steps are
+sifts into G0, so G is not enumerated there either.
 """
 
 from __future__ import annotations
@@ -103,15 +105,15 @@ class MatGroup:
         g.chain = None
         return g
 
-    def subset_group(self, indices, generators=None) -> "MatGroup":
-        """Subgroup from a closed index subset of this group's cache."""
+    def subset_group(self, indices) -> "MatGroup":
+        """Subgroup from a closed index subset of this group's cache, with
+        every element a generator."""
         self.cache()
         idx = np.asarray(sorted(indices), dtype=np.int64)
         stack = self._stack[idx]
         inv_stack = self._inv_stack[idx]
         keys = {stack[i].tobytes(): i for i in range(len(idx))}
-        if generators is None:
-            generators = [self.element(int(i)) for i in idx]
+        generators = [self.element(int(i)) for i in idx]
         return MatGroup.from_elements(self.p, generators, stack, inv_stack,
                                       keys, self.cap)
 
@@ -152,10 +154,6 @@ class MatGroup:
         return np.array([k in keys for k in
                          _row_keys(stack.reshape(len(stack), self.dim ** 2))],
                         dtype=bool)
-
-    def is_subgroup_of(self, other: "MatGroup") -> bool:
-        ok = other.cache()._keys
-        return all(k in ok for k in self.cache()._keys)
 
     def is_normal_in(self, other: "MatGroup") -> bool:
         """True iff other's generators conjugate this group into itself."""
@@ -394,58 +392,59 @@ def _subgroups_of_table(mul, e: int, size: int):
     return subs
 
 
-def intermediate_subgroups(g0: MatGroup, gbar: MatGroup,
-                           max_index: int = 64) -> list[MatGroup]:
-    """All subgroups H with g0 <= H <= gbar, for g0 normal of small index."""
-    if not g0.is_subgroup_of(gbar):
-        raise SubgroupViolation("g0 not contained in gbar")
-    index = gbar.order() // g0.order()
-    if index > max_index:
-        raise IndexTooLarge(f"index {index} > {max_index}")
+INDEX_BOUND = 64    # cosets of G0 that `intermediate_subgroups` accepts
+
+
+def intermediate_subgroups(g0: MatGroup, gbar: MatGroup) -> list[MatGroup]:
+    """All subgroups H with g0 <= H <= gbar, for g0 normal in gbar and
+    generated inside it (by some of gbar's generators, or as O^{p'}(gbar)),
+    of index at most INDEX_BOUND.  H is generated by g0's generators and
+    coset representatives; neither gbar nor H is enumerated.
+
+    The cosets are found by a walk under gbar's generators: t = r_c g lies
+    in the coset of the representative r_d exactly when t r_d^-1 sifts into
+    g0, and a t in no known coset is a new representative.  Each step
+    records the coset of r_c g, so the coset of r_i r_j follows r_j's word
+    from coset i with no further sift.
+    """
     if not g0.is_normal_in(gbar):
         raise SubgroupViolation("g0 not normal in gbar")
-    p = gbar.p.p
-    stack = gbar.elements_stack()
-    keys = gbar.keys()
-    g0_idx = [keys[k] for k in g0.keys()]
-    coset_of = np.full(gbar.order(), -1, dtype=np.int64)
-    coset_of[g0_idx] = 0
-    # identity is in g0; rep of coset 0 is the identity index
-    ident_key = FpMatrix.identity(gbar.p, gbar.dim).key()
-    reps = [keys[ident_key]]
-    g0_stack64 = stack[g0_idx].astype(np.int64)
+    p, n = gbar.p.p, gbar.dim
+    gens, gens_inv = _stacks(gbar.generators)
+    reps, reps_inv = np.eye(n)[None], np.eye(n)[None]
+    step = [[0] * len(gens)]      # step[c][k]: the coset of r_c g_k
+    word = [None]                 # word[d] = (c, k) when r_d = r_c g_k
     queue = [0]
-    gen64 = [g.a for g in gbar.generators]
     while queue:
         c = queue.pop()
-        r64 = stack[reps[c]].astype(np.int64)
-        for g in gen64:
-            t = (r64 @ g) % p
-            ti = keys[t.astype(np.int8).tobytes()]
-            if coset_of[ti] == -1:
-                new_c = len(reps)
-                reps.append(ti)
-                members = (t @ g0_stack64) % p
-                for j in range(members.shape[0]):
-                    coset_of[keys[members[j].astype(np.int8).tobytes()]] = new_c
-                queue.append(new_c)
+        for k in range(len(gens)):
+            t = _mulmod(reps[c], gens[k], p)
+            t_inv = _mulmod(gens_inv[k], reps_inv[c], p)
+            hits = np.flatnonzero(g0.members(_mulmod(t, reps_inv, p),
+                                             _mulmod(reps, t_inv, p)))
+            if len(hits):
+                step[c][k] = int(hits[0])
+                continue
+            if len(reps) == INDEX_BOUND:
+                raise IndexTooLarge("index above the subgroup-enumeration "
+                                    "bound")
+            step[c][k] = len(reps)
+            queue.append(len(reps))
+            reps = np.concatenate([reps, t[None]])
+            reps_inv = np.concatenate([reps_inv, t_inv[None]])
+            step.append([0] * len(gens))
+            word.append((c, k))
     size = len(reps)
-    if size != index:
-        raise InvariantViolation(
-            f"{size} cosets of G0 found in G, but |G : G0| = {index}")
-    mul = [[0] * size for _ in range(size)]
-    for i in range(size):
-        a = stack[reps[i]].astype(np.int64)
-        for j in range(size):
-            b = stack[reps[j]].astype(np.int64)
-            mul[i][j] = int(coset_of[keys[(a @ b % p).astype(np.int8).tobytes()]])
+    mul = [[i] for i in range(size)]
+    for j in range(1, size):
+        c, k = word[j]
+        for row in mul:
+            row.append(step[row[c]][k])
     subs = _subgroups_of_table(mul, 0, size)
-    out = []
-    for sub in sorted(subs, key=lambda s: (len(s), sorted(s))):
-        idx = [i for i in range(gbar.order()) if coset_of[i] in sub]
-        gens = g0.generators + [gbar.element(reps[c]) for c in sorted(sub) if c != 0]
-        out.append(gbar.subset_group(idx, generators=gens))
-    return out
+    return [MatGroup(gbar.p, g0.generators
+                     + [FpMatrix(gbar.p, reps[c], reps_inv[c])
+                        for c in sorted(sub) if c != 0], cap=gbar.cap)
+            for sub in sorted(subs, key=lambda s: (len(s), sorted(s)))]
 
 
 def scalar_subgroup(g: MatGroup) -> MatGroup:

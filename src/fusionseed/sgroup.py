@@ -4,9 +4,10 @@ S-elements are affine matrices [[u^k, c], [0, 1]] for c in A = F_p^n and
 u the Sylow generator's matrix, so S is a subgroup of Gamma = A x| G in the
 same representation.  Z(S), [S,S], Z_2(S) and A_0 are subspaces of A; the
 essential-candidate subgroups H_i = Z<x a^i> and B_i = Z_2<x a^i> are
-MatGroups.  The automorphisms of such a P that Gamma, S and P induce, and
-|C_Gamma(P)|, come from one F_p solve per element of N_G(U), U or C_G(U),
-so neither Gamma nor A x| N_G(U) is enumerated.  The local automorphism
+MatGroups.  The automorphisms of such a P that Gamma, S and P induce,
+|C_Gamma(P)|, and whether one P is Gamma-conjugate into another (step-2
+condition (1)) come from one F_p solve per element of N_G(U), U or C_G(U),
+so neither Gamma nor A x| N_G(U) is ever built.  The local automorphism
 groups Theta are permutation groups on P's elements, keyed by exact codes
 of their generator images, and verified against their contracts.
 
@@ -20,7 +21,7 @@ N_G(U).
 
 from __future__ import annotations
 
-import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,18 +63,6 @@ class SGroup:
         """|Gamma| = p^n |G|, without building Gamma."""
         return self.p ** self.n * self.v.group.order()
 
-    @functools.cached_property
-    def gamma(self) -> MatGroup:
-        """Gamma = A x| G by its generators, for the subgroup orbits of
-        step-2 condition (1).
-
-        Raises CapExceeded when p^n |G| is above G's element cap.
-        """
-        order, cap = self.gamma_order(), self.v.group.cap
-        if order > cap:
-            raise CapExceeded(f"|Gamma| = {order} exceeds cap {cap}")
-        return semidirect_affine(self.v, self.v.group)
-
     def translation(self, w) -> FpMatrix:
         """The translation (w, u^0) of A."""
         return _affine(self.v.p, np.eye(self.n, dtype=np.int64), w)
@@ -114,15 +103,6 @@ def _affine_array(block, vec) -> np.ndarray:
     return a
 
 
-def semidirect_affine(v: FpModule, g: MatGroup) -> MatGroup:
-    """A x| g as (n+1) x (n+1) affine matrices, not enumerated."""
-    one = np.eye(v.dim, dtype=np.int64)
-    gens = [_affine(v.p, m.a, np.zeros(v.dim, dtype=np.int64))
-            for m in g.generators]
-    gens += [_affine(v.p, one, e) for e in one]
-    return MatGroup(v.p, gens, cap=g.cap)
-
-
 @dataclass
 class BuildReport:
     dims: dict
@@ -161,13 +141,14 @@ def choose_x_a(s: SGroup, g: MatGroup, syl: SylowData):
     """x = (0, u) and the translation a = (a, u^0), with a spanning the
     N_G(U)-invariant complement of A0/S'.
 
-    The complement line in A/S' is found by averaging any projection onto
-    A0/S' over coset representatives of U in N_G(U) (order prime to p).
+    The complement line in A/S' is the kernel of the average of any
+    projection onto A0/S' over the distinct images of N_G(U) in GL(A/S').
+    U acts trivially on A/S' and |N_G(U) : U| is prime to p, so this is the
+    average over coset representatives of U in N_G(U).
     """
     p, n = s.p, s.n
     x = _affine(s.v.p, s.u.a, np.zeros(n, dtype=np.int64))
     N = syl.normalizer_N
-    N.cache()
     # coordinates of A/S'
     quot_mod, proj = modrep.quotient_module(
         FpModule(s.v.p, n, N), s.Sprime)
@@ -186,24 +167,14 @@ def choose_x_a(s: SGroup, g: MatGroup, syl: SylowData):
     Binv = Bx.inverse().a
     sel = np.diag([1] * W0.dim + [0])
     P0 = (basisext.T @ sel @ Binv) % p
-    # average over coset reps of U in N
-    stack = N.elements_stack()
-    keys_done = set()
-    reps = []
-    for i in range(stack.shape[0]):
-        m64 = stack[i].astype(np.int64)
-        ck = min(((m64 @ uk) % p).astype(np.int8).tobytes() for uk in
-                 (s.upow[k] for k in range(p)))
-        if ck in keys_done:
-            continue
-        keys_done.add(ck)
-        reps.append(m64)
-    acc = np.zeros((q, q), dtype=np.int64)
-    for r64 in reps:
-        gq = quot_action(proj, r64, p, n, q)
-        acc = (acc + gq @ P0 % p @ _inv_arr(gq, p)) % p
-    inv_cnt = pow(len(reps) % p, p - 2, p)
-    Pbar = acc * inv_cnt % p
+    # average over the distinct images of N in GL(A/S')
+    lift_mat = _lift_matrix(proj, p, n, q)
+    images, inverses = (proj.a @ stack.astype(np.int64) % p @ lift_mat % p
+                        for stack in (N.elements_stack(), N.inverses_stack()))
+    _, first = np.unique(images.reshape(len(images), -1), axis=0,
+                         return_index=True)
+    acc = (images[first] @ P0 % p @ inverses[first] % p).sum(axis=0) % p
+    Pbar = acc * pow(len(first) % p, p - 2, p) % p
     L = gfp.kernel_basis(FpMatrix(s.v.p, Pbar))
     if L.dim != 1:
         raise InvariantViolation("invariant complement must be a line")
@@ -216,12 +187,6 @@ def choose_x_a(s: SGroup, g: MatGroup, syl: SylowData):
     if s.A0.contains_vector(lift):
         raise InvariantViolation("a must lie outside A0")
     return x, s.translation(lift)
-
-
-def quot_action(proj: FpMatrix, g64: np.ndarray, p: int, n: int, q: int):
-    """Action induced on A/S' coordinates by g."""
-    L = _lift_matrix(proj, p, n, q)
-    return proj.a @ g64 % p @ L % p
 
 
 def _lift_matrix(proj: FpMatrix, p: int, n: int, q: int):
@@ -238,10 +203,6 @@ def _lift_matrix(proj: FpMatrix, p: int, n: int, q: int):
 def _lift_from_quotient(s: SGroup, proj: FpMatrix, vec_q: np.ndarray):
     x = gfp.solve(proj, vec_q)
     return np.asarray(x, dtype=np.int64) % s.p
-
-
-def _inv_arr(a: np.ndarray, p: int) -> np.ndarray:
-    return FpMatrix(p, a).inverse().a
 
 
 def class_label(s: SGroup, m: FpMatrix, a: FpMatrix) -> int:
@@ -523,12 +484,13 @@ def _hom_from_gen_images(pset: PermGroupOnSet, gens, images):
 
 # -- Inn(P), Aut_S(P), Lambda_P and C_Gamma(P) by F_p solves -----------------
 #
-# An element (a, g) of Gamma normalizing (centralizing) P = <W, (c, u)>
-# maps P's image U in G to itself, so g lies in N_G(U) (C_G(U)).  With
-# g u g^-1 = u^k and gW = W, it normalizes P exactly when
-#     (1 - u^k) a = c_k - g c  mod W,   c_k = (1 + u + ... + u^(k-1)) c,
-# and the solutions a form a coset of T = {a : (1 - u) a in W}: one solve
-# per element of N_G(U), and no ambient group is enumerated.
+# An element (a, g) of Gamma conjugating Q = <W, (c, u)> into a subgroup
+# Q' = <W', (c', u)> of S maps Q's image U in G into U, so g lies in N_G(U)
+# (and a centralizing one in C_G(U)).  With g u g^-1 = u^k, it conjugates Q
+# into Q' exactly when gW <= W' and
+#     (1 - u^k) a = c'_k - g c  mod W',   c'_k = (1 + u + ... + u^(k-1)) c',
+# and for Q' = Q the solutions a form a coset of T = {a : (1 - u) a in W}:
+# one solve per element of N_G(U), and no ambient group is enumerated.
 
 def _annihilator(space: Subspace) -> np.ndarray:
     """Rows q with q w = 0 exactly for the w in space."""
@@ -537,33 +499,47 @@ def _annihilator(space: Subspace) -> np.ndarray:
     return gfp.kernel_basis(FpMatrix(space.p, space.basis)).basis
 
 
-def normalizer_perms(s: SGroup, pset: PermGroupOnSet, mats, invs
-                     ) -> np.ndarray:
-    """Generators of the automorphisms of P induced by the (a, g) in Gamma
-    normalizing P with g in the (m, n, n) stack mats of N_G(U) elements
-    (inverses invs): the translations by T and one solution per g that
+def conjugators(s: SGroup, src: PermGroupOnSet, dst: PermGroupOnSet,
+                mats, invs) -> list:
+    """(a, g) in Gamma conjugating src = <W, (c, u)> into dst = <W',
+    (c', u)>, as pairs of affine matrices and their inverses: one for each
+    g of the (m, n, n) stack mats of N_G(U) elements (inverses invs) that
     admits one."""
     p, n = s.p, s.n
     one = np.eye(n, dtype=np.int64)
-    q = _annihilator(pset.space)
-    c = pset.x.a[:n, n]
+    q = _annihilator(dst.space)
+    c, c_dst = src.x.a[:n, n], dst.x.a[:n, n]
     mats, invs = mats.astype(np.int64), invs.astype(np.int64)
     upow = np.array(s.upow)
-    # k with g u = u^k g, and whether g keeps W
+    # k with g u = u^k g, and whether g maps W into W'
     hit = (mats[:, None] @ s.u.a % p == upow @ mats[:, None] % p).all(
         axis=(2, 3))
     if not hit.any(axis=1).all():
         raise InvariantViolation("an element outside N_G(U)")
     ks = hit.argmax(axis=1)
-    keeps = ~(q @ mats @ pset.space.basis.T % p).any(axis=(1, 2))
-    ck = np.cumsum([u @ c for u in s.upow], axis=0) % p     # ck[k-1] = c_k
-    t = gfp.kernel_basis(FpMatrix(p, q @ (one - s.u.a) % p)).basis
-    gens = [(_affine_array(one, w), _affine_array(one, -w % p)) for w in t]
+    keeps = ~(q @ mats @ src.space.basis.T % p).any(axis=(1, 2))
+    ck = np.cumsum([u @ c_dst for u in s.upow], axis=0) % p  # ck[k-1] = c'_k
+    out = []
     for g, gi, k in zip(mats[keeps], invs[keeps], ks[keeps]):
         a = gfp.solve(FpMatrix(p, q @ (one - upow[k]) % p),
                       q @ (ck[k - 1] - g @ c) % p)
         if a is not None:
-            gens.append((_affine_array(g, a), _affine_array(gi, -gi @ a % p)))
+            out.append((_affine_array(g, a), _affine_array(gi, -gi @ a % p)))
+    return out
+
+
+def normalizer_perms(s: SGroup, pset: PermGroupOnSet, mats, invs
+                     ) -> np.ndarray:
+    """Generators of the automorphisms of P induced by the (a, g) in Gamma
+    normalizing P with g in the (m, n, n) stack mats of N_G(U) elements
+    (inverses invs): the translations by T and the `conjugators` of P into
+    itself."""
+    p, n = s.p, s.n
+    one = np.eye(n, dtype=np.int64)
+    q = _annihilator(pset.space)
+    t = gfp.kernel_basis(FpMatrix(p, q @ (one - s.u.a) % p)).basis
+    gens = [(_affine_array(one, w), _affine_array(one, -w % p)) for w in t]
+    gens += conjugators(s, pset, pset, mats, invs)
     return pset.conjugation_perms(np.array([m for m, _ in gens]),
                                   np.array([mi for _, mi in gens]))
 
@@ -773,21 +749,12 @@ def step2_conditions(s: SGroup, thetas) -> dict:
     """
     p = s.p
     report = {"gamma_order": s.gamma_order(), "conditions": {}}
-    qs = [th.pset.group for th in thetas]
-    # (1) pairwise Gamma-conjugacy / containment via subgroup orbits,
-    # compared through affine element keys (orbit members may leave S);
-    # vacuous for a single subgroup
-    cond1 = True
-    if len(qs) > 1:
-        orbits = [_gamma_orbit_of_subgroup(s.gamma, q) for q in qs]
-        targets = [frozenset(q.keys()) for q in qs]
-        for a in range(len(qs)):
-            for b in range(len(qs)):
-                if a == b:
-                    continue
-                for member in orbits[a]:
-                    if member <= targets[b]:
-                        cond1 = False
+    # (1) no Q is Gamma-conjugate into another (nor contained in it); a
+    # conjugator (a, g) has g in N_G(U), so one solve per g decides it
+    N = s.syl.normalizer_N
+    cond1 = not any(conjugators(s, a.pset, b.pset, N.elements_stack(),
+                                N.inverses_stack())
+                    for a, b in itertools.permutations(thetas, 2))
     report["conditions"]["pairwise_nonconjugate"] = cond1
 
     # (2) p-centric: Z(Q) is Sylow-p in C_Gamma(Q)
@@ -823,19 +790,3 @@ def step2_conditions(s: SGroup, thetas) -> dict:
     report["ok"] = cond1 and cond2 and cond3 and all(t.ok for t in thetas)
     return report
 
-
-def _gamma_orbit_of_subgroup(gamma: MatGroup, q: MatGroup):
-    """Orbit of a subgroup under Gamma-conjugation, as affine key sets."""
-    p = gamma.p.p
-    seen = {frozenset(q.keys())}
-    gens = [(g.a, g.inverse().a) for g in gamma.generators]
-    queue = [q.elements_stack().astype(np.int64)]
-    while queue:
-        mats = queue.pop()
-        for g, gi in gens:
-            conj = g @ mats % p @ gi % p
-            key = frozenset(_row_keys(conj.reshape(len(conj), -1)))
-            if key not in seen:
-                seen.add(key)
-                queue.append(conj)
-    return seen

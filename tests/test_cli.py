@@ -46,8 +46,8 @@ def test_emit_check_roundtrip(tmp_path):
 def test_check_deterministic(tmp_path):
     inst = tmp_path / "inst.json"
     run_cli(["zoo", "emit", "sn_deleted", "--index", "0", "--out", str(inst)])
-    _, out1, _ = run_cli(["check", str(inst), "--seed", "7"])
-    _, out2, _ = run_cli(["check", str(inst), "--seed", "7"])
+    _, out1, _ = run_cli(["check", str(inst)])
+    _, out2, _ = run_cli(["check", str(inst)])
     r1 = json.loads(out1)
     r2 = json.loads(out2)
     r1.pop("elapsed_s")
@@ -317,21 +317,29 @@ def test_zoo_emit_index_out_of_range_exit_2():
     _assert_invalid(code, err, "index 99 out of range")
 
 
+@pytest.fixture
+def enumerated(monkeypatch):
+    """The order of each group that `MatGroup.cache` is called on, as the
+    engine runs."""
+    orders = []
+    cache = grp.MatGroup.cache
+
+    def counted_cache(group):
+        cache(group)
+        orders.append(len(group._keys))
+        return group
+    monkeypatch.setattr(grp.MatGroup, "cache", counted_cache)
+    return orders
+
+
 def test_sgroup_never_enumerates_gamma_and_builds_each_theta_once(
-        tmp_path, monkeypatch):
+        tmp_path, monkeypatch, enumerated):
     """On the flagship, no group of order |Gamma| = p^n |G| is enumerated,
     and step 2 reuses the reported Theta instead of building it again."""
     inst, out = tmp_path / "inst.json", tmp_path / "out.json"
     assert cli.main(["zoo", "emit", "sn_deleted", "--index", "0",
                      "--out", str(inst)]) == 0
-    enumerated, calls = [], {"theta_witness": 0}
-    cache = grp.MatGroup.cache
-
-    def counted_cache(group):
-        cache(group)
-        enumerated.append(len(group._keys))
-        return group
-    monkeypatch.setattr(grp.MatGroup, "cache", counted_cache)
+    calls = {"theta_witness": 0}
 
     def counted_theta(*args, _fn=sgroup.theta_witness):
         calls["theta_witness"] += 1
@@ -347,7 +355,7 @@ def test_sgroup_never_enumerates_gamma_and_builds_each_theta_once(
 
 @pytest.mark.parametrize("tag, index, which, s_order", [
     ("sn_deleted", 0, None, 5 ** 4), ("str_closed", 1, "c", 5 ** 5)])
-def test_sgroup_never_enumerates_more_than_s(tmp_path, monkeypatch, tag,
+def test_sgroup_never_enumerates_more_than_s(tmp_path, enumerated, tag,
                                              index, which, s_order):
     """Lambda_P, Aut_S(P) and C_Gamma(P) come from solves in N_G(U), and
     the S-classes from a subspace test: on the flagship and on str_closed c
@@ -357,14 +365,6 @@ def test_sgroup_never_enumerates_more_than_s(tmp_path, monkeypatch, tag,
                      "--out", str(inst)]) == 0
     family = json.loads(inst.read_text())["family"]
     assert family["params"].get("which") == which
-    enumerated = []
-    cache = grp.MatGroup.cache
-
-    def counted_cache(group):
-        cache(group)
-        enumerated.append(len(group._keys))
-        return group
-    monkeypatch.setattr(grp.MatGroup, "cache", counted_cache)
     assert cli.main(["sgroup", str(inst), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["step2"]["ok"]
     assert max(enumerated) < s_order
@@ -414,18 +414,15 @@ def test_sgroup_certifies_witnesses_at_every_scale(tmp_path, tag, index, p,
     assert step2["gamma_order"] == p ** dim * g_order
 
 
-def test_sgroup_full_report_above_the_gamma_cap(tmp_path, monkeypatch):
+def test_sgroup_full_report_above_the_gamma_cap(tmp_path, enumerated):
     """sn_deleted at p = 7: |Gamma| = 7^5 * 5040 = 84,707,280 is above the
     2e7 cap, and sgroup reports it with the H-witness of its d2 menu;
-    Gamma itself is never built."""
+    every enumerated group is smaller than |S| = 7^6."""
     inst, out = tmp_path / "inst.json", tmp_path / "out.json"
     assert cli.main(["zoo", "emit", "sn_deleted", "--index", "1",
                      "--out", str(inst)]) == 0
-
-    def unexpected(*args):
-        raise AssertionError("Gamma must not be built")
-    monkeypatch.setattr(sgroup, "semidirect_affine", unexpected)
     assert cli.main(["sgroup", str(inst), "--out", str(out)]) == 0
+    assert enumerated and max(enumerated) < 7 ** 6
     rep = json.loads(out.read_text())
     rep.pop("elapsed_s")
     assert rep["family"]["tag"] == "sn_deleted"
@@ -442,39 +439,44 @@ def test_sgroup_full_report_above_the_gamma_cap(tmp_path, monkeypatch):
                             "ok": True}
 
 
-def test_check_never_enumerates_g(tmp_path, monkeypatch):
+def test_check_never_enumerates_g(tmp_path, enumerated):
     """check reads |G| = 46,080 of extraspecial_p5 from U's orbit walk: no
-    enumerated group is as large as G."""
+    enumerated group is as large as G.  On the admissible route (G0 <= H <=
+    G for sl2p_simple V_3, |G| = 480) the cosets of G0 are sifted, and no
+    enumerated group is as large as G either."""
     inst, out = tmp_path / "inst.json", tmp_path / "out.json"
     assert cli.main(["zoo", "emit", "extraspecial_p5", "--out",
                      str(inst)]) == 0
-    enumerated = []
-    cache = grp.MatGroup.cache
-
-    def counted_cache(group):
-        cache(group)
-        enumerated.append(len(group._keys))
-        return group
-    monkeypatch.setattr(grp.MatGroup, "cache", counted_cache)
     assert cli.main(["check", str(inst), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["group_order"] == 46080
     assert enumerated and max(enumerated) < 46080
+    assert cli.main(["zoo", "emit", "sl2p_simple", "--out", str(inst)]) == 0
+    payload = json.loads(inst.read_text())
+    payload["labels"] = {"g0_generators": [0, 1]}
+    inst.write_text(json.dumps(payload))
+    enumerated.clear()
+    assert cli.main(["check", str(inst), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["mode"] == "admissible"
+    assert [r["group_order"] for r in report["passing"]] == [120, 240, 480]
+    assert enumerated and max(enumerated) < 480
 
 
-def test_check_never_enumerates_o_pprime(tmp_path, monkeypatch):
+def test_regress_never_enumerates_g(enumerated, capsys):
+    """regress's admissible run on monomial R = full (|G| = 122,880) finds
+    the intermediate groups by sifting cosets of O^{p'}(G), never by
+    enumerating G."""
+    assert cli.main(["regress", "--filter", "monomial"]) == 0
+    assert "regress: 3 run, 0 failed" in capsys.readouterr().out
+    assert enumerated and max(enumerated) < 122880
+
+
+def test_check_never_enumerates_o_pprime(tmp_path, enumerated):
     """check on an_deleted (p = 7, |G| = 362,880) reads |O^{p'}(G)| =
     |A_9| = 181,440 from the closure's chain: no enumerated group is as
     large as O^{p'}(G)."""
     inst, out = tmp_path / "inst.json", tmp_path / "out.json"
     assert cli.main(["zoo", "emit", "an_deleted", "--out", str(inst)]) == 0
-    enumerated = []
-    cache = grp.MatGroup.cache
-
-    def counted_cache(group):
-        cache(group)
-        enumerated.append(len(group._keys))
-        return group
-    monkeypatch.setattr(grp.MatGroup, "cache", counted_cache)
     assert cli.main(["check", str(inst), "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["group_order"] == 362880

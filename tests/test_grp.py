@@ -140,6 +140,12 @@ def test_intermediate_subgroups_small():
     assert [m.order() for m in intermediate_subgroups(a5, a5)] == [60]
     mids = intermediate_subgroups(a5, s5)
     assert sorted(m.order() for m in mids) == [60, 120]
+    # a nonabelian quotient: the subgroups of S_3 over the trivial group
+    s3 = MatGroup(5, [perm_mat(5, cycle(3, [0, 1])),
+                      perm_mat(5, cycle(3, [0, 1, 2]))])
+    triv = MatGroup(5, [FpMatrix.identity(5, 3)])
+    assert [m.order() for m in intermediate_subgroups(triv, s3)] == \
+        [1, 2, 2, 2, 3, 6]
 
 
 def test_intermediate_subgroups_c2xc4():

@@ -1,6 +1,6 @@
 """Metamorphic properties of `check` and `sgroup`: their reports, apart
-from elapsed_s, do not depend on the basis of V (nor, for `check`, on the
-choice of generating set)."""
+from elapsed_s, depend neither on the basis of V nor on the choice of
+generating set."""
 
 import functools
 import json
@@ -90,10 +90,9 @@ def test_sgroup_report_invariant_under_change_of_basis(entry, seed):
         _reference(entry, "sgroup")
 
 
-@PROPERTY
-@given(entry=st.integers(0, len(ENTRIES) - 1), seed=st.integers(0, 2 ** 32))
-def test_report_invariant_under_change_of_generators(entry, seed):
-    """The generators reordered, plus one redundant product of two."""
+def _other_generators(entry: int, seed: int) -> dict:
+    """The entry's payload with its generators reordered, plus one
+    redundant product of two, drawn from the seed."""
     payload = json.loads(_payload(entry))
     p = payload["p"]
     rng = np.random.default_rng(seed)
@@ -102,4 +101,20 @@ def test_report_invariant_under_change_of_generators(entry, seed):
     a, b = rng.integers(0, len(gens), size=2)
     gens.insert(int(rng.integers(0, len(gens) + 1)), gens[a] @ gens[b] % p)
     payload["generators"] = [g.reshape(-1).tolist() for g in gens]
-    assert _run("check", payload) == _reference(entry)
+    return payload
+
+
+@PROPERTY
+@given(entry=st.integers(0, len(ENTRIES) - 1), seed=st.integers(0, 2 ** 32))
+def test_report_invariant_under_change_of_generators(entry, seed):
+    assert _run("check", _other_generators(entry, seed)) == _reference(entry)
+
+
+@pytest.mark.parametrize("entry", SGROUP_ENTRIES)
+@settings(max_examples=2, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32))
+def test_sgroup_report_invariant_under_change_of_generators(entry, seed):
+    """S, Theta, the step-2 witnesses and the W-filtration's scalar laws
+    report the same for any generating set."""
+    assert _run("sgroup", _other_generators(entry, seed)) == \
+        _reference(entry, "sgroup")

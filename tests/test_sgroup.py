@@ -8,14 +8,24 @@ from fusionseed import gfp, modrep as mr, mu, sgroup as sg, zoo
 from fusionseed.errors import (CapExceeded, InvariantViolation,
                                MuTooSmall)
 from fusionseed.gfp import FpMatrix
-from fusionseed.grp import MatGroup, class_GG
+from fusionseed.grp import MatGroup, _row_keys, class_GG
 from fusionseed.modrep import FpModule
+
+
+def semidirect_affine(v: FpModule, g: MatGroup) -> MatGroup:
+    """A x| g as (n+1) x (n+1) affine matrices, not enumerated: the
+    brute-force reference for the groups that the engine never builds."""
+    one = np.eye(v.dim, dtype=np.int64)
+    gens = [sg._affine(v.p, m.a, np.zeros(v.dim, dtype=np.int64))
+            for m in g.generators]
+    gens += [sg._affine(v.p, one, e) for e in one]
+    return MatGroup(v.p, gens, cap=g.cap)
 
 
 def _s_group(s):
     """S = A x| U, enumerated: the test oracle that the engine never
     builds."""
-    return sg.semidirect_affine(s.v, MatGroup(s.v.p, [s.u])).cache()
+    return semidirect_affine(s.v, MatGroup(s.v.p, [s.u])).cache()
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +144,7 @@ def test_class_action_of_normalizer(flagship, flagship_hb):
         r, sval = gv.mu_values[mat.key()]
         in_dm = (sval == pow(r, m, p))
         # induced action on S: conjugation by (0, g), (c, u^k) -> (g c, u^rk)
-        g_aff = sg.semidirect_affine(v, MatGroup(5, [mat])).generators[0]
+        g_aff = semidirect_affine(v, MatGroup(5, [mat])).generators[0]
         for j in (1, 2):
             img = g_aff @ hb[j]["generator"] @ g_aff.inverse()
             lbl = sg.class_label(s, img, a)
@@ -210,7 +220,7 @@ def test_step2_duplicate_fails(flagship, flagship_hb):
 def flagship_gamma(flagship):
     """The whole Gamma = A x| G of the flagship, enumerated (60,000)."""
     g, v, _, _, _ = flagship
-    return sg.semidirect_affine(v, g).cache()
+    return semidirect_affine(v, g).cache()
 
 
 @pytest.fixture(scope="module")
@@ -221,7 +231,7 @@ def str_closed_c():
     syl = class_GG(g).sylow
     s, _ = sg.build_s(v, syl)
     x, a = sg.choose_x_a(s, g, syl)
-    return s, sg.hb_subgroups(s, x, a), sg.semidirect_affine(v, g).cache()
+    return s, sg.hb_subgroups(s, x, a), semidirect_affine(v, g).cache()
 
 
 @pytest.fixture(scope="module")
@@ -303,6 +313,46 @@ def test_s_conjugates_of_x_are_its_sprime_coset(request, case):
         assert sg.class_label(s, m, a) == 0
 
 
+def _gamma_orbit_of_subgroup(gamma: MatGroup, q: MatGroup):
+    """Orbit of a subgroup under Gamma-conjugation, as affine key sets."""
+    p = gamma.p.p
+    seen = {frozenset(q.keys())}
+    gens = [(g.a, g.inverse().a) for g in gamma.generators]
+    queue = [q.elements_stack().astype(np.int64)]
+    while queue:
+        mats = queue.pop()
+        for g, gi in gens:
+            conj = g @ mats % p @ gi % p
+            key = frozenset(_row_keys(conj.reshape(len(conj), -1)))
+            if key not in seen:
+                seen.add(key)
+                queue.append(conj)
+    return seen
+
+
+@pytest.mark.parametrize("case", ["flagship_case", "str_closed_c"])
+def test_conjugators_match_gamma_orbits(request, case):
+    """Step-2 condition (1) by solves: some (a, g) with g in N_G(U)
+    conjugates Q into Q' exactly when a brute-force orbit of Q under the
+    generators of the enumerated Gamma has a member inside Q', on all 90
+    ordered pairs of distinct subgroups among the H_i and B_i."""
+    s, hb, gamma = request.getfixturevalue(case)
+    N = s.syl.normalizer_N
+    psets = [sg.PermGroupOnSet(hb[i][kind], s.Z if kind == "H" else s.Z2,
+                               hb[i]["generator"])
+             for kind in ("H", "B") for i in range(s.p)]
+    orbits = [_gamma_orbit_of_subgroup(gamma, ps.group) for ps in psets]
+    into = 0
+    for a, b in itertools.permutations(range(len(psets)), 2):
+        target = frozenset(psets[b].group.keys())
+        brute = any(member <= target for member in orbits[a])
+        solved = sg.conjugators(s, psets[a], psets[b], N.elements_stack(),
+                                N.inverses_stack())
+        assert bool(solved) == brute, (a, b)
+        into += brute
+    assert 0 < into < 90
+
+
 def test_step2_non_centric_subgroup(flagship_gamma):
     """A proper subgroup of A is centralized by all of A: not p-centric."""
     g, v = zoo.symmetric(5, 5, "deleted", "S", 4)
@@ -322,7 +372,7 @@ def test_step2_non_centric_subgroup(flagship_gamma):
 
 def test_semidirect_affine_order():
     g, v = zoo.symmetric(5, 5, "deleted", "S", 4)
-    gamma = sg.semidirect_affine(v, g)
+    gamma = semidirect_affine(v, g)
     assert gamma.order() == 5 ** 3 * 480
 
 
@@ -427,19 +477,6 @@ def test_witnesses_for_exotic_b_family():
     rep = sg.step2_conditions(
         s, [sg.theta_witness(s, "B", i, hb, gv) for i in (0, 1)])
     assert rep["ok"] and rep["gamma_order"] == 5 ** 4 * 240
-
-
-def test_gamma_over_cap_raises_before_enumerating(monkeypatch):
-    """sn_deleted at p = 7: |Gamma| = 7^5 * 5040 is above the 2e7 cap, so
-    S.gamma refuses before building Gamma."""
-    g, v = zoo.symmetric(7, 7, "deleted", "S", 1)
-    s = sg.SGroup(v, class_GG(g).sylow)
-
-    def build(*args):
-        raise AssertionError("Gamma must not be built")
-    monkeypatch.setattr(sg, "semidirect_affine", build)
-    with pytest.raises(CapExceeded, match="84707280 exceeds cap"):
-        s.gamma
 
 
 def _bfs(gens):
