@@ -289,6 +289,9 @@ def main(argv=None) -> int:
     except (CapExceeded, HeavyComputeDisabled, IndexTooLarge) as exc:
         print(f"cap: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("cap: out of memory", file=sys.stderr)
+        return 3
     except InvariantViolation as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
         return 4

@@ -186,9 +186,14 @@ class FpMatrix:
         return FpMatrix(self.p, result)
 
     def is_invertible(self) -> bool:
+        """True iff square and invertible; the inverse found is kept."""
         if self.rows != self.cols:
             return False
-        return rank(self) == self.rows
+        try:
+            self.inverse()
+        except ZeroDivisionError:
+            return False
+        return True
 
     def inverse(self) -> "FpMatrix":
         if self._inv is not None:

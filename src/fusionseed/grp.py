@@ -2,13 +2,17 @@
 
 Groups are given by generating matrices; enumeration is a breadth-first
 closure with canonical byte keys, capped by default at 2e7 elements
-(override with the FUSIONSEED_CAP environment variable).  The Sylow data
-never enumerates G: U's orbit walk gives N_G(U) and leaves on G a one-level
-chain (`OrbitChain`) that gives |G| and membership by a sift, C_G(U) is a
-scan inside N_G(U), and O^{p'}(G) is generated by conjugates of u read from
-that chain until its own U-orbit is G's, never enumerated.  The groups
-between a normal G0 and G come from a walk of G0's cosets whose steps are
-sifts into G0, so G is not enumerated there either.
+(override with the FUSIONSEED_CAP environment variable), or grows a group
+already enumerated by the cosets of one new generator (`MatGroup.extend`).
+The Sylow data never enumerates G: U's orbit walk gives N_G(U), grown by
+cosets, and leaves on G a one-level chain (`OrbitChain`) that gives |G|
+and membership by a sift, along with each generator's permutation of the
+orbit; C_G(U) is a scan inside N_G(U).  O^{p'}(G) is generated by
+conjugates of u read from that chain until its own U-orbit is G's, never
+enumerated; each closure walks G's orbit by permutations read from G's
+table, so none of its points is keyed again.  The groups between a normal
+G0 and G come from a walk of G0's cosets whose steps are sifts into G0,
+so G is not enumerated there either.
 """
 
 from __future__ import annotations
@@ -34,8 +38,9 @@ class MatGroup:
     The element cache, once built, holds the full element stack (int8),
     a key -> index dict, and the matching stack of inverses.  A group that
     is not enumerated but carries an `OrbitChain` (left by
-    `sylow_normalizer_via_orbit`) reads its order from the chain and tests
-    membership by a sift; any other group enumerates itself for both.
+    `sylow_normalizer_via_orbit` or `o_pprime`) reads its order from the
+    chain and tests membership by a sift; any other group enumerates itself
+    for both.
     """
 
     def __init__(self, p, generators, cap: int = DEFAULT_CAP):
@@ -93,7 +98,8 @@ class MatGroup:
     @classmethod
     def from_elements(cls, p, generators, stack, inv_stack, keys,
                       cap: int = DEFAULT_CAP) -> "MatGroup":
-        """Wrap an already-closed element set (no re-enumeration)."""
+        """Wrap an already-closed element set (no re-enumeration); keys,
+        the key -> index dict of the stack, is taken over, not copied."""
         g = cls.__new__(cls)
         g.p = as_prime(p)
         g.generators = list(generators)
@@ -101,21 +107,77 @@ class MatGroup:
         g.cap = cap
         g._stack = np.ascontiguousarray(stack, dtype=np.int8)
         g._inv_stack = np.ascontiguousarray(inv_stack, dtype=np.int8)
-        g._keys = dict(keys)
+        g._keys = keys
         g.chain = None
         return g
 
+    @classmethod
+    def trivial(cls, p, n: int, cap: int = DEFAULT_CAP) -> "MatGroup":
+        """The enumerated trivial group of degree n."""
+        eye = np.eye(n, dtype=np.int8)
+        return cls.from_elements(p, [FpMatrix(p, eye, eye)], eye[None],
+                                 eye[None], {eye.tobytes(): 0}, cap)
+
+    def extend(self, m: FpMatrix) -> "MatGroup":
+        """<self, m>, enumerated, for m outside the enumerated self.
+
+        The new group is a union of right cosets K r of K = self (Dimino's
+        algorithm): a rep r times a generator g either lies in a coset
+        already listed, or starts the new coset K (r g).  The reps are taken
+        a level at a time.  K's elements come first, then each coset in the
+        order found.  Inverses are products of those already held:
+        (k r)^-1 = r^-1 k^-1, with (r g)^-1 = g^-1 r^-1.
+        """
+        p, n = self.p.p, self.dim
+        gens = (self.generators if len(self._keys) > 1 else []) + [m]
+        g, g_inv = _stacks(gens)
+        k = self._stack.astype(np.float64)
+        keys = dict(self._keys)
+        stacks = [self._stack]
+        reps, reps_inv = [np.eye(n)], [np.eye(n)]
+        lo = 0
+        while lo < len(reps):
+            r, r_inv = np.array(reps[lo:]), np.array(reps_inv[lo:])
+            lo = len(reps)
+            x = _mulmod(r[:, None], g, p).reshape(-1, n, n)
+            x_inv = _mulmod(g_inv, r_inv[:, None], p).reshape(-1, n, n)
+            for q, key in enumerate(_row_keys(x.reshape(-1, n * n))):
+                if key in keys:
+                    continue
+                if len(keys) + len(k) > self.cap:
+                    raise CapExceeded(f"group order exceeds cap {self.cap}")
+                coset = _mulmod(k, x[q], p).astype(np.int8)
+                keys.update(zip(_row_keys(coset.reshape(-1, n * n)),
+                                range(len(keys), len(keys) + len(k))))
+                stacks.append(coset)
+                reps.append(x[q])
+                reps_inv.append(x_inv[q])
+        inv_stacks = _mulmod(np.array(reps_inv[1:])[:, None],
+                             self._inv_stack.astype(np.float64), p)
+        return MatGroup.from_elements(
+            self.p, gens, np.concatenate(stacks),
+            np.concatenate([self._inv_stack,
+                            inv_stacks.reshape(-1, n, n).astype(np.int8)]),
+            keys, self.cap)
+
     def subset_group(self, indices) -> "MatGroup":
-        """Subgroup from a closed index subset of this group's cache, with
-        every element a generator."""
+        """Subgroup from a closed index subset of this group's cache, its
+        elements in index order.  An element is a generator when the
+        closure of the generators before it in that order lacks it."""
         self.cache()
         idx = np.asarray(sorted(indices), dtype=np.int64)
         stack = self._stack[idx]
         inv_stack = self._inv_stack[idx]
         keys = {stack[i].tobytes(): i for i in range(len(idx))}
-        generators = [self.element(int(i)) for i in idx]
-        return MatGroup.from_elements(self.p, generators, stack, inv_stack,
-                                      keys, self.cap)
+        closure = MatGroup.trivial(self.p, self.dim, self.cap)
+        for i, key in enumerate(keys):
+            if key not in closure._keys:
+                closure = closure.extend(
+                    FpMatrix(self.p, stack[i], inv_stack[i]))
+        if len(closure._keys) != len(keys):
+            raise SubgroupViolation("index subset is not a subgroup")
+        return MatGroup.from_elements(self.p, closure.generators, stack,
+                                      inv_stack, keys, self.cap)
 
     def _sifts(self) -> bool:
         return self._stack is None and self.chain is not None
@@ -198,6 +260,7 @@ class SylowData:
     normalizer_N: MatGroup
     centralizer_C: MatGroup
     automizer_order: int
+    word: tuple | None = None    # (w, e): u = w^e, w a word in G's generators
 
     def r_of(self, g: FpMatrix) -> int:
         """Exponent r with g u g^-1 = u^r."""
@@ -219,36 +282,38 @@ class GGReport:
 ORDER_P_WORDS = 10000    # seeded random generator words searched for u
 
 
-def order_p_element(g: MatGroup) -> FpMatrix | None:
-    """An element of order p from the first of ORDER_P_WORDS seeded random
-    generator words whose order p divides, or None.
+def order_p_element(g: MatGroup) -> tuple[FpMatrix, list, int] | None:
+    """(u, w, e): an element u = w^e of order p, for w the first of
+    ORDER_P_WORDS seeded random generator words (w as a list of generator
+    indices, read left to right) whose order p divides; or None.
 
     A word's semisimple part has order dividing L = lcm(p^i - 1, i <= n),
     so w^L, a power of w's unipotent part prime to p, is 1 exactly when p
-    does not divide the order of w; p-th powers take it down to order p.
-    Words are powered 100 at a time.
+    does not divide the order of w; p-th powers take it down to order p,
+    so e = L p^i.  Words are powered 100 at a time.
     """
     p, n = g.p.p, g.dim
     exponent = math.lcm(*(p ** i - 1 for i in range(1, n + 1)))
     rng = random.Random(1)
     gens = [h.a.astype(np.float64) for h in g.generators]
-    word = np.eye(n)
+    word, letters = np.eye(n), []
     for _ in range(ORDER_P_WORDS // 100):
         words = []
         for _ in range(100):
-            word = _mulmod(word, gens[rng.randrange(len(gens))], p)
+            letters.append(rng.randrange(len(gens)))
+            word = _mulmod(word, gens[letters[-1]], p)
             words.append(word)
         words, unipotent = np.array(words), np.eye(n)
         for bit in bin(exponent)[2:]:          # square and multiply
             unipotent = _mulmod(unipotent, unipotent, p)
             if bit == "1":
                 unipotent = _mulmod(unipotent, words, p)
-        for m in unipotent:
+        for q, m in enumerate(unipotent):
             if (m != np.eye(n)).any():
-                u = FpMatrix(g.p, m.astype(np.int64))
+                u, e = FpMatrix(g.p, m.astype(np.int64)), exponent
                 while u.pow(p) != FpMatrix.identity(g.p, n):
-                    u = u.pow(p)
-                return u
+                    u, e = u.pow(p), e * p
+                return u, letters[:len(letters) - len(words) + q + 1], e
     return None
 
 
@@ -276,8 +341,8 @@ def class_GG(g: MatGroup) -> GGReport:
     additionally requires automizer order exactly p - 1.
     """
     p = g.p.p
-    u = order_p_element(g)
-    if u is None:
+    found = order_p_element(g)
+    if found is None:
         order = g.order()
         if order % p:
             return GGReport("not_in_G", order,
@@ -285,7 +350,9 @@ def class_GG(g: MatGroup) -> GGReport:
         raise InvariantViolation(
             f"Cauchy: p = {p} divides |G| = {order} but no element of "
             "order p was found")
+    u, word, e = found
     syl, orbit = sylow_data(g, u)
+    syl.word = (word, e)
     order = orbit * syl.normalizer_N.order()
     if g._stack is not None and order != len(g._keys):
         raise InvariantViolation(
@@ -303,24 +370,26 @@ def o_pprime(g: MatGroup, syl: SylowData) -> MatGroup:
     at u, for orbit indices j in a seeded shuffle; a conjugate that sifts
     into the closure so far is skipped.  The closure, made of p-elements,
     lies in O^{p'}(G); once its U-orbit is G's, it holds every Sylow
-    p-subgroup and so is O^{p'}(G).  None is enumerated."""
+    p-subgroup and so is O^{p'}(G).  None is enumerated, and no orbit point
+    is keyed: each closure walks G's orbit on its generators' permutations
+    of it (`_table_closure`), u's read off u's word in G's generators and
+    T_j^-1 u T_j's composed along j's path in G's walk."""
     chain = g.chain
-    if chain is None or chain.u != syl.u:
-        raise InvariantViolation("o_pprime needs G's orbit chain at u")
-    p, size = g.p.p, len(chain.orbit)
-    u, u_inv = _stacks([syl.u])
-    gens = [syl.u]
-    sub = _walked(g, gens, syl.u)
+    if chain is None or chain.u != syl.u or syl.word is None:
+        raise InvariantViolation("o_pprime needs G's orbit chain at u and "
+                                 "u's word in G's generators")
+    size = len(chain.orbit)
+    u_perm = chain.word_action(*syl.word)
+    gens, perms = [syl.u], [u_perm]
+    sub = _table_closure(g, gens, perms)
     for j in _orbit_draws(size):
         if len(sub.chain.orbit) == size:
             break
-        t_inv = chain.trans_inv[j]
-        t = FpMatrix(g.p, t_inv).inverse().a
-        conj = _mulmod(_mulmod(t_inv, u, p), t, p)
-        conj_inv = _mulmod(_mulmod(t_inv, u_inv, p), t, p)
-        if not sub.members(conj, conj_inv)[0]:
-            gens.append(FpMatrix(g.p, conj[0], conj_inv[0]))
-            sub = _walked(g, gens, syl.u)
+        conj, perm = _conjugate_of_u(g, j, u_perm)
+        if not sub.contains(conj):
+            gens.append(conj)
+            perms.append(perm)
+            sub = _table_closure(g, gens, perms)
     if len(sub.chain.orbit) != size:
         raise InvariantViolation("the conjugates of u miss part of U's orbit")
     return sub
@@ -336,11 +405,38 @@ def _orbit_draws(size: int):
         swapped[k] = swapped.pop(i, i)
 
 
-def _walked(g: MatGroup, gens: list, u: FpMatrix) -> MatGroup:
-    """The subgroup <gens> of g, holding u, with the chain of U's orbit."""
+def _conjugate_of_u(g: MatGroup, j: int, u_perm: np.ndarray):
+    """T_j^-1 u T_j, with its inverse, and its permutation of U's orbit
+    (T_j^-1, then u, then T_j) for u's permutation u_perm; T_j is the
+    product of G's generators along j's path in G's walk."""
+    p, chain = g.p.p, g.chain
+    path = chain.path(j)
+    t = np.eye(g.dim)
+    for k in path:
+        t = _mulmod(t, g.generators[k].a.astype(np.float64), p)
+    t_inv = chain.trans_inv[j].astype(np.float64)
+    u, u_inv = _stacks([chain.u])
+    t_perm = chain.word_action(path)
+    back = np.empty_like(t_perm)
+    back[t_perm] = np.arange(len(t_perm))
+    return (FpMatrix(g.p, _mulmod(_mulmod(t_inv, u[0], p), t, p),
+                     _mulmod(_mulmod(t_inv, u_inv[0], p), t, p)),
+            t_perm[u_perm[back]])
+
+
+def _table_closure(g: MatGroup, gens: list, perms: list) -> MatGroup:
+    """The subgroup <gens> of g, whose generators permute the points of G's
+    chain as perms (perms[k][i] the point reached from i), with the chain
+    of U's orbit under it: that orbit is walked on perms, so no point is
+    keyed; its points keep their keys in G's orbit."""
     sub = MatGroup(g.p, gens, cap=g.cap)
-    sylow_normalizer_via_orbit(g.p, g.dim, sub.generators, u,
-                               max_orbit=g.cap, into=sub)
+    table = np.stack(perms, axis=1)
+    index, *walked = _walk(g.p, gens, 0,
+                           lambda points, *_: table[points].ravel().tolist(),
+                           g.cap)
+    keys = list(g.chain.orbit)
+    sub.chain = OrbitChain(g.chain.u, {keys[i]: j for j, i in
+                                       enumerate(index)}, *walked)
     return sub
 
 
@@ -520,11 +616,15 @@ class OrbitChain:
     is complete and the stabilizer holds every Schreier generator, so
     |H| = |orbit| |N_H(U)|, and m lies in H exactly when <m^-1 u m> is an
     orbit point j and m T_j^-1 lies in N_H(U): a sift with no random step.
+    `action[j, k]` (int32) is the point that H's k-th generator takes j
+    to, and `parent[j] = (i, k)` when T_j = T_i g_k ((-1, -1) at U).
     """
     u: FpMatrix
     orbit: dict
     trans_inv: np.ndarray
     stabilizer: MatGroup
+    action: np.ndarray
+    parent: np.ndarray
 
     def order(self) -> int:
         return len(self.orbit) * self.stabilizer.order()
@@ -548,6 +648,27 @@ class OrbitChain:
                              _row_keys(n_part.reshape(len(hit), n * n))]
         return out
 
+    def path(self, j: int) -> list:
+        """Generator indices k_1, ..., k_d with T_j = g_k1 ... g_kd."""
+        word = []
+        while j > 0:
+            j, k = self.parent[j]
+            word.append(int(k))
+        return word[::-1]
+
+    def word_action(self, word, e: int = 1) -> np.ndarray:
+        """The permutation of the orbit points (point i goes to perm[i]) by
+        w^e, for w = g_k1 g_k2 ... given as its generator indices."""
+        perm = np.arange(len(self.orbit))
+        for k in word:
+            perm = self.action[perm, k]
+        power = np.arange(len(perm))
+        while e:
+            if e & 1:
+                power = perm[power]
+            perm, e = perm[perm], e >> 1
+        return power
+
 
 def sylow_normalizer_via_orbit(p, dim, generators, u: FpMatrix,
                                max_orbit: int = 10 ** 6,
@@ -568,71 +689,96 @@ def sylow_normalizer_via_orbit(p, dim, generators, u: FpMatrix,
 
 def _orbit_chain(p, dim, generators, u: FpMatrix,
                  max_orbit: int) -> OrbitChain:
-    """Walks the conjugation orbit of U = <u> under <generators> level by
-    level, in chunks of _ORBIT_CHUNK points conjugated by every generator
-    at once, keeping a transversal T with T^-1 u T the point it reaches.
-    The Schreier generators (t g) T_j^-1 that are not yet in the stabilizer
-    generate N_G(U) (Schreier's lemma).
+    """The chain at U = <u> of <generators>: U's conjugation orbit, each
+    point keyed by `_subgroup_keys`, walked by `_walk`."""
+    pp, n = int(p), dim
+    uf = u.a.astype(np.float64)
+
+    def keys(points, t, t_inv, gens, gens_inv):
+        reps = _mulmod(_mulmod(t_inv, uf, pp), t, pp)
+        conj = _mulmod(_mulmod(gens_inv, reps[:, None], pp), gens, pp)
+        return _subgroup_keys(conj.reshape(-1, n, n), pp)
+
+    base = _subgroup_keys(uf[None], pp)[0]
+    return OrbitChain(u, *_walk(p, generators, base, keys, max_orbit))
+
+
+def _walk(p, generators, base, targets, max_orbit):
+    """Walks the orbit of a base point under <generators> level by level,
+    in chunks of _ORBIT_CHUNK points moved by every generator at once,
+    keeping a transversal T with T_j taking the base point to point j.
+
+    `targets(points, t, t_inv, gens, gens_inv)` gives the label of the
+    point that each pair (chunk point, generator) reaches, pair q being
+    (q // m, q % m), from the labels `points` of the chunk's points and
+    their T and T^-1; the base point's label is `base`.  The Schreier
+    generators (t g) T_j^-1 that are not yet in the stabilizer generate it
+    (Schreier's lemma), which grows by cosets (`MatGroup.extend`).
+
+    Returns the dict label -> point index, T^-1 (int8), the stabilizer,
+    each generator's action on the points and each point's parent.
     """
     pp = int(p)
-    n = dim
-    gens = np.array([g.a for g in generators], dtype=np.float64)
-    gens_inv = np.array([g.inverse().a for g in generators],
-                        dtype=np.float64)
+    n = generators[0].rows
+    gens, gens_inv = _stacks(generators)
     m = len(gens)
-    uf = u.a.astype(np.float64)
-    orbit = {_subgroup_keys(uf[None], pp)[0]: 0}
+    index, labels = {base: 0}, [base]
     trans = np.zeros((1024, n, n), dtype=np.int8)
     trans_inv = np.zeros_like(trans)
     trans[0] = trans_inv[0] = np.eye(n, dtype=np.int8)
-    stab_gens = []
-    stab = MatGroup(p, [FpMatrix.identity(p, n)]).cache()
-    stab_keys = stab.keys()
+    action = np.zeros((1024, m), dtype=np.int32)
+    parent = np.full((1024, 2), -1, dtype=np.int32)
+    stab = MatGroup.trivial(p, n)
     lo, hi = 0, 1
     while lo < hi:
         for c in range(lo, hi, _ORBIT_CHUNK):
             t = trans[c:min(c + _ORBIT_CHUNK, hi)].astype(np.float64)
             t_inv = trans_inv[c:c + len(t)].astype(np.float64)
-            reps = _mulmod(_mulmod(t_inv, uf, pp), t, pp)
-            # pair q = (point c + q // m, generator q % m)
-            conj = _mulmod(_mulmod(gens_inv, reps[:, None], pp), gens, pp)
-            keys = _subgroup_keys(conj.reshape(-1, n, n), pp)
+            labs = targets(labels[c:c + len(t)], t, t_inv, gens, gens_inv)
             tg = _mulmod(t[:, None], gens, pp).reshape(-1, n, n)
-            targets = np.array([orbit.get(k, -1) for k in keys])
+            reached = np.array([index.get(k, -1) for k in labs])
             fresh = []
-            for q in np.flatnonzero(targets < 0):
-                j = orbit.get(keys[q])
+            for q in np.flatnonzero(reached < 0):
+                j = index.get(labs[q])
                 if j is None:
-                    if len(orbit) >= max_orbit:
+                    if len(index) >= max_orbit:
                         raise CapExceeded(
                             f"Sylow orbit exceeds bound {max_orbit}")
-                    j = orbit[keys[q]] = len(orbit)
+                    j = index[labs[q]] = len(index)
+                    labels.append(labs[q])
                     fresh.append(q)
-                targets[q] = j
+                reached[q] = j
+            action[c:c + len(t)] = reached.reshape(len(t), m)
             if fresh:
-                size = len(orbit)
+                size = len(index)
                 if size > len(trans):
                     grow = max(size, 2 * len(trans))
-                    trans = np.resize(trans, (grow, n, n))
-                    trans_inv = np.resize(trans_inv, (grow, n, n))
+                    trans, trans_inv, action, parent = (
+                        np.resize(a, (grow,) + a.shape[1:])
+                        for a in (trans, trans_inv, action, parent))
+                new = slice(size - len(fresh), size)
                 fresh = np.array(fresh)
-                trans[size - len(fresh):size] = tg[fresh]
-                trans_inv[size - len(fresh):size] = _mulmod(
-                    gens_inv[fresh % m], t_inv[fresh // m], pp)
+                trans[new] = tg[fresh]
+                trans_inv[new] = _mulmod(gens_inv[fresh % m],
+                                         t_inv[fresh // m], pp)
+                parent[new] = np.stack([c + fresh // m, fresh % m], axis=1)
             # every pair that did not find a new point gives a Schreier
             # generator (one that did gives the identity)
-            pairs = np.ones(len(keys), dtype=bool)
+            pairs = np.ones(len(labs), dtype=bool)
             pairs[fresh] = False
+            pairs = np.flatnonzero(pairs)
             schreier = _mulmod(tg[pairs],
-                               trans_inv[targets[pairs]].astype(np.float64),
+                               trans_inv[reached[pairs]].astype(np.float64),
                                pp)
             skeys = _row_keys(schreier.reshape(-1, n * n))
-            # a closure made for an earlier one may already hold a later one
-            for q in [q for q, k in enumerate(skeys) if k not in stab_keys]:
-                if skeys[q] not in stab_keys:
-                    stab_gens.append(
-                        FpMatrix(p, schreier[q].astype(np.int64)))
-                    stab = MatGroup(p, stab_gens).cache()
-                    stab_keys = stab.keys()
-        lo, hi = hi, len(orbit)
-    return OrbitChain(u, orbit, trans_inv[:len(orbit)].copy(), stab)
+            # an extension made for an earlier one may hold a later one
+            for q in [q for q, k in enumerate(skeys) if k not in stab._keys]:
+                if skeys[q] not in stab._keys:
+                    i, k = divmod(int(pairs[q]), m)
+                    s_inv = _mulmod(
+                        trans[reached[pairs[q]]].astype(np.float64),
+                        _mulmod(gens_inv[k], t_inv[i], pp), pp)
+                    stab = stab.extend(FpMatrix(p, schreier[q], s_inv))
+        lo, hi = hi, len(index)
+    size = len(index)
+    return index, trans_inv[:size].copy(), stab, action[:size], parent[:size]

@@ -224,21 +224,6 @@ MODULE_SURVEY_ROWS = [
      "ER": "E", "instantiable": False},
 ]
 
-# Case table driving the essential-class menus: one row per case of the
-# decision procedure, with the class menu in the last column.
-CASE_TABLE = [
-    {"case": "i", "mu": "Delta", "X": "G-vee", "m": "0 mod p-1",
-     "sigma": "sigma in Fr(Z)", "E0": "H0 + B*"},
-    {"case": "ii", "mu": "Delta", "X": "G-vee", "m": "-1 mod p-1",
-     "sigma": "sigma in Fr(Z)", "E0": "B0 + H*"},
-    {"case": "iii", "mu": ">= Delta_-1", "X": "mu^-1(Delta_-1)",
-     "m": "-1 mod p-1", "sigma": "sigma in Fr(Z)",
-     "E0": "union H_i (I nonempty) ; else H0"},
-    {"case": "iv", "mu": ">= Delta_0", "X": "mu^-1(Delta_0), Z0 not invariant",
-     "m": "0 mod p-1", "sigma": "sigma in Fr(Z)",
-     "E0": "union B_i (I nonempty) ; else B0"},
-]
-
 
 def lookup_realizable(p: int, rank: int, m: int, e0_tag: str,
                       group_order: int) -> dict:

@@ -470,12 +470,12 @@ def heavy_extraspecial_check(v: FpModule) -> dict:
     for u fails instead, and O^{p'}(G) is not computed.
     """
     p = v.p.p
-    u = grp.order_p_element(v.group)
-    if u is None:
+    found = grp.order_p_element(v.group)
+    if found is None:
         raise InvariantViolation(f"no element of order {p} found in "
                                  f"{grp.ORDER_P_WORDS} random generator "
                                  "words")
-    syl, orbit = grp.sylow_data(v.group, u)
+    syl, orbit = grp.sylow_data(v.group, found[0])
     ngrp = syl.normalizer_N
     n_order = ngrp.order()
     cs = modrep.canonical_subspaces(v, syl)
@@ -512,7 +512,12 @@ def strongly_closed_example(p: int, which: str):
     gv = mu.compute_gvee(v.group, gg.sylow, cs)
     opp = o_pprime(v.group, gg.sylow)
     pre = mu.preimage(gv, mu.named(p, target))
-    g = MatGroup(p, opp.generators + pre.generators)
+    # every element of the preimage, in the order in which BFS under
+    # N_G(U)'s generators lists them, as the emitted files always have
+    n_bfs = MatGroup(p, gg.sylow.normalizer_N.generators).cache()
+    g = MatGroup(p, opp.generators + [n_bfs.element(i) for i, key in
+                                      enumerate(n_bfs.keys())
+                                      if key in pre.keys()])
     return g, FpModule(p, v.dim, g)
 
 

@@ -526,6 +526,21 @@ def test_missing_order_p_element_exit_4(tmp_path, monkeypatch, capsys):
     assert "invariant violated: Cauchy" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, module, name", [
+    ("check", "criterion", "evaluate"), ("sgroup", "sgroup", "build_s")])
+def test_out_of_memory_exit_3(command, module, name, tmp_path, monkeypatch,
+                              capsys):
+    """A MemoryError anywhere in a command ends in exit 3 with one line."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(getattr(cli, module), name, exhausted)
+    path = _instance(tmp_path, [E12, [1, 0, 1, 1]])       # SL_2(5)
+    assert cli.main([command, path]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["cap: out of memory"]
+    assert "Traceback" not in err
+
+
 def test_heavy_check_without_order_7_word_exit_4(tmp_path, monkeypatch,
                                                  capsys):
     """No random generator word of order divisible by 7: the heavy check

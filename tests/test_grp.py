@@ -258,7 +258,8 @@ def test_o_pprime_chain_matches_bfs(k, spec):
     assert (opp.order() < g.order()) == (spec.tag != "sl2p_mu_law")
     assert g.members(stack, inverses).all()      # G's own chain
 
-    u_chain = grp._walked(g, [syl.u], syl.u)
+    u_chain = grp._table_closure(g, [syl.u],
+                                 [g.chain.word_action(*syl.word)])
     u_bfs = MatGroup(g.p, [syl.u])
     for chained, enumerated in ((opp, bfs_opp), (u_chain, u_bfs)):
         assert chained.is_normal_in(g) == enumerated.is_normal_in(g)
@@ -351,8 +352,12 @@ def test_o_pprime_from_conjugates_of_u(k, spec, monkeypatch):
         t_inv = FpMatrix(g.p, chain.trans_inv[j])
         return t_inv @ syl.u @ t_inv.inverse()
 
-    closures = {j: grp._walked(g, [syl.u, conjugate(j)], syl.u)
-                for j in range(1, min(size, 12))}
+    u_perm = chain.word_action(*syl.word)
+
+    def closure(j):
+        conj, perm = grp._conjugate_of_u(g, j, u_perm)
+        return grp._table_closure(g, [syl.u, conj], [u_perm, perm])
+    closures = {j: closure(j) for j in range(1, min(size, 12))}
     first = min(closures, key=lambda j: len(closures[j].chain.orbit))
     held = [chain.orbit[key] for key in closures[first].chain.orbit]
     order = [first] + [j for j in held if j not in (0, first)]
@@ -499,3 +504,198 @@ def test_index_too_large():
     triv = MatGroup(5, [FpMatrix.identity(5, 5)])
     with pytest.raises((IndexTooLarge, SubgroupViolation)):
         intermediate_subgroups(triv, big)
+
+
+def _reference_chain(g, gens, u):
+    """U's orbit under <gens> by a plain walk, each point keyed by its
+    subgroup key, and N(U) enumerated by BFS on the distinct Schreier
+    generators: no table, no `_walk` and no coset growth."""
+    p, n = g.p.p, g.dim
+    h, h_inv = grp._stacks(gens)
+    orbit = {grp._subgroup_keys(u.a[None].astype(np.float64), p)[0]: 0}
+    trans, trans_inv = [np.eye(n)], [np.eye(n)]
+    uf = u.a.astype(np.float64)
+    schreier = {}
+    for t, t_inv in zip(trans, trans_inv):
+        th, th_inv = grp._mulmod(t, h, p), grp._mulmod(h_inv, t_inv, p)
+        points = grp._subgroup_keys(
+            grp._mulmod(grp._mulmod(th_inv, uf, p), th, p), p)
+        for q, point in enumerate(points):
+            if point not in orbit:
+                orbit[point] = len(trans)
+                trans.append(th[q])
+                trans_inv.append(th_inv[q])
+            else:
+                s = FpMatrix(p, grp._mulmod(th[q], trans_inv[orbit[point]],
+                                            p))
+                schreier[s.key()] = s
+    stab = MatGroup(g.p, list(schreier.values())
+                    or [FpMatrix.identity(g.p, n)]).cache()
+    return grp.OrbitChain(u, orbit, np.array(trans_inv, dtype=np.int8),
+                          stab, None, None)
+
+
+def _key_walk_o_pprime(g, syl):
+    """o_pprime's generators, and the chain of each closure on the way,
+    each closure walked afresh by keys."""
+    chain = g.chain
+    size = len(chain.orbit)
+    gens = [syl.u]
+    subs = [_reference_chain(g, gens, syl.u)]
+    for j in grp._orbit_draws(size):
+        if len(subs[-1].orbit) == size:
+            break
+        t_inv = FpMatrix(g.p, chain.trans_inv[j])
+        conj = t_inv @ syl.u @ t_inv.inverse()
+        if not subs[-1].members(conj.a[None], conj.inverse().a[None])[0]:
+            gens.append(conj)
+            subs.append(_reference_chain(g, gens, syl.u))
+    return gens, subs
+
+
+@pytest.mark.parametrize("k, spec", ENUMERABLE_CORPUS,
+                         ids=[f"{k}-{spec.tag}" for k, spec in
+                              ENUMERABLE_CORPUS])
+def test_table_closures_match_key_walks(k, spec, monkeypatch):
+    """Every closure that o_pprime walks on G's orbit table against a walk
+    that keys each of its points: the same orbit and stabilizer key sets,
+    and the same sift answers on every element of G; and o_pprime's
+    generators against those of the closures walked by keys."""
+    g, _ = zoo.build_family(spec)
+    syl = class_GG(g).sylow
+    closures = []
+    real = grp._table_closure
+
+    def recorded(*args):
+        closures.append(real(*args))
+        return closures[-1]
+    monkeypatch.setattr(grp, "_table_closure", recorded)
+    opp = o_pprime(g, syl)
+    gens, refs = _key_walk_o_pprime(g, syl)
+    assert closures[-1] is opp and opp.generators == gens
+    assert len(closures) == len(refs)
+
+    bfs = MatGroup(g.p, g.generators).cache()
+    stack, inverses = bfs.elements_stack(), bfs.inverses_stack()
+    for sub, ref in zip(closures, refs):
+        assert set(sub.chain.orbit) == set(ref.orbit)
+        assert set(sub.chain.stabilizer.keys()) == set(ref.stabilizer.keys())
+        inside = sub.members(stack, inverses)
+        assert inside.tolist() == ref.members(stack, inverses).tolist()
+        assert inside.sum() == sub.order()
+    assert closures[0].order() == g.p.p < len(stack)
+
+
+def test_o_pprime_keys_only_its_draws(monkeypatch):
+    """On the an_deleted group (|U^G| = 4,320) the only subgroup keys that
+    o_pprime computes are one per conjugate it sifts; walking each closure
+    by keys made 12,982."""
+    spec = next(s for s in zoo.table_corpus() if s.tag == "an_deleted")
+    g, _ = zoo.build_family(spec)
+    syl = class_GG(g).sylow
+    rows, sifted = [], []
+    real_keys, real_conj = grp._subgroup_keys, grp._conjugate_of_u
+    monkeypatch.setattr(grp, "_subgroup_keys",
+                        lambda x, p: rows.append(len(x)) or real_keys(x, p))
+    monkeypatch.setattr(grp, "_conjugate_of_u",
+                        lambda *a: sifted.append(1) or real_conj(*a))
+    opp = o_pprime(g, syl)
+    assert len(g.chain.orbit) == 4320 and opp.order() == 181440
+    assert sifted and rows == [1] * len(sifted)
+
+
+def _grown(p, n, gens):
+    """<gens> grown by cosets, one generator at a time."""
+    group = MatGroup.trivial(p, n)
+    for m in gens:
+        if m.key() not in group.keys():
+            group = group.extend(m)
+    return group
+
+
+def _assert_enumerated(group, bfs):
+    """group's stack, inverses and keys against BFS enumeration."""
+    p, n = group.p.p, group.dim
+    stack, inverses = group.elements_stack(), group.inverses_stack()
+    assert set(group.keys()) == set(bfs.keys())
+    assert len(stack) == len(group.keys()) == bfs.order()
+    assert [group.keys()[m.tobytes()] for m in stack] == \
+        list(range(len(stack)))
+    prods = stack.astype(np.int64) @ inverses.astype(np.int64) % p
+    assert (prods == np.eye(n, dtype=np.int64)).all()
+
+
+@pytest.mark.parametrize("k, spec", SMALL_CORPUS,
+                         ids=[f"{k}-{spec.tag}" for k, spec in SMALL_CORPUS])
+def test_coset_growth_matches_bfs(k, spec):
+    """N_G(U), grown by cosets in U's orbit walk, and the groups that
+    random subsets and products of G's generators generate, grown by
+    cosets, against BFS enumeration of the same generators."""
+    g, _ = zoo.build_family(spec)
+    syl = class_GG(g).sylow
+    n_grp = syl.normalizer_N
+    _assert_enumerated(n_grp, MatGroup(g.p, n_grp.generators).cache())
+    rng = np.random.default_rng(k)
+    gens = g.generators
+    pool = gens + [a @ b for a in gens for b in gens] + [syl.u]
+    for _ in range(4):
+        pick = [pool[i] for i in
+                rng.choice(len(pool), size=rng.integers(1, 4), replace=False)]
+        try:
+            bfs = MatGroup(g.p, pick, cap=20000).cache()
+        except CapExceeded:
+            continue
+        grown = _grown(g.p, g.dim, pick)
+        _assert_enumerated(grown, bfs)
+        assert {m.key() for m in grown.generators} <= {m.key() for m in pick}
+
+
+@pytest.mark.parametrize("k, spec", SMALL_CORPUS,
+                         ids=[f"{k}-{spec.tag}" for k, spec in SMALL_CORPUS])
+def test_subset_groups_have_small_generating_sets(k, spec):
+    """C_G(U), G-vee and its mu-preimages keep their elements in the
+    parent's index order but take as generators only the elements that the
+    closure of the earlier ones lacks, which generate the same group."""
+    g, v = zoo.build_family(spec)
+    syl = class_GG(g).sylow
+    gv = mu.compute_gvee(g, syl, modrep.canonical_subspaces(v, syl))
+    image = mu.mu_image(gv)
+    groups = [syl.centralizer_C, gv.group] + [
+        mu.preimage(gv, d) for d in
+        (mu.named(g.p, name) for name in ("Delta_-1", "Delta_0"))
+        if d <= image]
+    for sub in groups:
+        order = sub.order()
+        assert len(sub.generators) <= max(1, order.bit_length() - 1)
+        _assert_enumerated(sub, MatGroup(g.p, sub.generators).cache())
+    parent = syl.normalizer_N
+    stack = parent.elements_stack()
+    members = [i for i in range(len(stack))
+               if stack[i].tobytes() in gv.group.keys()]
+    assert (gv.group.elements_stack() == stack[members]).all()
+
+
+def test_subset_group_refuses_a_subset_that_is_not_closed():
+    g = s5_group().cache()
+    with pytest.raises(SubgroupViolation, match="not a subgroup"):
+        g.subset_group([0, 2])      # 1 and a 5-cycle
+
+
+@pytest.mark.parametrize("k, spec", SMALL_CORPUS,
+                         ids=[f"{k}-{spec.tag}" for k, spec in SMALL_CORPUS])
+def test_orbit_chain_inverts_each_generator_at_most_once(k, spec,
+                                                         monkeypatch):
+    """U's orbit walk row-reduces each generator of G at most once (for
+    its inverse); Schreier generators and stabilizer elements carry
+    inverses made from those already held."""
+    g, _ = zoo.build_family(spec)
+    u = class_GG(g).sylow.u
+    u.inverse()
+    fresh = [FpMatrix(g.p, h.a) for h in g.generators]
+    calls = []
+    real = gfp._rref_array
+    monkeypatch.setattr(gfp, "_rref_array",
+                        lambda *a: calls.append(1) or real(*a))
+    chain = grp._orbit_chain(g.p, g.dim, fresh, u, g.cap)
+    assert chain.order() == g.order()
+    assert len(calls) <= len(fresh)

@@ -136,10 +136,10 @@ def test_filtration_scalar_consistency():
     rep = class_GG(v.group)
     cs = mr.canonical_subspaces(v, rep.sylow)
     gv = mu.compute_gvee(v.group, rep.sylow, cs)
-    filt = mr.w_filtration(v, rep.sylow,
-                           check_elements=list(gv.group.generators))
+    elements = [gv.group.element(i) for i in range(gv.order())]
+    filt = mr.w_filtration(v, rep.sylow, check_elements=elements)
     p = 5
-    for g, rep_entry in zip(gv.group.generators, filt.scalar_reports):
+    for g, rep_entry in zip(elements, filt.scalar_reports):
         assert rep_entry["law_holds"]
         r, t = rep_entry["r"], rep_entry["t"]
         s = gv.mu_values[g.key()][1]
