@@ -1,18 +1,26 @@
 """Command-line driver.
 
 Commands:
-  check <file> [--out F] [--heavy]              run the decision pipeline
-  zoo list | zoo emit <tag> [--index K] [--out F] [--heavy]
-  sgroup <file> [--out F]                       structural + witness report
-  regress [--filter TAG] [--heavy]              corpus regression run
+  check <file> [--out F] [--heavy]     run the decision pipeline
+  zoo list | zoo emit <tag> [--index K] [--out F]
+  sgroup <file> [--out F]              structural + witness report
+  regress [--filter TAG]               corpus regression run
+
+The command line, never the file, picks `check`'s route: `--heavy` writes
+the Sylow-local summary of `zoo.heavy_extraspecial_check` for any file;
+otherwise `check` gives the admissible report when the file sets
+`labels.g0_generators`, and the criterion report of G if not.  The file's
+`family` field is only echoed.
 
 `regress` runs every instantiable corpus row as `check` runs the row's
 emitted instance, and `zoo.row_failures` compares that report with the
 row; a FAIL line names the keys the report misses.
 
-Exit codes: 0 ok (including "fails criterion" verdicts), 2 invalid input,
-3 cap exceeded / heavy compute gated / G0 of index above the bound,
-4 a result check failed (an engine bug).
+Exit codes: 0 ok (including "fails criterion" verdicts), 2 invalid input
+(including a FUSIONSEED_CAP that is not a positive integer), 3 cap
+exceeded / G0 of index above the bound / out of memory, 4 a result check
+failed (an engine bug) or any other engine error, each with one line on
+stderr.
 """
 
 from __future__ import annotations
@@ -25,11 +33,10 @@ import time
 import numpy as np
 
 from . import criterion, modrep, mu, sgroup, zoo
-from .errors import (CapExceeded, FusionseedError, HeavyComputeDisabled,
-                     IndexTooLarge, InvalidInstance, InvariantViolation,
-                     SubgroupViolation)
+from .errors import (CapExceeded, FusionseedError, IndexTooLarge,
+                     InvalidInstance, InvariantViolation, SubgroupViolation)
 from .gfp import FpMatrix, as_prime
-from .grp import MatGroup, class_GG, o_pprime
+from .grp import MatGroup, class_GG, element_cap, o_pprime
 from .modrep import FpModule
 
 
@@ -86,22 +93,13 @@ def _parse_instance(data):
     return FpModule(p, dim, group), g0, family
 
 
-def _needs_heavy(family) -> bool:
-    """Whether the instance's corpus row is out of enumeration scale, as
-    the `heavy` param that `zoo emit` writes into its family says."""
-    params = (family or {}).get("params")
-    return isinstance(params, dict) and params.get("heavy") is True
-
-
 def check_report(v, g0, family, heavy: bool = False) -> dict:
-    """The payload `check` writes for an instance: the orbit-stabilizer
-    data of a heavy row, the passers of every G0 <= H <= G when G0 is
-    given, or else the criterion report of G."""
+    """The payload `check` writes for an instance: with heavy, the
+    Sylow-local summary of `zoo.heavy_extraspecial_check`; else the
+    passers of every G0 <= H <= G when G0 is given, or the criterion
+    report of G.  family is only echoed."""
     t0 = time.time()
-    if _needs_heavy(family):
-        if not heavy:
-            raise HeavyComputeDisabled(
-                "the p = 7 extraspecial normalizer needs --heavy")
+    if heavy:
         payload = {"mode": "heavy", "family": family,
                    "result": zoo.heavy_extraspecial_check(v)}
     elif g0 is not None:
@@ -155,8 +153,7 @@ def cmd_zoo(args) -> int:
         print(f"index {args.index} out of range: {len(matches)} "
               f"instantiable families tagged {args.tag!r}", file=sys.stderr)
         return 2
-    _write(zoo.emit_instance(matches[args.index], heavy=args.heavy),
-           args.out)
+    _write(zoo.emit_instance(matches[args.index]), args.out)
     return 0
 
 
@@ -170,16 +167,21 @@ def cmd_sgroup(args) -> int:
         s, build = sgroup.build_s(v, syl)
         out["build"] = {"dims": build.dims, "checks": build.checks,
                         "ok": build.ok}
-        N = syl.normalizer_N
-        filt = modrep.w_filtration(
-            v, syl, check_elements=[N.element(i) for i in range(N.order())])
-        # sorted, so that the report does not follow N's generating set
-        out["filtration"] = {
-            "quotient_dims": filt.quotient_dims,
-            "scalar_reports": sorted(
-                filt.scalar_reports,
-                key=lambda r: (r["r"], r["t"], r["law_holds"])),
-        }
+        if not rep.cond_a["ok"]:
+            # the filtration needs Z0 to be a line, as condition (d) does
+            out["filtration"] = rep.cond_d
+        else:
+            N = syl.normalizer_N
+            filt = modrep.w_filtration(
+                v, syl,
+                check_elements=[N.element(i) for i in range(N.order())])
+            # sorted, so that the report does not follow N's generating set
+            out["filtration"] = {
+                "quotient_dims": filt.quotient_dims,
+                "scalar_reports": sorted(
+                    filt.scalar_reports,
+                    key=lambda r: (r["r"], r["t"], r["law_holds"])),
+            }
         if rep.passes:
             image = mu.DeltaSubgroup(v.p, rep.mu_report["image"])
             kinds = [kind for kind, t in (("B", 0), ("H", -1))
@@ -205,22 +207,21 @@ def _json_copy(payload: dict) -> dict:
     return json.loads(json.dumps(payload))
 
 
-def _row_report(spec, heavy: bool) -> dict:
+def _row_report(spec) -> dict:
     """The report `zoo.row_failures` reads for a corpus row: `check` on
     the row's emitted instance, as JSON reads it back.
 
-    A row with `passers` or `passing_orders` also gets the `passing` list
-    of the admissible report with G0 = O^{p'}(G); a heavy row gives the
-    `result` block of its heavy report.
+    A row whose params carry `"heavy": true` gives the `result` block of
+    `check --heavy`.  A row with `passers` or `passing_orders` also gets
+    the `passing` list of the admissible report with G0 = O^{p'}(G).
     """
-    v, _, family = _parse_instance(zoo.emit_instance(spec, heavy=heavy))
-    report = _json_copy(check_report(v, None, family, heavy=heavy))
-    if report.get("mode") == "heavy":
-        return report["result"]
+    v, _, family = _parse_instance(zoo.emit_instance(spec))
+    if spec.params.get("heavy") is True:
+        return _json_copy(check_report(v, None, family, heavy=True))["result"]
+    report = _json_copy(check_report(v, None, family))
     if "passers" in spec.expected or "passing_orders" in spec.expected:
         g0 = o_pprime(v.group, class_GG(v.group).sylow)
-        report["passing"] = _json_copy(
-            check_report(v, g0, family, heavy=heavy))["passing"]
+        report["passing"] = _json_copy(check_report(v, g0, family))["passing"]
     return report
 
 
@@ -233,13 +234,10 @@ def cmd_regress(args) -> int:
         if not spec.instantiable:
             print(f"SKIP (metadata) {spec.tag} {spec.params.get('family', spec.params.get('G0', ''))}")
             continue
-        if spec.params.get("heavy") and not args.heavy:
-            print(f"SKIP (needs --heavy) {spec.tag}")
-            continue
         t0 = time.time()
         try:
-            missed = zoo.row_failures(_row_report(spec, args.heavy),
-                                      spec.expected, spec.params)
+            missed = zoo.row_failures(_row_report(spec), spec.expected,
+                                      spec.params)
         except FusionseedError as exc:
             missed = [f"{type(exc).__name__}: {exc}"]
         ran += 1
@@ -259,7 +257,8 @@ def main(argv=None) -> int:
     c = sub.add_parser("check", help="run the decision pipeline on an instance")
     c.add_argument("path")
     c.add_argument("--out")
-    c.add_argument("--heavy", action="store_true")
+    c.add_argument("--heavy", action="store_true",
+                   help="write the Sylow-local summary instead")
     c.set_defaults(fn=cmd_check)
 
     z = sub.add_parser("zoo", help="list or emit corpus families")
@@ -267,7 +266,6 @@ def main(argv=None) -> int:
     z.add_argument("tag", nargs="?")
     z.add_argument("--index", type=int, default=0)
     z.add_argument("--out")
-    z.add_argument("--heavy", action="store_true")
     z.set_defaults(fn=cmd_zoo)
 
     s = sub.add_parser("sgroup", help="structural report for an instance")
@@ -277,16 +275,16 @@ def main(argv=None) -> int:
 
     r = sub.add_parser("regress", help="run the corpus regression")
     r.add_argument("--filter")
-    r.add_argument("--heavy", action="store_true")
     r.set_defaults(fn=cmd_regress)
 
     args = ap.parse_args(argv)
     try:
+        element_cap()       # a malformed FUSIONSEED_CAP stops every command
         return args.fn(args)
     except InvalidInstance as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
-    except (CapExceeded, HeavyComputeDisabled, IndexTooLarge) as exc:
+    except (CapExceeded, IndexTooLarge) as exc:
         print(f"cap: {exc}", file=sys.stderr)
         return 3
     except MemoryError:
@@ -294,6 +292,9 @@ def main(argv=None) -> int:
         return 3
     except InvariantViolation as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
+        return 4
+    except FusionseedError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 
 

@@ -57,10 +57,6 @@ class InvalidParams(FusionseedError):
     pass
 
 
-class HeavyComputeDisabled(FusionseedError):
-    pass
-
-
 class SplitFailed(FusionseedError):
     pass
 
@@ -70,7 +66,8 @@ class MuTooSmall(FusionseedError):
 
 
 class InvalidInstance(FusionseedError):
-    """An instance file that does not describe a valid instance."""
+    """Invalid input: an instance file that does not describe a valid
+    instance, or a FUSIONSEED_CAP that is not a positive integer."""
 
 
 class InvariantViolation(FusionseedError):

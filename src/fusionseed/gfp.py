@@ -268,10 +268,18 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(p={self.p.p}, dim={self.dim}/{self.ambient})"
 
+    def reduce(self, v) -> np.ndarray:
+        """v mod p, reduced by the echelon basis to zero at every pivot
+        column; zero exactly when v lies in the subspace."""
+        p = self.p.p
+        r = np.asarray(v, dtype=np.int64) % p
+        for i, c in enumerate(self._pivots):
+            if r[c]:
+                r = (r - r[c] * self.basis[i]) % p
+        return r
+
     def contains_vector(self, v) -> bool:
-        v = np.asarray(v, dtype=np.int64) % self.p.p
-        r = _reduce_against(self.basis, self._pivots, v, self.p.p)
-        return not r.any()
+        return not self.reduce(v).any()
 
     def coordinates(self, v):
         """Coordinates of v in the RREF basis, or None if v is outside."""
@@ -285,14 +293,6 @@ class Subspace:
         if r.any():
             return None
         return coords
-
-
-def _reduce_against(basis, pivots, v, p):
-    r = v.copy()
-    for i, c in enumerate(pivots):
-        if r[c]:
-            r = (r - r[c] * basis[i]) % p
-    return r
 
 
 # -- module-level operations (spec surface) ------------------------------

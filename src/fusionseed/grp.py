@@ -1,9 +1,9 @@
 """Black-box finite matrix group engine.
 
 Groups are given by generating matrices; enumeration is a breadth-first
-closure with canonical byte keys, capped by default at 2e7 elements
-(override with the FUSIONSEED_CAP environment variable), or grows a group
-already enumerated by the cosets of one new generator (`MatGroup.extend`).
+closure with canonical byte keys, or grows a group already enumerated by
+the cosets of one new generator (`MatGroup.extend`).  Every enumeration and
+every orbit walk is bounded by one element cap (`element_cap`).
 The Sylow data never enumerates G: U's orbit walk gives N_G(U), grown by
 cosets, and leaves on G a one-level chain (`OrbitChain`) that gives |G|
 and membership by a sift, along with each generator's permutation of the
@@ -24,12 +24,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CapExceeded, IndexTooLarge, InvariantViolation,
-                     SubgroupViolation)
+from .errors import (CapExceeded, IndexTooLarge, InvalidInstance,
+                     InvariantViolation, SubgroupViolation)
 from .gfp import FpMatrix, Prime, as_prime
 
-DEFAULT_CAP = int(os.environ.get("FUSIONSEED_CAP", 2 * 10 ** 7))
 _CHUNK = 1 << 15
+
+
+def element_cap() -> int:
+    """The bound on a group's enumerated elements and on an orbit walk's
+    points: the FUSIONSEED_CAP environment variable, or 2e7 when it is
+    unset.  Read once per enumeration or walk; raises InvalidInstance when
+    the variable is not a positive integer."""
+    text = os.environ.get("FUSIONSEED_CAP")
+    if text is None:
+        return 2 * 10 ** 7
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise InvalidInstance(
+            f"FUSIONSEED_CAP must be a positive integer, got {text!r}")
+    return cap
 
 
 class MatGroup:
@@ -43,7 +60,7 @@ class MatGroup:
     for both.
     """
 
-    def __init__(self, p, generators, cap: int = DEFAULT_CAP):
+    def __init__(self, p, generators):
         self.p: Prime = as_prime(p)
         gens = list(generators)
         if not gens:
@@ -55,7 +72,6 @@ class MatGroup:
             if not g.is_invertible():
                 raise SubgroupViolation("generator not invertible")
         self.generators = gens
-        self.cap = cap
         self._stack = None        # (N, n, n) int8
         self._inv_stack = None    # (N, n, n) int8
         self._keys = None         # bytes -> index
@@ -65,7 +81,7 @@ class MatGroup:
     def cache(self) -> "MatGroup":
         if self._stack is not None:
             return self
-        p, n = self.p.p, self.dim
+        p, n, cap = self.p.p, self.dim, element_cap()
         gen64 = [g.a for g in self.generators]
         geninv64 = [g.inverse().a for g in self.generators]
         elems = [np.eye(n, dtype=np.int8)]
@@ -86,9 +102,9 @@ class MatGroup:
                         elems.append(P[j])
                         invs.append(Q[j])
                         new_frontier.append(len(elems) - 1)
-                        if len(elems) > self.cap:
+                        if len(elems) > cap:
                             raise CapExceeded(
-                                f"group order exceeds cap {self.cap}")
+                                f"group order exceeds cap {cap}")
             frontier = new_frontier
         self._stack = np.array(elems, dtype=np.int8)
         self._inv_stack = np.array(invs, dtype=np.int8)
@@ -96,15 +112,14 @@ class MatGroup:
         return self
 
     @classmethod
-    def from_elements(cls, p, generators, stack, inv_stack, keys,
-                      cap: int = DEFAULT_CAP) -> "MatGroup":
+    def from_elements(cls, p, generators, stack, inv_stack,
+                      keys) -> "MatGroup":
         """Wrap an already-closed element set (no re-enumeration); keys,
         the key -> index dict of the stack, is taken over, not copied."""
         g = cls.__new__(cls)
         g.p = as_prime(p)
         g.generators = list(generators)
         g.dim = stack.shape[1]
-        g.cap = cap
         g._stack = np.ascontiguousarray(stack, dtype=np.int8)
         g._inv_stack = np.ascontiguousarray(inv_stack, dtype=np.int8)
         g._keys = keys
@@ -112,11 +127,11 @@ class MatGroup:
         return g
 
     @classmethod
-    def trivial(cls, p, n: int, cap: int = DEFAULT_CAP) -> "MatGroup":
+    def trivial(cls, p, n: int) -> "MatGroup":
         """The enumerated trivial group of degree n."""
         eye = np.eye(n, dtype=np.int8)
         return cls.from_elements(p, [FpMatrix(p, eye, eye)], eye[None],
-                                 eye[None], {eye.tobytes(): 0}, cap)
+                                 eye[None], {eye.tobytes(): 0})
 
     def extend(self, m: FpMatrix) -> "MatGroup":
         """<self, m>, enumerated, for m outside the enumerated self.
@@ -128,7 +143,7 @@ class MatGroup:
         order found.  Inverses are products of those already held:
         (k r)^-1 = r^-1 k^-1, with (r g)^-1 = g^-1 r^-1.
         """
-        p, n = self.p.p, self.dim
+        p, n, cap = self.p.p, self.dim, element_cap()
         gens = (self.generators if len(self._keys) > 1 else []) + [m]
         g, g_inv = _stacks(gens)
         k = self._stack.astype(np.float64)
@@ -144,8 +159,8 @@ class MatGroup:
             for q, key in enumerate(_row_keys(x.reshape(-1, n * n))):
                 if key in keys:
                     continue
-                if len(keys) + len(k) > self.cap:
-                    raise CapExceeded(f"group order exceeds cap {self.cap}")
+                if len(keys) + len(k) > cap:
+                    raise CapExceeded(f"group order exceeds cap {cap}")
                 coset = _mulmod(k, x[q], p).astype(np.int8)
                 keys.update(zip(_row_keys(coset.reshape(-1, n * n)),
                                 range(len(keys), len(keys) + len(k))))
@@ -158,7 +173,7 @@ class MatGroup:
             self.p, gens, np.concatenate(stacks),
             np.concatenate([self._inv_stack,
                             inv_stacks.reshape(-1, n, n).astype(np.int8)]),
-            keys, self.cap)
+            keys)
 
     def subset_group(self, indices) -> "MatGroup":
         """Subgroup from a closed index subset of this group's cache, its
@@ -169,7 +184,7 @@ class MatGroup:
         stack = self._stack[idx]
         inv_stack = self._inv_stack[idx]
         keys = {stack[i].tobytes(): i for i in range(len(idx))}
-        closure = MatGroup.trivial(self.p, self.dim, self.cap)
+        closure = MatGroup.trivial(self.p, self.dim)
         for i, key in enumerate(keys):
             if key not in closure._keys:
                 closure = closure.extend(
@@ -177,7 +192,7 @@ class MatGroup:
         if len(closure._keys) != len(keys):
             raise SubgroupViolation("index subset is not a subgroup")
         return MatGroup.from_elements(self.p, closure.generators, stack,
-                                      inv_stack, keys, self.cap)
+                                      inv_stack, keys)
 
     def _sifts(self) -> bool:
         return self._stack is None and self.chain is not None
@@ -318,12 +333,11 @@ def order_p_element(g: MatGroup) -> tuple[FpMatrix, list, int] | None:
 
 
 def sylow_data(g: MatGroup, u: FpMatrix) -> tuple[SylowData, int]:
-    """Local data at U = <u> and |U^G|, from U's orbit walk (bounded by
-    g's element cap, and leaving its chain on g) and a centralizer scan
-    inside N_G(U)."""
+    """Local data at U = <u> and |U^G|, from U's orbit walk (leaving its
+    chain on g) and a centralizer scan inside N_G(U)."""
     p = g.p.p
     ngrp, orbit = sylow_normalizer_via_orbit(g.p, g.dim, g.generators, u,
-                                             max_orbit=g.cap, into=g)
+                                             into=g)
     cgrp = ngrp.centralizer_of([u])
     autom = ngrp.order() // cgrp.order()
     if (p - 1) % autom:
@@ -429,11 +443,10 @@ def _table_closure(g: MatGroup, gens: list, perms: list) -> MatGroup:
     chain as perms (perms[k][i] the point reached from i), with the chain
     of U's orbit under it: that orbit is walked on perms, so no point is
     keyed; its points keep their keys in G's orbit."""
-    sub = MatGroup(g.p, gens, cap=g.cap)
+    sub = MatGroup(g.p, gens)
     table = np.stack(perms, axis=1)
     index, *walked = _walk(g.p, gens, 0,
-                           lambda points, *_: table[points].ravel().tolist(),
-                           g.cap)
+                           lambda points, *_: table[points].ravel().tolist())
     keys = list(g.chain.orbit)
     sub.chain = OrbitChain(g.chain.u, {keys[i]: j for j, i in
                                        enumerate(index)}, *walked)
@@ -539,7 +552,7 @@ def intermediate_subgroups(g0: MatGroup, gbar: MatGroup) -> list[MatGroup]:
     subs = _subgroups_of_table(mul, 0, size)
     return [MatGroup(gbar.p, g0.generators
                      + [FpMatrix(gbar.p, reps[c], reps_inv[c])
-                        for c in sorted(sub) if c != 0], cap=gbar.cap)
+                        for c in sorted(sub) if c != 0])
             for sub in sorted(subs, key=lambda s: (len(s), sorted(s)))]
 
 
@@ -671,7 +684,6 @@ class OrbitChain:
 
 
 def sylow_normalizer_via_orbit(p, dim, generators, u: FpMatrix,
-                               max_orbit: int = 10 ** 6,
                                into: MatGroup | None = None):
     """N_G(<u>) for G = <generators> without enumerating G.
 
@@ -679,16 +691,15 @@ def sylow_normalizer_via_orbit(p, dim, generators, u: FpMatrix,
     by orbit-stabilizer.  When `into` is the MatGroup of these generators,
     the walk's `OrbitChain` is left on it, which then gives its order and
     membership without enumeration.  Raises CapExceeded when the orbit has
-    more than max_orbit points.
+    more points than the element cap.
     """
-    chain = _orbit_chain(p, dim, generators, u, max_orbit)
+    chain = _orbit_chain(p, dim, generators, u)
     if into is not None:
         into.chain = chain
     return chain.stabilizer, len(chain.orbit)
 
 
-def _orbit_chain(p, dim, generators, u: FpMatrix,
-                 max_orbit: int) -> OrbitChain:
+def _orbit_chain(p, dim, generators, u: FpMatrix) -> OrbitChain:
     """The chain at U = <u> of <generators>: U's conjugation orbit, each
     point keyed by `_subgroup_keys`, walked by `_walk`."""
     pp, n = int(p), dim
@@ -700,10 +711,10 @@ def _orbit_chain(p, dim, generators, u: FpMatrix,
         return _subgroup_keys(conj.reshape(-1, n, n), pp)
 
     base = _subgroup_keys(uf[None], pp)[0]
-    return OrbitChain(u, *_walk(p, generators, base, keys, max_orbit))
+    return OrbitChain(u, *_walk(p, generators, base, keys))
 
 
-def _walk(p, generators, base, targets, max_orbit):
+def _walk(p, generators, base, targets):
     """Walks the orbit of a base point under <generators> level by level,
     in chunks of _ORBIT_CHUNK points moved by every generator at once,
     keeping a transversal T with T_j taking the base point to point j.
@@ -713,12 +724,13 @@ def _walk(p, generators, base, targets, max_orbit):
     (q // m, q % m), from the labels `points` of the chunk's points and
     their T and T^-1; the base point's label is `base`.  The Schreier
     generators (t g) T_j^-1 that are not yet in the stabilizer generate it
-    (Schreier's lemma), which grows by cosets (`MatGroup.extend`).
+    (Schreier's lemma), which grows by cosets (`MatGroup.extend`).  The
+    walk stops with CapExceeded beyond `element_cap()` points.
 
     Returns the dict label -> point index, T^-1 (int8), the stabilizer,
     each generator's action on the points and each point's parent.
     """
-    pp = int(p)
+    pp, cap = int(p), element_cap()
     n = generators[0].rows
     gens, gens_inv = _stacks(generators)
     m = len(gens)
@@ -741,9 +753,9 @@ def _walk(p, generators, base, targets, max_orbit):
             for q in np.flatnonzero(reached < 0):
                 j = index.get(labs[q])
                 if j is None:
-                    if len(index) >= max_orbit:
+                    if len(index) >= cap:
                         raise CapExceeded(
-                            f"Sylow orbit exceeds bound {max_orbit}")
+                            f"Sylow orbit exceeds bound {cap}")
                     j = index[labs[q]] = len(index)
                     labels.append(labs[q])
                     fresh.append(q)

@@ -142,7 +142,7 @@ def submodule(v: FpModule, sub: Subspace):
         coords = np.array([sub.coordinates(img[:, j]) for j in range(sub.dim)],
                           dtype=np.int64).T
         gens.append(FpMatrix(v.p, coords))
-    return FpModule(v.p, sub.dim, MatGroup(v.p, gens, cap=v.group.cap)), \
+    return FpModule(v.p, sub.dim, MatGroup(v.p, gens)), \
         FpMatrix(v.p, B)
 
 
@@ -155,19 +155,13 @@ def quotient_module(v: FpModule, sub: Subspace):
     q = len(free)
 
     # projection = reduce against the basis, then read off free coordinates
-    def proj_vec(x):
-        r = np.asarray(x, dtype=np.int64) % p
-        for i, c in enumerate(sub._pivots):
-            if r[c]:
-                r = (r - r[c] * sub.basis[i]) % p
-        return r[free]
-    P = np.array([proj_vec(np.eye(n, dtype=np.int64)[j]) for j in range(n)],
+    P = np.array([sub.reduce(e)[free] for e in np.eye(n, dtype=np.int64)],
                  dtype=np.int64).T
     L = np.zeros((n, q), dtype=np.int64)
     for k, c in enumerate(free):
         L[c, k] = 1
     gens = [FpMatrix(v.p, P @ g.a % p @ L) for g in v.gens()]
-    return FpModule(v.p, q, MatGroup(v.p, gens, cap=v.group.cap)), \
+    return FpModule(v.p, q, MatGroup(v.p, gens)), \
         FpMatrix(v.p, P)
 
 
@@ -245,7 +239,7 @@ def _coeff_mod(p, modulo: Subspace, w, img) -> int:
 
 def dual(v: FpModule) -> FpModule:
     gens = [g.inverse().transpose() for g in v.gens()]
-    return FpModule(v.p, v.dim, MatGroup(v.p, gens, cap=v.group.cap))
+    return FpModule(v.p, v.dim, MatGroup(v.p, gens))
 
 
 def tensor(v: FpModule, w: FpModule) -> FpModule:
@@ -253,7 +247,7 @@ def tensor(v: FpModule, w: FpModule) -> FpModule:
         raise PrimeMismatch("tensor factors over different primes")
     gens = [FpMatrix(v.p, np.kron(a.a, b.a))
             for a, b in zip(v.gens(), w.gens())]
-    return FpModule(v.p, v.dim * w.dim, MatGroup(v.p, gens, cap=v.group.cap))
+    return FpModule(v.p, v.dim * w.dim, MatGroup(v.p, gens))
 
 
 def _sym_exponents(n: int, k: int):
@@ -291,7 +285,7 @@ def sym_power(v: FpModule, k: int) -> FpModule:
         raise ValueError("sym_power needs 0 <= k <= p-1")
     gens = [sym_power_matrix(g, k) for g in v.gens()]
     dim = len(_sym_exponents(v.dim, k))
-    return FpModule(v.p, dim, MatGroup(v.p, gens, cap=v.group.cap))
+    return FpModule(v.p, dim, MatGroup(v.p, gens))
 
 
 def restrict(v: FpModule, h: MatGroup) -> FpModule:
@@ -393,6 +387,19 @@ def _fitting_split(v: FpModule, e_arr):
     return gfp.kernel_basis(f), gfp.image_basis(f)
 
 
+def random_combinations(basis, p: int, rng, tries: int = 40) -> list:
+    """The basis matrices, then `tries` combinations of them whose
+    coefficients in [0, p) rng draws, one combination at a time."""
+    out = [np.array(b, dtype=np.int64) for b in basis]
+    for _ in range(tries):
+        coeffs = rng.integers(0, p, size=len(basis))
+        comb = np.zeros_like(out[0])
+        for c, b in zip(coeffs, out):
+            comb = (comb + int(c) * b) % p
+        out.append(comb)
+    return out
+
+
 def split_summands(v: FpModule, seed: int = 1, tries: int = 40):
     """Indecomposable direct summands with inclusion maps.
 
@@ -411,15 +418,7 @@ def split_summands(v: FpModule, seed: int = 1, tries: int = 40):
         n = mod.dim
         if n == 0:
             return []
-        basis = endo_basis(mod)
-        candidates = [np.array(b, dtype=np.int64) for b in basis]
-        for _ in range(tries):
-            coeffs = rng.integers(0, p, size=len(basis))
-            cand = np.zeros((n, n), dtype=np.int64)
-            for c, b in zip(coeffs, basis):
-                cand = (cand + int(c) * b) % p
-            candidates.append(cand)
-        for cand in candidates:
+        for cand in random_combinations(endo_basis(mod), p, rng, tries):
             diag = cand[np.arange(n), np.arange(n)]
             off = cand.copy()
             off[np.arange(n), np.arange(n)] = 0
@@ -464,15 +463,8 @@ def is_isomorphic(v: FpModule, w: FpModule, seed: int = 1, tries: int = 40) -> b
     basis = hom_space(v, w)
     if not basis:
         return False
-    rng = np.random.default_rng(seed)
-    p = v.p.p
-    cands = list(basis)
-    for _ in range(tries):
-        coeffs = rng.integers(0, p, size=len(basis))
-        cand = np.zeros((w.dim, v.dim), dtype=np.int64)
-        for c, b in zip(coeffs, basis):
-            cand = (cand + int(c) * b) % p
-        cands.append(cand)
+    cands = random_combinations(basis, v.p.p, np.random.default_rng(seed),
+                                tries)
     return any(FpMatrix(v.p, c).is_invertible() for c in cands)
 
 

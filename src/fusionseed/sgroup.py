@@ -226,10 +226,7 @@ def class_label(s: SGroup, m: FpMatrix, a: FpMatrix) -> int:
 def _a_mod_a0_coord(s: SGroup, vec) -> int:
     """Coordinate of vec in the line A/A0: after reduction by A0's echelon
     basis, its entry at the one column where A0 has no pivot."""
-    r = np.array(vec, dtype=np.int64) % s.p
-    for i, c in enumerate(s.A0._pivots):
-        if r[c]:
-            r = (r - r[c] * s.A0.basis[i]) % s.p
+    r = s.A0.reduce(vec)
     free = [c for c in range(s.n) if c not in s.A0._pivots]
     if len(free) != 1:
         raise InvariantViolation("A0 must be a hyperplane of A")
@@ -672,12 +669,7 @@ def theta_witness(s: SGroup, kind: str, i: int, hb,
     checks = {}
     checks["aut_s_in_theta"] = bool(theta.contains(aut_s.codes).all())
     theta_order = theta.order()
-    vp = 0
-    tmp = theta_order
-    while tmp % p == 0:
-        vp += 1
-        tmp //= p
-    checks["aut_s_is_sylow"] = aut_s.order() == p ** vp
+    checks["aut_s_is_sylow"] = aut_s.order() == _p_part(theta_order, p)
     checks["theta0_over_inn_is_sl2"] = \
         theta0.order() == inn.order() * sl2_order
     checks["opp_is_theta0"] = np.array_equal(opp.codes, theta0.codes)
@@ -700,6 +692,14 @@ def theta_witness(s: SGroup, kind: str, i: int, hb,
                        theta0.order() // inn.order(), checks, ok,
                        pset=pset, theta=theta, inn=inn,
                        aut_s=aut_s, opp_theta=theta0)
+
+
+def _p_part(order: int, p: int) -> int:
+    """The largest power of p dividing order."""
+    part = 1
+    while order % (part * p) == 0:
+        part *= p
+    return part
 
 
 def _line_coeff(s: SGroup, line_vec, w):
@@ -763,14 +763,10 @@ def step2_conditions(s: SGroup, thetas) -> dict:
     for th in thetas:
         c_order = centralizer_order(s, th.pset)
         zq = _centralizer_order(th.pset.group, th.pset.group)
-        vp = 0
-        tmp = c_order
-        while tmp % p == 0:
-            vp += 1
-            tmp //= p
+        p_centric = _p_part(c_order, p) == zq
         centric.append({"centralizer_order": c_order, "center_order": zq,
-                        "p_centric": p ** vp == zq})
-        cond2 &= p ** vp == zq
+                        "p_centric": p_centric})
+        cond2 &= p_centric
     report["conditions"]["p_centric"] = cond2
     report["centric_detail"] = centric
 

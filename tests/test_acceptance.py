@@ -1,17 +1,16 @@
 """Acceptance suite.
 
 One test per criterion, each printing a PASS line with its runtime; stated
-budgets are asserted.  Criterion 8 is gated behind FUSIONSEED_HEAVY=1.
+budgets are asserted.
 """
 
-import os
+import json
 import time
 
 import numpy as np
-import pytest
 
 from conftest import cycle, perm_mat
-from fusionseed import criterion as cr, gfp, modrep as mr, mu, sgroup as sg, zoo
+from fusionseed import cli, criterion as cr, gfp, modrep as mr, mu, sgroup as sg, zoo
 from fusionseed.gfp import FpMatrix, Subspace
 from fusionseed.grp import MatGroup, class_GG, o_pprime
 from fusionseed.modrep import FpModule
@@ -365,16 +364,26 @@ def test_criterion_7_oracle_equivalences():
     _mark("7 (oracle equivalences)", t0, 240)
 
 
-# -- 8. heavy extraspecial check (optional) -------------------------------------
+# -- 8. the p = 7 extraspecial normalizer ---------------------------------------
 
-@pytest.mark.skipif(not os.environ.get("FUSIONSEED_HEAVY"),
-                    reason="set FUSIONSEED_HEAVY=1 to run the p = 7 "
-                           "extraspecial-normalizer verification")
-def test_criterion_8_heavy_extraspecial():
+def test_criterion_8_heavy_extraspecial(tmp_path, capsys):
+    """The Sylow-local summary of the group of order 15,482,880, and plain
+    check on its emitted file, neither of which enumerates G."""
     t0 = time.time()
-    res = zoo.heavy_extraspecial_check(zoo.extraspecial(7, heavy=True)[1])
+    res = zoo.heavy_extraspecial_check(zoo.extraspecial(7)[1])
     assert res["n_over_u"] == 36
     assert res["mu_name"] == "Delta_3"
     assert res["group_order"] == 15482880
     assert res["automizer"] == 6
-    _mark("8 (heavy p=7 extraspecial)", t0, 120)
+    inst = tmp_path / "es7.json"
+    assert cli.main(["zoo", "emit", "extraspecial_p7", "--out",
+                     str(inst)]) == 0
+    capsys.readouterr()
+    assert cli.main(["check", str(inst)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["group_order"] == 15482880
+    assert rep["gg_status"] == "in_GG"
+    assert rep["mu"]["recognized"]["name"] == "Delta_3"
+    assert rep["cond_d"]["o_pprime_order"] == 2580480
+    assert rep["passes"] is False
+    _mark("8 (p=7 extraspecial)", t0, 120)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fusionseed import cli, grp, sgroup, zoo
-from fusionseed.errors import InvariantViolation
+from fusionseed.errors import InvariantViolation, Z0NotLine
 from fusionseed.gfp import FpMatrix
 
 
@@ -85,10 +85,34 @@ def test_malformed_instance_exit_2(tmp_path):
             _assert_invalid(code, err, phrase)
 
 
-def test_heavy_gate_exit_3():
-    code, _, err = run_cli(["zoo", "emit", "extraspecial_p7"])
-    assert code == 3
-    assert "heavy" in err.lower()
+def test_check_route_ignores_family(tmp_path, capsys):
+    """The command line, never the file, picks check's route: the same
+    generators with no family, as emitted, and with a family whose params
+    say heavy give byte-identical reports apart from family and elapsed_s;
+    --heavy gives the Sylow-local summary whatever the family says."""
+    inst = tmp_path / "inst.json"
+    assert cli.main(["zoo", "emit", "sn_deleted", "--out", str(inst)]) == 0
+    emitted = json.loads(inst.read_text())
+    bare = {k: v for k, v in emitted.items() if k != "family"}
+    heavy_tag = {**bare, "family": {"tag": "x", "params": {"heavy": True}}}
+    texts = []
+    for payload in (bare, emitted, heavy_tag):
+        inst.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert cli.main(["check", str(inst)]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep.pop("family") == payload.get("family")
+        rep.pop("elapsed_s")
+        texts.append(json.dumps(rep, sort_keys=True))
+    assert texts[0] == texts[1] == texts[2]
+    assert json.loads(texts[0])["passes"] is True
+    for payload in (bare, emitted, heavy_tag):
+        inst.write_text(json.dumps(payload))
+        assert cli.main(["check", str(inst), "--heavy"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["mode"] == "heavy" and rep["family"] == payload.get(
+            "family")
+        assert rep["result"]["group_order"] == 480
 
 
 def test_sgroup_command(tmp_path):
@@ -114,8 +138,8 @@ def test_regress_filtered():
 
 
 def test_zoo_emit_every_listed_row(tmp_path, capsys):
-    """Every row that `zoo list` shows without [metadata only] emits, with
-    --heavy for the heavy row, and the file carries the listed params."""
+    """Every row that `zoo list` shows without [metadata only] emits, and
+    the file carries the listed params."""
     assert cli.main(["zoo", "list"]) == 0
     listed = [line.split(None, 2)[1:]
               for line in capsys.readouterr().out.splitlines()
@@ -125,26 +149,26 @@ def test_zoo_emit_every_listed_row(tmp_path, capsys):
     out = tmp_path / "inst.json"
     for k, (tag, params) in enumerate(listed):
         index = [t for t, _ in listed[:k]].count(tag)
-        heavy = ["--heavy"] if json.loads(params).get("heavy") else []
         assert cli.main(["zoo", "emit", tag, "--index", str(index),
-                         "--out", str(out)] + heavy) == 0, (tag, index)
+                         "--out", str(out)]) == 0, (tag, index)
         family = json.loads(out.read_text())["family"]
         assert family == {"tag": tag, "params": json.loads(params)}
 
 
 def test_regress_passes_every_row(capsys):
-    """Full regress: a PASS line for every instantiable row but the heavy
-    one, the sl2p_ext and sl2p_mu_law rows included."""
+    """Full regress: a PASS line for every instantiable row, with no flag:
+    the sl2p_ext and sl2p_mu_law rows and the heavy extraspecial_p7 row
+    included."""
     assert cli.main(["regress"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    rows = [e for e in zoo.table_corpus()
-            if e.instantiable and not e.params.get("heavy")]
+    rows = [e for e in zoo.table_corpus() if e.instantiable]
     passed = [line.split()[1] for line in lines if line.startswith("PASS ")]
     assert passed == [e.tag for e in rows]
+    assert len(passed) == 29
     assert passed.count("sl2p_ext") == 3 and \
         passed.count("sl2p_mu_law") == 10
-    assert "SKIP (needs --heavy) extraspecial_p7" in lines
-    assert lines[-1] == f"regress: {len(rows)} run, 0 failed"
+    assert passed.count("extraspecial_p7") == 1
+    assert lines[-1] == "regress: 29 run, 0 failed"
 
 
 def test_regress_fail_lines_name_keys_and_errors(monkeypatch, capsys):
@@ -212,7 +236,7 @@ def _flip_verdicts(value):
 def row_reports():
     """Every instantiable row but the heavy one, with the report that
     regress compares with it, computed once."""
-    return [(spec, cli._row_report(spec, heavy=False))
+    return [(spec, cli._row_report(spec))
             for spec in zoo.table_corpus()
             if spec.instantiable and not spec.params.get("heavy")]
 
@@ -254,8 +278,31 @@ def test_cap_env(tmp_path):
     code, _, err = run_cli(["check", str(inst)],
                            env={"FUSIONSEED_CAP": "10"})
     assert code == 3
-    # exit 3 is shared with the --heavy gate; the message names the cap
+    # exit 3 is shared with other bounds; the message names the cap
     assert "exceeds cap 10" in err
+
+
+def test_malformed_cap_env_exit_2(tmp_path, monkeypatch, capsys):
+    """A FUSIONSEED_CAP that is not a positive integer ends every command
+    with exit 2 and one line, zoo list included, and never a traceback;
+    importing fusionseed does not read it."""
+    code, out, err = run_cli(["zoo", "list"], env={"FUSIONSEED_CAP": "abc"})
+    assert out == ""
+    _assert_invalid(code, err, "invalid input: FUSIONSEED_CAP must be a "
+                               "positive integer, got 'abc'")
+    inst = tmp_path / "inst.json"
+    assert cli.main(["zoo", "emit", "gl2_3", "--out", str(inst)]) == 0
+    for value in ("0", "-5", "1.5"):
+        monkeypatch.setenv("FUSIONSEED_CAP", value)
+        for args in (["zoo", "list"], ["check", str(inst)],
+                     ["regress", "--filter", "gl2_3"]):
+            capsys.readouterr()
+            assert cli.main(args) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.splitlines() == [
+                "invalid input: FUSIONSEED_CAP must be a positive integer, "
+                f"got {value!r}"]
 
 
 def _instance(tmp_path, generators, labels=None):
@@ -546,9 +593,9 @@ def test_heavy_check_without_order_7_word_exit_4(tmp_path, monkeypatch,
     """No random generator word of order divisible by 7: the heavy check
     fails its search with a typed error, not a bare assert."""
     inst = tmp_path / "es7.json"
-    assert cli.main(["zoo", "emit", "extraspecial_p7", "--heavy",
+    assert cli.main(["zoo", "emit", "extraspecial_p7",
                      "--out", str(inst)]) == 0
-    v = zoo.extraspecial(7, heavy=True)[1]
+    v = zoo.extraspecial(7)[1]
     monkeypatch.setattr(grp, "order_p_element", lambda g: None)
     with pytest.raises(InvariantViolation):
         zoo.heavy_extraspecial_check(v)
@@ -561,7 +608,7 @@ def test_heavy_check_reads_the_instance_file(tmp_path, monkeypatch, capsys):
     """check --heavy runs the generators of the file, here in a seeded
     basis T g T^-1, and never builds the corpus group itself."""
     inst = tmp_path / "es7.json"
-    assert cli.main(["zoo", "emit", "extraspecial_p7", "--heavy",
+    assert cli.main(["zoo", "emit", "extraspecial_p7",
                      "--out", str(inst)]) == 0
     payload = json.loads(inst.read_text())
     rng = np.random.default_rng(17)
@@ -582,3 +629,70 @@ def test_heavy_check_reads_the_instance_file(tmp_path, monkeypatch, capsys):
     assert res["group_order"] == 15482880
     assert res["n_over_u"] == 36
     assert res["mu_name"] == "Delta_3"
+
+
+def test_two_routes_agree_on_every_row(row_reports):
+    """On every instantiable row but the heavy one, check --heavy's
+    summary and the plain report agree on |G|, the mu image and name,
+    and dim Z and dim Z0."""
+    assert len(row_reports) == 28
+    for spec, report in row_reports:
+        v, _, family = cli._parse_instance(zoo.emit_instance(spec))
+        res = cli._json_copy(cli.check_report(v, None, family,
+                                              heavy=True))["result"]
+        assert res["group_order"] == report["group_order"], spec.params
+        assert res["mu_image"] == report["mu"]["image"], spec.params
+        assert res["mu_name"] == report["mu"]["recognized"]["name"]
+        assert res["z_dims"] == {"Z": report["dims"]["Z"],
+                                 "Z0": report["dims"]["Z0"]}
+
+
+def _doubled_flagship(tmp_path):
+    """The flagship's generators as diag(g, g) on F_5^6: a valid instance
+    with dim Z0 = 2, so condition (a) fails."""
+    inst = tmp_path / "inst.json"
+    assert cli.main(["zoo", "emit", "sn_deleted", "--out", str(inst)]) == 0
+    payload = json.loads(inst.read_text())
+    n = payload["dim"]
+    payload["generators"] = [
+        np.kron(np.eye(2, dtype=np.int64), np.reshape(g, (n, n)))
+        .reshape(-1).tolist() for g in payload["generators"]]
+    payload["dim"] = 2 * n
+    inst.write_text(json.dumps(payload))
+    return inst
+
+
+def test_sgroup_skips_filtration_when_condition_a_fails(tmp_path, capsys):
+    """On the doubled flagship check and sgroup both exit 0; sgroup skips
+    the filtration, which needs Z0 to be a line, as check skips (d)."""
+    inst = _doubled_flagship(tmp_path)
+    capsys.readouterr()
+    assert cli.main(["check", str(inst)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["cond_a"] == {"ok": False, "dim_Z0": 2}
+    skipped = {"skipped": "condition (a) fails; Z0 is not a line"}
+    assert rep["cond_d"] == skipped
+    assert cli.main(["sgroup", str(inst)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["criterion_passes"] is False
+    assert rep["filtration"] == skipped
+    assert "theta" not in rep
+
+
+def test_engine_error_exit_4(tmp_path, monkeypatch, capsys):
+    """Any engine error that no other exit code names ends with exit 4 and
+    one line on stderr: check --heavy on the doubled flagship reaches mu's
+    Z0NotLine, and a raise anywhere else is mapped the same way."""
+    inst = _doubled_flagship(tmp_path)
+    code, out, err = run_cli(["check", str(inst), "--heavy"])
+    assert (code, out) == (4, "")
+    assert err.splitlines() == ["error: Z0NotLine: dim Z0 = 2"]
+
+    def raises(*args, **kwargs):
+        raise Z0NotLine("raised here")
+    monkeypatch.setattr(cli.criterion, "evaluate", raises)
+    for command in ("check", "sgroup"):
+        capsys.readouterr()
+        assert cli.main([command, str(inst)]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "error: Z0NotLine: raised here"]

@@ -34,11 +34,16 @@ def test_enumerate_trivial_and_sl2():
     assert s5_group().order() == 120
 
 
-def test_cap_exceeded():
+def test_cap_exceeded(monkeypatch):
+    """FUSIONSEED_CAP is read when a group is enumerated, not at import:
+    SL_2(7), of order 336, exceeds a cap of 100 and fits one of 336."""
     g = MatGroup(7, [FpMatrix(7, [[1, 1], [0, 1]]),
-                     FpMatrix(7, [[1, 0], [1, 1]])], cap=100)
+                     FpMatrix(7, [[1, 0], [1, 1]])])
+    monkeypatch.setenv("FUSIONSEED_CAP", "100")
     with pytest.raises(CapExceeded):
         g.order()
+    monkeypatch.setenv("FUSIONSEED_CAP", "336")
+    assert g.order() == 336
 
 
 def test_class_gg_sl2_automizer_is_squares():
@@ -427,16 +432,18 @@ def test_batched_keys_match_matrix_powers():
                         for m in x]
 
 
-def test_orbit_bound_is_exact():
-    """GL_2(5) has 6 Sylow 5-subgroups: max_orbit=6 admits the orbit,
-    max_orbit=5 refuses it."""
-    gl25 = gl2_group()
-    u = class_GG(gl25).sylow.u
-    _, orbit = sylow_normalizer_via_orbit(5, 2, gl25.generators, u,
-                                          max_orbit=6)
-    assert orbit == 6
-    with pytest.raises(CapExceeded):
-        sylow_normalizer_via_orbit(5, 2, gl25.generators, u, max_orbit=5)
+def test_orbit_bound_is_exact(monkeypatch):
+    """S_7 on F_7^7 has 120 Sylow 7-subgroups, each with a normalizer of
+    order 42: a cap of 120 admits the orbit, a cap of 119 refuses it."""
+    s7 = MatGroup(7, [perm_mat(7, cycle(7, [0, 1])),
+                      perm_mat(7, cycle(7, list(range(7))))])
+    u = class_GG(s7).sylow.u
+    monkeypatch.setenv("FUSIONSEED_CAP", "120")
+    _, orbit = sylow_normalizer_via_orbit(7, 7, s7.generators, u)
+    assert orbit == 120
+    monkeypatch.setenv("FUSIONSEED_CAP", "119")
+    with pytest.raises(CapExceeded, match="orbit exceeds bound 119"):
+        sylow_normalizer_via_orbit(7, 7, s7.generators, u)
 
 
 def test_class_gg_without_order_p_element_raises(monkeypatch):
@@ -627,7 +634,7 @@ def _assert_enumerated(group, bfs):
 
 @pytest.mark.parametrize("k, spec", SMALL_CORPUS,
                          ids=[f"{k}-{spec.tag}" for k, spec in SMALL_CORPUS])
-def test_coset_growth_matches_bfs(k, spec):
+def test_coset_growth_matches_bfs(k, spec, monkeypatch):
     """N_G(U), grown by cosets in U's orbit walk, and the groups that
     random subsets and products of G's generators generate, grown by
     cosets, against BFS enumeration of the same generators."""
@@ -638,11 +645,12 @@ def test_coset_growth_matches_bfs(k, spec):
     rng = np.random.default_rng(k)
     gens = g.generators
     pool = gens + [a @ b for a in gens for b in gens] + [syl.u]
+    monkeypatch.setenv("FUSIONSEED_CAP", "20000")
     for _ in range(4):
         pick = [pool[i] for i in
                 rng.choice(len(pool), size=rng.integers(1, 4), replace=False)]
         try:
-            bfs = MatGroup(g.p, pick, cap=20000).cache()
+            bfs = MatGroup(g.p, pick).cache()
         except CapExceeded:
             continue
         grown = _grown(g.p, g.dim, pick)
@@ -696,6 +704,6 @@ def test_orbit_chain_inverts_each_generator_at_most_once(k, spec,
     real = gfp._rref_array
     monkeypatch.setattr(gfp, "_rref_array",
                         lambda *a: calls.append(1) or real(*a))
-    chain = grp._orbit_chain(g.p, g.dim, fresh, u, g.cap)
+    chain = grp._orbit_chain(g.p, g.dim, fresh, u)
     assert chain.order() == g.order()
     assert len(calls) <= len(fresh)

@@ -19,7 +19,7 @@ def semidirect_affine(v: FpModule, g: MatGroup) -> MatGroup:
     gens = [sg._affine(v.p, m.a, np.zeros(v.dim, dtype=np.int64))
             for m in g.generators]
     gens += [sg._affine(v.p, one, e) for e in one]
-    return MatGroup(v.p, gens, cap=g.cap)
+    return MatGroup(v.p, gens)
 
 
 def _s_group(s):

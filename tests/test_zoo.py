@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fusionseed import criterion as cr, modrep as mr, mu, zoo
-from fusionseed.errors import HeavyComputeDisabled, InvalidParams
+from fusionseed.errors import InvalidParams
 from fusionseed.grp import class_GG, o_pprime
 
 
@@ -148,9 +148,13 @@ def test_extraspecial_p5():
     assert g.order() // 64 == 720
 
 
-def test_extraspecial_p7_gate():
-    with pytest.raises(HeavyComputeDisabled):
-        zoo.extraspecial(7)
+def test_extraspecial_p7_builds_generators_only():
+    """extraspecial(7) gives the 15 generators on dim 8 and enumerates
+    nothing: neither G's elements nor its orbit chain exist yet."""
+    g, v = zoo.extraspecial(7)
+    assert len(g.generators) == 15
+    assert v.dim == g.dim == 8 and v.group is g
+    assert g._stack is None and g.chain is None
 
 
 def test_gl23_two_two_module():
