@@ -171,10 +171,8 @@ def cmd_sgroup(args) -> int:
             # the filtration needs Z0 to be a line, as condition (d) does
             out["filtration"] = rep.cond_d
         else:
-            N = syl.normalizer_N
             filt = modrep.w_filtration(
-                v, syl,
-                check_elements=[N.element(i) for i in range(N.order())])
+                v, syl, check_elements=syl.normalizer_N.elements_stack())
             # sorted, so that the report does not follow N's generating set
             out["filtration"] = {
                 "quotient_dims": filt.quotient_dims,

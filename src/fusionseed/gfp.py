@@ -373,6 +373,30 @@ def solve(m: FpMatrix, rhs):
     return x
 
 
+def solve_many(m: FpMatrix, rhs):
+    """`solve` for each row b of the (r, m.rows) array rhs: (x, ok), x of
+    shape (r, m.cols) and ok[i] whether m @ x[i] = b_i has a solution.
+
+    One RREF of [m | I] gives E with E m = R, the RREF of m.  Where E b
+    vanishes below rank(m), [R | E b] is in reduced echelon form and row
+    equivalent to [m | b], so it is the RREF that `solve` reads: x has
+    E b's leading entries at the pivot columns, and the x of `solve`.
+    Rows with no solution get x = 0.
+    """
+    p = m.p.p
+    rhs = np.asarray(rhs, dtype=np.int64) % p
+    if rhs.ndim != 2 or rhs.shape[1] != m.rows:
+        raise DimensionMismatch("rhs shape")
+    aug = np.concatenate([m.a, np.eye(m.rows, dtype=np.int64)], axis=1)
+    red, _, pivots = _rref_array(aug, p)
+    piv = [c for c in pivots if c < m.cols]
+    y = rhs @ red[:, m.cols:].T % p
+    ok = ~y[:, len(piv):].any(axis=1)
+    x = np.zeros((len(rhs), m.cols), dtype=np.int64)
+    x[:, piv] = y[:, :len(piv)] * ok[:, None]
+    return x, ok
+
+
 def image_of_subspace(m: FpMatrix, s: Subspace) -> Subspace:
     """{m @ v : v in s} as a canonical subspace."""
     if s.is_zero():

@@ -277,14 +277,6 @@ class SylowData:
     automizer_order: int
     word: tuple | None = None    # (w, e): u = w^e, w a word in G's generators
 
-    def r_of(self, g: FpMatrix) -> int:
-        """Exponent r with g u g^-1 = u^r."""
-        conj = g @ self.u @ g.inverse()
-        for r in range(1, int(self.u.p)):
-            if conj == self.u.pow(r):
-                return r
-        raise SubgroupViolation("element does not normalize U")
-
 
 @dataclass
 class GGReport:

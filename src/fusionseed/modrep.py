@@ -16,7 +16,7 @@ import numpy as np
 from . import gfp
 from .errors import (DimensionMismatch, DimTooLarge,
                      FiltrationHypothesisFailed, InvariantViolation,
-                     NotUnipotentOfOrderP, PrimeMismatch)
+                     NotUnipotentOfOrderP, PrimeMismatch, SubgroupViolation)
 from .gfp import FpMatrix, Subspace, as_prime
 from .grp import MatGroup, SylowData, o_pprime
 
@@ -187,11 +187,13 @@ def opp_fixed_in_commutator(v: FpModule, opp: MatGroup) -> bool:
     return gfp.contains(commutator_space(v, opp), fixed_space(v, opp))
 
 
-def w_filtration(v: FpModule, syl: SylowData, check_elements=()) -> Filtration:
+def w_filtration(v: FpModule, syl: SylowData, check_elements=None
+                 ) -> Filtration:
     """W_1 = [U,V], W_{i+1} = [U, W_i]; requires dim Z0 = 1.
 
-    For each supplied g in N_G(U) the report records (r, t) and whether g
-    multiplies W_i/W_{i+1} by t * r^i for every i.
+    For each g of the (m, n, n) stack check_elements of N_G(U) elements
+    the report records (r, t) and whether g multiplies W_i/W_{i+1} by
+    t * r^i for every i: one `gfp.solve_many` per level for all g.
     """
     cs = canonical_subspaces(v, syl)
     if cs.Z0.dim != 1:
@@ -204,37 +206,55 @@ def w_filtration(v: FpModule, syl: SylowData, check_elements=()) -> Filtration:
         chain.append(gfp.image_of_subspace(m, chain[-1]))
     qdims = [chain[i].dim - chain[i + 1].dim for i in range(len(chain) - 1)]
     filt = Filtration(chain, qdims)
-    for g in check_elements:
-        r = syl.r_of(g)
-        t = _action_scalar(v, g, Subspace.full(v.p, v.dim), cs.A0)
-        ok = True
-        for i in range(len(chain) - 1):
-            s = _action_scalar(v, g, chain[i], chain[i + 1])
-            if s != t * pow(r, i + 1, p) % p:
-                ok = False
-        filt.scalar_reports.append({"r": r, "t": t, "law_holds": ok})
+    if check_elements is None or not len(check_elements):
+        return filt
+    mats = np.asarray(check_elements, dtype=np.int64)
+    r = u_exponents(syl.u, mats)
+    t = _action_scalars(mats, Subspace.full(v.p, v.dim), cs.A0)
+    ok = np.ones(len(mats), dtype=bool)
+    t_ri = t
+    for i in range(len(chain) - 1):
+        t_ri = t_ri * r % p
+        ok &= _action_scalars(mats, chain[i], chain[i + 1]) == t_ri
+    filt.scalar_reports = [{"r": int(ri), "t": int(ti), "law_holds": bool(o)}
+                           for ri, ti, o in zip(r, t, ok)]
     return filt
 
 
-def _action_scalar(v: FpModule, g: FpMatrix, space: Subspace, modulo: Subspace) -> int:
+def u_exponents(u: FpMatrix, mats) -> np.ndarray:
+    """The r with g u g^-1 = u^r, that is g u = u^r g, for each g of the
+    (m, n, n) stack mats; SubgroupViolation if some g does not normalize
+    <u>."""
+    p = u.p.p
+    mats = np.asarray(mats, dtype=np.int64)
+    upow = np.array([u.pow(k).a for k in range(p)])
+    hit = (mats[:, None] @ u.a % p == upow @ mats[:, None] % p).all(
+        axis=(2, 3))
+    if not hit.any(axis=1).all():
+        raise SubgroupViolation("element does not normalize U")
+    return hit.argmax(axis=1)
+
+
+def _action_scalar(g: FpMatrix, space: Subspace, modulo: Subspace) -> int:
     """Scalar by which g acts on space/modulo (must be 1-dimensional)."""
+    return int(_action_scalars(g.a[None], space, modulo)[0])
+
+
+def _action_scalars(mats: np.ndarray, space: Subspace, modulo: Subspace
+                    ) -> np.ndarray:
+    """The scalar c with g w = c w mod modulo, for w in space outside
+    modulo, for each g of the (m, n, n) stack mats: one solve for all g.
+    space/modulo must be a line that each g leaves invariant."""
     if space.dim - modulo.dim != 1:
         raise InvariantViolation("quotient not a line")
-    for w in space.basis:
-        if not modulo.contains_vector(w):
-            return _coeff_mod(v.p.p, modulo, w, g.apply(w))
-    raise InvariantViolation("no coset representative found")
-
-
-def _coeff_mod(p, modulo: Subspace, w, img) -> int:
-    """c with img = c*w (mod modulo)."""
-    rows = np.concatenate([modulo.basis, w.reshape(1, -1)], axis=0) if modulo.dim \
-        else w.reshape(1, -1)
-    M = FpMatrix(p, rows.T)
-    x = gfp.solve(M, img)
-    if x is None:
+    w = next((w for w in space.basis if not modulo.contains_vector(w)), None)
+    if w is None:
+        raise InvariantViolation("no coset representative found")
+    rows = np.concatenate([modulo.basis, w.reshape(1, -1)], axis=0)
+    x, ok = gfp.solve_many(FpMatrix(space.p, rows.T), mats @ w)
+    if not ok.all():
         raise InvariantViolation("space not g-invariant mod subspace")
-    return int(x[-1])
+    return x[:, -1]
 
 
 def dual(v: FpModule) -> FpModule:

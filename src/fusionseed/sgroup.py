@@ -6,10 +6,12 @@ same representation.  Z(S), [S,S], Z_2(S) and A_0 are subspaces of A; the
 essential-candidate subgroups H_i = Z<x a^i> and B_i = Z_2<x a^i> are
 MatGroups.  The automorphisms of such a P that Gamma, S and P induce,
 |C_Gamma(P)|, and whether one P is Gamma-conjugate into another (step-2
-condition (1)) come from one F_p solve per element of N_G(U), U or C_G(U),
-so neither Gamma nor A x| N_G(U) is ever built.  The local automorphism
-groups Theta are permutation groups on P's elements, keyed by exact codes
-of their generator images, and verified against their contracts.
+condition (1)) come from one F_p solve per exponent k with g u g^-1 = u^k
+over N_G(U) or U, and from a scan of C_G(U), so neither Gamma nor
+A x| N_G(U) is ever built.  The local automorphism groups are permutation
+groups on P's elements, keyed by exact codes of their generator images:
+Inn(P) and Aut_S(P) enumerated, Lambda_P, Theta, Theta_0 and O^{p'}(Theta)
+as one-level chains, and verified against their contracts.
 
 S itself is never enumerated, at any scale: the S-classes of the H_i come
 from a subspace test (the S-conjugates of (c, u) are the (c + w, u) with w
@@ -95,11 +97,14 @@ def _affine(p, block, vec) -> FpMatrix:
 
 
 def _affine_array(block, vec) -> np.ndarray:
-    """The affine matrix [[block, vec], [0, 1]] of w -> block w + vec."""
-    n = len(vec)
-    a = np.eye(n + 1, dtype=np.int64)
-    a[:n, :n] = block
-    a[:n, n] = vec
+    """The affine matrix [[block, vec], [0, 1]] of w -> block w + vec, or
+    the stack of them for stacks of blocks and of vectors."""
+    vec = np.asarray(vec, dtype=np.int64)
+    n = vec.shape[-1]
+    a = np.zeros(vec.shape[:-1] + (n + 1, n + 1), dtype=np.int64)
+    a[..., :n, :n] = block
+    a[..., :n, n] = vec
+    a[..., n, n] = 1
     return a
 
 
@@ -277,14 +282,15 @@ def hb_subgroups(s: SGroup, x, a):
 
 # -- automorphisms of P keyed by generator images ----------------------------
 
-_PERM_CAP = 10 ** 6       # elements of one automorphism group of P
+_PERM_CAP = 10 ** 6       # orbit points and elements stored for one group
 _PERM_CHUNK = 1 << 14    # coset elements coded per batch in `extend`
 
 
 @dataclass
 class PermGroup:
-    """A group of automorphisms of P: its elements as a permutation stack
-    sorted by code, their sorted int64 codes, and its generators."""
+    """A group of automorphisms of P, enumerated: its elements as a
+    permutation stack sorted by code, their sorted int64 codes, and its
+    generators."""
     perms: np.ndarray
     codes: np.ndarray
     gens: np.ndarray
@@ -295,6 +301,39 @@ class PermGroup:
     def contains(self, codes: np.ndarray) -> np.ndarray:
         """Whether each code is the code of an element."""
         return _in_sorted(self.codes, codes)
+
+
+@dataclass
+class PermChain:
+    """A group of automorphisms of P as a one-level chain at P's first
+    generator g_0: the orbit of g_0 with a transversal t_j and its
+    inverses, and the stabilizer of g_0, enumerated.
+
+    The orbit is complete and the stabilizer holds every Schreier
+    generator, so |G| = |orbit| |stab|, and f lies in G exactly when
+    f(g_0) is an orbit point j and t_j^-1 f lies in stab: a sift that
+    reads only f's images of P's k generators.
+    """
+    gens: np.ndarray         # (r, |P|) the generators kept
+    points: np.ndarray       # (m,) element index of each orbit point
+    pos: np.ndarray          # (|P|,) orbit index of each element, or -1
+    trans: np.ndarray        # (m, |P|) t_j, with t_j(g_0) = points[j]
+    trans_inv: np.ndarray    # (m, |P|) t_j^-1
+    stab: PermGroup
+    weights: np.ndarray      # base-|P| weights of the codes
+
+    def order(self) -> int:
+        return len(self.points) * self.stab.order()
+
+    def contains(self, images: np.ndarray) -> np.ndarray:
+        """Whether each automorphism, given by the (m, k) stack of its
+        generator images, lies in the group."""
+        images = np.asarray(images, dtype=np.int64)
+        j = self.pos[images[:, 0]]
+        out = j >= 0
+        res = self.trans_inv[j[out, None], images[out]]
+        out[out] = self.stab.contains(res.astype(np.int64) @ self.weights)
+        return out
 
 
 def _unique(codes: np.ndarray):
@@ -319,13 +358,6 @@ def _inverse(perms: np.ndarray) -> np.ndarray:
     inv[np.arange(len(perms))[:, None], perms] = np.arange(
         perms.shape[1], dtype=perms.dtype)
     return inv
-
-
-def _conjugates(ts: np.ndarray, hs: np.ndarray) -> np.ndarray:
-    """t h t^-1 for every t in ts and h in hs, as one permutation stack."""
-    inner = hs[:, _inverse(ts)]                       # h[t^-1[j]]
-    return ts[np.arange(len(ts))[None, :, None], inner].reshape(
-        -1, ts.shape[1])
 
 
 class PermGroupOnSet:
@@ -367,26 +399,34 @@ class PermGroupOnSet:
                for k in _row_keys(mats.reshape(-1, d * d))]
         return np.array(idx, dtype=np.int64).reshape(mats.shape[:-2])
 
-    def conjugation_perms(self, mats, invs) -> np.ndarray:
-        """The automorphisms of P that conjugation by each matrix of the
-        (m, d, d) stack mats (inverses invs) induces; each must normalize
-        P."""
+    def _conjugated(self, mats, invs, elems) -> np.ndarray:
+        """Index of m e m^-1 for each matrix m of the (m, d, d) stack mats
+        (inverses invs) and each e of the stack elems; each m must
+        normalize P."""
         p = self.group.p.p
         mats, invs = mats.astype(np.int64), invs.astype(np.int64)
-        elems = self.elements.astype(np.int64)
-        idx = self.indices(mats[:, None] @ elems % p @ invs[:, None] % p)
+        idx = self.indices(mats[:, None] @ elems.astype(np.int64) % p
+                           @ invs[:, None] % p)
         if (idx < 0).any():
             raise InvariantViolation("a normalizing element moves P")
-        return idx.astype(self.dtype)
+        return idx
+
+    def conjugation_perms(self, mats, invs) -> np.ndarray:
+        """The automorphisms of P that conjugation by each matrix of the
+        (m, d, d) stack mats (inverses invs) induces."""
+        return self._conjugated(mats, invs, self.elements).astype(self.dtype)
 
     def close(self, gens) -> PermGroup:
-        """<gens>."""
+        """<gens>, enumerated."""
         ident = np.arange(self.n, dtype=self.dtype)[None]
         return self.extend(PermGroup(ident, self.codes(ident), ident[:0]),
                            gens)
 
-    def extend(self, group: PermGroup, new) -> PermGroup:
-        """<group, new>, by frontier batches under all new generators.
+    def extend(self, group: PermGroup, new, stored: int = 0) -> PermGroup:
+        """<group, new>, enumerated by frontier batches under the new
+        generators, at most _PERM_CHUNK coset elements coded at a time;
+        stored counts points kept beside it against _PERM_CAP, which is
+        checked after every batch.
 
         Every element found brings its whole coset group y, so the elements
         stay a union of such cosets, which left multiplication by group's
@@ -399,21 +439,19 @@ class PermGroupOnSet:
         known, found, frontier = group.codes, [h], h
         step = max(1, _PERM_CHUNK // len(h))
         while len(frontier) and len(new):
-            c = self._pack(new[:, frontier[:, gx]]).reshape(-1)
-            c, first = _unique(c)
+            c, first = _unique(self._pack(new[:, frontier[:, gx]]).reshape(-1))
             fresh = ~_in_sorted(known, c)
             c = c[fresh]
             gi, fi = np.divmod(first[fresh], len(frontier))
             level = []
             while len(c):
                 ys = new[gi[:step, None], frontier[fi[:step]]]
-                cc = self._pack(h[:, ys[:, gx]]).reshape(-1)
-                cc, at = _unique(cc)
+                cc, at = _unique(self._pack(h[:, ys[:, gx]]).reshape(-1))
                 keep = ~_in_sorted(known, cc)
                 hi, yi = np.divmod(at[keep], len(ys))
                 level.append(h[hi[:, None], ys[yi]])
                 known = np.sort(np.concatenate([known, cc[keep]]))
-                if len(known) > _PERM_CAP:
+                if stored + len(known) > _PERM_CAP:
                     raise CapExceeded(
                         f"automorphism group exceeds cap {_PERM_CAP}")
                 left = ~_in_sorted(known, c[step:])
@@ -426,23 +464,163 @@ class PermGroupOnSet:
         return PermGroup(perms[order], codes[order],
                          np.concatenate([group.gens, new]))
 
-    def normal_closure(self, gens, under: np.ndarray) -> PermGroup:
-        """The normal closure of <gens> under <under>: the closure grows by
-        the conjugates of its generators by under until each lies in it."""
-        group = self.close(gens)
-        while True:
-            conj = _conjugates(under, group.gens)
-            out = conj[~group.contains(self.codes(conj))]
-            if not len(out):
-                return group
-            group = self.extend(group, out)
-
     def normalizing(self, perms: np.ndarray, sub: PermGroup) -> np.ndarray:
         """Whether each permutation t normalizes sub: t h t^-1 lies in sub
         for each generator h of sub, evaluated at P's generators only."""
         inv = _inverse(perms)[:, self.gen_idx]
         vals = perms[np.arange(len(perms))[None, :, None], sub.gens[:, inv]]
         return sub.contains(self._pack(vals)).all(axis=0)
+
+    # -- one-level chains ------------------------------------------------
+
+    def chain(self, perms, base: PermChain | None = None) -> PermChain:
+        """<base, perms> as a chain (base the trivial group if None)."""
+        perms = np.asarray(perms, dtype=self.dtype).reshape(-1, self.n)
+        return self._sift_in(self._trivial() if base is None else base,
+                             perms[:, self.gen_idx], lambda i: perms[i])
+
+    def chain_by_conjugation(self, mats, invs) -> PermChain:
+        """The chain of the automorphisms that conjugation by the (m, d, d)
+        stack mats (inverses invs) induces: only the generator images of
+        each matrix are read, and a full permutation is formed only for
+        the matrices that join."""
+        gens = np.array([g.a for g in self.group.generators])
+        return self._sift_in(
+            self._trivial(), self._conjugated(mats, invs, gens),
+            lambda i: self.conjugation_perms(mats[i:i + 1], invs[i:i + 1])[0])
+
+    def normal_closure(self, gens, under: np.ndarray) -> PermChain:
+        """The normal closure of <gens> under <under>: each generator h of
+        the closure, those joined on the way included, has its conjugates
+        t h t^-1 by under sifted in.  So t N t^-1 <= N for every t, and
+        every element that joins is a conjugate of one of gens."""
+        chain = self.chain(gens)
+        under = np.asarray(under, dtype=self.dtype).reshape(-1, self.n)
+        under_inv = _inverse(under)
+        rows = np.arange(len(under))[:, None]
+        done = 0
+        while done < len(chain.gens):
+            h = chain.gens[done]
+            done += 1
+            chain = self._sift_in(
+                chain, under[rows, h[under_inv[:, self.gen_idx]]],
+                lambda i, h=h: under[i][h[under_inv[i]]])
+        return chain
+
+    def conjugation_orbit(self, chain: PermChain, sub: PermGroup):
+        """(|sub^G|, Schreier generators of N_G(sub)) for G the group of
+        chain: the conjugates t sub t^-1 by a BFS under G's generators,
+        each keyed by its sorted codes, and t_l^-1 g t_j for each conjugate
+        j and generator g, where g t_j sub (g t_j)^-1 is conjugate l.  By
+        orbit-stabilizer |N_G(sub)| = |G| / |sub^G|, and by Schreier's
+        lemma those generators generate N_G(sub)."""
+        def key(t, t_inv):
+            return np.sort(self._pack(
+                t[sub.perms[:, t_inv[self.gen_idx]]])).tobytes()
+
+        ident = np.arange(self.n, dtype=self.dtype)
+        keys, trans, trans_inv = {key(ident, ident): 0}, [ident], [ident]
+        schreier = []
+        for t_j in trans:           # trans grows while it is walked
+            for g in chain.gens:
+                t = g[t_j]
+                t_inv = _inverse(t[None])[0]
+                l = keys.setdefault(key(t, t_inv), len(trans))
+                if l == len(trans):
+                    trans.append(t)
+                    trans_inv.append(t_inv)
+                else:
+                    schreier.append(trans_inv[l][t])
+        return len(trans), np.array(schreier, dtype=self.dtype).reshape(
+            -1, self.n)
+
+    def _trivial(self) -> PermChain:
+        ident = np.arange(self.n, dtype=self.dtype)[None]
+        g0 = self.gen_idx[:1]
+        pos = np.full(self.n, -1, dtype=np.int64)
+        pos[g0] = 0
+        return PermChain(ident[:0], g0, pos, ident, ident,
+                         PermGroup(ident, self.codes(ident), ident[:0]),
+                         self.weights)
+
+    def _sift_in(self, chain: PermChain, images, build) -> PermChain:
+        """chain grown by candidates given as an (m, k) stack of generator
+        images; a candidate outside the group joins as build(i), its full
+        permutation."""
+        return _greedy(chain, images, PermChain.contains,
+                       lambda ch, i: self._add(ch, build(i)))
+
+    def _add(self, chain: PermChain, s: np.ndarray) -> PermChain:
+        """The chain of <G, s> for G the group of chain.
+
+        The orbit grows by a BFS: the old points under s, then each new
+        point under every generator, with t = g t_j for a point reached
+        from point j by g.  The old transversal stays, so the Schreier
+        generators t_l^-1 g t_j of old points under old generators are
+        already in the stabilizer; those of every point under s and of the
+        new points under the old generators are sifted into it, and join
+        when outside.
+        """
+        gens = np.concatenate([chain.gens, s[None]])
+        pos = chain.pos.copy()
+        points, trans = [chain.points], [chain.trans]
+        level_pts, level_tr, use = chain.points, chain.trans, gens[-1:]
+        total = len(chain.points)
+        while len(level_pts):
+            new_pts, new_tr = [], []
+            for g in use:
+                img = g[level_pts]
+                fresh = np.flatnonzero(pos[img] < 0)
+                pts, first = np.unique(img[fresh], return_index=True)
+                pos[pts] = total + np.arange(len(pts))
+                total += len(pts)
+                new_pts.append(pts)
+                new_tr.append(g[level_tr[fresh[first]]])
+            level_pts = np.concatenate(new_pts)
+            level_tr = np.concatenate(new_tr)
+            points.append(level_pts)
+            trans.append(level_tr)
+            use = gens
+            if total + chain.stab.order() > _PERM_CAP:
+                raise CapExceeded(
+                    f"automorphism group exceeds cap {_PERM_CAP}")
+        points, trans = np.concatenate(points), np.concatenate(trans)
+        trans_inv = np.concatenate([chain.trans_inv,
+                                    _inverse(trans[len(chain.trans):])])
+        # Schreier generators of every point under s, then of the new
+        # points under the old generators, at P's generators only
+        old, last = len(chain.points), len(gens) - 1
+        js = np.concatenate([np.arange(total)]
+                            + [np.arange(old, total)] * last)
+        gi = np.concatenate([np.full(total, last)]
+                            + [np.full(total - old, k) for k in range(last)])
+        ls = pos[gens[gi, points[js]]]
+        images = trans_inv[ls[:, None],
+                           gens[gi[:, None], trans[js[:, None], self.gen_idx]]]
+        stab = _greedy(
+            chain.stab, images,
+            lambda grp, im: grp.contains(self._pack(im)),
+            lambda grp, i: self.extend(
+                grp, trans_inv[ls[i]][gens[gi[i]][trans[js[i]]]],
+                stored=total))
+        return PermChain(gens, points, pos, trans, trans_inv, stab,
+                         self.weights)
+
+
+def _greedy(group, images, member, join):
+    """group grown by candidates in turn, each given by its (m, k) stack of
+    generator images: member(group, images) sifts the candidates left, and
+    the first outside the group joins as join(group, i)."""
+    images = np.asarray(images, dtype=np.int64)
+    idx = np.arange(len(images))
+    while len(idx):
+        out = ~member(group, images[idx])
+        if not out.any():
+            break
+        at = int(out.argmax())
+        group = join(group, idx[at])
+        idx = idx[at + 1:]
+    return group
 
 
 def _hom_from_gen_images(pset: PermGroupOnSet, gens, images):
@@ -487,7 +665,7 @@ def _hom_from_gen_images(pset: PermGroupOnSet, gens, images):
 # into Q' exactly when gW <= W' and
 #     (1 - u^k) a = c'_k - g c  mod W',   c'_k = (1 + u + ... + u^(k-1)) c',
 # and for Q' = Q the solutions a form a coset of T = {a : (1 - u) a in W}:
-# one solve per element of N_G(U), and no ambient group is enumerated.
+# one `gfp.solve_many` per exponent k, and no ambient group is enumerated.
 
 def _annihilator(space: Subspace) -> np.ndarray:
     """Rows q with q w = 0 exactly for the w in space."""
@@ -497,60 +675,63 @@ def _annihilator(space: Subspace) -> np.ndarray:
 
 
 def conjugators(s: SGroup, src: PermGroupOnSet, dst: PermGroupOnSet,
-                mats, invs) -> list:
+                mats, invs) -> tuple[np.ndarray, np.ndarray]:
     """(a, g) in Gamma conjugating src = <W, (c, u)> into dst = <W',
-    (c', u)>, as pairs of affine matrices and their inverses: one for each
-    g of the (m, n, n) stack mats of N_G(U) elements (inverses invs) that
-    admits one."""
+    (c', u)>, as stacks of affine matrices and of their inverses: one for
+    each g of the (m, n, n) stack mats of N_G(U) elements (inverses invs)
+    that admits one, in stack order.  The g with the same k share the
+    matrix q (1 - u^k), so each k takes one solve for all of them."""
     p, n = s.p, s.n
     one = np.eye(n, dtype=np.int64)
     q = _annihilator(dst.space)
     c, c_dst = src.x.a[:n, n], dst.x.a[:n, n]
     mats, invs = mats.astype(np.int64), invs.astype(np.int64)
-    upow = np.array(s.upow)
-    # k with g u = u^k g, and whether g maps W into W'
-    hit = (mats[:, None] @ s.u.a % p == upow @ mats[:, None] % p).all(
-        axis=(2, 3))
-    if not hit.any(axis=1).all():
-        raise InvariantViolation("an element outside N_G(U)")
-    ks = hit.argmax(axis=1)
+    ks = modrep.u_exponents(s.u, mats)
+    # whether g maps W into W'
     keeps = ~(q @ mats @ src.space.basis.T % p).any(axis=(1, 2))
     ck = np.cumsum([u @ c_dst for u in s.upow], axis=0) % p  # ck[k-1] = c'_k
-    out = []
-    for g, gi, k in zip(mats[keeps], invs[keeps], ks[keeps]):
-        a = gfp.solve(FpMatrix(p, q @ (one - upow[k]) % p),
-                      q @ (ck[k - 1] - g @ c) % p)
-        if a is not None:
-            out.append((_affine_array(g, a), _affine_array(gi, -gi @ a % p)))
-    return out
+    a = np.zeros((len(mats), n), dtype=np.int64)
+    found = np.zeros(len(mats), dtype=bool)
+    for k in np.unique(ks[keeps]):
+        sel = np.flatnonzero(keeps & (ks == k))
+        a[sel], found[sel] = gfp.solve_many(
+            FpMatrix(p, q @ (one - s.upow[k]) % p),
+            (ck[k - 1] - mats[sel] @ c) % p @ q.T % p)
+    g, g_inv, a = mats[found], invs[found], a[found]
+    return (_affine_array(g, a),
+            _affine_array(g_inv, -(g_inv @ a[..., None])[..., 0] % p))
 
 
-def normalizer_perms(s: SGroup, pset: PermGroupOnSet, mats, invs
-                     ) -> np.ndarray:
-    """Generators of the automorphisms of P induced by the (a, g) in Gamma
-    normalizing P with g in the (m, n, n) stack mats of N_G(U) elements
-    (inverses invs): the translations by T and the `conjugators` of P into
-    itself."""
+def normalizer_mats(s: SGroup, pset: PermGroupOnSet, mats, invs
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The (a, g) in Gamma normalizing P that generate, with g in the
+    (m, n, n) stack mats of N_G(U) elements (inverses invs), the
+    automorphisms of P they induce: the translations by a basis of T and
+    the `conjugators` of P into itself, as stacks of affine matrices and
+    of their inverses."""
     p, n = s.p, s.n
     one = np.eye(n, dtype=np.int64)
     q = _annihilator(pset.space)
     t = gfp.kernel_basis(FpMatrix(p, q @ (one - s.u.a) % p)).basis
-    gens = [(_affine_array(one, w), _affine_array(one, -w % p)) for w in t]
-    gens += conjugators(s, pset, pset, mats, invs)
-    return pset.conjugation_perms(np.array([m for m, _ in gens]),
-                                  np.array([mi for _, mi in gens]))
+    conj, conj_inv = conjugators(s, pset, pset, mats, invs)
+    return (np.concatenate([_affine_array(one, t), conj]),
+            np.concatenate([_affine_array(one, -t % p), conj_inv]))
 
 
 def local_automorphisms(s: SGroup, pset: PermGroupOnSet):
     """Inn(P), Aut_S(P) and Lambda_P: the automorphisms of P induced by
     conjugation by P's generators, by the elements of S normalizing P, and
-    by the elements of Gamma normalizing P."""
+    by the elements of Gamma normalizing P.  The first two are small
+    p-groups and are enumerated; Lambda_P is a `PermChain`, grown from the
+    generator images of the normalizing elements of Gamma."""
     upow = np.array(s.upow)
     N = s.syl.normalizer_N
     inn = pset.conjugation_perms(*_stacks(pset.group.generators))
-    aut_s = normalizer_perms(s, pset, upow, upow[-np.arange(s.p)])
-    lam = normalizer_perms(s, pset, N.elements_stack(), N.inverses_stack())
-    return pset.close(inn), pset.close(aut_s), pset.close(lam)
+    aut_s = pset.conjugation_perms(
+        *normalizer_mats(s, pset, upow, upow[-np.arange(s.p)]))
+    lam = pset.chain_by_conjugation(
+        *normalizer_mats(s, pset, N.elements_stack(), N.inverses_stack()))
+    return pset.close(inn), pset.close(aut_s), lam
 
 
 def centralizer_order(s: SGroup, pset: PermGroupOnSet) -> int:
@@ -578,10 +759,10 @@ class ThetaReport:
     checks: dict
     ok: bool
     pset: PermGroupOnSet = field(repr=False, default=None)
-    theta: PermGroup = field(repr=False, default=None)
+    theta: PermChain = field(repr=False, default=None)
+    theta0: PermChain = field(repr=False, default=None)
     inn: PermGroup = field(repr=False, default=None)
     aut_s: PermGroup = field(repr=False, default=None)
-    opp_theta: PermGroup = field(repr=False, default=None)
 
 
 def theta_witness(s: SGroup, kind: str, i: int, hb,
@@ -591,7 +772,9 @@ def theta_witness(s: SGroup, kind: str, i: int, hb,
     Checks: (i) Aut_S(P) is Sylow-p in Theta, (ii) O^{p'}(Theta)/Inn(P) has
     order |SL_2(p)|, (iii) normalizer elements of Aut_S(P) in O^{p'}(Theta)
     move Z into Z0 only, (iv) N_Theta(Aut_S(P)) equals the restrictions of
-    subgroup-normalizing ambient automorphisms.
+    subgroup-normalizing ambient automorphisms.  Lambda_P, Theta, Theta_0
+    and O^{p'}(Theta) are `PermChain`s, so none is enumerated, and each
+    check is an identity of orders or a sift of generators.
     """
     p, n = s.p, s.n
     t = -1 if kind == "H" else 0
@@ -659,39 +842,47 @@ def theta_witness(s: SGroup, kind: str, i: int, hb,
 
     inn, aut_s, lam = local_automorphisms(s, pset)
     theta0_gens = np.concatenate([theta0_gens, inn.gens])
-    theta = pset.extend(lam, theta0_gens)
-    theta0 = pset.close(theta0_gens)
-
+    theta = pset.chain(theta0_gens, base=lam)
+    theta0 = pset.chain(theta0_gens)
     # O^{p'}(Theta): normal closure of the Sylow-p subgroup Aut_S(P)
     opp = pset.normal_closure(aut_s.gens, theta.gens)
 
+    gx = pset.gen_idx
     sl2_order = p * (p * p - 1)
     checks = {}
-    checks["aut_s_in_theta"] = bool(theta.contains(aut_s.codes).all())
+    checks["aut_s_in_theta"] = bool(theta.contains(aut_s.perms[:, gx]).all())
     theta_order = theta.order()
     checks["aut_s_is_sylow"] = aut_s.order() == _p_part(theta_order, p)
     checks["theta0_over_inn_is_sl2"] = \
         theta0.order() == inn.order() * sl2_order
-    checks["opp_is_theta0"] = np.array_equal(opp.codes, theta0.codes)
-    # (iii): normalizer of Aut_S(P) inside O^{p'}(Theta) moves Z into Z0
-    norm_opp = opp.perms[pset.normalizing(opp.perms, aut_s)]
+    # two groups are equal when each one's generators lie in the other
+    checks["opp_is_theta0"] = bool(theta0.contains(opp.gens[:, gx]).all()
+                                   and opp.contains(theta0.gens[:, gx]).all())
+    # (iii): N_{O^{p'}(Theta)}(Aut_S(P)) moves each z of Z into z Z0.  The
+    # automorphisms that do form a subgroup (f(z z') = f(z) f(z') and Z0 is
+    # a subgroup of Z), so the normalizer's Schreier generators decide it
+    _, schreier = pset.conjugation_orbit(opp, aut_s)
     z_idx = [pset.index[k] for k in s.subgroup(s.Z).keys()]
     z_els = pset.elements[z_idx].astype(np.int64)
-    img = pset.elements[norm_opp[:, z_idx]].astype(np.int64)
+    img = pset.elements[schreier[:, z_idx]].astype(np.int64)
     diff = (img[..., :n, n] - z_els[:, :n, n]) % p
     checks["normalizer_fixes_Z_mod_Z0"] = bool(
         (img[..., :n, :n] == np.eye(n, dtype=np.int64)).all()
         and not (diff @ _annihilator(s.Z0).T % p).any())
-    # (iv): N_Theta(Aut_S(P)) equals Lambda_P
-    norm_theta = theta.codes[pset.normalizing(theta.perms, aut_s)]
-    checks["normalizer_equals_lambda"] = np.array_equal(norm_theta,
-                                                        lam.codes)
+    # (iv): N_Theta(Aut_S(P)) equals Lambda_P.  Lambda_P <= Theta by
+    # construction, and Lambda_P <= N_Theta(Aut_S(P)) once its generators
+    # normalize Aut_S(P); then the two are equal exactly when |Lambda_P| =
+    # |N_Theta(Aut_S(P))| = |Theta| / |Aut_S(P)^Theta|
+    conjugates, _ = pset.conjugation_orbit(theta, aut_s)
+    checks["normalizer_equals_lambda"] = bool(
+        pset.normalizing(lam.gens, aut_s).all()
+        and lam.order() * conjugates == theta_order)
 
     ok = all(checks.values())
     return ThetaReport(kind, pset.n, inn.order(), theta_order,
                        theta0.order() // inn.order(), checks, ok,
-                       pset=pset, theta=theta, inn=inn,
-                       aut_s=aut_s, opp_theta=theta0)
+                       pset=pset, theta=theta, theta0=theta0, inn=inn,
+                       aut_s=aut_s)
 
 
 def _p_part(order: int, p: int) -> int:
@@ -750,10 +941,11 @@ def step2_conditions(s: SGroup, thetas) -> dict:
     p = s.p
     report = {"gamma_order": s.gamma_order(), "conditions": {}}
     # (1) no Q is Gamma-conjugate into another (nor contained in it); a
-    # conjugator (a, g) has g in N_G(U), so one solve per g decides it
+    # conjugator (a, g) has g in N_G(U), so one solve per exponent of g
+    # decides it
     N = s.syl.normalizer_N
-    cond1 = not any(conjugators(s, a.pset, b.pset, N.elements_stack(),
-                                N.inverses_stack())
+    cond1 = not any(len(conjugators(s, a.pset, b.pset, N.elements_stack(),
+                                    N.inverses_stack())[0])
                     for a, b in itertools.permutations(thetas, 2))
     report["conditions"]["pairwise_nonconjugate"] = cond1
 

@@ -230,7 +230,7 @@ def extension_group(w: FpModule, zeta: int) -> MatGroup:
         if not cand.is_invertible():
             continue
         if cs.Z.dim > cs.Z0.dim:
-            t_scal = modrep._action_scalar(w, cand, cs.Z, cs.Z0)
+            t_scal = modrep._action_scalar(cand, cs.Z, cs.Z0)
             if t_scal != 1:
                 continue
         power = cand.pow(p - 1)

@@ -198,9 +198,8 @@ def test_criterion_5_structural_suite():
         s, build = sg.build_s(v, syl)
         if not build.ok:
             failures.append((name, build.checks))
-        N = syl.normalizer_N
         filt = mr.w_filtration(
-            v, syl, check_elements=[N.element(i) for i in range(N.order())])
+            v, syl, check_elements=syl.normalizer_N.elements_stack())
         if any(d != 1 for d in filt.quotient_dims):
             failures.append((name, "quotient dims"))
         if not all(r["law_holds"] for r in filt.scalar_reports):

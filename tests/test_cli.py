@@ -430,21 +430,28 @@ def test_sgroup_invariant_violation_exit_4(tmp_path, monkeypatch, capsys):
         capsys.readouterr().err
 
 
-# (tag, zoo emit index, p, dim, |G|) of the passing corpus entries whose
-# witnesses need neither S nor Gamma enumerated
-WITNESS_ENTRIES = [("an_deleted", 0, 7, 8, 362880),
-                   ("monomial", 2, 5, 6, 3840),
-                   ("extraspecial_p5", 0, 5, 4, 46080),
-                   ("sn_deleted", 1, 7, 5, 5040)]
+# (tag, zoo emit index, p, dim, |G|, [(kind, |Theta|)]) of the passing
+# corpus entries whose witnesses need neither S nor Gamma enumerated
+WITNESS_ENTRIES = [("an_deleted", 0, 7, 8, 362880, [("B", 32928)]),
+                   ("monomial", 2, 5, 6, 3840, [("B", 6000)]),
+                   ("extraspecial_p5", 0, 5, 4, 46080,
+                    [("B", 12000), ("H", 480)]),
+                   ("sn_deleted", 1, 7, 5, 5040, [("H", 336)])]
+# the flagship and str_closed c, which the benchmark runs
+BENCH_ENTRIES = [("sn_deleted", 0, 5, 3, 480, [("B", 12000), ("H", 480)]),
+                 ("str_closed", 1, 5, 4, 240, [("B", 6000)])]
 
 
-@pytest.mark.parametrize("tag, index, p, dim, g_order", WITNESS_ENTRIES,
-                         ids=[f"{e[0]}-{e[1]}" for e in WITNESS_ENTRIES])
+@pytest.mark.parametrize("tag, index, p, dim, g_order, thetas",
+                         WITNESS_ENTRIES + BENCH_ENTRIES,
+                         ids=[f"{e[0]}-{e[1]}"
+                              for e in WITNESS_ENTRIES + BENCH_ENTRIES])
 def test_sgroup_certifies_witnesses_at_every_scale(tmp_path, tag, index, p,
-                                                   dim, g_order):
+                                                   dim, g_order, thetas):
     """|S| up to 7^9 and |Gamma| up to 7^8 * 9!, above the 2e7 cap: sgroup
     builds Theta and step 2 with every check true and reports |Gamma| =
-    p^n |G| as a number."""
+    p^n |G| as a number.  The |Theta| pinned here equal the orders of
+    Theta enumerated element by element."""
     inst, out = tmp_path / "inst.json", tmp_path / "out.json"
     assert cli.main(["zoo", "emit", tag, "--index", str(index),
                      "--out", str(inst)]) == 0
@@ -453,12 +460,41 @@ def test_sgroup_certifies_witnesses_at_every_scale(tmp_path, tag, index, p,
     assert rep["criterion_passes"] is True
     assert rep["build"]["ok"] and all(rep["build"]["checks"].values())
     assert rep["build"]["dims"]["S"] == dim + 1
-    assert rep["theta"]
+    assert [(th["kind"], th["theta_order"]) for th in rep["theta"]] == thetas
     for th in rep["theta"]:
         assert th["ok"] and th["checks"] and all(th["checks"].values())
     step2 = rep["step2"]
     assert step2["ok"] and all(step2["conditions"].values())
     assert step2["gamma_order"] == p ** dim * g_order
+
+
+def _limit_address_space():
+    """Cap the child's address space at 400 MiB (run in the child only)."""
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+
+def test_sgroup_an_deleted_fits_in_400_mib(tmp_path):
+    """sgroup on an_deleted (|P| = 7^4, |Theta| = 32,928) runs in a child
+    whose address space is capped at 400 MiB, and writes the report of an
+    unlimited run.  Theta enumerated as an int16 stack of 32,928 x 2,401
+    entries (151 MiB a copy) does not fit: it ends with exit 3, out of
+    memory."""
+    inst, out, ref = (tmp_path / name for name in ("inst.json", "out.json",
+                                                   "ref.json"))
+    assert cli.main(["zoo", "emit", "an_deleted", "--out", str(inst)]) == 0
+    assert cli.main(["sgroup", str(inst), "--out", str(ref)]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "fusionseed.cli", "sgroup", str(inst),
+         "--out", str(out)], capture_output=True, text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=_limit_address_space)
+    assert proc.returncode == 0, proc.stderr
+    reports = [json.loads(path.read_text()) for path in (out, ref)]
+    for rep in reports:
+        rep.pop("elapsed_s")
+    assert reports[0] == reports[1]
+    assert [th["theta_order"] for th in reports[0]["theta"]] == [32928]
 
 
 def test_sgroup_full_report_above_the_gamma_cap(tmp_path, enumerated):

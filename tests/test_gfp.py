@@ -127,3 +127,44 @@ def test_modular_dimension_law(a, b):
     sb = Subspace(5, n, pb)
     lhs = gfp.add(sa, sb).dim + gfp.intersect(sa, sb).dim
     assert lhs == sa.dim + sb.dim
+
+
+@st.composite
+def solve_systems(draw):
+    """(m, rhs) over p in {3, 5, 7}: m = L R with inner dimension r, so
+    rank-deficient systems are frequent, and rhs mixes rows m x, which
+    are consistent, with free rows, which are often not."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    r = draw(st.integers(0, min(rows, cols)))
+
+    def block(h, w):
+        return np.array(draw(st.lists(st.integers(0, p - 1), min_size=h * w,
+                                      max_size=h * w)),
+                        dtype=np.int64).reshape(h, w)
+    m = block(rows, r) @ block(r, cols) % p
+    k = draw(st.integers(1, 6))
+    rhs = np.concatenate([block(k, cols) @ m.T % p, block(k, rows)])
+    return FpMatrix(p, m), rhs
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(solve_systems())
+def test_solve_many_equals_solve_row_by_row(system):
+    m, rhs = system
+    xs, ok = gfp.solve_many(m, rhs)
+    assert xs.shape == (len(rhs), m.cols) and ok[:len(rhs) // 2].all()
+    for b, x, good in zip(rhs, xs, ok):
+        want = gfp.solve(m, b)
+        assert good == (want is not None)
+        if good:
+            assert (x == want).all()
+
+
+def test_solve_many_inconsistent_and_rank_deficient():
+    singular = FpMatrix(5, [[1, 1], [2, 2]])
+    xs, ok = gfp.solve_many(singular, [[0, 1], [1, 2], [0, 0]])
+    assert ok.tolist() == [False, True, True]
+    assert xs.tolist() == [[0, 0], [1, 0], [0, 0]]
+    with pytest.raises(DimensionMismatch):
+        gfp.solve_many(singular, [1, 2])

@@ -136,13 +136,14 @@ def test_filtration_scalar_consistency():
     rep = class_GG(v.group)
     cs = mr.canonical_subspaces(v, rep.sylow)
     gv = mu.compute_gvee(v.group, rep.sylow, cs)
-    elements = [gv.group.element(i) for i in range(gv.order())]
+    elements = gv.group.elements_stack()
     filt = mr.w_filtration(v, rep.sylow, check_elements=elements)
     p = 5
+    assert len(filt.scalar_reports) == len(elements)
     for g, rep_entry in zip(elements, filt.scalar_reports):
         assert rep_entry["law_holds"]
         r, t = rep_entry["r"], rep_entry["t"]
-        s = gv.mu_values[g.key()][1]
+        s = gv.mu_values[g.tobytes()][1]
         assert s == t * pow(r, cs.m - 1, p) % p
 
 

@@ -240,9 +240,9 @@ def flagship_case(flagship, flagship_hb, flagship_gamma):
 
 
 def _scan(pset, ambient):
-    """Brute force over every element of ambient: the codes of the
-    automorphisms of P that the elements normalizing P induce, and the
-    number of elements centralizing P."""
+    """Brute force over every element of ambient: the distinct automorphisms
+    of P that the elements normalizing P induce, as rows of generator
+    images, and the number of elements centralizing P."""
     P = pset.group
     p, d = P.p.p, P.dim
     weights = p ** np.arange(d * d, dtype=np.int64)
@@ -263,7 +263,8 @@ def _scan(pset, ambient):
         perms = order[np.searchsorted(pc[order], c[normal])]
         auts.update(pset.codes(perms).tolist())
         central += int((c == pc).all(axis=1).sum())
-    return auts, central
+    auts = np.array(sorted(auts), dtype=np.int64)
+    return auts[:, None] // pset.weights % pset.n, central
 
 
 AMBIENT_CASES = [pytest.param(case, i, kind, id=f"{prefix}{i}-{kind}")
@@ -274,18 +275,20 @@ AMBIENT_CASES = [pytest.param(case, i, kind, id=f"{prefix}{i}-{kind}")
 
 @pytest.mark.parametrize("case, i, kind", AMBIENT_CASES)
 def test_restricted_ambients_match_full_gamma(request, case, i, kind):
-    """Lambda_P and |C_Gamma(P)| from one F_p solve per element of N_G(U)
-    and C_G(U) equal a brute-force scan of every element of Gamma; Aut_S(P)
-    and Inn(P) equal the scans of S and of P."""
+    """Lambda_P from one F_p solve per exponent over N_G(U), and
+    |C_Gamma(P)| from C_G(U), equal a brute-force scan of every element of
+    Gamma: Lambda_P's chain has the scan's order and holds every scanned
+    automorphism.  Aut_S(P) and Inn(P) equal the scans of S and of P."""
     s, hb, gamma = request.getfixturevalue(case)
     pset = sg.PermGroupOnSet(hb[i][kind], s.Z if kind == "H" else s.Z2,
                              hb[i]["generator"])
     inn, aut_s, lam = sg.local_automorphisms(s, pset)
     lam_scan, central = _scan(pset, gamma)
-    assert set(lam.codes.tolist()) == lam_scan
+    assert lam.order() == len(lam_scan) and lam.contains(lam_scan).all()
     assert sg.centralizer_order(s, pset) == central
-    assert set(aut_s.codes.tolist()) == _scan(pset, _s_group(s))[0]
-    assert set(inn.codes.tolist()) == _scan(pset, pset.group)[0]
+    for group, ambient in ((aut_s, _s_group(s)), (inn, pset.group)):
+        assert set(group.codes.tolist()) == \
+            set(pset._pack(_scan(pset, ambient)[0]).tolist())
     assert aut_s.order() < lam.order()
 
 
@@ -346,9 +349,9 @@ def test_conjugators_match_gamma_orbits(request, case):
     for a, b in itertools.permutations(range(len(psets)), 2):
         target = frozenset(psets[b].group.keys())
         brute = any(member <= target for member in orbits[a])
-        solved = sg.conjugators(s, psets[a], psets[b], N.elements_stack(),
-                                N.inverses_stack())
-        assert bool(solved) == brute, (a, b)
+        solved, _ = sg.conjugators(s, psets[a], psets[b],
+                                   N.elements_stack(), N.inverses_stack())
+        assert (len(solved) > 0) == brute, (a, b)
         into += brute
     assert 0 < into < 90
 
@@ -511,34 +514,122 @@ def _keys(perms):
     return {perm.tobytes() for perm in perms}
 
 
-@pytest.mark.parametrize("kind, i", [("B", 0), ("H", 0), ("H", 1)])
-def test_perm_layer_matches_dict_bfs(flagship, flagship_hb, kind, i):
-    """Theta's closure by generator-image codes, O^{p'}(Theta) as a normal
-    closure on generators and N_Theta(Aut_S(P)) by conjugation at the
-    generators only equal a plain dict BFS over whole permutations."""
-    _, _, _, s, _ = flagship
-    _, _, hb, gv = flagship_hb
+def _theta_case(request, case):
+    """(S, the H_i/B_i, G-vee) of the flagship or of str_closed c."""
+    if case == "flagship":
+        return (request.getfixturevalue("flagship")[3],
+                *request.getfixturevalue("flagship_hb")[2:])
+    s, hb, _ = request.getfixturevalue("str_closed_c")
+    return s, hb, mu.compute_gvee(s.v.group, s.syl,
+                                  mr.canonical_subspaces(s.v, s.syl))
+
+
+@pytest.mark.parametrize("case, kind, i", [
+    pytest.param("flagship", kind, i, id=f"{kind}-{i}")
+    for kind, i in (("B", 0), ("H", 0), ("H", 1))] + [
+    pytest.param("str_closed_c", "B", 0, id="str_closed_c-B-0")])
+def test_perm_layer_matches_dict_bfs(request, case, kind, i):
+    """Theta, Theta_0 and O^{p'}(Theta) as one-level chains equal a plain
+    dict BFS over whole permutations: the chain orders, and `contains` on
+    every BFS element and on image tuples outside the group.  Theta's BFS
+    starts from every normalizing element of Gamma, not from the chain's
+    generators, and O^{p'}(Theta)'s from every conjugate of Aut_S(P) by an
+    element of Theta.  |N_Theta(Aut_S(P))| read from the conjugation orbit
+    equals the brute-force normalizer's order and |Lambda_P|, `normalizing`
+    picks out that normalizer among Theta's elements, and the Schreier
+    generators that check (iii) reads generate the brute-force
+    N_{O^{p'}(Theta)}(Aut_S(P))."""
+    s, hb, gv = _theta_case(request, case)
     th = sg.theta_witness(s, kind, i, hb, gv)
-    theta, aut_s, pset = th.theta, th.aut_s, th.pset
-    ref_theta = _bfs(list(theta.gens))
-    assert _keys(theta.perms) == set(ref_theta)
-    conj = [t[h[np.argsort(t)]] for t in ref_theta.values()
-            for h in aut_s.gens]
-    opp = pset.normal_closure(aut_s.gens, theta.gens)
-    assert _keys(opp.perms) == set(_greedy_bfs(conj))
-    assert _keys(th.opp_theta.perms) == _keys(opp.perms)
+    assert th.ok
+    pset, aut_s, gx = th.pset, th.aut_s, th.pset.gen_idx
+    N = s.syl.normalizer_N
+    lam_all = pset.conjugation_perms(*sg.normalizer_mats(
+        s, pset, N.elements_stack(), N.inverses_stack()))
+    ref_theta = _bfs(list(lam_all) + list(th.theta0.gens))
+    ref_theta0 = _bfs(list(th.theta0.gens))
+    ref_opp = _greedy_bfs([t[h[np.argsort(t)]] for t in ref_theta.values()
+                           for h in aut_s.gens])
+    assert set(ref_opp) == set(ref_theta0)
+    tuples = np.random.default_rng(0).integers(0, pset.n, (2000, len(gx)))
+    # Theta's elements outside Theta_0 (none on H_1, where they are equal)
+    outside = np.array([t for k, t in ref_theta.items()
+                        if k not in ref_theta0]).reshape(-1, pset.n)[:, gx]
+    assert len(outside) == len(ref_theta) - len(ref_theta0)
+    opp = pset.normal_closure(aut_s.gens, th.theta.gens)
+    lam = sg.local_automorphisms(s, pset)[2]
+    for chain, ref in ((th.theta, ref_theta), (th.theta0, ref_theta0),
+                       (opp, ref_opp)):
+        elements = np.array(list(ref.values()))
+        assert chain.order() == len(ref)
+        assert chain.contains(elements[:, gx]).all()
+        inside = np.isin(pset._pack(tuples), pset.codes(elements))
+        assert not inside.all()
+        assert (chain.contains(tuples) == inside).all()
+        assert (chain.contains(outside) == (chain is th.theta)).all()
+
     ref_aut_s = _bfs(list(aut_s.gens))
     assert _keys(aut_s.perms) == set(ref_aut_s)
-    ref_norm = {k for k, t in ref_theta.items()
-                if all(t[h[np.argsort(t)]].tobytes() in ref_aut_s
-                       for h in aut_s.gens)}
-    assert _keys(theta.perms[pset.normalizing(theta.perms, aut_s)]) == \
-        ref_norm
-    assert len(ref_norm) < len(ref_theta)
-    # every generator of the subgroup counts, in any order
+
+    def normalizes(t):
+        return all(t[h[np.argsort(t)]].tobytes() in ref_aut_s
+                   for h in aut_s.gens)
+    ref_norm = [k for k, t in ref_theta.items() if normalizes(t)]
+    conjugates, _ = pset.conjugation_orbit(th.theta, aut_s)
+    assert th.theta.order() // conjugates == len(ref_norm) == \
+        lam.order() < len(ref_theta)
+    # `normalizing`, which check (iv) runs on Lambda_P's generators, picks
+    # out the brute-force normalizer; every generator of the subgroup
+    # counts, in any order
+    elements = np.array(list(ref_theta.values()))
+    assert _keys(elements[pset.normalizing(elements, aut_s)]) == \
+        set(ref_norm)
     for gens in (aut_s.gens, aut_s.gens[::-1]):
         sub = sg.PermGroup(aut_s.perms, aut_s.codes, gens)
-        assert pset.normalizing(theta.perms, sub).sum() == len(ref_norm)
+        assert pset.normalizing(elements, sub).sum() == len(ref_norm)
+    _, schreier = pset.conjugation_orbit(opp, aut_s)
+    assert set(_bfs(list(schreier))) == \
+        {k for k, t in ref_opp.items() if normalizes(t)}
+
+
+def test_chains_of_random_generator_triples_match_dict_bfs(flagship,
+                                                         flagship_hb):
+    """A chain grown from any generators, in any order, has the order of
+    their dict BFS: 40 random triples of the normalizing automorphisms and
+    Theta_0's generators on the flagship's B_0.  A triple can reach new
+    orbit points whose Schreier generators under the earlier generators
+    are needed, so this catches a stabilizer that misses them."""
+    s, (_, _, hb, gv) = flagship[3], flagship_hb
+    th = sg.theta_witness(s, "B", 0, hb, gv)
+    pset, N = th.pset, s.syl.normalizer_N
+    perms = np.concatenate([pset.conjugation_perms(*sg.normalizer_mats(
+        s, pset, N.elements_stack(), N.inverses_stack())), th.theta0.gens])
+    rng = np.random.default_rng(1)
+    for _ in range(40):
+        triple = perms[rng.permutation(len(perms))[:3]]
+        assert pset.chain(triple).order() == len(_bfs(list(triple)))
+
+
+def test_dropping_a_lambda_generator_fails_check_iv(flagship, flagship_hb,
+                                                    monkeypatch):
+    """Check (iv) compares |Lambda_P| with |Theta| / |Aut_S(P)^Theta|: with
+    the last generator of Lambda_P's chain dropped, on the flagship's B_0,
+    Lambda_P is a proper subgroup of N_Theta(Aut_S(P)) and (iv) fails
+    while every other check holds."""
+    s, (_, _, hb, gv) = flagship[3], flagship_hb
+    local = sg.local_automorphisms
+
+    def dropped(s, pset):
+        inn, aut_s, lam = local(s, pset)
+        return inn, aut_s, pset.chain(lam.gens[:-1])
+    th = sg.theta_witness(s, "B", 0, hb, gv)
+    lam = local(s, th.pset)[2]
+    assert dropped(s, th.pset)[2].order() < lam.order() == 2000
+    monkeypatch.setattr(sg, "local_automorphisms", dropped)
+    mutant = sg.theta_witness(s, "B", 0, hb, gv)
+    assert mutant.theta_order == th.theta_order == 12000
+    assert not mutant.checks.pop("normalizer_equals_lambda")
+    assert all(mutant.checks.values()) and not mutant.ok
 
 
 def test_perm_codes_refused_beyond_int64(flagship):
@@ -550,3 +641,19 @@ def test_perm_codes_refused_beyond_int64(flagship):
     assert sg.PermGroupOnSet(MatGroup(5, [z] * 27), s.Z, z).n == 5
     with pytest.raises(CapExceeded, match="do not fit int64"):
         sg.PermGroupOnSet(MatGroup(5, [z] * 28), s.Z, z)
+
+
+def test_perm_cap_counts_what_a_chain_stores(flagship, flagship_hb,
+                                             monkeypatch):
+    """_PERM_CAP bounds the orbit points and enumerated elements that one
+    group keeps: on the flagship's B_0, Theta (order 12,000) keeps 120
+    orbit points and a stabilizer of 100 elements, so a cap of 220 admits
+    it and 219 refuses it."""
+    s, (_, _, hb, gv) = flagship[3], flagship_hb
+    th = sg.theta_witness(s, "B", 0, hb, gv)
+    assert (len(th.theta.points), th.theta.stab.order()) == (120, 100)
+    monkeypatch.setattr(sg, "_PERM_CAP", 220)
+    assert sg.theta_witness(s, "B", 0, hb, gv).theta_order == 12000
+    monkeypatch.setattr(sg, "_PERM_CAP", 219)
+    with pytest.raises(CapExceeded, match="exceeds cap 219"):
+        sg.theta_witness(s, "B", 0, hb, gv)
