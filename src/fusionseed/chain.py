@@ -1,0 +1,418 @@
+"""One-level chains of groups given by generators, over two codecs.
+
+A chain of H at a base point keeps H's orbit of that point with a
+transversal (T_j takes the base point to point j) and the base point's
+stabilizer, which holds every Schreier generator (Holt, Eick & O'Brien,
+*Handbook of Computational Group Theory*, 2005, §4.1-4.4).  So |H| =
+|orbit| |stabilizer|, and x lies in H exactly when x takes the base point
+to some point j and x T_j^-1 lies in the stabilizer: a sift with no random
+step.  `walk` grows a chain by new generators, `grow` grows an enumerated
+group by cosets (Dimino's algorithm), and `greedy` sifts candidates into a
+group one at a time.
+
+Elements act on the right: `mul(a, b)` is a, then b.  A codec multiplies
+whole stacks, keys them, acts on points and carries its own limit:
+- `MatCodec`: matrices mod p, stored as int8 and multiplied as float64;
+  its points are the conjugates of U = <u>, keyed by `_subgroup_keys`.
+- `PermCodec`: permutations keyed by their images of some points, the
+  sift form (`image`) of an element; its points are images of the first.
+A stabilizer is a group with `order`, `members` and `join`: an enumerated
+`grp.MatGroup` or `sgroup.PermGroup`, or a `Chain` at another point.
+"""
+
+from __future__ import annotations
+
+import os
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import CapExceeded, InvalidInstance
+
+_CHUNK = 64            # orbit points moved per batched step of `walk`
+_SIFT_CHUNK = 1 << 15  # elements sifted per batch by `Chain.members`
+
+
+def element_cap() -> int:
+    """The bound on a group's enumerated elements and on an orbit walk's
+    points: the FUSIONSEED_CAP environment variable, or 2e7 when it is
+    unset.  Read once per enumeration or walk; raises InvalidInstance when
+    the variable is not a positive integer."""
+    text = os.environ.get("FUSIONSEED_CAP")
+    if text is None:
+        return 2 * 10 ** 7
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise InvalidInstance(
+            f"FUSIONSEED_CAP must be a positive integer, got {text!r}")
+    return cap
+
+
+# -- matrices mod p -----------------------------------------------------------
+
+def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for broadcastable float64 stacks with entries in [0, p).
+
+    Every product sum (at most n (p - 1)^2) is exact in float64, and so is
+    the floor of its quotient by p; numpy multiplies float64 stacks through
+    BLAS, several times faster than int64 stacks.
+    """
+    x = a @ b
+    q = x / p
+    np.floor(q, out=q)
+    q *= p
+    x -= q
+    return x
+
+
+def _stacks(mats) -> tuple[np.ndarray, np.ndarray]:
+    """float64 stacks of the matrices mats and of their inverses."""
+    return (np.array([m.a for m in mats], dtype=np.float64),
+            np.array([m.inverse().a for m in mats], dtype=np.float64))
+
+
+def _row_keys(rows: np.ndarray) -> list:
+    """int8 bytes of each row of a (k, w) array reduced mod p."""
+    rows = np.ascontiguousarray(rows, dtype=np.int8)
+    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel().tolist()
+
+
+def _subgroup_keys(x: np.ndarray, p: int) -> list:
+    """Key of each <x[i]>: the least int8 bytes among x[i], ..., x[i]^(p-1).
+
+    Bytes compare as unsigned, so the least is found entry by entry: a
+    power replaces the best so far where it is smaller at the first entry
+    in which the two differ.
+    """
+    k = x.shape[0]
+    rows = np.arange(k)
+    best = x.astype(np.uint8).reshape(k, -1)
+    cur = x
+    for _ in range(p - 2):
+        cur = _mulmod(cur, x, p)
+        cand = cur.astype(np.uint8).reshape(k, -1)
+        first = (cand != best).argmax(axis=1)
+        less = cand[rows, first] < best[rows, first]
+        best[less] = cand[less]
+    return _row_keys(best)
+
+
+class MatCodec:
+    """n x n matrices mod p acting on the conjugates of U = <u> (u None
+    when no point is read); FUSIONSEED_CAP bounds the orbit points and,
+    apart, a group's elements."""
+
+    def __init__(self, p, n: int, u=None):
+        self.p, self.n, self.u, self.cap = int(p), n, u, element_cap()
+        self.identity = np.eye(n, dtype=np.int8)
+
+    def mul(self, a, b):
+        return _mulmod(a, b, self.p)
+
+    def load(self, x):
+        return np.asarray(x, dtype=np.float64)
+
+    def image(self, x):
+        return x
+
+    def keys(self, x) -> list:
+        return _row_keys(x.reshape(-1, self.n * self.n))
+
+    def targets(self, labels, t, t_inv, gens, gens_inv) -> list:
+        """Keys of <(t g)^-1 u (t g)>, pair q being (t[q // m], g[q % m])
+        for m generators."""
+        p, uf = self.p, self.u.a.astype(np.float64)
+        reps = _mulmod(_mulmod(t_inv, uf, p), t, p)
+        conj = _mulmod(_mulmod(gens_inv, reps[:, None], p), gens, p)
+        return _subgroup_keys(conj.reshape(-1, self.n, self.n), p)
+
+    def locate(self, x, x_inv) -> list:
+        """Keys of <x^-1 u x> for the stack x (inverses x_inv)."""
+        uf = self.u.a.astype(np.float64)
+        return _subgroup_keys(
+            _mulmod(_mulmod(self.load(x_inv), uf, self.p), x, self.p), self.p)
+
+    def bound(self, points: int, elements: int) -> None:
+        if points > self.cap:
+            raise CapExceeded(f"Sylow orbit exceeds bound {self.cap}")
+        if elements > self.cap:
+            raise CapExceeded(f"group order exceeds cap {self.cap}")
+
+
+# -- permutations -------------------------------------------------------------
+
+class PermCodec:
+    """Permutations of n points (int16 when n allows), x then y being y[x],
+    keyed by their images of the points gen_idx packed in base n into exact
+    int64 codes; cap bounds the orbit points and elements that one group
+    stores, counted together."""
+
+    def __init__(self, n: int, gen_idx, cap: int):
+        self.n, self.gen_idx, self.cap = n, np.asarray(gen_idx), cap
+        self.weights = n ** np.arange(len(self.gen_idx), dtype=np.int64)
+        self.dtype = np.int16 if n <= 1 << 15 else np.int32
+        self.identity = np.arange(n, dtype=self.dtype)
+
+    def mul(self, a, b):
+        """b[a] row by row over broadcast leading axes; a may be a stack of
+        sift forms."""
+        rows = np.arange(0, b.size, self.n).reshape(b.shape[:-1] + (1,))
+        return b.reshape(-1)[rows + a]
+
+    def load(self, x):
+        return x
+
+    def inv(self, perms: np.ndarray) -> np.ndarray:
+        """The inverse of each row of a (m, n) permutation stack."""
+        inv = np.empty_like(perms)
+        inv[np.arange(len(perms))[:, None], perms] = self.identity
+        return inv
+
+    def image(self, x):
+        return x[..., self.gen_idx]
+
+    def pack(self, images: np.ndarray) -> np.ndarray:
+        """Codes of a (..., k) stack of images."""
+        return images.astype(np.int64) @ self.weights
+
+    def codes(self, perms: np.ndarray) -> np.ndarray:
+        return self.pack(self.image(perms))
+
+    def keys(self, images) -> list:
+        return self.pack(images).ravel().tolist()
+
+    def targets(self, labels, t, t_inv, gens, gens_inv) -> list:
+        return gens[:, labels].T.ravel().tolist()
+
+    def locate(self, images, images_inv=None) -> list:
+        return images[:, 0].tolist()
+
+    def bound(self, points: int, elements: int) -> None:
+        if points + elements > self.cap:
+            raise CapExceeded(f"automorphism group exceeds cap {self.cap}")
+
+
+# -- chains -------------------------------------------------------------------
+
+@dataclass
+class Chain:
+    """A one-level chain of H = <gens> at a base point over a codec.
+
+    `orbit` maps each point's label to its index j, `points` lists the
+    labels, and `trans[j]` is T_j with its inverse in `trans_inv`.
+    `action[j, k]` (int32) is the point that H's k-th generator takes j to,
+    and `parent[j] = (i, k)` when T_j = T_i g_k ((-1, -1) at the base).
+    """
+    codec: object
+    gens: np.ndarray
+    gens_inv: np.ndarray
+    orbit: dict
+    points: list
+    trans: np.ndarray
+    trans_inv: np.ndarray
+    stabilizer: object
+    action: np.ndarray
+    parent: np.ndarray
+
+    @classmethod
+    def start(cls, codec, base, stabilizer) -> "Chain":
+        """The chain of the trivial group at the point labelled base."""
+        one = codec.identity[None]
+        none = codec.load(one[:0])
+        return cls(codec, none, none, {base: 0}, [base], one, one, stabilizer,
+                   np.zeros((1, 0), dtype=np.int32),
+                   np.full((1, 2), -1, dtype=np.int32))
+
+    def order(self) -> int:
+        return len(self.orbit) * self.stabilizer.order()
+
+    def members(self, x, x_inv=None) -> np.ndarray:
+        """Whether each element of the stack x lies in H; x_inv holds the
+        inverses, which the permutation codec does not read."""
+        codec = self.codec
+        out = np.zeros(len(x), dtype=bool)
+        for lo in range(0, len(x), _SIFT_CHUNK):
+            xs = codec.load(x[lo:lo + _SIFT_CHUNK])
+            xi = None if x_inv is None else x_inv[lo:lo + _SIFT_CHUNK]
+            j = np.array([self.orbit.get(k, -1)
+                          for k in codec.locate(xs, xi)], dtype=np.int64)
+            hit = np.flatnonzero(j >= 0)
+            res = codec.mul(xs[hit], codec.load(self.trans_inv[j[hit]]))
+            out[lo + hit] = self.stabilizer.members(res)
+        return out
+
+    contains = members      # the sift's name on the automorphism side
+
+    def join(self, xs, xs_inv, stored: int = 0) -> "Chain":
+        return walk(self, xs, xs_inv, stored=stored)
+
+    def path(self, j: int) -> list:
+        """Generator indices k_1, ..., k_d with T_j = g_k1 ... g_kd."""
+        word = []
+        while j > 0:
+            j, k = self.parent[j]
+            word.append(int(k))
+        return word[::-1]
+
+    def word_action(self, word, e: int = 1) -> np.ndarray:
+        """The permutation of the orbit points (point i goes to perm[i]) by
+        w^e, for w = g_k1 g_k2 ... given as its generator indices."""
+        perm = np.arange(len(self.orbit))
+        for k in word:
+            perm = self.action[perm, k]
+        power = np.arange(len(perm))
+        while e:
+            if e & 1:
+                power = perm[power]
+            perm, e = perm[perm], e >> 1
+        return power
+
+
+def walk(chain: Chain, new, new_inv, targets=None, stored: int = 0) -> Chain:
+    """chain grown by the generators new (inverses new_inv).
+
+    The orbit is walked level by level, _CHUNK points at a time, each moved
+    by several generators at once: first the old points by the new
+    generators, then each new level by all of them.  A point first reached
+    from point i by g_k gets T = T_i g_k, so points are numbered in pair
+    order (point-major) within each chunk.  `targets(labels, t, t_inv,
+    gens, gens_inv)`, the codec's action by default, labels the points that
+    the pairs reach.  A pair that reaches a known point l gives a Schreier
+    generator T_i g_k T_l^-1; with those of the old points under the old
+    generators, held already, they generate the stabilizer (Schreier's
+    lemma), and those of a chunk that it lacks join it.  The codec's limit is checked
+    after every chunk, with stored more points kept beside the chain.  A
+    chain started with no stabilizer walks the orbit alone, unbounded.
+    """
+    codec = chain.codec
+    targets = targets or codec.targets
+    gens = np.concatenate([chain.gens, new])
+    gens_inv = np.concatenate([chain.gens_inv, new_inv])
+    m, old_m = len(gens), len(chain.gens)
+    orbit, points = dict(chain.orbit), list(chain.points)
+    trans, trans_inv, parent = (_resized(a, 2 * len(points)) for a in
+                                (chain.trans, chain.trans_inv, chain.parent))
+    action = np.zeros((len(trans), m), dtype=np.int32)
+    action[:len(points), :old_m] = chain.action
+    stab = chain.stabilizer
+    lo, hi, use = 0, len(points), np.arange(old_m, m)
+    while lo < hi:
+        g, g_inv = gens[use], gens_inv[use]
+        for c in range(lo, hi, _CHUNK):
+            t = codec.load(trans[c:min(c + _CHUNK, hi)])
+            t_inv = codec.load(trans_inv[c:c + len(t)])
+            labs = targets(points[c:c + len(t)], t, t_inv, g, g_inv)
+            reached = np.array([orbit.get(k, -1) for k in labs],
+                               dtype=np.int64)
+            fresh = []
+            for q in np.flatnonzero(reached < 0).tolist():
+                j = reached[q] = orbit.setdefault(labs[q], len(points))
+                if j == len(points):
+                    points.append(labs[q])
+                    fresh.append(q)
+            action[c:c + len(t), use] = reached.reshape(len(t), len(use))
+            if fresh:
+                if len(points) > len(trans):
+                    trans, trans_inv, action, parent = (
+                        _resized(a, len(points))
+                        for a in (trans, trans_inv, action, parent))
+                new_points = slice(len(points) - len(fresh), len(points))
+                i, k = np.divmod(np.array(fresh), len(use))
+                trans[new_points] = codec.mul(t[i], g[k])
+                trans_inv[new_points] = codec.mul(g_inv[k], t_inv[i])
+                parent[new_points] = np.stack([c + i, use[k]], axis=1)
+            if stab is None:
+                continue
+            codec.bound(stored + len(points), _held(stab))
+            # the pairs that found no new point give Schreier generators;
+            # those outside the stabilizer join it, formed in full
+            pairs = np.ones(len(labs), dtype=bool)
+            pairs[fresh] = False
+            i, k = np.divmod(np.flatnonzero(pairs), len(use))
+            l = reached[pairs]
+            tg = codec.mul(codec.image(t)[:, None], g)
+            schreier = codec.mul(tg.reshape((-1,) + tg.shape[2:])[pairs],
+                                 codec.load(trans_inv[l]))
+            out = np.flatnonzero(~stab.members(schreier))
+            if len(out):
+                i, k, l = i[out], k[out], l[out]
+                stab = stab.join(
+                    codec.mul(codec.mul(t[i], g[k]), codec.load(trans_inv[l])),
+                    codec.mul(codec.load(trans[l]),
+                              codec.mul(g_inv[k], t_inv[i])),
+                    stored + len(points))
+        lo, hi, use = hi, len(points), np.arange(m)
+    # one copy at a time, so that the peak holds one spare transversal
+    trans = trans[:len(points)].copy()
+    trans_inv = trans_inv[:len(points)].copy()
+    return Chain(codec, gens, gens_inv, orbit, points, trans, trans_inv, stab,
+                 action[:len(points)], parent[:len(points)])
+
+
+def _resized(a: np.ndarray, rows: int) -> np.ndarray:
+    """a's rows at the top of an array of 2^k >= max(rows, 64) rows."""
+    size = 1 << max(6, (rows - 1).bit_length())
+    out = np.empty((size,) + a.shape[1:], dtype=a.dtype)
+    out[:len(a)] = a
+    return out
+
+
+def _held(group) -> int:
+    """The points and elements that a stabilizer stores."""
+    if isinstance(group, Chain):
+        return len(group.points) + _held(group.stabilizer)
+    return group.order()
+
+
+def greedy(group, candidates, member, join):
+    """group grown by candidates in turn: member(group, candidates) sifts
+    those left, and the first outside the group joins as join(group, i)."""
+    idx = np.arange(len(candidates))
+    while len(idx):
+        out = ~member(group, candidates[idx])
+        if not out.any():
+            break
+        at = int(out.argmax())
+        group = join(group, idx[at])
+        idx = idx[at + 1:]
+    return group
+
+
+def grow(codec, stack, inv, keys: dict, gens, gens_inv, stored: int = 0):
+    """(stack, inverses, keys) of <K, gens>, for K enumerated as stack with
+    inverses inv and key -> index dict keys, and gens every generator of
+    the new group.
+
+    The new group is a union of right cosets K r (Dimino's algorithm): a
+    rep r times a generator g lies in a coset already listed or starts the
+    coset K (r g).  The reps are taken a level at a time; K's elements come
+    first, then each coset in the order found.  Inverses are products of
+    those already held: (k r)^-1 = r^-1 k^-1, with (r g)^-1 = g^-1 r^-1.
+    The codec's limit counts the elements, with stored points beside them.
+    """
+    k, one = codec.load(stack), codec.load(codec.identity)
+    keys, stacks, reps, reps_inv = dict(keys), [stack], [one], [one]
+    lo = 0
+    while lo < len(reps):
+        r, r_inv = np.array(reps[lo:]), np.array(reps_inv[lo:])
+        lo = len(reps)
+        x = codec.mul(r[:, None], gens).reshape((-1,) + one.shape)
+        x_inv = codec.mul(gens_inv, r_inv[:, None]).reshape(x.shape)
+        for q, key in enumerate(codec.keys(codec.image(x))):
+            if key not in keys:
+                codec.bound(stored, len(keys) + len(k))
+                coset = codec.mul(k, x[q]).astype(stack.dtype)
+                keys.update(zip(codec.keys(codec.image(coset)),
+                                range(len(keys), len(keys) + len(k))))
+                stacks.append(coset)
+                reps.append(x[q])
+                reps_inv.append(x_inv[q])
+    reps_inv = np.array(reps_inv[1:], dtype=one.dtype).reshape(
+        (-1, 1) + one.shape)
+    inverses = codec.mul(reps_inv, codec.load(inv)).astype(inv.dtype)
+    return (np.concatenate(stacks),
+            np.concatenate([inv, inverses.reshape((-1,) + inv.shape[1:])]),
+            keys)

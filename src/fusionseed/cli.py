@@ -20,13 +20,15 @@ Exit codes: 0 ok (including "fails criterion" verdicts), 2 invalid input
 (including a FUSIONSEED_CAP that is not a positive integer), 3 cap
 exceeded / G0 of index above the bound / out of memory, 4 a result check
 failed (an engine bug) or any other engine error, each with one line on
-stderr.
+stderr; 141 when the reader of stdout closed the pipe early (`| head`),
+with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -38,6 +40,8 @@ from .errors import (CapExceeded, FusionseedError, IndexTooLarge,
 from .gfp import FpMatrix, as_prime
 from .grp import MatGroup, class_GG, element_cap, o_pprime
 from .modrep import FpModule
+
+EXIT_BROKEN_PIPE = 141     # the shell's status for a process killed by SIGPIPE
 
 
 def _integer(x, what: str) -> int:
@@ -278,7 +282,13 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         element_cap()       # a malformed FUSIONSEED_CAP stops every command
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a reader that closed the pipe shows up here
+        return code
+    except BrokenPipeError:
+        # stdout now points at devnull, so the flush at exit stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except InvalidInstance as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2

@@ -2,10 +2,12 @@
 
 Groups are given by generating matrices; enumeration is a breadth-first
 closure with canonical byte keys, or grows a group already enumerated by
-the cosets of one new generator (`MatGroup.extend`).  Every enumeration and
-every orbit walk is bounded by one element cap (`element_cap`).
-The Sylow data never enumerates G: U's orbit walk gives N_G(U), grown by
-cosets, and leaves on G a one-level chain (`OrbitChain`) that gives |G|
+the cosets of one new generator (`MatGroup.extend`, `chain.grow`).  Every
+enumeration and every walk of U's orbit is bounded by one element cap
+(`element_cap`).  The chain layer is `fusionseed.chain`, on its matrix
+codec `MatCodec`; the automorphism groups of `sgroup` share it.  The
+Sylow data never enumerates G: U's orbit walk (`chain.walk`) gives N_G(U),
+grown by cosets, and leaves on G a one-level `chain.Chain` that gives |G|
 and membership by a sift, along with each generator's permutation of the
 orbit; C_G(U) is a scan inside N_G(U).  O^{p'}(G) is generated by
 conjugates of u read from that chain until its own U-orbit is G's, never
@@ -18,35 +20,18 @@ so G is not enumerated there either.
 from __future__ import annotations
 
 import math
-import os
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CapExceeded, IndexTooLarge, InvalidInstance,
-                     InvariantViolation, SubgroupViolation)
+from .chain import (Chain, MatCodec, _mulmod, _row_keys, _stacks,
+                    _subgroup_keys, element_cap, greedy, grow, walk)
+from .errors import (CapExceeded, IndexTooLarge, InvariantViolation,
+                     SubgroupViolation)
 from .gfp import FpMatrix, Prime, as_prime
 
 _CHUNK = 1 << 15
-
-
-def element_cap() -> int:
-    """The bound on a group's enumerated elements and on an orbit walk's
-    points: the FUSIONSEED_CAP environment variable, or 2e7 when it is
-    unset.  Read once per enumeration or walk; raises InvalidInstance when
-    the variable is not a positive integer."""
-    text = os.environ.get("FUSIONSEED_CAP")
-    if text is None:
-        return 2 * 10 ** 7
-    try:
-        cap = int(text)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise InvalidInstance(
-            f"FUSIONSEED_CAP must be a positive integer, got {text!r}")
-    return cap
 
 
 class MatGroup:
@@ -54,7 +39,7 @@ class MatGroup:
 
     The element cache, once built, holds the full element stack (int8),
     a key -> index dict, and the matching stack of inverses.  A group that
-    is not enumerated but carries an `OrbitChain` (left by
+    is not enumerated but carries a `chain.Chain` (left by
     `sylow_normalizer_via_orbit` or `o_pprime`) reads its order from the
     chain and tests membership by a sift; any other group enumerates itself
     for both.
@@ -75,7 +60,7 @@ class MatGroup:
         self._stack = None        # (N, n, n) int8
         self._inv_stack = None    # (N, n, n) int8
         self._keys = None         # bytes -> index
-        self.chain = None         # OrbitChain of this group, if walked
+        self.chain = None         # chain.Chain of this group, if walked
 
     # -- enumeration ------------------------------------------------------
     def cache(self) -> "MatGroup":
@@ -134,46 +119,20 @@ class MatGroup:
                                  eye[None], {eye.tobytes(): 0})
 
     def extend(self, m: FpMatrix) -> "MatGroup":
-        """<self, m>, enumerated, for m outside the enumerated self.
-
-        The new group is a union of right cosets K r of K = self (Dimino's
-        algorithm): a rep r times a generator g either lies in a coset
-        already listed, or starts the new coset K (r g).  The reps are taken
-        a level at a time.  K's elements come first, then each coset in the
-        order found.  Inverses are products of those already held:
-        (k r)^-1 = r^-1 k^-1, with (r g)^-1 = g^-1 r^-1.
-        """
-        p, n, cap = self.p.p, self.dim, element_cap()
+        """<self, m>, enumerated by `chain.grow` (Dimino's algorithm), for
+        m outside the enumerated self: self's elements come first, then each
+        right coset of self in the order found."""
         gens = (self.generators if len(self._keys) > 1 else []) + [m]
-        g, g_inv = _stacks(gens)
-        k = self._stack.astype(np.float64)
-        keys = dict(self._keys)
-        stacks = [self._stack]
-        reps, reps_inv = [np.eye(n)], [np.eye(n)]
-        lo = 0
-        while lo < len(reps):
-            r, r_inv = np.array(reps[lo:]), np.array(reps_inv[lo:])
-            lo = len(reps)
-            x = _mulmod(r[:, None], g, p).reshape(-1, n, n)
-            x_inv = _mulmod(g_inv, r_inv[:, None], p).reshape(-1, n, n)
-            for q, key in enumerate(_row_keys(x.reshape(-1, n * n))):
-                if key in keys:
-                    continue
-                if len(keys) + len(k) > cap:
-                    raise CapExceeded(f"group order exceeds cap {cap}")
-                coset = _mulmod(k, x[q], p).astype(np.int8)
-                keys.update(zip(_row_keys(coset.reshape(-1, n * n)),
-                                range(len(keys), len(keys) + len(k))))
-                stacks.append(coset)
-                reps.append(x[q])
-                reps_inv.append(x_inv[q])
-        inv_stacks = _mulmod(np.array(reps_inv[1:])[:, None],
-                             self._inv_stack.astype(np.float64), p)
         return MatGroup.from_elements(
-            self.p, gens, np.concatenate(stacks),
-            np.concatenate([self._inv_stack,
-                            inv_stacks.reshape(-1, n, n).astype(np.int8)]),
-            keys)
+            self.p, gens, *grow(MatCodec(self.p, self.dim), self._stack,
+                                self._inv_stack, self._keys, *_stacks(gens)))
+
+    def join(self, xs, xs_inv, stored: int = 0) -> "MatGroup":
+        """self grown by cosets of each matrix of the stack xs (inverses
+        xs_inv) that lies outside it so far."""
+        def join(group, q):
+            return group.extend(FpMatrix(self.p, xs[q], xs_inv[q]))
+        return greedy(self, xs, MatGroup.members, join)
 
     def subset_group(self, indices) -> "MatGroup":
         """Subgroup from a closed index subset of this group's cache, its
@@ -184,11 +143,7 @@ class MatGroup:
         stack = self._stack[idx]
         inv_stack = self._inv_stack[idx]
         keys = {stack[i].tobytes(): i for i in range(len(idx))}
-        closure = MatGroup.trivial(self.p, self.dim)
-        for i, key in enumerate(keys):
-            if key not in closure._keys:
-                closure = closure.extend(
-                    FpMatrix(self.p, stack[i], inv_stack[i]))
+        closure = MatGroup.trivial(self.p, self.dim).join(stack, inv_stack)
         if len(closure._keys) != len(keys):
             raise SubgroupViolation("index subset is not a subgroup")
         return MatGroup.from_elements(self.p, closure.generators, stack,
@@ -221,7 +176,7 @@ class MatGroup:
             return bool(self.chain.members(m.a[None], m.inverse().a[None])[0])
         return m.key() in self.cache()._keys
 
-    def members(self, stack: np.ndarray, inv_stack: np.ndarray) -> np.ndarray:
+    def members(self, stack: np.ndarray, inv_stack=None) -> np.ndarray:
         """Whether each matrix of a (k, n, n) stack with entries in [0, p)
         lies in the group; inv_stack holds their inverses (read only by the
         sift)."""
@@ -381,7 +336,7 @@ def o_pprime(g: MatGroup, syl: SylowData) -> MatGroup:
     of it (`_table_closure`), u's read off u's word in G's generators and
     T_j^-1 u T_j's composed along j's path in G's walk."""
     chain = g.chain
-    if chain is None or chain.u != syl.u or syl.word is None:
+    if chain is None or chain.codec.u != syl.u or syl.word is None:
         raise InvariantViolation("o_pprime needs G's orbit chain at u and "
                                  "u's word in G's generators")
     size = len(chain.orbit)
@@ -413,16 +368,13 @@ def _orbit_draws(size: int):
 
 def _conjugate_of_u(g: MatGroup, j: int, u_perm: np.ndarray):
     """T_j^-1 u T_j, with its inverse, and its permutation of U's orbit
-    (T_j^-1, then u, then T_j) for u's permutation u_perm; T_j is the
-    product of G's generators along j's path in G's walk."""
+    (T_j^-1, then u, then T_j) for u's permutation u_perm, T_j being G's
+    transversal element at j."""
     p, chain = g.p.p, g.chain
-    path = chain.path(j)
-    t = np.eye(g.dim)
-    for k in path:
-        t = _mulmod(t, g.generators[k].a.astype(np.float64), p)
-    t_inv = chain.trans_inv[j].astype(np.float64)
-    u, u_inv = _stacks([chain.u])
-    t_perm = chain.word_action(path)
+    t, t_inv = (chain.codec.load(a[j])
+                for a in (chain.trans, chain.trans_inv))
+    u, u_inv = _stacks([chain.codec.u])
+    t_perm = chain.word_action(chain.path(j))
     back = np.empty_like(t_perm)
     back[t_perm] = np.arange(len(t_perm))
     return (FpMatrix(g.p, _mulmod(_mulmod(t_inv, u[0], p), t, p),
@@ -437,11 +389,12 @@ def _table_closure(g: MatGroup, gens: list, perms: list) -> MatGroup:
     keyed; its points keep their keys in G's orbit."""
     sub = MatGroup(g.p, gens)
     table = np.stack(perms, axis=1)
-    index, *walked = _walk(g.p, gens, 0,
-                           lambda points, *_: table[points].ravel().tolist())
-    keys = list(g.chain.orbit)
-    sub.chain = OrbitChain(g.chain.u, {keys[i]: j for j, i in
-                                       enumerate(index)}, *walked)
+    start = Chain.start(g.chain.codec, 0, MatGroup.trivial(g.p, g.dim))
+    sub.chain = walk(start, *_stacks(gens),
+                     targets=lambda points, *_: table[points].ravel().tolist())
+    keys = g.chain.points
+    sub.chain.points = [keys[i] for i in sub.chain.points]
+    sub.chain.orbit = {key: j for j, key in enumerate(sub.chain.points)}
     return sub
 
 
@@ -502,46 +455,42 @@ def intermediate_subgroups(g0: MatGroup, gbar: MatGroup) -> list[MatGroup]:
     of index at most INDEX_BOUND.  H is generated by g0's generators and
     coset representatives; neither gbar nor H is enumerated.
 
-    The cosets are found by a walk under gbar's generators: t = r_c g lies
-    in the coset of the representative r_d exactly when t r_d^-1 sifts into
-    g0, and a t in no known coset is a new representative.  Each step
-    records the coset of r_c g, so the coset of r_i r_j follows r_j's word
-    from coset i with no further sift.
+    The cosets of g0 are the orbit of g0 under gbar's generators, walked by
+    `chain.walk` with no stabilizer kept: t lies in the coset of the
+    representative r_d exactly when t r_d^-1 sifts into g0, and a t in no
+    known coset is a new representative.  The walk's action table holds
+    the coset of r_c g, so the coset of r_i r_j follows r_j's path from
+    coset i with no further sift.
     """
     if not g0.is_normal_in(gbar):
         raise SubgroupViolation("g0 not normal in gbar")
     p, n = gbar.p.p, gbar.dim
-    gens, gens_inv = _stacks(gbar.generators)
     reps, reps_inv = np.eye(n)[None], np.eye(n)[None]
-    step = [[0] * len(gens)]      # step[c][k]: the coset of r_c g_k
-    word = [None]                 # word[d] = (c, k) when r_d = r_c g_k
-    queue = [0]
-    while queue:
-        c = queue.pop()
-        for k in range(len(gens)):
-            t = _mulmod(reps[c], gens[k], p)
-            t_inv = _mulmod(gens_inv[k], reps_inv[c], p)
-            hits = np.flatnonzero(g0.members(_mulmod(t, reps_inv, p),
-                                             _mulmod(reps, t_inv, p)))
-            if len(hits):
-                step[c][k] = int(hits[0])
-                continue
-            if len(reps) == INDEX_BOUND:
-                raise IndexTooLarge("index above the subgroup-enumeration "
-                                    "bound")
-            step[c][k] = len(reps)
-            queue.append(len(reps))
-            reps = np.concatenate([reps, t[None]])
-            reps_inv = np.concatenate([reps_inv, t_inv[None]])
-            step.append([0] * len(gens))
-            word.append((c, k))
-    size = len(reps)
-    mul = [[i] for i in range(size)]
-    for j in range(1, size):
-        c, k = word[j]
+
+    def cosets(labels, t, t_inv, gens, gens_inv):
+        nonlocal reps, reps_inv
+        found = []
+        for x, x_inv in zip(_mulmod(t[:, None], gens, p).reshape(-1, n, n),
+                            _mulmod(gens_inv, t_inv[:, None], p).reshape(
+                                -1, n, n)):
+            hits = np.flatnonzero(g0.members(_mulmod(x, reps_inv, p),
+                                             _mulmod(reps, x_inv, p)))
+            if not len(hits):
+                if len(reps) == INDEX_BOUND:
+                    raise IndexTooLarge("index above the subgroup-"
+                                        "enumeration bound")
+                reps = np.concatenate([reps, x[None]])
+                reps_inv = np.concatenate([reps_inv, x_inv[None]])
+            found.append(int(hits[0]) if len(hits) else len(reps) - 1)
+        return found
+    walked = walk(Chain.start(MatCodec(p, n), 0, None),
+                  *_stacks(gbar.generators), targets=cosets)
+    mul = [[i] for i in range(len(reps))]
+    for j in range(1, len(reps)):
+        c, k = walked.parent[j]
         for row in mul:
-            row.append(step[row[c]][k])
-    subs = _subgroups_of_table(mul, 0, size)
+            row.append(int(walked.action[row[c], k]))
+    subs = _subgroups_of_table(mul, 0, len(reps))
     return [MatGroup(gbar.p, g0.generators
                      + [FpMatrix(gbar.p, reps[c], reps_inv[c])
                         for c in sorted(sub) if c != 0])
@@ -562,126 +511,13 @@ def scalar_subgroup(g: MatGroup) -> MatGroup:
 
 # -- Sylow normalizer by orbit-stabilizer ---------------------------------
 
-_ORBIT_CHUNK = 64   # orbit points conjugated per batched product
-
-
-def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for broadcastable float64 stacks with entries in [0, p).
-
-    Every product sum (at most n (p - 1)^2) is exact in float64, and so is
-    the floor of its quotient by p; numpy multiplies float64 stacks through
-    BLAS, several times faster than int64 stacks.
-    """
-    x = a @ b
-    q = x / p
-    np.floor(q, out=q)
-    q *= p
-    x -= q
-    return x
-
-
-def _stacks(mats) -> tuple[np.ndarray, np.ndarray]:
-    """float64 stacks of the matrices mats and of their inverses."""
-    return (np.array([m.a for m in mats], dtype=np.float64),
-            np.array([m.inverse().a for m in mats], dtype=np.float64))
-
-
-def _row_keys(rows: np.ndarray) -> list:
-    """int8 bytes of each row of a (k, w) array reduced mod p."""
-    rows = np.ascontiguousarray(rows, dtype=np.int8)
-    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel().tolist()
-
-
-def _subgroup_keys(x: np.ndarray, p: int) -> list:
-    """Key of each <x[i]>: the least int8 bytes among x[i], ..., x[i]^(p-1).
-
-    Bytes compare as unsigned, so the least is found entry by entry: a
-    power replaces the best so far where it is smaller at the first entry
-    in which the two differ.
-    """
-    k = x.shape[0]
-    rows = np.arange(k)
-    best = x.astype(np.uint8).reshape(k, -1)
-    cur = x
-    for _ in range(p - 2):
-        cur = _mulmod(cur, x, p)
-        cand = cur.astype(np.uint8).reshape(k, -1)
-        first = (cand != best).argmax(axis=1)
-        less = cand[rows, first] < best[rows, first]
-        best[less] = cand[less]
-    return _row_keys(best)
-
-
-@dataclass
-class OrbitChain:
-    """A one-level exact chain of H at the base point U = <u>.
-
-    `orbit` maps the key of each conjugate <T_j^-1 u T_j> to j, `trans_inv`
-    holds T_j^-1 (int8), and `stabilizer` is N_H(U), enumerated.  The orbit
-    is complete and the stabilizer holds every Schreier generator, so
-    |H| = |orbit| |N_H(U)|, and m lies in H exactly when <m^-1 u m> is an
-    orbit point j and m T_j^-1 lies in N_H(U): a sift with no random step.
-    `action[j, k]` (int32) is the point that H's k-th generator takes j
-    to, and `parent[j] = (i, k)` when T_j = T_i g_k ((-1, -1) at U).
-    """
-    u: FpMatrix
-    orbit: dict
-    trans_inv: np.ndarray
-    stabilizer: MatGroup
-    action: np.ndarray
-    parent: np.ndarray
-
-    def order(self) -> int:
-        return len(self.orbit) * self.stabilizer.order()
-
-    def members(self, stack: np.ndarray, inv_stack: np.ndarray) -> np.ndarray:
-        """Whether each matrix of stack (inverses in inv_stack) lies in H."""
-        p, n = self.u.p.p, self.u.rows
-        uf = self.u.a.astype(np.float64)
-        stab_keys = self.stabilizer.keys()
-        out = np.zeros(len(stack), dtype=bool)
-        for lo in range(0, len(stack), _CHUNK):
-            m = stack[lo:lo + _CHUNK].astype(np.float64)
-            m_inv = inv_stack[lo:lo + _CHUNK].astype(np.float64)
-            keys = _subgroup_keys(_mulmod(_mulmod(m_inv, uf, p), m, p), p)
-            j = np.array([self.orbit.get(k, -1) for k in keys],
-                         dtype=np.int64)
-            hit = np.flatnonzero(j >= 0)
-            n_part = _mulmod(m[hit], self.trans_inv[j[hit]].astype(np.float64),
-                             p)
-            out[lo + hit] = [k in stab_keys for k in
-                             _row_keys(n_part.reshape(len(hit), n * n))]
-        return out
-
-    def path(self, j: int) -> list:
-        """Generator indices k_1, ..., k_d with T_j = g_k1 ... g_kd."""
-        word = []
-        while j > 0:
-            j, k = self.parent[j]
-            word.append(int(k))
-        return word[::-1]
-
-    def word_action(self, word, e: int = 1) -> np.ndarray:
-        """The permutation of the orbit points (point i goes to perm[i]) by
-        w^e, for w = g_k1 g_k2 ... given as its generator indices."""
-        perm = np.arange(len(self.orbit))
-        for k in word:
-            perm = self.action[perm, k]
-        power = np.arange(len(perm))
-        while e:
-            if e & 1:
-                power = perm[power]
-            perm, e = perm[perm], e >> 1
-        return power
-
-
 def sylow_normalizer_via_orbit(p, dim, generators, u: FpMatrix,
                                into: MatGroup | None = None):
     """N_G(<u>) for G = <generators> without enumerating G.
 
     Returns (N as MatGroup, orbit size); |G| then equals orbit_size * |N|
     by orbit-stabilizer.  When `into` is the MatGroup of these generators,
-    the walk's `OrbitChain` is left on it, which then gives its order and
+    the walk's chain is left on it, which then gives its order and
     membership without enumeration.  Raises CapExceeded when the orbit has
     more points than the element cap.
     """
@@ -691,98 +527,10 @@ def sylow_normalizer_via_orbit(p, dim, generators, u: FpMatrix,
     return chain.stabilizer, len(chain.orbit)
 
 
-def _orbit_chain(p, dim, generators, u: FpMatrix) -> OrbitChain:
+def _orbit_chain(p, dim, generators, u: FpMatrix) -> Chain:
     """The chain at U = <u> of <generators>: U's conjugation orbit, each
-    point keyed by `_subgroup_keys`, walked by `_walk`."""
-    pp, n = int(p), dim
-    uf = u.a.astype(np.float64)
-
-    def keys(points, t, t_inv, gens, gens_inv):
-        reps = _mulmod(_mulmod(t_inv, uf, pp), t, pp)
-        conj = _mulmod(_mulmod(gens_inv, reps[:, None], pp), gens, pp)
-        return _subgroup_keys(conj.reshape(-1, n, n), pp)
-
-    base = _subgroup_keys(uf[None], pp)[0]
-    return OrbitChain(u, *_walk(p, generators, base, keys))
-
-
-def _walk(p, generators, base, targets):
-    """Walks the orbit of a base point under <generators> level by level,
-    in chunks of _ORBIT_CHUNK points moved by every generator at once,
-    keeping a transversal T with T_j taking the base point to point j.
-
-    `targets(points, t, t_inv, gens, gens_inv)` gives the label of the
-    point that each pair (chunk point, generator) reaches, pair q being
-    (q // m, q % m), from the labels `points` of the chunk's points and
-    their T and T^-1; the base point's label is `base`.  The Schreier
-    generators (t g) T_j^-1 that are not yet in the stabilizer generate it
-    (Schreier's lemma), which grows by cosets (`MatGroup.extend`).  The
-    walk stops with CapExceeded beyond `element_cap()` points.
-
-    Returns the dict label -> point index, T^-1 (int8), the stabilizer,
-    each generator's action on the points and each point's parent.
-    """
-    pp, cap = int(p), element_cap()
-    n = generators[0].rows
-    gens, gens_inv = _stacks(generators)
-    m = len(gens)
-    index, labels = {base: 0}, [base]
-    trans = np.zeros((1024, n, n), dtype=np.int8)
-    trans_inv = np.zeros_like(trans)
-    trans[0] = trans_inv[0] = np.eye(n, dtype=np.int8)
-    action = np.zeros((1024, m), dtype=np.int32)
-    parent = np.full((1024, 2), -1, dtype=np.int32)
-    stab = MatGroup.trivial(p, n)
-    lo, hi = 0, 1
-    while lo < hi:
-        for c in range(lo, hi, _ORBIT_CHUNK):
-            t = trans[c:min(c + _ORBIT_CHUNK, hi)].astype(np.float64)
-            t_inv = trans_inv[c:c + len(t)].astype(np.float64)
-            labs = targets(labels[c:c + len(t)], t, t_inv, gens, gens_inv)
-            tg = _mulmod(t[:, None], gens, pp).reshape(-1, n, n)
-            reached = np.array([index.get(k, -1) for k in labs])
-            fresh = []
-            for q in np.flatnonzero(reached < 0):
-                j = index.get(labs[q])
-                if j is None:
-                    if len(index) >= cap:
-                        raise CapExceeded(
-                            f"Sylow orbit exceeds bound {cap}")
-                    j = index[labs[q]] = len(index)
-                    labels.append(labs[q])
-                    fresh.append(q)
-                reached[q] = j
-            action[c:c + len(t)] = reached.reshape(len(t), m)
-            if fresh:
-                size = len(index)
-                if size > len(trans):
-                    grow = max(size, 2 * len(trans))
-                    trans, trans_inv, action, parent = (
-                        np.resize(a, (grow,) + a.shape[1:])
-                        for a in (trans, trans_inv, action, parent))
-                new = slice(size - len(fresh), size)
-                fresh = np.array(fresh)
-                trans[new] = tg[fresh]
-                trans_inv[new] = _mulmod(gens_inv[fresh % m],
-                                         t_inv[fresh // m], pp)
-                parent[new] = np.stack([c + fresh // m, fresh % m], axis=1)
-            # every pair that did not find a new point gives a Schreier
-            # generator (one that did gives the identity)
-            pairs = np.ones(len(labs), dtype=bool)
-            pairs[fresh] = False
-            pairs = np.flatnonzero(pairs)
-            schreier = _mulmod(tg[pairs],
-                               trans_inv[reached[pairs]].astype(np.float64),
-                               pp)
-            skeys = _row_keys(schreier.reshape(-1, n * n))
-            # an extension made for an earlier one may hold a later one
-            for q in [q for q, k in enumerate(skeys) if k not in stab._keys]:
-                if skeys[q] not in stab._keys:
-                    i, k = divmod(int(pairs[q]), m)
-                    s_inv = _mulmod(
-                        trans[reached[pairs[q]]].astype(np.float64),
-                        _mulmod(gens_inv[k], t_inv[i], pp), pp)
-                    stab = stab.extend(FpMatrix(p, schreier[q], s_inv))
-        lo, hi = hi, len(index)
-    size = len(index)
-    return index, trans_inv[:size].copy(), stab, action[:size], parent[:size]
+    point keyed by `_subgroup_keys`, walked by `chain.walk` from the trivial
+    group."""
+    base = _subgroup_keys(u.a[None].astype(np.float64), int(p))[0]
+    start = Chain.start(MatCodec(p, dim, u), base, MatGroup.trivial(p, dim))
+    return walk(start, *_stacks(generators))

@@ -15,8 +15,9 @@ import numpy as np
 
 from . import gfp
 from .errors import (DimensionMismatch, DimTooLarge,
-                     FiltrationHypothesisFailed, InvariantViolation,
-                     NotUnipotentOfOrderP, PrimeMismatch, SubgroupViolation)
+                     FiltrationHypothesisFailed, InvalidParams,
+                     InvariantViolation, NotUnipotentOfOrderP, PrimeMismatch,
+                     SubgroupViolation)
 from .gfp import FpMatrix, Subspace, as_prime
 from .grp import MatGroup, SylowData, o_pprime
 
@@ -302,7 +303,7 @@ def sym_power_matrix(M: FpMatrix, k: int) -> FpMatrix:
 
 def sym_power(v: FpModule, k: int) -> FpModule:
     if not 0 <= k <= v.p.p - 1:
-        raise ValueError("sym_power needs 0 <= k <= p-1")
+        raise InvalidParams(f"sym_power needs 0 <= k <= p-1, got k = {k}")
     gens = [sym_power_matrix(g, k) for g in v.gens()]
     dim = len(_sym_exponents(v.dim, k))
     return FpModule(v.p, dim, MatGroup(v.p, gens))

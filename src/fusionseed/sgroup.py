@@ -9,9 +9,11 @@ MatGroups.  The automorphisms of such a P that Gamma, S and P induce,
 condition (1)) come from one F_p solve per exponent k with g u g^-1 = u^k
 over N_G(U) or U, and from a scan of C_G(U), so neither Gamma nor
 A x| N_G(U) is ever built.  The local automorphism groups are permutation
-groups on P's elements, keyed by exact codes of their generator images:
-Inn(P) and Aut_S(P) enumerated, Lambda_P, Theta, Theta_0 and O^{p'}(Theta)
-as one-level chains, and verified against their contracts.
+groups on P's elements over the permutation codec of `fusionseed.chain`
+(`PermGroupOnSet`), keyed by exact codes of their generator images:
+Inn(P) and Aut_S(P) enumerated by its coset growth, Lambda_P, Theta,
+Theta_0 and O^{p'}(Theta) as its one-level chains, and verified against
+their contracts.
 
 S itself is never enumerated, at any scale: the S-classes of the H_i come
 from a subspace test (the S-conjugates of (c, u) are the (c + w, u) with w
@@ -31,7 +33,8 @@ import numpy as np
 from . import gfp, modrep, mu
 from .errors import CapExceeded, InvariantViolation, MuTooSmall, SplitFailed
 from .gfp import FpMatrix, Subspace
-from .grp import MatGroup, SylowData, _row_keys, _stacks
+from .chain import Chain, PermCodec, _row_keys, _stacks, greedy, grow, walk
+from .grp import MatGroup, SylowData
 from .modrep import FpModule
 
 
@@ -225,7 +228,7 @@ def class_label(s: SGroup, m: FpMatrix, a: FpMatrix) -> int:
         if (m.a[:n, :n] == s.upow[k]).all():
             gamma = _a_mod_a0_coord(s, m.a[:n, n])
             return gamma * pow(unit * k, p - 2, p) % p
-    raise ValueError("element lies inside A")
+    raise InvariantViolation("element lies inside A")
 
 
 def _a_mod_a0_coord(s: SGroup, vec) -> int:
@@ -283,113 +286,64 @@ def hb_subgroups(s: SGroup, x, a):
 # -- automorphisms of P keyed by generator images ----------------------------
 
 _PERM_CAP = 10 ** 6       # orbit points and elements stored for one group
-_PERM_CHUNK = 1 << 14    # coset elements coded per batch in `extend`
 
 
 @dataclass
 class PermGroup:
-    """A group of automorphisms of P, enumerated: its elements as a
-    permutation stack sorted by code, their sorted int64 codes, and its
-    generators."""
+    """A group of automorphisms of P, enumerated: its elements and their
+    inverses as permutation stacks, the code -> index dict of its
+    elements, and its generators."""
+    pset: "PermGroupOnSet"
     perms: np.ndarray
-    codes: np.ndarray
+    inverses: np.ndarray
+    index: dict
     gens: np.ndarray
 
     def order(self) -> int:
-        return len(self.codes)
+        return len(self.index)
 
-    def contains(self, codes: np.ndarray) -> np.ndarray:
-        """Whether each code is the code of an element."""
-        return _in_sorted(self.codes, codes)
+    def members(self, images: np.ndarray) -> np.ndarray:
+        """Whether each automorphism, given by its generator images (a
+        (..., k) stack), is an element."""
+        return np.array([c in self.index for c in self.pset.keys(images)],
+                        dtype=bool).reshape(images.shape[:-1])
 
+    def join(self, new, new_inv, stored: int = 0) -> "PermGroup":
+        """<self, new>, enumerated by `chain.grow` one new generator at a
+        time, each one that lies outside the group so far; stored counts
+        points kept beside it against _PERM_CAP."""
+        pset = self.pset
 
-@dataclass
-class PermChain:
-    """A group of automorphisms of P as a one-level chain at P's first
-    generator g_0: the orbit of g_0 with a transversal t_j and its
-    inverses, and the stabilizer of g_0, enumerated.
-
-    The orbit is complete and the stabilizer holds every Schreier
-    generator, so |G| = |orbit| |stab|, and f lies in G exactly when
-    f(g_0) is an orbit point j and t_j^-1 f lies in stab: a sift that
-    reads only f's images of P's k generators.
-    """
-    gens: np.ndarray         # (r, |P|) the generators kept
-    points: np.ndarray       # (m,) element index of each orbit point
-    pos: np.ndarray          # (|P|,) orbit index of each element, or -1
-    trans: np.ndarray        # (m, |P|) t_j, with t_j(g_0) = points[j]
-    trans_inv: np.ndarray    # (m, |P|) t_j^-1
-    stab: PermGroup
-    weights: np.ndarray      # base-|P| weights of the codes
-
-    def order(self) -> int:
-        return len(self.points) * self.stab.order()
-
-    def contains(self, images: np.ndarray) -> np.ndarray:
-        """Whether each automorphism, given by the (m, k) stack of its
-        generator images, lies in the group."""
-        images = np.asarray(images, dtype=np.int64)
-        j = self.pos[images[:, 0]]
-        out = j >= 0
-        res = self.trans_inv[j[out, None], images[out]]
-        out[out] = self.stab.contains(res.astype(np.int64) @ self.weights)
-        return out
+        def join(group, i):
+            gens = np.concatenate([group.gens, new[i:i + 1]])
+            return PermGroup(pset, *grow(pset, group.perms, group.inverses,
+                                         group.index, gens, pset.inv(gens),
+                                         stored), gens)
+        return greedy(self, pset.image(new), PermGroup.members, join)
 
 
-def _unique(codes: np.ndarray):
-    """The sorted distinct codes and the index of each one's first
-    occurrence."""
-    order = np.argsort(codes, kind="stable")
-    c = codes[order]
-    first = np.ones(len(c), dtype=bool)
-    first[1:] = c[1:] != c[:-1]
-    return c[first], order[first]
-
-
-def _in_sorted(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    pos = np.minimum(np.searchsorted(sorted_codes, codes),
-                     len(sorted_codes) - 1)
-    return sorted_codes[pos] == codes
-
-
-def _inverse(perms: np.ndarray) -> np.ndarray:
-    """The inverse of each row of a (m, |P|) permutation stack."""
-    inv = np.empty_like(perms)
-    inv[np.arange(len(perms))[:, None], perms] = np.arange(
-        perms.shape[1], dtype=perms.dtype)
-    return inv
-
-
-class PermGroupOnSet:
+class PermGroupOnSet(PermCodec):
     """Automorphisms of P = <W, x'> <= S, with W = P meet A and x' = (c, u),
-    as permutations of P's elements (int16 when |P| allows).
+    as permutations of P's elements, over the permutation codec of
+    `fusionseed.chain`.
 
-    Permutations compose as arrays, (f g)[j] = f[g[j]].  An automorphism is
-    fixed by the images of P's k generators, so its code packs their element
-    indices in base |P|: an exact int64 key, refused with CapExceeded when
-    |P|^k does not fit.
+    An automorphism is fixed by the images of P's k generators, so its code
+    packs their element indices in base |P|: an exact int64 key, refused
+    with CapExceeded when |P|^k does not fit.  Its groups are `PermGroup`s,
+    enumerated, or `chain.Chain`s at P's first generator g_0 whose
+    stabilizers are `PermGroup`s; _PERM_CAP bounds what one group stores.
     """
 
     def __init__(self, group: MatGroup, space: Subspace, x: FpMatrix):
         self.group, self.space, self.x = group, space, x
-        self.n = group.order()
-        k = len(group.generators)
-        if self.n ** k >= 1 << 63:
-            raise CapExceeded(f"automorphism codes |P|^k = {self.n}^{k} "
+        n, k = group.order(), len(group.generators)
+        if n ** k >= 1 << 63:
+            raise CapExceeded(f"automorphism codes |P|^k = {n}^{k} "
                               "do not fit int64")
         self.elements = group.elements_stack()
         self.index = group.keys()
-        self.gen_idx = np.array([self.index[g.key()]
-                                 for g in group.generators])
-        self.weights = self.n ** np.arange(k, dtype=np.int64)
-        self.dtype = np.int16 if self.n <= 1 << 15 else np.int32
-
-    def _pack(self, images: np.ndarray) -> np.ndarray:
-        """Codes from a (..., k) stack of generator images."""
-        return images.astype(np.int64) @ self.weights
-
-    def codes(self, perms: np.ndarray) -> np.ndarray:
-        return self._pack(perms[..., self.gen_idx])
+        super().__init__(n, [self.index[g.key()] for g in group.generators],
+                         _PERM_CAP)
 
     def indices(self, mats: np.ndarray) -> np.ndarray:
         """Element index of each matrix of a (..., d, d) stack; -1 for a
@@ -416,70 +370,31 @@ class PermGroupOnSet:
         (m, d, d) stack mats (inverses invs) induces."""
         return self._conjugated(mats, invs, self.elements).astype(self.dtype)
 
+    def trivial_group(self) -> PermGroup:
+        one = self.identity[None]
+        return PermGroup(self, one, one, {int(self.codes(one)[0]): 0}, one[:0])
+
     def close(self, gens) -> PermGroup:
         """<gens>, enumerated."""
-        ident = np.arange(self.n, dtype=self.dtype)[None]
-        return self.extend(PermGroup(ident, self.codes(ident), ident[:0]),
-                           gens)
-
-    def extend(self, group: PermGroup, new, stored: int = 0) -> PermGroup:
-        """<group, new>, enumerated by frontier batches under the new
-        generators, at most _PERM_CHUNK coset elements coded at a time;
-        stored counts points kept beside it against _PERM_CAP, which is
-        checked after every batch.
-
-        Every element found brings its whole coset group y, so the elements
-        stay a union of such cosets, which left multiplication by group's
-        own generators preserves: only the new generators multiply the
-        frontier, and candidates are compared by code before any
-        permutation is formed.
-        """
-        new = np.asarray(new, dtype=self.dtype).reshape(-1, self.n)
-        h, gx = group.perms, self.gen_idx
-        known, found, frontier = group.codes, [h], h
-        step = max(1, _PERM_CHUNK // len(h))
-        while len(frontier) and len(new):
-            c, first = _unique(self._pack(new[:, frontier[:, gx]]).reshape(-1))
-            fresh = ~_in_sorted(known, c)
-            c = c[fresh]
-            gi, fi = np.divmod(first[fresh], len(frontier))
-            level = []
-            while len(c):
-                ys = new[gi[:step, None], frontier[fi[:step]]]
-                cc, at = _unique(self._pack(h[:, ys[:, gx]]).reshape(-1))
-                keep = ~_in_sorted(known, cc)
-                hi, yi = np.divmod(at[keep], len(ys))
-                level.append(h[hi[:, None], ys[yi]])
-                known = np.sort(np.concatenate([known, cc[keep]]))
-                if stored + len(known) > _PERM_CAP:
-                    raise CapExceeded(
-                        f"automorphism group exceeds cap {_PERM_CAP}")
-                left = ~_in_sorted(known, c[step:])
-                c, gi, fi = c[step:][left], gi[step:][left], fi[step:][left]
-            frontier = np.concatenate(level) if level else h[:0]
-            found.append(frontier)
-        perms = np.concatenate(found)
-        codes = self.codes(perms)
-        order = np.argsort(codes)
-        return PermGroup(perms[order], codes[order],
-                         np.concatenate([group.gens, new]))
+        gens = np.asarray(gens, dtype=self.dtype).reshape(-1, self.n)
+        return self.trivial_group().join(gens, self.inv(gens))
 
     def normalizing(self, perms: np.ndarray, sub: PermGroup) -> np.ndarray:
         """Whether each permutation t normalizes sub: t h t^-1 lies in sub
         for each generator h of sub, evaluated at P's generators only."""
-        inv = _inverse(perms)[:, self.gen_idx]
+        inv = self.inv(perms)[:, self.gen_idx]
         vals = perms[np.arange(len(perms))[None, :, None], sub.gens[:, inv]]
-        return sub.contains(self._pack(vals)).all(axis=0)
+        return sub.members(vals).all(axis=0)
 
-    # -- one-level chains ------------------------------------------------
+    # -- one-level chains at g_0 ------------------------------------------
 
-    def chain(self, perms, base: PermChain | None = None) -> PermChain:
+    def chain(self, perms, base: Chain | None = None) -> Chain:
         """<base, perms> as a chain (base the trivial group if None)."""
         perms = np.asarray(perms, dtype=self.dtype).reshape(-1, self.n)
         return self._sift_in(self._trivial() if base is None else base,
-                             perms[:, self.gen_idx], lambda i: perms[i])
+                             self.image(perms), lambda i: perms[i])
 
-    def chain_by_conjugation(self, mats, invs) -> PermChain:
+    def chain_by_conjugation(self, mats, invs) -> Chain:
         """The chain of the automorphisms that conjugation by the (m, d, d)
         stack mats (inverses invs) induces: only the generator images of
         each matrix are read, and a full permutation is formed only for
@@ -489,14 +404,14 @@ class PermGroupOnSet:
             self._trivial(), self._conjugated(mats, invs, gens),
             lambda i: self.conjugation_perms(mats[i:i + 1], invs[i:i + 1])[0])
 
-    def normal_closure(self, gens, under: np.ndarray) -> PermChain:
+    def normal_closure(self, gens, under: np.ndarray) -> Chain:
         """The normal closure of <gens> under <under>: each generator h of
         the closure, those joined on the way included, has its conjugates
         t h t^-1 by under sifted in.  So t N t^-1 <= N for every t, and
         every element that joins is a conjugate of one of gens."""
         chain = self.chain(gens)
         under = np.asarray(under, dtype=self.dtype).reshape(-1, self.n)
-        under_inv = _inverse(under)
+        under_inv = self.inv(under)
         rows = np.arange(len(under))[:, None]
         done = 0
         while done < len(chain.gens):
@@ -507,120 +422,37 @@ class PermGroupOnSet:
                 lambda i, h=h: under[i][h[under_inv[i]]])
         return chain
 
-    def conjugation_orbit(self, chain: PermChain, sub: PermGroup):
-        """(|sub^G|, Schreier generators of N_G(sub)) for G the group of
-        chain: the conjugates t sub t^-1 by a BFS under G's generators,
-        each keyed by its sorted codes, and t_l^-1 g t_j for each conjugate
-        j and generator g, where g t_j sub (g t_j)^-1 is conjugate l.  By
-        orbit-stabilizer |N_G(sub)| = |G| / |sub^G|, and by Schreier's
-        lemma those generators generate N_G(sub)."""
-        def key(t, t_inv):
-            return np.sort(self._pack(
-                t[sub.perms[:, t_inv[self.gen_idx]]])).tobytes()
+    def conjugation_orbit(self, chain: Chain, sub: PermGroup):
+        """(|sub^G|, generators of N_G(sub)) for G the group of chain: the
+        chain of G at the point sub, walked by `chain.walk` with each
+        conjugate x^-1 sub x keyed by its sorted codes.  Its stabilizer
+        N_G(sub), into which the walk sifts the Schreier generators, is a
+        chain at g_0, so it is not enumerated; by orbit-stabilizer
+        |N_G(sub)| = |G| / |sub^G|."""
+        hs = sub.perms
 
-        ident = np.arange(self.n, dtype=self.dtype)
-        keys, trans, trans_inv = {key(ident, ident): 0}, [ident], [ident]
-        schreier = []
-        for t_j in trans:           # trans grows while it is walked
-            for g in chain.gens:
-                t = g[t_j]
-                t_inv = _inverse(t[None])[0]
-                l = keys.setdefault(key(t, t_inv), len(trans))
-                if l == len(trans):
-                    trans.append(t)
-                    trans_inv.append(t_inv)
-                else:
-                    schreier.append(trans_inv[l][t])
-        return len(trans), np.array(schreier, dtype=self.dtype).reshape(
-            -1, self.n)
+        def targets(points, t, t_inv, gens, gens_inv):
+            x = self.mul(t[:, None], gens)
+            x_inv = self.image(self.mul(gens_inv, t_inv[:, None]))
+            conj = self.mul(self.mul(x_inv[..., None, :], hs), x[..., None, :])
+            return [np.sort(c).tobytes()
+                    for c in self.pack(conj).reshape(-1, len(hs))]
+        start = Chain.start(self, np.sort(self.codes(hs)).tobytes(),
+                            self._trivial())
+        orbit = walk(start, chain.gens, chain.gens_inv, targets)
+        return len(orbit.points), orbit.stabilizer.gens
 
-    def _trivial(self) -> PermChain:
-        ident = np.arange(self.n, dtype=self.dtype)[None]
-        g0 = self.gen_idx[:1]
-        pos = np.full(self.n, -1, dtype=np.int64)
-        pos[g0] = 0
-        return PermChain(ident[:0], g0, pos, ident, ident,
-                         PermGroup(ident, self.codes(ident), ident[:0]),
-                         self.weights)
+    def _trivial(self) -> Chain:
+        return Chain.start(self, int(self.gen_idx[0]), self.trivial_group())
 
-    def _sift_in(self, chain: PermChain, images, build) -> PermChain:
+    def _sift_in(self, chain: Chain, images, build) -> Chain:
         """chain grown by candidates given as an (m, k) stack of generator
         images; a candidate outside the group joins as build(i), its full
         permutation."""
-        return _greedy(chain, images, PermChain.contains,
-                       lambda ch, i: self._add(ch, build(i)))
-
-    def _add(self, chain: PermChain, s: np.ndarray) -> PermChain:
-        """The chain of <G, s> for G the group of chain.
-
-        The orbit grows by a BFS: the old points under s, then each new
-        point under every generator, with t = g t_j for a point reached
-        from point j by g.  The old transversal stays, so the Schreier
-        generators t_l^-1 g t_j of old points under old generators are
-        already in the stabilizer; those of every point under s and of the
-        new points under the old generators are sifted into it, and join
-        when outside.
-        """
-        gens = np.concatenate([chain.gens, s[None]])
-        pos = chain.pos.copy()
-        points, trans = [chain.points], [chain.trans]
-        level_pts, level_tr, use = chain.points, chain.trans, gens[-1:]
-        total = len(chain.points)
-        while len(level_pts):
-            new_pts, new_tr = [], []
-            for g in use:
-                img = g[level_pts]
-                fresh = np.flatnonzero(pos[img] < 0)
-                pts, first = np.unique(img[fresh], return_index=True)
-                pos[pts] = total + np.arange(len(pts))
-                total += len(pts)
-                new_pts.append(pts)
-                new_tr.append(g[level_tr[fresh[first]]])
-            level_pts = np.concatenate(new_pts)
-            level_tr = np.concatenate(new_tr)
-            points.append(level_pts)
-            trans.append(level_tr)
-            use = gens
-            if total + chain.stab.order() > _PERM_CAP:
-                raise CapExceeded(
-                    f"automorphism group exceeds cap {_PERM_CAP}")
-        points, trans = np.concatenate(points), np.concatenate(trans)
-        trans_inv = np.concatenate([chain.trans_inv,
-                                    _inverse(trans[len(chain.trans):])])
-        # Schreier generators of every point under s, then of the new
-        # points under the old generators, at P's generators only
-        old, last = len(chain.points), len(gens) - 1
-        js = np.concatenate([np.arange(total)]
-                            + [np.arange(old, total)] * last)
-        gi = np.concatenate([np.full(total, last)]
-                            + [np.full(total - old, k) for k in range(last)])
-        ls = pos[gens[gi, points[js]]]
-        images = trans_inv[ls[:, None],
-                           gens[gi[:, None], trans[js[:, None], self.gen_idx]]]
-        stab = _greedy(
-            chain.stab, images,
-            lambda grp, im: grp.contains(self._pack(im)),
-            lambda grp, i: self.extend(
-                grp, trans_inv[ls[i]][gens[gi[i]][trans[js[i]]]],
-                stored=total))
-        return PermChain(gens, points, pos, trans, trans_inv, stab,
-                         self.weights)
-
-
-def _greedy(group, images, member, join):
-    """group grown by candidates in turn, each given by its (m, k) stack of
-    generator images: member(group, images) sifts the candidates left, and
-    the first outside the group joins as join(group, i)."""
-    images = np.asarray(images, dtype=np.int64)
-    idx = np.arange(len(images))
-    while len(idx):
-        out = ~member(group, images[idx])
-        if not out.any():
-            break
-        at = int(out.argmax())
-        group = join(group, idx[at])
-        idx = idx[at + 1:]
-    return group
+        def join(ch, i):
+            perm = build(i)[None]
+            return ch.join(perm, self.inv(perm))
+        return greedy(chain, np.asarray(images), Chain.members, join)
 
 
 def _hom_from_gen_images(pset: PermGroupOnSet, gens, images):
@@ -692,7 +524,8 @@ def conjugators(s: SGroup, src: PermGroupOnSet, dst: PermGroupOnSet,
     ck = np.cumsum([u @ c_dst for u in s.upow], axis=0) % p  # ck[k-1] = c'_k
     a = np.zeros((len(mats), n), dtype=np.int64)
     found = np.zeros(len(mats), dtype=bool)
-    for k in np.unique(ks[keeps]):
+    # not np.unique, whose first call imports numpy.ma (tens of ms)
+    for k in sorted(set(ks[keeps].tolist())):
         sel = np.flatnonzero(keeps & (ks == k))
         a[sel], found[sel] = gfp.solve_many(
             FpMatrix(p, q @ (one - s.upow[k]) % p),
@@ -722,8 +555,8 @@ def local_automorphisms(s: SGroup, pset: PermGroupOnSet):
     """Inn(P), Aut_S(P) and Lambda_P: the automorphisms of P induced by
     conjugation by P's generators, by the elements of S normalizing P, and
     by the elements of Gamma normalizing P.  The first two are small
-    p-groups and are enumerated; Lambda_P is a `PermChain`, grown from the
-    generator images of the normalizing elements of Gamma."""
+    p-groups and are enumerated; Lambda_P is a `chain.Chain`, grown from
+    the generator images of the normalizing elements of Gamma."""
     upow = np.array(s.upow)
     N = s.syl.normalizer_N
     inn = pset.conjugation_perms(*_stacks(pset.group.generators))
@@ -759,8 +592,8 @@ class ThetaReport:
     checks: dict
     ok: bool
     pset: PermGroupOnSet = field(repr=False, default=None)
-    theta: PermChain = field(repr=False, default=None)
-    theta0: PermChain = field(repr=False, default=None)
+    theta: Chain = field(repr=False, default=None)
+    theta0: Chain = field(repr=False, default=None)
     inn: PermGroup = field(repr=False, default=None)
     aut_s: PermGroup = field(repr=False, default=None)
 
@@ -773,7 +606,7 @@ def theta_witness(s: SGroup, kind: str, i: int, hb,
     order |SL_2(p)|, (iii) normalizer elements of Aut_S(P) in O^{p'}(Theta)
     move Z into Z0 only, (iv) N_Theta(Aut_S(P)) equals the restrictions of
     subgroup-normalizing ambient automorphisms.  Lambda_P, Theta, Theta_0
-    and O^{p'}(Theta) are `PermChain`s, so none is enumerated, and each
+    and O^{p'}(Theta) are `chain.Chain`s, so none is enumerated, and each
     check is an identity of orders or a sift of generators.
     """
     p, n = s.p, s.n
@@ -967,9 +800,9 @@ def step2_conditions(s: SGroup, thetas) -> dict:
     cond3 = True
     for th in thetas:
         outs = th.aut_s.order() // int(
-            th.inn.contains(th.aut_s.codes).sum())
+            th.inn.members(th.pset.image(th.aut_s.perms)).sum())
         order_p = outs == p
-        aut_s_inn = th.pset.extend(th.aut_s, th.inn.gens)
+        aut_s_inn = th.aut_s.join(th.inn.gens, th.pset.inv(th.inn.gens))
         nonnormal = not th.pset.normalizing(th.theta.gens, aut_s_inn).all()
         cond3 &= order_p and nonnormal
     report["conditions"]["strongly_p_embedded_normalizer"] = cond3

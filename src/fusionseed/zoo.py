@@ -706,28 +706,10 @@ def row_failures(report: dict, expected: dict, params: dict) -> list:
 
 def build_family(spec: FamilySpec):
     """(group, module) for an instantiable corpus entry."""
-    tag, q = spec.tag, spec.params
-    if tag in ("sl2p_simple", "sl2p_ext", "sl2p_mu_law"):
-        return sl2p(q["p"], q["kind"])
-    if tag in ("sn_deleted", "an_deleted"):
-        return symmetric(q["p"], q["n"], "deleted", q["group"],
-                         q["scalar_order"])
-    if tag == "str_closed":
-        return strongly_closed_example(q["p"], q["which"])
-    if tag == "sn_perm":
-        return symmetric(q["p"], q["n"], "full", q["group"],
-                         q["scalar_order"])
-    if tag == "monomial":
-        return monomial(q["p"], q["n"], q["t"], q["R"], q["h_type"])
-    if tag == "gl2_3":
-        return _gl23_two_two()
-    if tag == "extraspecial_p3":
-        return extraspecial(3)
-    if tag == "extraspecial_p5":
-        return extraspecial(5)
-    if tag == "extraspecial_p7":
-        return extraspecial(7)
-    raise InvalidParams(f"not instantiable: {tag}")
+    build = _BUILDERS.get(spec.tag)
+    if build is None:
+        raise InvalidParams(f"not instantiable: {spec.tag}")
+    return build(spec.params)
 
 
 def _gl23_two_two():
@@ -737,6 +719,25 @@ def _gl23_two_two():
         if w.dim == 4:
             return w.group, w
     raise ExtractionFailed("dim-4 type 2/2 summand absent from F_3[G/U]")
+
+
+# tag -> constructor of (group, module) from the entry's params
+_BUILDERS = {
+    **dict.fromkeys(("sl2p_simple", "sl2p_ext", "sl2p_mu_law"),
+                    lambda q: sl2p(q["p"], q["kind"])),
+    **dict.fromkeys(("sn_deleted", "an_deleted"),
+                    lambda q: symmetric(q["p"], q["n"], "deleted", q["group"],
+                                        q["scalar_order"])),
+    "str_closed": lambda q: strongly_closed_example(q["p"], q["which"]),
+    "sn_perm": lambda q: symmetric(q["p"], q["n"], "full", q["group"],
+                                   q["scalar_order"]),
+    "monomial": lambda q: monomial(q["p"], q["n"], q["t"], q["R"],
+                                   q["h_type"]),
+    "gl2_3": lambda q: _gl23_two_two(),
+    "extraspecial_p3": lambda q: extraspecial(3),
+    "extraspecial_p5": lambda q: extraspecial(5),
+    "extraspecial_p7": lambda q: extraspecial(7),
+}
 
 
 def emit_instance(spec: FamilySpec, heavy: bool = False) -> dict:

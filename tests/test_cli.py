@@ -28,6 +28,30 @@ def test_zoo_list():
     assert "metadata only" in out
 
 
+def _into_closed_pipe(args):
+    """Run the CLI with stdout into a pipe whose reader closes it at once,
+    before the child (still importing) writes: (exit code, stderr)."""
+    proc = subprocess.Popen([sys.executable, "-m", "fusionseed.cli"] + args,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    return proc.wait(), err
+
+
+@pytest.mark.parametrize("command", ["zoo", "check"])
+def test_closed_pipe_exits_quietly(command, tmp_path):
+    """Writing into a pipe that its reader closed (`| head`) exits with
+    the documented code and writes nothing to stderr, no traceback."""
+    args = ["zoo", "list"]
+    if command == "check":
+        inst = tmp_path / "inst.json"
+        run_cli(["zoo", "emit", "sn_deleted", "--out", str(inst)])
+        args = ["check", str(inst)]
+    code, err = _into_closed_pipe(args)
+    assert "Traceback" not in err and err == ""
+    assert code == cli.EXIT_BROKEN_PIPE == 141
+
+
 def test_emit_check_roundtrip(tmp_path):
     inst = tmp_path / "inst.json"
     code, _, _ = run_cli(["zoo", "emit", "sn_deleted", "--index", "0",

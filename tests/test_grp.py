@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import cycle, perm_mat
-from fusionseed import gfp, grp, modrep, mu, zoo
+from fusionseed import chain, gfp, grp, modrep, mu, zoo
 from fusionseed.errors import (CapExceeded, InvariantViolation,
                              SubgroupViolation)
 from fusionseed.gfp import FpMatrix
@@ -226,13 +226,13 @@ ENUMERABLE_CORPUS = [(k, spec) for k, spec in enumerate(zoo.table_corpus())
 @pytest.mark.parametrize("k, spec", ENUMERABLE_CORPUS,
                          ids=[f"{k}-{spec.tag}" for k, spec in
                               ENUMERABLE_CORPUS])
-def test_class_gg_matches_bfs_and_scan(k, spec):
+def test_class_gg_matches_bfs_and_scan(k, spec, corpus_bfs):
     """class_GG's |G| (from U's orbit), N_G(U) and C_G(U) against BFS
     enumeration and a normalizer/centralizer scan of the enumerated G."""
     g, _ = zoo.build_family(spec)
     rep = class_GG(g)
     assert g._stack is None                 # the orbit route, not BFS
-    bfs = MatGroup(g.p, g.generators).cache()
+    bfs = corpus_bfs(k)
     assert rep.group_order == g.order() == bfs.order()
     n_keys, c_keys = scan_normalizer_centralizer(bfs, rep.sylow.u)
     assert set(rep.sylow.normalizer_N.keys()) == n_keys
@@ -242,7 +242,7 @@ def test_class_gg_matches_bfs_and_scan(k, spec):
 @pytest.mark.parametrize("k, spec", ENUMERABLE_CORPUS,
                          ids=[f"{k}-{spec.tag}" for k, spec in
                               ENUMERABLE_CORPUS])
-def test_o_pprime_chain_matches_bfs(k, spec):
+def test_o_pprime_chain_matches_bfs(k, spec, corpus_bfs):
     """The chain-backed O^{p'}(G) against its BFS enumeration: the order,
     a sift of every element of G (those outside O^{p'}(G) included), and
     the answers of is_normal_in and product_covers."""
@@ -253,7 +253,7 @@ def test_o_pprime_chain_matches_bfs(k, spec):
     bfs_opp = MatGroup(g.p, opp.generators).cache()
     assert opp.order() == bfs_opp.order()
 
-    bfs = MatGroup(g.p, g.generators).cache()
+    bfs = corpus_bfs(k)
     stack, inverses = bfs.elements_stack(), bfs.inverses_stack()
     inside = opp.members(stack, inverses)
     keys = bfs_opp.keys()
@@ -384,7 +384,7 @@ def test_o_pprime_needs_the_chain_at_u():
     with pytest.raises(InvariantViolation, match="orbit chain"):
         o_pprime(g, syl)
     other = class_GG(g).sylow
-    g.chain.u = other.u.pow(2)
+    g.chain.codec.u = other.u.pow(2)
     with pytest.raises(InvariantViolation, match="orbit chain"):
         o_pprime(g, other)
 
@@ -516,7 +516,7 @@ def test_index_too_large():
 def _reference_chain(g, gens, u):
     """U's orbit under <gens> by a plain walk, each point keyed by its
     subgroup key, and N(U) enumerated by BFS on the distinct Schreier
-    generators: no table, no `_walk` and no coset growth."""
+    generators: no table, no `chain.walk` and no coset growth."""
     p, n = g.p.p, g.dim
     h, h_inv = grp._stacks(gens)
     orbit = {grp._subgroup_keys(u.a[None].astype(np.float64), p)[0]: 0}
@@ -538,8 +538,9 @@ def _reference_chain(g, gens, u):
                 schreier[s.key()] = s
     stab = MatGroup(g.p, list(schreier.values())
                     or [FpMatrix.identity(g.p, n)]).cache()
-    return grp.OrbitChain(u, orbit, np.array(trans_inv, dtype=np.int8),
-                          stab, None, None)
+    return chain.Chain(chain.MatCodec(p, n, u), None, None, orbit,
+                       list(orbit), None, np.array(trans_inv, dtype=np.int8),
+                       stab, None, None)
 
 
 def _key_walk_o_pprime(g, syl):
@@ -563,7 +564,7 @@ def _key_walk_o_pprime(g, syl):
 @pytest.mark.parametrize("k, spec", ENUMERABLE_CORPUS,
                          ids=[f"{k}-{spec.tag}" for k, spec in
                               ENUMERABLE_CORPUS])
-def test_table_closures_match_key_walks(k, spec, monkeypatch):
+def test_table_closures_match_key_walks(k, spec, monkeypatch, corpus_bfs):
     """Every closure that o_pprime walks on G's orbit table against a walk
     that keys each of its points: the same orbit and stabilizer key sets,
     and the same sift answers on every element of G; and o_pprime's
@@ -582,7 +583,7 @@ def test_table_closures_match_key_walks(k, spec, monkeypatch):
     assert closures[-1] is opp and opp.generators == gens
     assert len(closures) == len(refs)
 
-    bfs = MatGroup(g.p, g.generators).cache()
+    bfs = corpus_bfs(k)
     stack, inverses = bfs.elements_stack(), bfs.inverses_stack()
     for sub, ref in zip(closures, refs):
         assert set(sub.chain.orbit) == set(ref.orbit)
@@ -602,7 +603,7 @@ def test_o_pprime_keys_only_its_draws(monkeypatch):
     syl = class_GG(g).sylow
     rows, sifted = [], []
     real_keys, real_conj = grp._subgroup_keys, grp._conjugate_of_u
-    monkeypatch.setattr(grp, "_subgroup_keys",
+    monkeypatch.setattr(chain, "_subgroup_keys",
                         lambda x, p: rows.append(len(x)) or real_keys(x, p))
     monkeypatch.setattr(grp, "_conjugate_of_u",
                         lambda *a: sifted.append(1) or real_conj(*a))

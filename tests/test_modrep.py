@@ -3,7 +3,8 @@ import pytest
 
 from conftest import cycle, perm_mat
 from fusionseed import gfp, modrep as mr
-from fusionseed.errors import NotUnipotentOfOrderP, SubgroupViolation
+from fusionseed.errors import (InvalidParams, NotUnipotentOfOrderP,
+                               SubgroupViolation)
 from fusionseed.gfp import FpMatrix, Subspace
 from fusionseed.grp import MatGroup, class_GG, o_pprime
 from fusionseed.modrep import FpModule
@@ -164,6 +165,14 @@ def test_filtration_hypothesis():
     from fusionseed.errors import FiltrationHypothesisFailed
     with pytest.raises(FiltrationHypothesisFailed):
         mr.w_filtration(v22, class_GG(g).sylow)
+
+
+@pytest.mark.parametrize("k", [-1, 5])
+def test_sym_power_out_of_range_is_a_parameter_error(k):
+    """sym_power takes 0 <= k <= p - 1 and refuses any other k with
+    InvalidParams, which the CLI maps to a one-line exit."""
+    with pytest.raises(InvalidParams, match="0 <= k <= p-1"):
+        mr.sym_power(sl2_natural(), k)
 
 
 def test_dual_tensor_sym():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -129,6 +130,17 @@ def test_class_label_right_after_choose_x_a():
     assert sg.class_label(s, x @ a, a) == 1
     assert sg.class_label(s, x @ a.pow(3), a) == 3
     assert sg.class_label(s, (x @ a).pow(2), a) == 1
+
+
+def test_class_label_of_a_translation_is_an_invariant_violation():
+    """A translation (c, u^0) lies in A, in no class Z<x a^i>: class_label
+    raises InvariantViolation, which the CLI maps to a one-line exit."""
+    g, v = zoo.symmetric(5, 5, "deleted", "S", 4)
+    syl = class_GG(g).sylow
+    s, _ = sg.build_s(v, syl)
+    _, a = sg.choose_x_a(s, g, syl)
+    with pytest.raises(InvariantViolation, match="inside A"):
+        sg.class_label(s, a, a)
 
 
 def test_class_action_of_normalizer(flagship, flagship_hb):
@@ -287,8 +299,8 @@ def test_restricted_ambients_match_full_gamma(request, case, i, kind):
     assert lam.order() == len(lam_scan) and lam.contains(lam_scan).all()
     assert sg.centralizer_order(s, pset) == central
     for group, ambient in ((aut_s, _s_group(s)), (inn, pset.group)):
-        assert set(group.codes.tolist()) == \
-            set(pset._pack(_scan(pset, ambient)[0]).tolist())
+        assert set(group.index) == \
+            set(pset.pack(_scan(pset, ambient)[0]).tolist())
     assert aut_s.order() < lam.order()
 
 
@@ -563,7 +575,7 @@ def test_perm_layer_matches_dict_bfs(request, case, kind, i):
         elements = np.array(list(ref.values()))
         assert chain.order() == len(ref)
         assert chain.contains(elements[:, gx]).all()
-        inside = np.isin(pset._pack(tuples), pset.codes(elements))
+        inside = np.isin(pset.pack(tuples), pset.codes(elements))
         assert not inside.all()
         assert (chain.contains(tuples) == inside).all()
         assert (chain.contains(outside) == (chain is th.theta)).all()
@@ -585,7 +597,7 @@ def test_perm_layer_matches_dict_bfs(request, case, kind, i):
     assert _keys(elements[pset.normalizing(elements, aut_s)]) == \
         set(ref_norm)
     for gens in (aut_s.gens, aut_s.gens[::-1]):
-        sub = sg.PermGroup(aut_s.perms, aut_s.codes, gens)
+        sub = dataclasses.replace(aut_s, gens=gens)
         assert pset.normalizing(elements, sub).sum() == len(ref_norm)
     _, schreier = pset.conjugation_orbit(opp, aut_s)
     assert set(_bfs(list(schreier))) == \
@@ -651,7 +663,7 @@ def test_perm_cap_counts_what_a_chain_stores(flagship, flagship_hb,
     it and 219 refuses it."""
     s, (_, _, hb, gv) = flagship[3], flagship_hb
     th = sg.theta_witness(s, "B", 0, hb, gv)
-    assert (len(th.theta.points), th.theta.stab.order()) == (120, 100)
+    assert (len(th.theta.points), th.theta.stabilizer.order()) == (120, 100)
     monkeypatch.setattr(sg, "_PERM_CAP", 220)
     assert sg.theta_witness(s, "B", 0, hb, gv).theta_order == 12000
     monkeypatch.setattr(sg, "_PERM_CAP", 219)

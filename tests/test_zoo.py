@@ -255,3 +255,15 @@ def test_mu_law_rows():
         cs = mr.canonical_subspaces(v, gg.sylow)
         image = mu.mu_image(mu.compute_gvee(g, gg.sylow, cs))
         assert set(image.elements) == law, (p, i)
+
+
+def test_build_family_refuses_an_unknown_tag():
+    """The tag table has no entry for a tag outside the corpus, nor for a
+    metadata-only row's tag."""
+    with pytest.raises(InvalidParams, match="not instantiable: no_such"):
+        zoo.build_family(zoo.FamilySpec("no_such", {"p": 5}))
+    tags = {e.tag for e in zoo.table_corpus() if e.instantiable}
+    for e in zoo.table_corpus():
+        if e.tag not in tags:
+            with pytest.raises(InvalidParams, match="not instantiable"):
+                zoo.build_family(e)
