@@ -249,6 +249,16 @@ class Chain:
     def join(self, xs, xs_inv, stored: int = 0) -> "Chain":
         return walk(self, xs, xs_inv, stored=stored)
 
+    def schreier_generators(self) -> np.ndarray:
+        """T_i g_k T_l^-1 for every point i and generator k, l being the
+        point that g_k takes i to: by Schreier's lemma they generate the
+        base point's stabilizer (those along the transversal's tree are
+        1)."""
+        codec = self.codec
+        i, k = np.divmod(np.arange(self.action.size), self.action.shape[1])
+        return codec.mul(codec.mul(codec.load(self.trans[i]), self.gens[k]),
+                         codec.load(self.trans_inv[self.action.ravel()]))
+
     def path(self, j: int) -> list:
         """Generator indices k_1, ..., k_d with T_j = g_k1 ... g_kd."""
         word = []

@@ -7,7 +7,8 @@ Commands:
   regress [--filter TAG]               corpus regression run
 
 The command line, never the file, picks `check`'s route: `--heavy` writes
-the Sylow-local summary of `zoo.heavy_extraspecial_check` for any file;
+the Sylow-local summary of `zoo.heavy_extraspecial_check` for any file (or
+`class_GG`'s `not_in_G` status and reason, as plain `check` reports them);
 otherwise `check` gives the admissible report when the file sets
 `labels.g0_generators`, and the criterion report of G if not.  The file's
 `family` field is only echoed.

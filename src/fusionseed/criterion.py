@@ -19,9 +19,11 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import gfp, modrep, mu, tables
 from .errors import InvariantViolation
-from .gfp import Subspace
+from .gfp import FpMatrix, Subspace
 from .grp import (MatGroup, SylowData, class_GG, intermediate_subgroups,
                   o_pprime, product_covers)
 from .modrep import CanonicalSubspaces, FpModule
@@ -118,13 +120,18 @@ def check_b(v: FpModule, cs: CanonicalSubspaces):
     """Greatest G-invariant subspace of Z must be 0 or Z0.
 
     Any invariant subgroup of Z lies inside the greatest fixed point Q_max
-    of Q -> Q meet (meet of g^-1 Q), so the two-element test is exact.
+    of Q -> Q meet (meet of g^-1 Q), so the two-element test is exact.  A
+    vector w lies in Q meet g^-1 Q exactly when ann(Q) w = 0 and
+    ann(Q) g w = 0, so each step is one kernel, of the stacked rows
+    ann(Q), ann(Q) g_1, ann(Q) g_2, ... over G's generators g_i.
     """
+    p, n = v.p.p, v.dim
+    gens = _generator_stack(v)
     q = cs.Z
     while True:
-        nxt = q
-        for g in v.gens():
-            nxt = gfp.intersect(nxt, gfp.preimage_of_subspace(g, q))
+        ann = gfp.annihilator(q)
+        rows = np.concatenate([ann, (ann @ gens % p).reshape(-1, n)])
+        nxt = gfp.kernel_basis(FpMatrix(v.p, rows))
         if nxt.dim == q.dim:
             break
         q = nxt
@@ -137,8 +144,13 @@ def check_c(v: FpModule):
     return w.dim == v.dim, w
 
 
+def _generator_stack(v: FpModule) -> np.ndarray:
+    return np.array([g.a for g in v.gens()])
+
+
 def _subspace_invariant(v: FpModule, s: Subspace) -> bool:
-    return all(gfp.image_of_subspace(g, s) == s for g in v.gens())
+    """Whether G's generators map s onto itself: one stacked product."""
+    return gfp.invariant(_generator_stack(v), s)
 
 
 def check_d(v: FpModule, syl: SylowData, cs: CanonicalSubspaces,
@@ -232,18 +244,19 @@ def e0_menu(cases, m: int, sigma_ok: bool, p: int):
     return menu, len(menu) + count_extra
 
 
-def strongly_closed(v: FpModule, cs: CanonicalSubspaces, e0: E0):
-    """Detect the index-p strongly closed subgroup for a chosen class set.
+def strongly_closed(v: FpModule, cs: CanonicalSubspaces, menu) -> list:
+    """The index-p strongly closed subgroups of the class sets of menu, as
+    {"e0", "subgroup"} records in menu order.
 
-    Nonempty only when A0 is G-invariant and the class set is a single
-    S-conjugacy class H_i or B_i, in which case A0.H_i = A0.B_i qualifies.
+    A class set has one only when it is a single S-conjugacy class H_i or
+    B_i and A0 is G-invariant (tested once), in which case A0.H_i = A0.B_i
+    qualifies.
     """
-    if not e0.is_single_class():
+    single = [e0 for e0 in menu if e0.is_single_class()]
+    if not single or not _subspace_invariant(v, cs.A0):
         return []
-    if not _subspace_invariant(v, cs.A0):
-        return []
-    i = min(e0.I)
-    return [f"A0.H_{i}" if e0.kind == "H" else f"A0.B_{i}"]
+    return [{"e0": e0.tag(), "subgroup": f"A0.{e0.kind}_{min(e0.I)}"}
+            for e0 in single]
 
 
 def exotic_lookup(p: int, rank: int, m: int, e0: E0, group_order: int) -> dict:
@@ -302,9 +315,8 @@ def evaluate(v: FpModule) -> CriterionReport:
         rep.notes.append("m < 3: the carrier group would be extraspecial of "
                          "order p^3, outside this construction")
     if rep.passes:
+        rep.strongly_closed = strongly_closed(v, cs, menu)
         for e0 in menu:
-            for sc in strongly_closed(v, cs, e0):
-                rep.strongly_closed.append({"e0": e0.tag(), "subgroup": sc})
             rep.exotic.append(exotic_lookup(p, v.dim, cs.m, e0,
                                             gg.group_order))
         # U acts nontrivially and V is minimally active, so the O^{p'}

@@ -67,16 +67,17 @@ def _rref_array(a: np.ndarray, p: int):
     for c in range(n):
         if r == m:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        nz = a[r:, c].nonzero()[0]
+        if not len(nz):
             continue
-        i = r + int(nz[0])
+        i = r + nz[0]
         if i != r:
             a[[r, i]] = a[[i, r]]
         a[r] = a[r] * inv[a[r, c]] % p
         col = a[:, c].copy()
         col[r] = 0
-        a = (a - np.outer(col, a[r])) % p
+        a -= col[:, None] * a[r]
+        a %= p
         pivots.append(c)
         r += 1
     return a, r, pivots
@@ -355,6 +356,22 @@ def contains(a: Subspace, b: Subspace) -> bool:
     if a.ambient != b.ambient:
         raise DimensionMismatch("ambient dims differ")
     return all(a.contains_vector(v) for v in b.basis)
+
+
+def annihilator(s: Subspace) -> np.ndarray:
+    """Rows q with q w = 0 exactly for the w in s."""
+    if s.is_zero():
+        return np.eye(s.ambient, dtype=np.int64)
+    return kernel_basis(FpMatrix(s.p, s.basis)).basis
+
+
+def invariant(mats, s: Subspace) -> bool:
+    """True iff each matrix g of the (m, n, n) stack mats maps s into
+    itself, that is ann(s) g basis(s)^T = 0: one stacked product for all
+    g instead of one RREF each.  For invertible g it means g s = s."""
+    p = s.p.p
+    return not ((annihilator(s) @ np.asarray(mats, dtype=np.int64) % p)
+                @ s.basis.T % p).any()
 
 
 def solve(m: FpMatrix, rhs):

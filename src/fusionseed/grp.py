@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -137,17 +137,46 @@ class MatGroup:
     def subset_group(self, indices) -> "MatGroup":
         """Subgroup from a closed index subset of this group's cache, its
         elements in index order.  An element is a generator when the
-        closure of the generators before it in that order lacks it."""
+        closure of the generators before it in that order lacks it.
+
+        The closures are walked on the subset's indices: a generator's
+        right multiplication is one stacked product keyed into the subset,
+        and a product outside it, or an identity missing from it, shows
+        that the subset is not a subgroup."""
         self.cache()
+        p, n = self.p.p, self.dim
         idx = np.asarray(sorted(indices), dtype=np.int64)
         stack = self._stack[idx]
         inv_stack = self._inv_stack[idx]
         keys = {stack[i].tobytes(): i for i in range(len(idx))}
-        closure = MatGroup.trivial(self.p, self.dim).join(stack, inv_stack)
-        if len(closure._keys) != len(keys):
+        inside = np.zeros(len(idx), dtype=bool)
+        one = keys.get(np.eye(n, dtype=np.int8).tobytes())
+        if one is None:
             raise SubgroupViolation("index subset is not a subgroup")
-        return MatGroup.from_elements(self.p, closure.generators, stack,
-                                      inv_stack, keys)
+        inside[one] = True
+        floats = stack.astype(np.float64)
+        gens, moves = [], []
+        for i in range(len(idx)):
+            if inside[i]:
+                continue
+            move = np.array([keys.get(k, -1) for k in _row_keys(_mulmod(
+                floats, floats[i], p).reshape(len(idx), n * n))])
+            if (move < 0).any():
+                raise SubgroupViolation("index subset is not a subgroup")
+            gens.append(i)
+            moves.append(move)
+            frontier = np.flatnonzero(inside)
+            while len(frontier):
+                fresh = np.zeros(len(idx), dtype=bool)
+                fresh[np.concatenate([m[frontier] for m in moves])] = True
+                fresh &= ~inside
+                inside |= fresh
+                frontier = np.flatnonzero(fresh)
+        generators = [FpMatrix(self.p, stack[i], inv_stack[i]) for i in gens]
+        return MatGroup.from_elements(
+            self.p, generators or [FpMatrix(self.p, stack[one],
+                                            inv_stack[one])],
+            stack, inv_stack, keys)
 
     def _sifts(self) -> bool:
         return self._stack is None and self.chain is not None
@@ -231,6 +260,8 @@ class SylowData:
     centralizer_C: MatGroup
     automizer_order: int
     word: tuple | None = None    # (w, e): u = w^e, w a word in G's generators
+    # modrep.CanonicalSubspaces at u, kept by `modrep.canonical_subspaces`
+    subspaces: object = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -252,20 +283,25 @@ def order_p_element(g: MatGroup) -> tuple[FpMatrix, list, int] | None:
     A word's semisimple part has order dividing L = lcm(p^i - 1, i <= n),
     so w^L, a power of w's unipotent part prime to p, is 1 exactly when p
     does not divide the order of w; p-th powers take it down to order p,
-    so e = L p^i.  Words are powered 100 at a time.
+    so e = L p^i.  Words are formed and powered 100 at a time: the 100
+    prefixes of the next 100 letters are a scan of products, one stacked
+    product per doubling of the prefix length.
     """
     p, n = g.p.p, g.dim
     exponent = math.lcm(*(p ** i - 1 for i in range(1, n + 1)))
     rng = random.Random(1)
-    gens = [h.a.astype(np.float64) for h in g.generators]
+    gens = np.array([h.a for h in g.generators], dtype=np.float64)
     word, letters = np.eye(n), []
     for _ in range(ORDER_P_WORDS // 100):
-        words = []
-        for _ in range(100):
-            letters.append(rng.randrange(len(gens)))
-            word = _mulmod(word, gens[letters[-1]], p)
-            words.append(word)
-        words, unipotent = np.array(words), np.eye(n)
+        batch = [rng.randrange(len(gens)) for _ in range(100)]
+        letters.extend(batch)
+        words = gens[batch]
+        words[0] = _mulmod(word, words[0], p)
+        shift = 1
+        while shift < len(words):
+            words[shift:] = _mulmod(words[:-shift], words[shift:], p)
+            shift *= 2
+        word, unipotent = words[-1], np.eye(n)
         for bit in bin(exponent)[2:]:          # square and multiply
             unipotent = _mulmod(unipotent, unipotent, p)
             if bit == "1":

@@ -94,31 +94,36 @@ def is_minimally_active(v: FpModule, syl: SylowData) -> bool:
 
 
 def canonical_subspaces(v: FpModule, syl: SylowData) -> CanonicalSubspaces:
-    one = FpMatrix.identity(v.p, v.dim)
-    m = syl.u - one
-    Z = gfp.kernel_basis(m)
-    UV = gfp.image_basis(m)
-    Z0 = gfp.intersect(Z, UV)
-    A0 = gfp.add(Z, UV)
-    return CanonicalSubspaces(Z, UV, Z0, A0, v.dim - Z.dim + 1)
+    """Z = C_V(U), [U, V], Z0 and A0 at U = <syl.u>, and m.  They depend on
+    u alone, so they are computed once per SylowData and kept on it."""
+    if syl.subspaces is None:
+        one = FpMatrix.identity(v.p, v.dim)
+        m = syl.u - one
+        Z = gfp.kernel_basis(m)
+        UV = gfp.image_basis(m)
+        Z0 = gfp.intersect(Z, UV)
+        A0 = gfp.add(Z, UV)
+        syl.subspaces = CanonicalSubspaces(Z, UV, Z0, A0, v.dim - Z.dim + 1)
+    return syl.subspaces
+
+
+def _minus_one(v: FpModule, h: MatGroup) -> np.ndarray:
+    """The stack of g - 1 over h's generators g."""
+    return np.array([g.a for g in h.generators]) - np.eye(v.dim,
+                                                          dtype=np.int64)
 
 
 def fixed_space(v: FpModule, h: MatGroup) -> Subspace:
-    """Common fixed space of h, from its generators."""
-    one = FpMatrix.identity(v.p, v.dim)
-    out = Subspace.full(v.p, v.dim)
-    for g in h.generators:
-        out = gfp.intersect(out, gfp.kernel_basis(g - one))
-    return out
+    """Common fixed space of h: the kernel of the stacked g - 1 over its
+    generators."""
+    return gfp.kernel_basis(FpMatrix(v.p, _minus_one(v, h).reshape(-1, v.dim)))
 
 
 def commutator_space(v: FpModule, h: MatGroup) -> Subspace:
-    """[h, V] = sum of im(g - 1) over generators."""
-    one = FpMatrix.identity(v.p, v.dim)
-    out = Subspace.zero(v.p, v.dim)
-    for g in h.generators:
-        out = gfp.add(out, gfp.image_basis(g - one))
-    return out
+    """[h, V] = sum of im(g - 1) over generators, spanned by the columns of
+    every g - 1."""
+    return Subspace(v.p, v.dim,
+                    _minus_one(v, h).transpose(0, 2, 1).reshape(-1, v.dim))
 
 
 def spin(v: FpModule, seed: Subspace) -> Subspace:

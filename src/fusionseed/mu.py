@@ -15,8 +15,9 @@ import numpy as np
 from .errors import (InvariantViolation, NotASubgroup, UnknownName,
                      Z0NotLine)
 from .gfp import as_prime
+from .chain import _row_keys
 from .grp import MatGroup, SylowData
-from .modrep import CanonicalSubspaces
+from .modrep import CanonicalSubspaces, u_exponents
 
 
 def primitive_root(p: int) -> int:
@@ -228,7 +229,9 @@ class GVee:
 
 def compute_gvee(g: MatGroup, syl: SylowData,
                  cs: CanonicalSubspaces) -> GVee:
-    """Scan N_G(U) for elements with [alpha, Z] <= Z0 and compute mu."""
+    """Scan N_G(U) for elements with [alpha, Z] <= Z0 and compute mu: r
+    from one comparison with u's powers and s from alpha z0, each for all
+    members at once."""
     if cs.Z0.dim != 1:
         raise Z0NotLine(f"dim Z0 = {cs.Z0.dim}")
     p = g.p.p
@@ -239,7 +242,6 @@ def compute_gvee(g: MatGroup, syl: SylowData,
     stack = N.elements_stack()
     members = []
     mu_values = {}
-    upow_keys = {syl.u.pow(k).key(): k for k in range(1, p)}
     for lo in range(0, len(stack), 1 << 14):
         S = stack[lo:lo + (1 << 14)].astype(np.int64)
         # (alpha - 1) Z <= Z0: alpha z - z lies in <z0> for z in Z's basis
@@ -248,16 +250,15 @@ def compute_gvee(g: MatGroup, syl: SylowData,
             img = (S @ z - z) % p
             coef = img[:, nzc] * z0_inv % p
             ok &= ((coef[:, None] * z0[None, :]) % p == img).all(axis=1)
-        for j in np.nonzero(ok)[0]:
-            idx = lo + int(j)
-            mat = N.element(idx)
-            r = upow_keys[(mat @ syl.u @ mat.inverse()).key()]
-            img = mat.apply(z0)
-            s = int(img[nzc]) * z0_inv % p
-            if not ((s * z0) % p == img).all():
-                raise InvariantViolation("Z0 not preserved")
-            members.append(idx)
-            mu_values[mat.key()] = (r, s)
+        found = np.flatnonzero(ok)
+        r = u_exponents(syl.u, S[found])
+        img = S[found] @ z0 % p
+        s = img[:, nzc] * z0_inv % p
+        if (s[:, None] * z0 % p != img).any():
+            raise InvariantViolation("Z0 not preserved")
+        members.extend((lo + found).tolist())
+        mu_values.update(zip(_row_keys(stack[lo + found].reshape(
+            len(found), -1)), zip(r.tolist(), s.tolist())))
     gv_group = N.subset_group(members)
     return GVee(gv_group, mu_values, gv_group.order(), syl)
 

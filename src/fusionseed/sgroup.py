@@ -13,7 +13,12 @@ groups on P's elements over the permutation codec of `fusionseed.chain`
 (`PermGroupOnSet`), keyed by exact codes of their generator images:
 Inn(P) and Aut_S(P) enumerated by its coset growth, Lambda_P, Theta,
 Theta_0 and O^{p'}(Theta) as its one-level chains, and verified against
-their contracts.
+their contracts.  Lambda_P and O^{p'}(Theta) grow from Aut_S(P)'s chain,
+built once, Theta_0's generators are walked together, and Theta grows
+from Theta_0's chain; the SL_2 lifts are extended from their generator
+images a BFS level at a time; checks (iii) and (iv) walk the conjugation
+orbit of Aut_S(P) with no stabilizer and read its length and its
+Schreier generators.
 
 S itself is never enumerated, at any scale: the S-classes of the H_i come
 from a subspace test (the S-conjugates of (c, u) are the (c + w, u) with w
@@ -25,6 +30,8 @@ N_G(U).
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -33,7 +40,8 @@ import numpy as np
 from . import gfp, modrep, mu
 from .errors import CapExceeded, InvariantViolation, MuTooSmall, SplitFailed
 from .gfp import FpMatrix, Subspace
-from .chain import Chain, PermCodec, _row_keys, _stacks, greedy, grow, walk
+from .chain import (Chain, PermCodec, _mulmod, _row_keys, _stacks, greedy,
+                    grow, walk)
 from .grp import MatGroup, SylowData
 from .modrep import FpModule
 
@@ -64,18 +72,46 @@ class SGroup:
         # Z_2(S): preimage in A of C_{A/Z}(u)
         self.Z2 = self._z2()
 
+    @functools.cached_property
+    def normalizer(self) -> tuple:
+        """N_G(U)'s element stack, its inverse stack, and for each element
+        g the r with g u g^-1 = u^r: computed once for every solve that
+        ranges over N_G(U)."""
+        N = self.syl.normalizer_N
+        mats = N.elements_stack()
+        return mats, N.inverses_stack(), modrep.u_exponents(self.u, mats)
+
     def gamma_order(self) -> int:
         """|Gamma| = p^n |G|, without building Gamma."""
         return self.p ** self.n * self.v.group.order()
 
     def translation(self, w) -> FpMatrix:
-        """The translation (w, u^0) of A."""
-        return _affine(self.v.p, np.eye(self.n, dtype=np.int64), w)
+        """The translation (w, u^0) of A, with its inverse (-w, u^0)."""
+        one, w = np.eye(self.n, dtype=np.int64), np.asarray(w, dtype=np.int64)
+        return FpMatrix(self.v.p, _affine_array(one, w),
+                        _affine_array(one, -w % self.p))
 
     def subgroup(self, space: Subspace, *extra: FpMatrix) -> MatGroup:
-        """<space, extra> for a subspace of A and S-elements, enumerated."""
-        gens = [self.translation(w) for w in space.basis] + list(extra)
-        return MatGroup(self.v.p, gens).cache()
+        """<space, extra> for a subspace of A and S-elements, enumerated:
+        the translations by the p^dim vectors of space, listed at once,
+        then grown by the cosets of each of extra outside them
+        (`MatGroup.join`).  Its generators are space's basis translations
+        and those of extra."""
+        p, n = self.p, self.n
+        coeffs = np.array(list(itertools.product(range(p), repeat=space.dim)),
+                          dtype=np.int64).reshape(-1, space.dim)
+        vecs = coeffs @ space.basis % p
+        one = np.eye(n, dtype=np.int64)
+        stack = _affine_array(one, vecs).astype(np.int8)
+        keys = dict(zip(_row_keys(stack.reshape(len(stack), -1)),
+                        range(len(stack))))
+        gens = [self.translation(w) for w in space.basis]
+        group = MatGroup.from_elements(
+            self.v.p, gens, stack,
+            _affine_array(one, -vecs % p).astype(np.int8), keys)
+        if not extra:
+            return group
+        return group.join(*_stacks(extra))
 
     def _z2(self) -> Subspace:
         p, n = self.p, self.n
@@ -83,7 +119,7 @@ class SGroup:
         m = (self.u.a - one) % p
         if self.Z.dim == n:
             return Subspace.full(self.p, n)
-        C = _annihilator(self.Z)
+        C = gfp.annihilator(self.Z)
         return gfp.kernel_basis(FpMatrix(self.p, C @ m % p))
 
     def sigma(self, a_vec) -> np.ndarray:
@@ -190,7 +226,7 @@ def choose_x_a(s: SGroup, g: MatGroup, syl: SylowData):
     lift = _lift_from_quotient(s, proj, L.basis[0])
     # verification: S'<a> is N-invariant
     spa = gfp.add(s.Sprime, Subspace(s.v.p, n, lift.reshape(1, -1)))
-    if any(gfp.image_of_subspace(gen, spa) != spa for gen in N.generators):
+    if not gfp.invariant(np.array([g.a for g in N.generators]), spa):
         raise InvariantViolation("S'<a> not normalizer-invariant")
     if s.A0.contains_vector(lift):
         raise InvariantViolation("a must lie outside A0")
@@ -302,6 +338,28 @@ class PermGroup:
     def order(self) -> int:
         return len(self.index)
 
+    @functools.cached_property
+    def chain(self) -> Chain:
+        """This group as a chain at g_0, built once and shared by the
+        chains that start from it.  It is read off the elements: the orbit
+        of g_0 is walked with no stabilizer, so the transversal follows the
+        walk, and the stabilizer is the elements that fix g_0, generated by
+        the orbit's Schreier generators (Schreier's lemma)."""
+        pset = self.pset
+        g0 = int(pset.gen_idx[0])
+        orbit = walk(Chain.start(pset, g0, None), self.gens,
+                     pset.inv(self.gens))
+        schreier = orbit.schreier_generators()
+        codes = pset.codes(schreier)
+        _, first = np.unique(codes, return_index=True)
+        first = first[codes[first] != pset.codes(pset.identity[None])[0]]
+        fix = np.flatnonzero(self.perms[:, g0] == g0)
+        stab = PermGroup(pset, self.perms[fix], self.inverses[fix],
+                         dict(zip(pset.keys(pset.image(self.perms[fix])),
+                                  range(len(fix)))),
+                         schreier[np.sort(first)])
+        return dataclasses.replace(orbit, stabilizer=stab)
+
     def members(self, images: np.ndarray) -> np.ndarray:
         """Whether each automorphism, given by its generator images (a
         (..., k) stack), is an element."""
@@ -330,20 +388,28 @@ class PermGroupOnSet(PermCodec):
     An automorphism is fixed by the images of P's k generators, so its code
     packs their element indices in base |P|: an exact int64 key, refused
     with CapExceeded when |P|^k does not fit.  Its groups are `PermGroup`s,
-    enumerated, or `chain.Chain`s at P's first generator g_0 whose
-    stabilizers are `PermGroup`s; _PERM_CAP bounds what one group stores.
+    enumerated, or `chain.Chain`s at g_0 = x' whose stabilizers are
+    `PermGroup`s; _PERM_CAP bounds what one group stores.  x' leads the
+    generators: it lies outside A, and its orbit does not depend on the
+    basis, where a translation's orbit under Theta can be a few points,
+    leaving most of Theta to its enumerated stabilizer.
     """
 
     def __init__(self, group: MatGroup, space: Subspace, x: FpMatrix):
         self.group, self.space, self.x = group, space, x
-        n, k = group.order(), len(group.generators)
+        self.annihilator = gfp.annihilator(space)
+        self.elements = group.elements_stack()
+        self.index = group.keys()
+        gen_idx = [self.index[g.key()] for g in group.generators]
+        g0 = self.index[x.key()]
+        if g0 in gen_idx:
+            gen_idx.remove(g0)
+        gen_idx.insert(0, g0)
+        n, k = group.order(), len(gen_idx)
         if n ** k >= 1 << 63:
             raise CapExceeded(f"automorphism codes |P|^k = {n}^{k} "
                               "do not fit int64")
-        self.elements = group.elements_stack()
-        self.index = group.keys()
-        super().__init__(n, [self.index[g.key()] for g in group.generators],
-                         _PERM_CAP)
+        super().__init__(n, gen_idx, _PERM_CAP)
 
     def indices(self, mats: np.ndarray) -> np.ndarray:
         """Element index of each matrix of a (..., d, d) stack; -1 for a
@@ -394,22 +460,22 @@ class PermGroupOnSet(PermCodec):
         return self._sift_in(self._trivial() if base is None else base,
                              self.image(perms), lambda i: perms[i])
 
-    def chain_by_conjugation(self, mats, invs) -> Chain:
-        """The chain of the automorphisms that conjugation by the (m, d, d)
-        stack mats (inverses invs) induces: only the generator images of
-        each matrix are read, and a full permutation is formed only for
+    def chain_by_conjugation(self, mats, invs, base: Chain) -> Chain:
+        """<base, the automorphisms that conjugation by the (m, d, d) stack
+        mats (inverses invs) induces> as a chain: only the generator images
+        of each matrix are read, and a full permutation is formed only for
         the matrices that join."""
-        gens = np.array([g.a for g in self.group.generators])
         return self._sift_in(
-            self._trivial(), self._conjugated(mats, invs, gens),
+            base, self._conjugated(mats, invs, self.elements[self.gen_idx]),
             lambda i: self.conjugation_perms(mats[i:i + 1], invs[i:i + 1])[0])
 
-    def normal_closure(self, gens, under: np.ndarray) -> Chain:
-        """The normal closure of <gens> under <under>: each generator h of
-        the closure, those joined on the way included, has its conjugates
-        t h t^-1 by under sifted in.  So t N t^-1 <= N for every t, and
-        every element that joins is a conjugate of one of gens."""
-        chain = self.chain(gens)
+    def normal_closure(self, sub: PermGroup, under: np.ndarray) -> Chain:
+        """The normal closure of sub under <under>, grown from sub's chain:
+        each generator h of the closure, those joined on the way included,
+        has its conjugates t h t^-1 by under sifted in.  So t N t^-1 <= N
+        for every t, and every element that joins is a conjugate of one of
+        sub's generators."""
+        chain = sub.chain
         under = np.asarray(under, dtype=self.dtype).reshape(-1, self.n)
         under_inv = self.inv(under)
         rows = np.arange(len(under))[:, None]
@@ -422,13 +488,12 @@ class PermGroupOnSet(PermCodec):
                 lambda i, h=h: under[i][h[under_inv[i]]])
         return chain
 
-    def conjugation_orbit(self, chain: Chain, sub: PermGroup):
-        """(|sub^G|, generators of N_G(sub)) for G the group of chain: the
-        chain of G at the point sub, walked by `chain.walk` with each
-        conjugate x^-1 sub x keyed by its sorted codes.  Its stabilizer
-        N_G(sub), into which the walk sifts the Schreier generators, is a
-        chain at g_0, so it is not enumerated; by orbit-stabilizer
-        |N_G(sub)| = |G| / |sub^G|."""
+    def conjugation_orbit(self, chain: Chain, sub: PermGroup) -> Chain:
+        """The orbit sub^G for G the group of chain, walked by `chain.walk`
+        with each conjugate x^-1 sub x keyed by its sorted codes and no
+        stabilizer kept: it has |sub^G| = |G| / |N_G(sub)| points, and its
+        Schreier generators generate N_G(sub).  _PERM_CAP bounds its
+        points."""
         hs = sub.perms
 
         def targets(points, t, t_inv, gens, gens_inv):
@@ -437,10 +502,10 @@ class PermGroupOnSet(PermCodec):
             conj = self.mul(self.mul(x_inv[..., None, :], hs), x[..., None, :])
             return [np.sort(c).tobytes()
                     for c in self.pack(conj).reshape(-1, len(hs))]
-        start = Chain.start(self, np.sort(self.codes(hs)).tobytes(),
-                            self._trivial())
+        start = Chain.start(self, np.sort(self.codes(hs)).tobytes(), None)
         orbit = walk(start, chain.gens, chain.gens_inv, targets)
-        return len(orbit.points), orbit.stabilizer.gens
+        self.bound(len(orbit.points), 0)
+        return orbit
 
     def _trivial(self) -> Chain:
         return Chain.start(self, int(self.gen_idx[0]), self.trivial_group())
@@ -458,35 +523,38 @@ class PermGroupOnSet(PermCodec):
 def _hom_from_gen_images(pset: PermGroupOnSet, gens, images):
     """Permutation of the subgroup induced by generator images, or None.
 
-    Extends multiplicatively along a BFS and verifies consistency, so the
-    result is an automorphism whenever it returns non-None.
+    Right multiplication by each generator, and by each image, is a map of
+    P's element indices: one stacked product each (an image outside P
+    gives None).  The map is extended along a BFS of P's elements, a level
+    at a time on those index maps, and every (element, generator) pair is
+    checked: an element reached twice must get the same image both times.
+    So the map is a homomorphism whenever it returns non-None, and an
+    automorphism once its images are |P| distinct elements of P.
     """
-    p = pset.group.p.p
-    ident = np.eye(pset.group.dim, dtype=np.int64)
-    imap = {ident.astype(np.int8).tobytes(): (ident, ident)}
-    frontier = [ident.astype(np.int8).tobytes()]
-    pairs = [(g.a, img.a) for g, img in zip(gens, images)]
-    while frontier:
-        nxt = []
-        for f in frontier:
-            fm, fi = imap[f]
-            for g, img in pairs:
-                h, hi = fm @ g % p, fi @ img % p
-                k = h.astype(np.int8).tobytes()
-                if k in imap:
-                    if not (imap[k][1] == hi).all():
-                        return None
-                else:
-                    imap[k] = (h, hi)
-                    nxt.append(k)
-        frontier = nxt
-    if len(imap) != pset.n:
+    p, d = pset.group.p.p, pset.group.dim
+    elems = pset.elements.astype(np.float64)
+    moves = [pset.indices(_mulmod(elems, m.a.astype(np.float64), p))
+             for m in list(gens) + list(images)]
+    if any((m < 0).any() for m in moves):
         return None
-    perm = pset.indices(np.array([imap[k][1] for k in _row_keys(
-        pset.elements.reshape(pset.n, -1))]))
-    if (perm < 0).any() or len(set(perm.tolist())) != pset.n:
+    step, step_img = np.array(moves[:len(gens)]), np.array(moves[len(gens):])
+    one = pset.index[np.eye(d, dtype=np.int8).tobytes()]
+    image = np.full(pset.n, -1, dtype=np.int64)
+    image[one] = one
+    level = np.array([one])
+    while len(level):
+        # the pairs (element, generator), element-major
+        reached = step[:, level].T.ravel()
+        reached_img = step_img[:, image[level]].T.ravel()
+        new = image[reached] < 0
+        fresh, first = np.unique(reached[new], return_index=True)
+        image[fresh] = reached_img[new][first]
+        if (image[reached] != reached_img).any():
+            return None
+        level = fresh
+    if (image < 0).any() or np.bincount(image, minlength=pset.n).max() > 1:
         return None
-    return perm.astype(pset.dtype)
+    return image.astype(pset.dtype)
 
 
 # -- Inn(P), Aut_S(P), Lambda_P and C_Gamma(P) by F_p solves -----------------
@@ -499,26 +567,19 @@ def _hom_from_gen_images(pset: PermGroupOnSet, gens, images):
 # and for Q' = Q the solutions a form a coset of T = {a : (1 - u) a in W}:
 # one `gfp.solve_many` per exponent k, and no ambient group is enumerated.
 
-def _annihilator(space: Subspace) -> np.ndarray:
-    """Rows q with q w = 0 exactly for the w in space."""
-    if space.is_zero():
-        return np.eye(space.ambient, dtype=np.int64)
-    return gfp.kernel_basis(FpMatrix(space.p, space.basis)).basis
-
-
 def conjugators(s: SGroup, src: PermGroupOnSet, dst: PermGroupOnSet,
-                mats, invs) -> tuple[np.ndarray, np.ndarray]:
+                mats, invs, ks) -> tuple[np.ndarray, np.ndarray]:
     """(a, g) in Gamma conjugating src = <W, (c, u)> into dst = <W',
     (c', u)>, as stacks of affine matrices and of their inverses: one for
-    each g of the (m, n, n) stack mats of N_G(U) elements (inverses invs)
-    that admits one, in stack order.  The g with the same k share the
-    matrix q (1 - u^k), so each k takes one solve for all of them."""
+    each g of the (m, n, n) stack mats of N_G(U) elements (inverses invs,
+    exponents ks: g u g^-1 = u^k) that admits one, in stack order.  The g
+    with the same k share the matrix q (1 - u^k), so each k takes one
+    solve for all of them."""
     p, n = s.p, s.n
     one = np.eye(n, dtype=np.int64)
-    q = _annihilator(dst.space)
+    q = dst.annihilator
     c, c_dst = src.x.a[:n, n], dst.x.a[:n, n]
     mats, invs = mats.astype(np.int64), invs.astype(np.int64)
-    ks = modrep.u_exponents(s.u, mats)
     # whether g maps W into W'
     keeps = ~(q @ mats @ src.space.basis.T % p).any(axis=(1, 2))
     ck = np.cumsum([u @ c_dst for u in s.upow], axis=0) % p  # ck[k-1] = c'_k
@@ -535,18 +596,18 @@ def conjugators(s: SGroup, src: PermGroupOnSet, dst: PermGroupOnSet,
             _affine_array(g_inv, -(g_inv @ a[..., None])[..., 0] % p))
 
 
-def normalizer_mats(s: SGroup, pset: PermGroupOnSet, mats, invs
+def normalizer_mats(s: SGroup, pset: PermGroupOnSet, mats, invs, ks
                     ) -> tuple[np.ndarray, np.ndarray]:
     """The (a, g) in Gamma normalizing P that generate, with g in the
-    (m, n, n) stack mats of N_G(U) elements (inverses invs), the
-    automorphisms of P they induce: the translations by a basis of T and
+    (m, n, n) stack mats of N_G(U) elements (inverses invs, exponents ks),
+    the automorphisms of P they induce: the translations by a basis of T and
     the `conjugators` of P into itself, as stacks of affine matrices and
     of their inverses."""
     p, n = s.p, s.n
     one = np.eye(n, dtype=np.int64)
-    q = _annihilator(pset.space)
+    q = pset.annihilator
     t = gfp.kernel_basis(FpMatrix(p, q @ (one - s.u.a) % p)).basis
-    conj, conj_inv = conjugators(s, pset, pset, mats, invs)
+    conj, conj_inv = conjugators(s, pset, pset, mats, invs, ks)
     return (np.concatenate([_affine_array(one, t), conj]),
             np.concatenate([_affine_array(one, -t % p), conj_inv]))
 
@@ -556,15 +617,18 @@ def local_automorphisms(s: SGroup, pset: PermGroupOnSet):
     conjugation by P's generators, by the elements of S normalizing P, and
     by the elements of Gamma normalizing P.  The first two are small
     p-groups and are enumerated; Lambda_P is a `chain.Chain`, grown from
-    the generator images of the normalizing elements of Gamma."""
-    upow = np.array(s.upow)
-    N = s.syl.normalizer_N
+    Aut_S(P)'s chain (N_S(P) <= N_Gamma(P)) by the generator images of the
+    normalizing elements of Gamma.  N_S(P) is generated by the translations
+    normalizing P and one (a, u), if any (the u^j with a normalizing
+    (a, u^j) form a subgroup of U), so u alone is solved for, with
+    exponent 1."""
     inn = pset.conjugation_perms(*_stacks(pset.group.generators))
-    aut_s = pset.conjugation_perms(
-        *normalizer_mats(s, pset, upow, upow[-np.arange(s.p)]))
-    lam = pset.chain_by_conjugation(
-        *normalizer_mats(s, pset, N.elements_stack(), N.inverses_stack()))
-    return pset.close(inn), pset.close(aut_s), lam
+    aut_s = pset.close(pset.conjugation_perms(*normalizer_mats(
+        s, pset, np.array(s.upow[1:2]), np.array(s.upow[-1:]),
+        np.ones(1, dtype=np.int64))))
+    lam = pset.chain_by_conjugation(*normalizer_mats(s, pset, *s.normalizer),
+                                    base=aut_s.chain)
+    return pset.close(inn), aut_s, lam
 
 
 def centralizer_order(s: SGroup, pset: PermGroupOnSet) -> int:
@@ -577,7 +641,7 @@ def centralizer_order(s: SGroup, pset: PermGroupOnSet) -> int:
     w = pset.space.basis.T
     c = pset.x.a[:n, n]
     fixes = ((mats @ w - w) % p == 0).all(axis=(1, 2))
-    solvable = ~((c - mats @ c) % p @ _annihilator(s.Sprime).T % p).any(
+    solvable = ~((c - mats @ c) % p @ gfp.annihilator(s.Sprime).T % p).any(
         axis=1)
     return p ** s.Z.dim * int((fixes & solvable).sum())
 
@@ -598,28 +662,13 @@ class ThetaReport:
     aut_s: PermGroup = field(repr=False, default=None)
 
 
-def theta_witness(s: SGroup, kind: str, i: int, hb,
-                  gvee: mu.GVee) -> ThetaReport:
-    """Build Theta <= Aut(P) for P = H_i or B_i and verify its contract.
-
-    Checks: (i) Aut_S(P) is Sylow-p in Theta, (ii) O^{p'}(Theta)/Inn(P) has
-    order |SL_2(p)|, (iii) normalizer elements of Aut_S(P) in O^{p'}(Theta)
-    move Z into Z0 only, (iv) N_Theta(Aut_S(P)) equals the restrictions of
-    subgroup-normalizing ambient automorphisms.  Lambda_P, Theta, Theta_0
-    and O^{p'}(Theta) are `chain.Chain`s, so none is enumerated, and each
-    check is an identity of orders or a sift of generators.
-    """
+def sl2_images(s: SGroup, kind: str, gen_x: FpMatrix, gvee: mu.GVee):
+    """(gens, (images_E12, images_E21), what): generators of P = H_i (kind
+    "H") or B_i with x' = gen_x, and their images under the lifts of
+    SL_2(p)'s standard generators E12 and E21 from which Theta_0 is built;
+    what names the failure when one of them is not an automorphism."""
     p, n = s.p, s.n
     t = -1 if kind == "H" else 0
-    image = mu.mu_image(gvee)
-    if not mu.contains_delta_t(image, t):
-        raise MuTooSmall(f"mu-image lacks Delta_{t}")
-    P = hb[i]["H" if kind == "H" else "B"]
-    gen_x = hb[i]["generator"]
-    if gen_x.order() != p:
-        raise SplitFailed("P does not split over P meet A")
-    pset = PermGroupOnSet(P, s.Z if kind == "H" else s.Z2, gen_x)
-
     # alpha in G-vee with mu(alpha) generating Delta_t
     gen_r = mu.primitive_root(p)
     alpha_mat = None
@@ -668,22 +717,50 @@ def theta_witness(s: SGroup, kind: str, i: int, hb,
         img1 = zs_gens + [z0, vel, vel @ gen_x]
         img2 = zs_gens + [z0, gen_x @ vel, gen_x]
         what = "SL_2 lifts must define automorphisms of the extraspecial part"
+    return gens_P, (img1, img2), what
+
+
+def theta_witness(s: SGroup, kind: str, i: int, hb,
+                  gvee: mu.GVee) -> ThetaReport:
+    """Build Theta <= Aut(P) for P = H_i or B_i and verify its contract.
+
+    Checks: (i) Aut_S(P) is Sylow-p in Theta, (ii) O^{p'}(Theta)/Inn(P) has
+    order |SL_2(p)|, (iii) normalizer elements of Aut_S(P) in O^{p'}(Theta)
+    move Z into Z0 only, (iv) N_Theta(Aut_S(P)) equals the restrictions of
+    subgroup-normalizing ambient automorphisms.  Lambda_P, Theta, Theta_0
+    and O^{p'}(Theta) are `chain.Chain`s, so none is enumerated, and each
+    check is an identity of orders or a sift of generators.
+    """
+    p, n = s.p, s.n
+    t = -1 if kind == "H" else 0
+    image = mu.mu_image(gvee)
+    if not mu.contains_delta_t(image, t):
+        raise MuTooSmall(f"mu-image lacks Delta_{t}")
+    P = hb[i]["H" if kind == "H" else "B"]
+    gen_x = hb[i]["generator"]
+    if gen_x.order() != p:
+        raise SplitFailed("P does not split over P meet A")
+    pset = PermGroupOnSet(P, s.Z if kind == "H" else s.Z2, gen_x)
+
+    gens_P, images, what = sl2_images(s, kind, gen_x, gvee)
     theta0_gens = [_hom_from_gen_images(pset, gens_P, img)
-                   for img in (img1, img2)]
+                   for img in images]
     if any(perm is None for perm in theta0_gens):
         raise InvariantViolation(what)
 
     inn, aut_s, lam = local_automorphisms(s, pset)
+    # Theta_0's generators are walked together: they are few, and each
+    # joined alone would walk Theta_0's orbit again
     theta0_gens = np.concatenate([theta0_gens, inn.gens])
-    theta = pset.chain(theta0_gens, base=lam)
-    theta0 = pset.chain(theta0_gens)
+    theta0 = walk(pset._trivial(), theta0_gens, pset.inv(theta0_gens))
+    theta = pset.chain(lam.gens, base=theta0)
     # O^{p'}(Theta): normal closure of the Sylow-p subgroup Aut_S(P)
-    opp = pset.normal_closure(aut_s.gens, theta.gens)
+    opp = pset.normal_closure(aut_s, theta.gens)
 
     gx = pset.gen_idx
     sl2_order = p * (p * p - 1)
     checks = {}
-    checks["aut_s_in_theta"] = bool(theta.contains(aut_s.perms[:, gx]).all())
+    checks["aut_s_in_theta"] = bool(theta.contains(aut_s.gens[:, gx]).all())
     theta_order = theta.order()
     checks["aut_s_is_sylow"] = aut_s.order() == _p_part(theta_order, p)
     checks["theta0_over_inn_is_sl2"] = \
@@ -693,20 +770,21 @@ def theta_witness(s: SGroup, kind: str, i: int, hb,
                                    and opp.contains(theta0.gens[:, gx]).all())
     # (iii): N_{O^{p'}(Theta)}(Aut_S(P)) moves each z of Z into z Z0.  The
     # automorphisms that do form a subgroup (f(z z') = f(z) f(z') and Z0 is
-    # a subgroup of Z), so the normalizer's Schreier generators decide it
-    _, schreier = pset.conjugation_orbit(opp, aut_s)
+    # a subgroup of Z), so the Schreier generators of Aut_S(P)'s orbit,
+    # which generate the normalizer, decide it
+    schreier = pset.conjugation_orbit(opp, aut_s).schreier_generators()
     z_idx = [pset.index[k] for k in s.subgroup(s.Z).keys()]
     z_els = pset.elements[z_idx].astype(np.int64)
     img = pset.elements[schreier[:, z_idx]].astype(np.int64)
     diff = (img[..., :n, n] - z_els[:, :n, n]) % p
     checks["normalizer_fixes_Z_mod_Z0"] = bool(
         (img[..., :n, :n] == np.eye(n, dtype=np.int64)).all()
-        and not (diff @ _annihilator(s.Z0).T % p).any())
+        and not (diff @ gfp.annihilator(s.Z0).T % p).any())
     # (iv): N_Theta(Aut_S(P)) equals Lambda_P.  Lambda_P <= Theta by
     # construction, and Lambda_P <= N_Theta(Aut_S(P)) once its generators
     # normalize Aut_S(P); then the two are equal exactly when |Lambda_P| =
     # |N_Theta(Aut_S(P))| = |Theta| / |Aut_S(P)^Theta|
-    conjugates, _ = pset.conjugation_orbit(theta, aut_s)
+    conjugates = len(pset.conjugation_orbit(theta, aut_s).points)
     checks["normalizer_equals_lambda"] = bool(
         pset.normalizing(lam.gens, aut_s).all()
         and lam.order() * conjugates == theta_order)
@@ -776,9 +854,7 @@ def step2_conditions(s: SGroup, thetas) -> dict:
     # (1) no Q is Gamma-conjugate into another (nor contained in it); a
     # conjugator (a, g) has g in N_G(U), so one solve per exponent of g
     # decides it
-    N = s.syl.normalizer_N
-    cond1 = not any(len(conjugators(s, a.pset, b.pset, N.elements_stack(),
-                                    N.inverses_stack())[0])
+    cond1 = not any(len(conjugators(s, a.pset, b.pset, *s.normalizer)[0])
                     for a, b in itertools.permutations(thetas, 2))
     report["conditions"]["pairwise_nonconjugate"] = cond1
 

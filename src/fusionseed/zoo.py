@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gfp, grp, modrep, mu, tables
-from .errors import ExtractionFailed, InvalidParams, InvariantViolation
+from .errors import ExtractionFailed, InvalidParams
 from .gfp import FpMatrix, Subspace
 from .grp import MatGroup, class_GG, o_pprime
 from .modrep import FpModule
@@ -452,24 +452,26 @@ def extraspecial(p: int):
 def heavy_extraspecial_check(v: FpModule) -> dict:
     """The Sylow-local summary that `check --heavy` writes, for any module v.
 
-    The local data of `class_GG`, but G is never enumerated: the search
-    for u fails instead, and O^{p'}(G) is not computed.
+    It starts from `grp.class_GG`, so an instance that class_GG rejects
+    gets plain `check`'s answer: its `not_in_G` status, |G| and reason.
+    Otherwise it gives the local data at U; O^{p'}(G) is not computed, and
+    G is enumerated only where class_GG enumerates it, when no random
+    generator word has order divisible by p.
     """
     p = v.p.p
-    found = grp.order_p_element(v.group)
-    if found is None:
-        raise InvariantViolation(f"no element of order {p} found in "
-                                 f"{grp.ORDER_P_WORDS} random generator "
-                                 "words")
-    syl, orbit = grp.sylow_data(v.group, found[0])
+    gg = class_GG(v.group)
+    if gg.status == "not_in_G":
+        return {"gg_status": gg.status, "group_order": gg.group_order,
+                "reason": gg.reason}
+    syl = gg.sylow
     ngrp = syl.normalizer_N
     n_order = ngrp.order()
     cs = modrep.canonical_subspaces(v, syl)
     gv = mu.compute_gvee(ngrp, syl, cs)
     image = mu.mu_image(gv)
     return {
-        "group_order": orbit * n_order,
-        "orbit": orbit,
+        "group_order": gg.group_order,
+        "orbit": gg.group_order // n_order,
         "normalizer_order": n_order,
         "n_over_u": n_order // p,
         "automizer": syl.automizer_order,

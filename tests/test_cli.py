@@ -651,17 +651,38 @@ def test_out_of_memory_exit_3(command, module, name, tmp_path, monkeypatch,
 def test_heavy_check_without_order_7_word_exit_4(tmp_path, monkeypatch,
                                                  capsys):
     """No random generator word of order divisible by 7: the heavy check
-    fails its search with a typed error, not a bare assert."""
-    inst = tmp_path / "es7.json"
-    assert cli.main(["zoo", "emit", "extraspecial_p7",
-                     "--out", str(inst)]) == 0
-    v = zoo.extraspecial(7)[1]
+    starts from class_GG, which then enumerates G and ends in its typed
+    Cauchy error, not a bare assert.  G is SL_2(7), of order 336, since
+    the extraspecial p = 7 group has 15,482,880 elements to enumerate."""
+    inst = tmp_path / "sl2_7.json"
+    inst.write_text(json.dumps({"p": 7, "dim": 2,
+                                "generators": [[1, 1, 0, 1], [1, 0, 1, 1]]}))
+    v = cli._load_instance(str(inst))[0]
     monkeypatch.setattr(grp, "order_p_element", lambda g: None)
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match="Cauchy: p = 7 divides"):
         zoo.heavy_extraspecial_check(v)
     assert cli.main(["check", str(inst), "--heavy"]) == 4
-    assert "invariant violated: no element of order 7" in \
+    assert "invariant violated: Cauchy: p = 7 divides |G| = 336" in \
         capsys.readouterr().err
+
+
+@pytest.mark.parametrize("generators, reason", [
+    pytest.param([[2, 0, 0, 1]], "p does not divide |G|", id="order-4"),
+    pytest.param([E12], "Sylow p-subgroup is normal", id="U-normal")])
+def test_heavy_check_rejects_as_check_does(generators, reason, tmp_path,
+                                           capsys):
+    """check --heavy starts from class_GG, so an instance that plain check
+    rejects gets the same not_in_G status, |G| and reason, with exit 0:
+    |G| = 4 has no element of order 5, and U = <E12> is normal."""
+    path = _instance(tmp_path, generators)
+    assert cli.main(["check", path]) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert cli.main(["check", path, "--heavy"]) == 0
+    heavy = json.loads(capsys.readouterr().out)["result"]
+    assert heavy == {"gg_status": "not_in_G", "reason": reason,
+                     "group_order": plain["group_order"]}
+    assert plain["gg_status"] == "not_in_G"
+    assert plain["notes"][-1] == f"rejected: {reason}"
 
 
 def test_heavy_check_reads_the_instance_file(tmp_path, monkeypatch, capsys):

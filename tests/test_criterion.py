@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import cycle, perm_mat
 from fusionseed import criterion as cr, gfp, grp, modrep as mr, mu, zoo
@@ -198,9 +200,10 @@ def test_strongly_closed_rules():
     v, _ = example_a_instance(5)
     gg = class_GG(v.group)
     cs = mr.canonical_subspaces(v, gg.sylow)
-    assert cr.strongly_closed(v, cs, E0("H", frozenset([0]))) == ["A0.H_0"]
-    assert cr.strongly_closed(v, cs, E0("H0+B*")) == []
-    assert cr.strongly_closed(v, cs, E0("B", frozenset([0, 2]))) == []
+    assert cr.strongly_closed(v, cs, [E0("H", frozenset([0]))]) == \
+        [{"e0": "H{0}", "subgroup": "A0.H_0"}]
+    assert cr.strongly_closed(v, cs, [E0("H0+B*")]) == []
+    assert cr.strongly_closed(v, cs, [E0("B", frozenset([0, 2]))]) == []
 
 
 def test_exotic_lookup_rows():
@@ -280,3 +283,76 @@ def test_evaluate_computes_o_pprime_once(monkeypatch):
     rep = cr.evaluate(v)
     assert rep.passes and rep.indecomposable
     assert len(calls) == 1
+
+
+def _per_generator_check_b(v, cs):
+    """check_b as one preimage and one intersection per generator: the
+    reference for the stacked kernel."""
+    q = cs.Z
+    while True:
+        nxt = q
+        for g in v.gens():
+            nxt = gfp.intersect(nxt, gfp.preimage_of_subspace(g, q))
+        if nxt.dim == q.dim:
+            return (q.is_zero() or q == cs.Z0), q
+        q = nxt
+
+
+@st.composite
+def modules_and_subspaces(draw):
+    """(module, subspace): 1-4 invertible generators over F_p, p in {3, 5,
+    7}, all or some of them T B T^-1 with B block upper triangular, so
+    that they keep the span of T's first k columns (0 < k < n), the others
+    drawn at random; and a subspace that is that span, that span with up
+    to two random vectors added (so that an invariant subspace can lie
+    strictly inside it), or a random one."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    n = draw(st.integers(2, 5))
+    k = draw(st.integers(1, n - 1))
+
+    def entries(rows, cols):
+        return np.array(draw(st.lists(st.integers(0, p - 1),
+                                      min_size=rows * cols,
+                                      max_size=rows * cols)),
+                        dtype=np.int64).reshape(rows, cols)
+
+    def invertible(size):
+        m = entries(size, size)
+        assume(FpMatrix(p, m).is_invertible())
+        return m
+    t = FpMatrix(p, invertible(n))
+    keep = draw(st.booleans())
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        if keep or draw(st.booleans()):
+            block = np.zeros((n, n), dtype=np.int64)
+            block[:k, :k] = invertible(k)
+            block[k:, k:] = invertible(n - k)
+            block[:k, k:] = entries(k, n - k)
+            gens.append(t @ FpMatrix(p, block) @ t.inverse())
+        else:
+            gens.append(FpMatrix(p, invertible(n)))
+    if draw(st.booleans()):
+        space = Subspace(p, n, np.concatenate(
+            [t.a[:, :k].T, entries(draw(st.integers(0, 2)), n)]))
+    else:
+        space = Subspace(p, n, entries(draw(st.integers(0, n)), n))
+    return FpModule(p, n, MatGroup(p, gens)), space
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(modules_and_subspaces(), st.data())
+def test_stacked_subspace_tests_match_per_generator_ones(case, data):
+    """_subspace_invariant tests ann(S) g basis(S)^T = 0 for all generators
+    at once, and check_b takes Q meet (meet of g^-1 Q) as one kernel of
+    stacked rows: on random generator sets and subspaces over F_3, F_5 and
+    F_7 both agree with one image_of_subspace or preimage_of_subspace per
+    generator."""
+    v, space = case
+    assert cr._subspace_invariant(v, space) == all(
+        gfp.image_of_subspace(g, space) == space for g in v.gens())
+    z0 = Subspace(v.p, v.dim, space.basis[:data.draw(
+        st.integers(0, space.dim))])
+    cs = mr.CanonicalSubspaces(space, space, z0, space, 0)
+    ok, q = cr.check_b(v, cs)
+    assert (ok, q) == _per_generator_check_b(v, cs)

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import cycle, perm_mat
 from fusionseed import gfp, modrep as mr, mu, sgroup as sg, zoo
+from fusionseed.chain import Chain, walk
 from fusionseed.errors import (CapExceeded, InvariantViolation,
                                MuTooSmall)
 from fusionseed.gfp import FpMatrix
@@ -352,7 +353,6 @@ def test_conjugators_match_gamma_orbits(request, case):
     generators of the enumerated Gamma has a member inside Q', on all 90
     ordered pairs of distinct subgroups among the H_i and B_i."""
     s, hb, gamma = request.getfixturevalue(case)
-    N = s.syl.normalizer_N
     psets = [sg.PermGroupOnSet(hb[i][kind], s.Z if kind == "H" else s.Z2,
                                hb[i]["generator"])
              for kind in ("H", "B") for i in range(s.p)]
@@ -361,8 +361,7 @@ def test_conjugators_match_gamma_orbits(request, case):
     for a, b in itertools.permutations(range(len(psets)), 2):
         target = frozenset(psets[b].group.keys())
         brute = any(member <= target for member in orbits[a])
-        solved, _ = sg.conjugators(s, psets[a], psets[b],
-                                   N.elements_stack(), N.inverses_stack())
+        solved, _ = sg.conjugators(s, psets[a], psets[b], *s.normalizer)
         assert (len(solved) > 0) == brute, (a, b)
         into += brute
     assert 0 < into < 90
@@ -555,9 +554,8 @@ def test_perm_layer_matches_dict_bfs(request, case, kind, i):
     th = sg.theta_witness(s, kind, i, hb, gv)
     assert th.ok
     pset, aut_s, gx = th.pset, th.aut_s, th.pset.gen_idx
-    N = s.syl.normalizer_N
-    lam_all = pset.conjugation_perms(*sg.normalizer_mats(
-        s, pset, N.elements_stack(), N.inverses_stack()))
+    lam_all = pset.conjugation_perms(
+        *sg.normalizer_mats(s, pset, *s.normalizer))
     ref_theta = _bfs(list(lam_all) + list(th.theta0.gens))
     ref_theta0 = _bfs(list(th.theta0.gens))
     ref_opp = _greedy_bfs([t[h[np.argsort(t)]] for t in ref_theta.values()
@@ -568,7 +566,7 @@ def test_perm_layer_matches_dict_bfs(request, case, kind, i):
     outside = np.array([t for k, t in ref_theta.items()
                         if k not in ref_theta0]).reshape(-1, pset.n)[:, gx]
     assert len(outside) == len(ref_theta) - len(ref_theta0)
-    opp = pset.normal_closure(aut_s.gens, th.theta.gens)
+    opp = pset.normal_closure(aut_s, th.theta.gens)
     lam = sg.local_automorphisms(s, pset)[2]
     for chain, ref in ((th.theta, ref_theta), (th.theta0, ref_theta0),
                        (opp, ref_opp)):
@@ -587,7 +585,7 @@ def test_perm_layer_matches_dict_bfs(request, case, kind, i):
         return all(t[h[np.argsort(t)]].tobytes() in ref_aut_s
                    for h in aut_s.gens)
     ref_norm = [k for k, t in ref_theta.items() if normalizes(t)]
-    conjugates, _ = pset.conjugation_orbit(th.theta, aut_s)
+    conjugates = len(pset.conjugation_orbit(th.theta, aut_s).points)
     assert th.theta.order() // conjugates == len(ref_norm) == \
         lam.order() < len(ref_theta)
     # `normalizing`, which check (iv) runs on Lambda_P's generators, picks
@@ -599,9 +597,107 @@ def test_perm_layer_matches_dict_bfs(request, case, kind, i):
     for gens in (aut_s.gens, aut_s.gens[::-1]):
         sub = dataclasses.replace(aut_s, gens=gens)
         assert pset.normalizing(elements, sub).sum() == len(ref_norm)
-    _, schreier = pset.conjugation_orbit(opp, aut_s)
+    schreier = pset.conjugation_orbit(opp, aut_s).schreier_generators()
     assert set(_bfs(list(schreier))) == \
         {k for k, t in ref_opp.items() if normalizes(t)}
+
+
+def _dict_bfs_hom(pset, gens, images):
+    """The permutation of P that the generator images induce, or None: a
+    dict BFS with two matrix products per element and generator, checking
+    each (element, generator) pair and then the bijection.  The reference
+    for `_hom_from_gen_images`, which extends a BFS level at a time."""
+    p = pset.group.p.p
+    ident = np.eye(pset.group.dim, dtype=np.int64)
+    imap = {ident.astype(np.int8).tobytes(): (ident, ident)}
+    frontier = [ident.astype(np.int8).tobytes()]
+    pairs = [(g.a, img.a) for g, img in zip(gens, images)]
+    while frontier:
+        nxt = []
+        for f in frontier:
+            fm, fi = imap[f]
+            for g, img in pairs:
+                h, hi = fm @ g % p, fi @ img % p
+                k = h.astype(np.int8).tobytes()
+                if k in imap:
+                    if not (imap[k][1] == hi).all():
+                        return None
+                else:
+                    imap[k] = (h, hi)
+                    nxt.append(k)
+        frontier = nxt
+    if len(imap) != pset.n:
+        return None
+    perm = pset.indices(np.array([imap[k][1] for k in _row_keys(
+        pset.elements.reshape(pset.n, -1))]))
+    if (perm < 0).any() or len(set(perm.tolist())) != pset.n:
+        return None
+    return perm.astype(pset.dtype)
+
+
+BENCH_WITNESSES = [pytest.param(case, kind, id=f"{case}-{kind}")
+                   for case, kind in (("flagship", "B"), ("flagship", "H"),
+                                      ("str_closed_c", "B"))]
+
+
+@pytest.mark.parametrize("case, kind", BENCH_WITNESSES)
+def test_hom_extension_matches_dict_bfs(request, case, kind):
+    """On each P of the benchmark's witnesses, the level-batched extension
+    of generator images gives the dict BFS's permutation for both SL_2
+    generators.  Three mutants return None from both: P's first generator
+    sent to 1, or to the image of P's last generator, and P's first
+    generator listed twice, its copy sent to that image.  The last is a
+    bijection on the images first reached, so only the check of every
+    (element, generator) pair refuses it."""
+    s, hb, gv = _theta_case(request, case)
+    gen_x = hb[0]["generator"]
+    pset = sg.PermGroupOnSet(hb[0][kind], s.Z if kind == "H" else s.Z2,
+                             gen_x)
+    gens, images, _ = sg.sl2_images(s, kind, gen_x, gv)
+    one = FpMatrix.identity(s.v.p, s.n + 1)
+    for img in images:
+        perm = sg._hom_from_gen_images(pset, gens, img)
+        assert perm is not None
+        assert (perm == _dict_bfs_hom(pset, gens, img)).all()
+        for mutant in ((gens, [one] + img[1:]), (gens, img[-1:] + img[1:]),
+                       (gens + gens[:1], img + img[-1:])):
+            assert _dict_bfs_hom(pset, *mutant) is None
+            assert sg._hom_from_gen_images(pset, *mutant) is None
+
+
+def _stabilizer_walk(pset, chain, sub):
+    """sub's conjugation orbit under chain's group, walked with a
+    stabilizer, N(sub)'s chain at g_0, into which the walk sifts its
+    Schreier generators: the reference for the orbit-only walk of checks
+    (iii) and (iv)."""
+    hs = sub.perms
+
+    def targets(points, t, t_inv, gens, gens_inv):
+        x = pset.mul(t[:, None], gens)
+        x_inv = pset.image(pset.mul(gens_inv, t_inv[:, None]))
+        conj = pset.mul(pset.mul(x_inv[..., None, :], hs), x[..., None, :])
+        return [np.sort(c).tobytes()
+                for c in pset.pack(conj).reshape(-1, len(hs))]
+    start = Chain.start(pset, np.sort(pset.codes(hs)).tobytes(),
+                        pset._trivial())
+    return walk(start, chain.gens, chain.gens_inv, targets)
+
+
+@pytest.mark.parametrize("case, kind", BENCH_WITNESSES)
+def test_orbit_only_walks_match_stabilizer_walks(request, case, kind):
+    """Checks (iii) and (iv) walk Aut_S(P)'s conjugation orbit under
+    O^{p'}(Theta) and under Theta with no stabilizer: its length equals
+    that of the walk that also grows the normalizer's chain, and its
+    Schreier generators generate that normalizer."""
+    s, hb, gv = _theta_case(request, case)
+    th = sg.theta_witness(s, kind, 0, hb, gv)
+    pset, aut_s = th.pset, th.aut_s
+    for chain in (th.theta, pset.normal_closure(aut_s, th.theta.gens)):
+        orbit = pset.conjugation_orbit(chain, aut_s)
+        ref = _stabilizer_walk(pset, chain, aut_s)
+        assert len(orbit.points) == len(ref.points) > 1
+        assert pset.chain(orbit.schreier_generators()).order() == \
+            ref.stabilizer.order() == chain.order() // len(ref.points)
 
 
 def test_chains_of_random_generator_triples_match_dict_bfs(flagship,
@@ -613,9 +709,9 @@ def test_chains_of_random_generator_triples_match_dict_bfs(flagship,
     are needed, so this catches a stabilizer that misses them."""
     s, (_, _, hb, gv) = flagship[3], flagship_hb
     th = sg.theta_witness(s, "B", 0, hb, gv)
-    pset, N = th.pset, s.syl.normalizer_N
-    perms = np.concatenate([pset.conjugation_perms(*sg.normalizer_mats(
-        s, pset, N.elements_stack(), N.inverses_stack())), th.theta0.gens])
+    pset = th.pset
+    perms = np.concatenate([pset.conjugation_perms(
+        *sg.normalizer_mats(s, pset, *s.normalizer)), th.theta0.gens])
     rng = np.random.default_rng(1)
     for _ in range(40):
         triple = perms[rng.permutation(len(perms))[:3]]
@@ -642,6 +738,35 @@ def test_dropping_a_lambda_generator_fails_check_iv(flagship, flagship_hb,
     assert mutant.theta_order == th.theta_order == 12000
     assert not mutant.checks.pop("normalizer_equals_lambda")
     assert all(mutant.checks.values()) and not mutant.ok
+
+
+def test_chains_start_at_x_in_every_basis():
+    """The permutation chains start at x' = (c, u), whose orbit under
+    Theta does not depend on the basis.  In this basis of str_closed c
+    (the change of basis that one benchmark seed draws), the first
+    translation among B_0's generators lies in an orbit of 2 points, so a
+    chain at it would enumerate a stabilizer of 3,000 of Theta's 6,000
+    elements; at x' the orbit has 120 points and the stabilizer 50."""
+    g, _ = zoo.strongly_closed_example(5, "c")
+    rng = np.random.default_rng([963, 1])
+    while True:
+        t = FpMatrix(5, rng.integers(0, 5, size=(4, 4)))
+        if t.is_invertible():
+            break
+    gt = MatGroup(5, [t @ m @ t.inverse() for m in g.generators])
+    v = FpModule(5, 4, gt)
+    syl = class_GG(gt).sylow
+    s, _ = sg.build_s(v, syl)
+    hb = sg.hb_subgroups(s, *sg.choose_x_a(s, gt, syl))
+    th = sg.theta_witness(s, "B", 0, hb, mu.compute_gvee(
+        gt, syl, mr.canonical_subspaces(v, syl)))
+    pset = th.pset
+    assert th.ok and th.theta_order == 6000
+    assert pset.gen_idx[0] == pset.index[hb[0]["generator"].key()]
+    assert (len(th.theta.points), th.theta.stabilizer.order()) == (120, 50)
+    translation = walk(Chain.start(pset, int(pset.gen_idx[1]), None),
+                       th.theta.gens, th.theta.gens_inv)
+    assert len(translation.points) == 2
 
 
 def test_perm_codes_refused_beyond_int64(flagship):
