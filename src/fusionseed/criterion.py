@@ -16,7 +16,6 @@ realizability table.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,9 +106,6 @@ class CriterionReport:
             "notes": self.notes,
         }
         return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def check_a(cs: CanonicalSubspaces) -> bool:

@@ -11,7 +11,7 @@ import functools
 
 import numpy as np
 
-from .errors import DimensionMismatch, PrimeMismatch
+from .errors import DimensionMismatch, InvariantViolation, PrimeMismatch
 
 _SMALL_PRIMES = {3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71, 73, 79, 83, 89, 97}
@@ -104,10 +104,6 @@ class FpMatrix:
         return FpMatrix(p, np.eye(n, dtype=np.int64))
 
     @staticmethod
-    def zeros(p, rows: int, cols: int) -> "FpMatrix":
-        return FpMatrix(p, np.zeros((rows, cols), dtype=np.int64))
-
-    @staticmethod
     def scalar(p, n: int, c: int) -> "FpMatrix":
         return FpMatrix(p, np.eye(n, dtype=np.int64) * int(c))
 
@@ -136,29 +132,33 @@ class FpMatrix:
         return f"FpMatrix(p={self.p.p}, {self.a.tolist()})"
 
     # -- arithmetic -------------------------------------------------------
-    def _check(self, other: "FpMatrix", square_match=False):
+    def _check(self, other: "FpMatrix"):
         if self.p.p != other.p.p:
             raise PrimeMismatch(f"{self.p.p} vs {other.p.p}")
 
     def __matmul__(self, other):
+        if not isinstance(other, FpMatrix):
+            return NotImplemented
         self._check(other)
-        if isinstance(other, FpMatrix):
-            if self.cols != other.rows:
-                raise DimensionMismatch("matmul shapes")
-            return FpMatrix(self.p, self.a @ other.a)
-        return NotImplemented
+        if self.cols != other.rows:
+            raise DimensionMismatch("matmul shapes")
+        return FpMatrix(self.p, self.a @ other.a)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Matrix times column vector."""
         return (self.a @ (np.asarray(v, dtype=np.int64) % self.p.p)) % self.p.p
 
     def __add__(self, other):
+        if not isinstance(other, FpMatrix):
+            return NotImplemented
         self._check(other)
         if self.a.shape != other.a.shape:
             raise DimensionMismatch("add shapes")
         return FpMatrix(self.p, self.a + other.a)
 
     def __sub__(self, other):
+        if not isinstance(other, FpMatrix):
+            return NotImplemented
         self._check(other)
         if self.a.shape != other.a.shape:
             raise DimensionMismatch("sub shapes")
@@ -211,8 +211,8 @@ class FpMatrix:
         self._inv = inv
         return inv
 
-    def order(self, cap: int = 10 ** 7) -> int:
-        """Multiplicative order of an invertible matrix."""
+    def order(self) -> int:
+        """Multiplicative order of an invertible matrix (at most 10^7)."""
         n = self.rows
         ident = np.eye(n, dtype=np.int64)
         cur = self.a.copy()
@@ -221,8 +221,9 @@ class FpMatrix:
         while not np.array_equal(cur, ident):
             cur = cur @ self.a % p
             k += 1
-            if k > cap:
-                raise RuntimeError("order exceeds cap; element not in a small group?")
+            if k > 10 ** 7:
+                raise InvariantViolation(
+                    "order exceeds 10^7; element not in a small group?")
         return k
 
 

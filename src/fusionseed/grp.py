@@ -533,18 +533,6 @@ def intermediate_subgroups(g0: MatGroup, gbar: MatGroup) -> list[MatGroup]:
             for sub in sorted(subs, key=lambda s: (len(s), sorted(s)))]
 
 
-def scalar_subgroup(g: MatGroup) -> MatGroup:
-    """Subgroup of scalar matrices in g."""
-    stack = g.elements_stack()
-    n = g.dim
-    diag = stack[:, np.arange(n), np.arange(n)]
-    is_scalar = (diag == diag[:, :1]).all(axis=1)
-    off = stack.copy()
-    off[:, np.arange(n), np.arange(n)] = 0
-    is_scalar &= ~off.any(axis=(1, 2))
-    return g.subset_group(np.nonzero(is_scalar)[0].tolist())
-
-
 # -- Sylow normalizer by orbit-stabilizer ---------------------------------
 
 def sylow_normalizer_via_orbit(p, dim, generators, u: FpMatrix,

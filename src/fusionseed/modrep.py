@@ -2,8 +2,8 @@
 
 Covers Jordan profiles, minimal activity, the canonical subspaces
 Z = C_V(U), Z0 = Z meet [U,V], A0 = Z + [U,V], the W-filtration,
-indecomposability, dual/tensor/symmetric-power constructions and a
-meataxe-style splitter into indecomposable direct summands.
+indecomposability, dual/tensor/symmetric-power constructions, Hom spaces
+and a meataxe-style splitter into indecomposable direct summands.
 """
 
 from __future__ import annotations
@@ -171,7 +171,7 @@ def quotient_module(v: FpModule, sub: Subspace):
         FpMatrix(v.p, P)
 
 
-def is_indecomposable(v: FpModule, syl: SylowData, seed: int = 1) -> bool:
+def is_indecomposable(v: FpModule, syl: SylowData) -> bool:
     """Indecomposability test.
 
     For minimally active modules with nontrivial U-action this is the exact
@@ -181,7 +181,7 @@ def is_indecomposable(v: FpModule, syl: SylowData, seed: int = 1) -> bool:
     trivial_u = syl.u == FpMatrix.identity(v.p, v.dim)
     if not trivial_u and is_minimally_active(v, syl):
         return opp_fixed_in_commutator(v, o_pprime(v.group, syl))
-    return len(split_summands(v, seed=seed)) == 1
+    return len(split_summands(v)) == 1
 
 
 def opp_fixed_in_commutator(v: FpModule, opp: MatGroup) -> bool:
@@ -314,12 +314,6 @@ def sym_power(v: FpModule, k: int) -> FpModule:
     return FpModule(v.p, dim, MatGroup(v.p, gens))
 
 
-def restrict(v: FpModule, h: MatGroup) -> FpModule:
-    if h.p.p != v.p.p or h.dim != v.dim:
-        raise PrimeMismatch("subgroup acts on a different space")
-    return FpModule(v.p, v.dim, h)
-
-
 # -- endomorphism algebra and splitting -----------------------------------
 
 def _endo_basis_sylvester(gens, p, n):
@@ -413,11 +407,11 @@ def _fitting_split(v: FpModule, e_arr):
     return gfp.kernel_basis(f), gfp.image_basis(f)
 
 
-def random_combinations(basis, p: int, rng, tries: int = 40) -> list:
-    """The basis matrices, then `tries` combinations of them whose
-    coefficients in [0, p) rng draws, one combination at a time."""
+def random_combinations(basis, p: int, rng) -> list:
+    """The basis matrices, then 40 combinations of them whose coefficients
+    in [0, p) rng draws, one combination at a time."""
     out = [np.array(b, dtype=np.int64) for b in basis]
-    for _ in range(tries):
+    for _ in range(40):
         coeffs = rng.integers(0, p, size=len(basis))
         comb = np.zeros_like(out[0])
         for c, b in zip(coeffs, out):
@@ -426,7 +420,7 @@ def random_combinations(basis, p: int, rng, tries: int = 40) -> list:
     return out
 
 
-def split_summands(v: FpModule, seed: int = 1, tries: int = 40):
+def split_summands(v: FpModule, seed: int = 1):
     """Indecomposable direct summands with inclusion maps.
 
     Returns a list of (FpModule, embed) where embed rows are the summand's
@@ -444,7 +438,7 @@ def split_summands(v: FpModule, seed: int = 1, tries: int = 40):
         n = mod.dim
         if n == 0:
             return []
-        for cand in random_combinations(endo_basis(mod), p, rng, tries):
+        for cand in random_combinations(endo_basis(mod), p, rng):
             diag = cand[np.arange(n), np.arange(n)]
             off = cand.copy()
             off[np.arange(n), np.arange(n)] = 0
@@ -480,68 +474,3 @@ def hom_space(v: FpModule, w: FpModule):
     big = np.concatenate(rows, axis=0)
     ker = gfp.kernel_basis(FpMatrix(p, big))
     return [vec.reshape(w.dim, v.dim) for vec in ker.basis]
-
-
-def is_isomorphic(v: FpModule, w: FpModule, seed: int = 1, tries: int = 40) -> bool:
-    """Search for an invertible intertwiner (exact for indecomposables)."""
-    if v.dim != w.dim:
-        return False
-    basis = hom_space(v, w)
-    if not basis:
-        return False
-    cands = random_combinations(basis, v.p.p, np.random.default_rng(seed),
-                                tries)
-    return any(FpMatrix(v.p, c).is_invertible() for c in cands)
-
-
-def dim_screens(v: FpModule, syl: SylowData) -> dict:
-    """Trichotomy and dimension screens for a minimally active module."""
-    p = v.p.p
-    profile = jordan_profile(v, syl.u)
-    report = {"dim": v.dim, "profile": profile}
-    if v.dim < p:
-        report["branch"] = "U-restriction indecomposable"
-    elif v.dim == p:
-        report["branch"] = "projective"
-        report["free_restriction"] = profile == [p]
-    else:
-        report["branch"] = "trivial source"
-        a = v.dim - p
-        N = syl.normalizer_N
-        C = syl.centralizer_C
-        n_over_u = N.order() // p
-        conds = {
-            "a": a,
-            "a_divides_N/U": n_over_u % a == 0,
-        }
-        n_mod_u_abelian = _abelian_mod_u(N, syl)
-        conds["N/U_abelian"] = n_mod_u_abelian
-        if n_mod_u_abelian:
-            conds["a_eq_1_required"] = True
-            conds["a_eq_1"] = a == 1
-        if C.is_abelian():
-            conds["C_abelian"] = True
-            conds["a_divides_N/C"] = (N.order() // C.order()) % a == 0
-        if C.order() > p:
-            conds["a_le_C/U_minus_1"] = a <= C.order() // p - 1
-        report["screens"] = conds
-    if v.dim <= p:
-        selfdual = is_isomorphic(v, dual(v))
-        report["self_dual"] = selfdual
-        if selfdual:
-            report["advisory"] = ("self-dual: nonzero degree-1 cohomology is "
-                                  "possible only when dim = p - 2"
-                                  + ("" if v.dim == p - 2 else " (excluded here)"))
-    return report
-
-
-def _abelian_mod_u(N: MatGroup, syl: SylowData) -> bool:
-    """True iff N/U is abelian: all commutators of N-generators lie in U."""
-    upow = {syl.u.pow(k).key() for k in range(int(N.p))}
-    gens = N.generators
-    for i, a in enumerate(gens):
-        for b in gens[i + 1:]:
-            comm = a @ b @ a.inverse() @ b.inverse()
-            if comm.key() not in upow:
-                return False
-    return True

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import cycle, perm_mat
-from fusionseed import criterion as cr, gfp, grp, modrep as mr, mu, zoo
+from fusionseed import cli, criterion as cr, gfp, grp, modrep as mr, mu, zoo
 from fusionseed.criterion import E0, e0_menu
 from fusionseed.gfp import FpMatrix, Subspace
 from fusionseed.grp import MatGroup, class_GG, o_pprime
@@ -232,10 +232,12 @@ def test_enumerate_admissible_v4():
     assert all(x["verdict"] == "exotic" for x in rep.exotic)
 
 
-def test_report_deterministic_json():
+def test_report_deterministic_json(tmp_path):
     v, _ = example_a_instance(5)
-    r1 = cr.evaluate(v).to_json()
-    r2 = cr.evaluate(v).to_json()
+    paths = [tmp_path / "r1.json", tmp_path / "r2.json"]
+    for path in paths:
+        cli._write(cr.evaluate(v).to_dict(), str(path))
+    r1, r2 = (path.read_bytes() for path in paths)
     assert r1 == r2
     parsed = json.loads(r1)
     assert parsed["engine_version"] == cr.ENGINE_VERSION

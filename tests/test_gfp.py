@@ -26,7 +26,7 @@ def test_rref_identity_and_zero():
     ident = FpMatrix.identity(5, 3)
     r, rank = gfp.rref(ident)
     assert r == ident and rank == 3
-    z = FpMatrix.zeros(3, 2, 4)
+    z = FpMatrix(3, np.zeros((2, 4), dtype=np.int64))
     r, rank = gfp.rref(z)
     assert rank == 0 and not r.a.any()
 
@@ -50,7 +50,8 @@ def test_rref_idempotent_and_canonical():
 
 def test_kernel_identity_zero_and_cycle():
     assert gfp.kernel_basis(FpMatrix.identity(5, 4)).dim == 0
-    assert gfp.kernel_basis(FpMatrix.zeros(5, 3, 3)).dim == 3
+    zero = FpMatrix(5, np.zeros((3, 3), dtype=np.int64))
+    assert gfp.kernel_basis(zero).dim == 3
     x = five_cycle()
     k = gfp.kernel_basis(x - FpMatrix.identity(5, 5))
     assert k.dim == 1
@@ -89,6 +90,16 @@ def test_mismatch_errors():
         gfp.intersect(Subspace.full(5, 2), Subspace.full(7, 2))
     with pytest.raises(DimensionMismatch):
         gfp.add(Subspace.full(5, 2), Subspace.full(5, 3))
+
+
+def test_operators_reject_non_matrices():
+    m = FpMatrix(5, [[1, 1], [0, 1]])
+    with pytest.raises(TypeError):
+        m @ 3
+    with pytest.raises(TypeError):
+        m + 3
+    with pytest.raises(TypeError):
+        m - 3
 
 
 def test_inverse_and_order():

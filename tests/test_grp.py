@@ -10,7 +10,7 @@ from fusionseed.errors import (CapExceeded, InvariantViolation,
                              SubgroupViolation)
 from fusionseed.gfp import FpMatrix
 from fusionseed.grp import (MatGroup, class_GG, intermediate_subgroups,
-                            o_pprime, product_covers, scalar_subgroup,
+                            o_pprime, product_covers,
                             sylow_normalizer_via_orbit)
 from fusionseed.modrep import sym_power_matrix
 
@@ -165,15 +165,6 @@ def test_intermediate_subgroups_c2xc4():
     assert len(mids) == 8  # subgroup count of C_2 x C_4
     assert sorted(m.order() for m in mids) == [60, 120, 120, 120,
                                                240, 240, 240, 480]
-
-
-def test_scalar_subgroup():
-    sl25 = MatGroup(5, [FpMatrix(5, [[1, 1], [0, 1]]),
-                        FpMatrix(5, [[1, 0], [1, 1]])])
-    assert scalar_subgroup(sl25).order() == 2   # {+-I}
-    assert scalar_subgroup(s5_group()).order() == 1
-    gl25 = MatGroup(5, sl25.generators + [FpMatrix(5, [[2, 0], [0, 1]])])
-    assert scalar_subgroup(gl25).order() == 4
 
 
 def _conjugates(g, u):
