@@ -44,9 +44,6 @@ ALLOWLIST = {
     "modrep.sym_power":
         "zoo._projective_cover_trivial; tests/test_modrep.py and "
         "tests/test_acceptance.py's criterion-7 pool",
-    "modrep._endo_basis_sylvester":
-        "endo_basis's only route for non-cyclic modules of dim <= 26, "
-        "which tests/test_acceptance.py's criterion-7 pool reaches",
     "zoo._projective_cover_trivial":
         "the V1p21/Vext_pm1 kinds of tests/test_zoo.py and of "
         "tests/test_acceptance.py's criterion-7 pool",
@@ -54,10 +51,15 @@ ALLOWLIST = {
         "tests/test_zoo.py's socle and projective-cover tests",
     "sgroup.SGroup.sigma":
         "tests/test_sgroup.py and tests/test_acceptance.py's criterion 5",
+    "grp.MatGroup._stack":
+        "bench/tracer.py reads it to tell a cache hit from a build",
     "grp.MatGroup.is_abelian":
         "tests/test_sgroup.py's exhaustive A_unique scan",
     "gfp.rref":
         "bench/tracer.py wraps it by name; tests/test_gfp.py",
+    "gfp.solve":
+        "bench/tracer.py wraps it by name; tests/test_gfp.py, whose "
+        "solve_many test reads it as the reference",
     "gfp.preimage_of_subspace":
         "bench/tracer.py wraps it by name; tests/test_criterion.py's "
         "per-generator reference for check_b",

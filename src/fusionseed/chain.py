@@ -6,9 +6,9 @@ stabilizer, which holds every Schreier generator (Holt, Eick & O'Brien,
 *Handbook of Computational Group Theory*, 2005, §4.1-4.4).  So |H| =
 |orbit| |stabilizer|, and x lies in H exactly when x takes the base point
 to some point j and x T_j^-1 lies in the stabilizer: a sift with no random
-step.  `walk` grows a chain by new generators, `grow` grows an enumerated
-group by cosets (Dimino's algorithm), and `greedy` sifts candidates into a
-group one at a time.
+step.  `walk` grows a chain by new generators, `Listed` holds a group
+with every element listed and grows it by cosets (Dimino's algorithm,
+`grow`), and `greedy` sifts candidates into a group one at a time.
 
 Elements act on the right: `mul(a, b)` is a, then b.  A codec multiplies
 whole stacks, keys them, acts on points and carries its own limit:
@@ -16,8 +16,8 @@ whole stacks, keys them, acts on points and carries its own limit:
   its points are the conjugates of U = <u>, keyed by `_subgroup_keys`.
 - `PermCodec`: permutations keyed by their images of some points, the
   sift form (`image`) of an element; its points are images of the first.
-A stabilizer is a group with `order`, `members` and `join`: an enumerated
-`grp.MatGroup` or `sgroup.PermGroup`, or a `Chain` at another point.
+A stabilizer is a group with `order`, `members` and `join`: a `Listed`,
+or a `Chain` at another point.
 """
 
 from __future__ import annotations
@@ -193,6 +193,58 @@ class PermCodec:
     def bound(self, points: int, elements: int) -> None:
         if points + elements > self.cap:
             raise CapExceeded(f"automorphism group exceeds cap {self.cap}")
+
+
+# -- listed groups ------------------------------------------------------------
+
+@dataclass
+class Listed:
+    """A group H = <gens> over a codec with every element held.
+
+    `stack` lists the elements and `inverses` their inverses, row by row;
+    `index` maps the key of each element's sift form to its row.  `gens`
+    (inverses `gens_inv`) are loaded, as the codec multiplies them.
+    """
+    codec: object
+    stack: np.ndarray
+    inverses: np.ndarray
+    index: dict
+    gens: np.ndarray
+    gens_inv: np.ndarray
+
+    @classmethod
+    def trivial(cls, codec) -> "Listed":
+        """The trivial group, with no generator."""
+        one = codec.identity[None]
+        none = codec.load(one[:0])
+        return cls(codec, one, one, {codec.keys(codec.image(one))[0]: 0},
+                   none, none)
+
+    def order(self) -> int:
+        return len(self.index)
+
+    def members(self, x, x_inv=None) -> np.ndarray:
+        """Whether each element of the stack x, given by its sift forms,
+        lies in H; x_inv is not read."""
+        codec = self.codec
+        return np.array([k in self.index for k in codec.keys(x)],
+                        dtype=bool).reshape(
+            x.shape[:x.ndim - codec.identity.ndim])
+
+    def join(self, xs, xs_inv, stored: int = 0) -> "Listed":
+        """H grown by the cosets of each element of the stack xs (inverses
+        xs_inv), in stack order, that lies outside it so far (`grow`);
+        stored counts the points kept beside it against the codec's
+        limit."""
+        codec = self.codec
+
+        def join(group, i):
+            return grow(group,
+                        np.concatenate([group.gens, codec.load(xs[i:i + 1])]),
+                        np.concatenate([group.gens_inv,
+                                        codec.load(xs_inv[i:i + 1])]),
+                        stored)
+        return greedy(self, codec.image(xs), Listed.members, join)
 
 
 # -- chains -------------------------------------------------------------------
@@ -391,10 +443,9 @@ def greedy(group, candidates, member, join):
     return group
 
 
-def grow(codec, stack, inv, keys: dict, gens, gens_inv, stored: int = 0):
-    """(stack, inverses, keys) of <K, gens>, for K enumerated as stack with
-    inverses inv and key -> index dict keys, and gens every generator of
-    the new group.
+def grow(group: Listed, gens, gens_inv, stored: int = 0) -> Listed:
+    """<K, gens> listed, for K the listed group and gens (inverses
+    gens_inv) every generator of the new group.
 
     The new group is a union of right cosets K r (Dimino's algorithm): a
     rep r times a generator g lies in a coset already listed or starts the
@@ -402,9 +453,14 @@ def grow(codec, stack, inv, keys: dict, gens, gens_inv, stored: int = 0):
     first, then each coset in the order found.  Inverses are products of
     those already held: (k r)^-1 = r^-1 k^-1, with (r g)^-1 = g^-1 r^-1.
     The codec's limit counts the elements, with stored points beside them.
+    From the trivial group with one generator, the levels are its powers,
+    which `_powers` lists in the same order with fewer products.
     """
+    if len(group.index) == 1 and len(gens) == 1:
+        return _powers(group.codec, gens, gens_inv, stored)
+    codec, stack, inv = group.codec, group.stack, group.inverses
     k, one = codec.load(stack), codec.load(codec.identity)
-    keys, stacks, reps, reps_inv = dict(keys), [stack], [one], [one]
+    keys, stacks, reps, reps_inv = dict(group.index), [stack], [one], [one]
     lo = 0
     while lo < len(reps):
         r, r_inv = np.array(reps[lo:]), np.array(reps_inv[lo:])
@@ -423,6 +479,29 @@ def grow(codec, stack, inv, keys: dict, gens, gens_inv, stored: int = 0):
     reps_inv = np.array(reps_inv[1:], dtype=one.dtype).reshape(
         (-1, 1) + one.shape)
     inverses = codec.mul(reps_inv, codec.load(inv)).astype(inv.dtype)
-    return (np.concatenate(stacks),
-            np.concatenate([inv, inverses.reshape((-1,) + inv.shape[1:])]),
-            keys)
+    inverses = inverses.reshape((-1,) + inv.shape[1:])
+    return Listed(codec, np.concatenate(stacks),
+                  np.concatenate([inv, inverses]), keys, gens, gens_inv)
+
+
+def _powers(codec, x, x_inv, stored: int = 0) -> Listed:
+    """<x> listed as 1, x, x^2, ..., as `grow` lists it from the trivial
+    group, in a logarithmic number of products: the s elements listed so
+    far are followed by their products with x^s until 1 recurs.  The
+    inverse of x^i is x^(o - i), o being the order of x."""
+    one = codec.identity[None]
+    stack, step, key = codec.load(one), x, codec.keys(codec.image(one))[0]
+    while True:
+        more = codec.mul(stack, step)
+        keys = codec.keys(codec.image(more))
+        end = keys.index(key) if key in keys else len(more)
+        stack = np.concatenate([stack, more[:end]])
+        codec.bound(stored, len(stack))
+        if end < len(more):
+            break
+        step = codec.mul(step, step)
+    stack, order = stack.astype(one.dtype), len(stack)
+    return Listed(codec, stack, stack[-np.arange(order) % order],
+                  dict(zip(codec.keys(codec.image(stack)), range(order))),
+                  x, x_inv)
+

@@ -176,8 +176,9 @@ def cmd_sgroup(args) -> int:
             # the filtration needs Z0 to be a line, as condition (d) does
             out["filtration"] = rep.cond_d
         else:
-            filt = modrep.w_filtration(
-                v, syl, check_elements=syl.normalizer_N.elements_stack())
+            mats, _, exponents = s.normalizer
+            filt = modrep.w_filtration(v, syl, check_elements=mats,
+                                       exponents=exponents)
             # sorted, so that the report does not follow N's generating set
             out["filtration"] = {
                 "quotient_dims": filt.quotient_dims,

@@ -1,15 +1,16 @@
 """Black-box finite matrix group engine.
 
-Groups are given by generating matrices; enumeration is a breadth-first
-closure with canonical byte keys, or grows a group already enumerated by
-the cosets of one new generator (`MatGroup.extend`, `chain.grow`).  Every
-enumeration and every walk of U's orbit is bounded by one element cap
-(`element_cap`).  The chain layer is `fusionseed.chain`, on its matrix
-codec `MatCodec`; the automorphism groups of `sgroup` share it.  The
-Sylow data never enumerates G: U's orbit walk (`chain.walk`) gives N_G(U),
-grown by cosets, and leaves on G a one-level `chain.Chain` that gives |G|
-and membership by a sift, along with each generator's permutation of the
-orbit; C_G(U) is a scan inside N_G(U).  O^{p'}(G) is generated by
+Groups are given by generating matrices; a group whose elements are all
+held keeps them as a `chain.Listed`, which a breadth-first closure with
+canonical byte keys fills, or which grows by the cosets of new generators
+(`Listed.join`).  Every enumeration and every walk of U's orbit is bounded
+by one element cap (`element_cap`).  The chain layer is
+`fusionseed.chain`, on its matrix codec `MatCodec`; the automorphism
+groups of `sgroup` share it.  The Sylow data never enumerates G: U's orbit
+walk (`chain.walk`) gives N_G(U), listed and grown by cosets, and leaves
+on G a one-level `chain.Chain` that gives |G| and membership by a sift,
+along with each generator's permutation of the orbit; C_G(U) is a scan
+inside N_G(U).  O^{p'}(G) is generated by
 conjugates of u read from that chain until its own U-orbit is G's, never
 enumerated; each closure walks G's orbit by permutations read from G's
 table, so none of its points is keyed again.  The groups between a normal
@@ -25,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import (Chain, MatCodec, _mulmod, _row_keys, _stacks,
-                    _subgroup_keys, element_cap, greedy, grow, walk)
+from .chain import (Chain, Listed, MatCodec, _mulmod, _stacks,
+                    _subgroup_keys, element_cap, walk)
 from .errors import (CapExceeded, IndexTooLarge, InvariantViolation,
                      SubgroupViolation)
 from .gfp import FpMatrix, Prime, as_prime
@@ -37,12 +38,13 @@ _CHUNK = 1 << 15
 class MatGroup:
     """Matrix group over F_p given by invertible generators.
 
-    The element cache, once built, holds the full element stack (int8),
-    a key -> index dict, and the matching stack of inverses.  A group that
-    is not enumerated but carries a `chain.Chain` (left by
+    A group whose elements are all held keeps them as a `chain.Listed`
+    (`listed`): the int8 element and inverse stacks and the key -> index
+    dict.  BFS (`cache`) fills it, or `of` hands one over.  A group that is
+    not listed but carries a `chain.Chain` (left by
     `sylow_normalizer_via_orbit` or `o_pprime`) reads its order from the
-    chain and tests membership by a sift; any other group enumerates itself
-    for both.
+    chain and tests membership by a sift; any other group lists itself for
+    both.
     """
 
     def __init__(self, p, generators):
@@ -57,14 +59,28 @@ class MatGroup:
             if not g.is_invertible():
                 raise SubgroupViolation("generator not invertible")
         self.generators = gens
-        self._stack = None        # (N, n, n) int8
-        self._inv_stack = None    # (N, n, n) int8
-        self._keys = None         # bytes -> index
+        self.listed = None        # chain.Listed of every element, once held
         self.chain = None         # chain.Chain of this group, if walked
+
+    @classmethod
+    def of(cls, listed: Listed) -> "MatGroup":
+        """The group that listed holds, generated by listed's generators
+        (by the identity when it has none)."""
+        p, n = listed.codec.p, listed.codec.n
+        group = cls(p, [FpMatrix(p, a, a_inv) for a, a_inv in
+                        zip(listed.gens, listed.gens_inv)]
+                    or [FpMatrix.identity(p, n)])
+        group.listed = listed
+        return group
+
+    @property
+    def _stack(self):
+        """The element stack, or None while the group is not listed."""
+        return None if self.listed is None else self.listed.stack
 
     # -- enumeration ------------------------------------------------------
     def cache(self) -> "MatGroup":
-        if self._stack is not None:
+        if self.listed is not None:
             return self
         p, n, cap = self.p.p, self.dim, element_cap()
         gen64 = [g.a for g in self.generators]
@@ -91,130 +107,59 @@ class MatGroup:
                             raise CapExceeded(
                                 f"group order exceeds cap {cap}")
             frontier = new_frontier
-        self._stack = np.array(elems, dtype=np.int8)
-        self._inv_stack = np.array(invs, dtype=np.int8)
-        self._keys = keys
+        self.listed = Listed(MatCodec(self.p, n),
+                             np.array(elems, dtype=np.int8),
+                             np.array(invs, dtype=np.int8), keys,
+                             *_stacks(self.generators))
         return self
 
-    @classmethod
-    def from_elements(cls, p, generators, stack, inv_stack,
-                      keys) -> "MatGroup":
-        """Wrap an already-closed element set (no re-enumeration); keys,
-        the key -> index dict of the stack, is taken over, not copied."""
-        g = cls.__new__(cls)
-        g.p = as_prime(p)
-        g.generators = list(generators)
-        g.dim = stack.shape[1]
-        g._stack = np.ascontiguousarray(stack, dtype=np.int8)
-        g._inv_stack = np.ascontiguousarray(inv_stack, dtype=np.int8)
-        g._keys = keys
-        g.chain = None
-        return g
-
-    @classmethod
-    def trivial(cls, p, n: int) -> "MatGroup":
-        """The enumerated trivial group of degree n."""
-        eye = np.eye(n, dtype=np.int8)
-        return cls.from_elements(p, [FpMatrix(p, eye, eye)], eye[None],
-                                 eye[None], {eye.tobytes(): 0})
-
-    def extend(self, m: FpMatrix) -> "MatGroup":
-        """<self, m>, enumerated by `chain.grow` (Dimino's algorithm), for
-        m outside the enumerated self: self's elements come first, then each
-        right coset of self in the order found."""
-        gens = (self.generators if len(self._keys) > 1 else []) + [m]
-        return MatGroup.from_elements(
-            self.p, gens, *grow(MatCodec(self.p, self.dim), self._stack,
-                                self._inv_stack, self._keys, *_stacks(gens)))
-
-    def join(self, xs, xs_inv, stored: int = 0) -> "MatGroup":
-        """self grown by cosets of each matrix of the stack xs (inverses
-        xs_inv) that lies outside it so far."""
-        def join(group, q):
-            return group.extend(FpMatrix(self.p, xs[q], xs_inv[q]))
-        return greedy(self, xs, MatGroup.members, join)
-
     def subset_group(self, indices) -> "MatGroup":
-        """Subgroup from a closed index subset of this group's cache, its
-        elements in index order.  An element is a generator when the
-        closure of the generators before it in that order lacks it.
-
-        The closures are walked on the subset's indices: a generator's
-        right multiplication is one stacked product keyed into the subset,
-        and a product outside it, or an identity missing from it, shows
-        that the subset is not a subgroup."""
-        self.cache()
-        p, n = self.p.p, self.dim
+        """Subgroup from a closed index subset of this group's elements,
+        listed in index order.  Its generators are those that `Listed.join`
+        takes from the subset in that order: each element that the closure
+        of the earlier ones lacks.  The subset is refused unless that
+        closure is the subset itself."""
+        held = self.cache().listed
+        codec = held.codec
         idx = np.asarray(sorted(indices), dtype=np.int64)
-        stack = self._stack[idx]
-        inv_stack = self._inv_stack[idx]
-        keys = {stack[i].tobytes(): i for i in range(len(idx))}
-        inside = np.zeros(len(idx), dtype=bool)
-        one = keys.get(np.eye(n, dtype=np.int8).tobytes())
-        if one is None:
+        stack, inverses = held.stack[idx], held.inverses[idx]
+        closure = Listed.trivial(codec).join(stack, inverses)
+        if closure.order() != len(idx):
             raise SubgroupViolation("index subset is not a subgroup")
-        inside[one] = True
-        floats = stack.astype(np.float64)
-        gens, moves = [], []
-        for i in range(len(idx)):
-            if inside[i]:
-                continue
-            move = np.array([keys.get(k, -1) for k in _row_keys(_mulmod(
-                floats, floats[i], p).reshape(len(idx), n * n))])
-            if (move < 0).any():
-                raise SubgroupViolation("index subset is not a subgroup")
-            gens.append(i)
-            moves.append(move)
-            frontier = np.flatnonzero(inside)
-            while len(frontier):
-                fresh = np.zeros(len(idx), dtype=bool)
-                fresh[np.concatenate([m[frontier] for m in moves])] = True
-                fresh &= ~inside
-                inside |= fresh
-                frontier = np.flatnonzero(fresh)
-        generators = [FpMatrix(self.p, stack[i], inv_stack[i]) for i in gens]
-        return MatGroup.from_elements(
-            self.p, generators or [FpMatrix(self.p, stack[one],
-                                            inv_stack[one])],
-            stack, inv_stack, keys)
+        keys = dict(zip(codec.keys(stack), range(len(idx))))
+        return MatGroup.of(Listed(codec, stack, inverses, keys, closure.gens,
+                                  closure.gens_inv))
 
-    def _sifts(self) -> bool:
-        return self._stack is None and self.chain is not None
+    def _lookup(self):
+        """The group's `chain.Listed`, or else its chain, or else the
+        listing that BFS makes."""
+        return self.listed or self.chain or self.cache().listed
 
     def order(self) -> int:
-        if self._sifts():
-            return self.chain.order()
-        return len(self.cache()._keys)
+        return self._lookup().order()
 
     def elements_stack(self) -> np.ndarray:
-        return self.cache()._stack
+        return self.cache().listed.stack
 
     def inverses_stack(self) -> np.ndarray:
-        return self.cache()._inv_stack
+        return self.cache().listed.inverses
 
     def keys(self):
-        return self.cache()._keys
+        return self.cache().listed.index
 
     def element(self, i: int) -> FpMatrix:
         """The i-th element, carrying its inverse from the inverse stack."""
-        self.cache()
-        return FpMatrix(self.p, self._stack[i], self._inv_stack[i])
+        held = self.cache().listed
+        return FpMatrix(self.p, held.stack[i], held.inverses[i])
 
     def contains(self, m: FpMatrix) -> bool:
-        if self._sifts():
-            return bool(self.chain.members(m.a[None], m.inverse().a[None])[0])
-        return m.key() in self.cache()._keys
+        return bool(self.members(m.a[None], m.inverse().a[None])[0])
 
     def members(self, stack: np.ndarray, inv_stack=None) -> np.ndarray:
         """Whether each matrix of a (k, n, n) stack with entries in [0, p)
         lies in the group; inv_stack holds their inverses (read only by the
         sift)."""
-        if self._sifts():
-            return self.chain.members(stack, inv_stack)
-        keys = self.cache()._keys
-        return np.array([k in keys for k in
-                         _row_keys(stack.reshape(len(stack), self.dim ** 2))],
-                        dtype=bool)
+        return self._lookup().members(stack, inv_stack)
 
     def is_normal_in(self, other: "MatGroup") -> bool:
         """True iff other's generators conjugate this group into itself."""
@@ -235,12 +180,11 @@ class MatGroup:
     def _scan_commuting(self, mats) -> list:
         """Indices of elements commuting with every matrix in mats."""
         p = self.p.p
-        self.cache()
-        N = self._stack.shape[0]
+        stack = self.elements_stack()
         out = []
         m64 = [m.a for m in mats]
-        for lo in range(0, N, _CHUNK):
-            S = self._stack[lo:lo + _CHUNK].astype(np.int64)
+        for lo in range(0, len(stack), _CHUNK):
+            S = stack[lo:lo + _CHUNK].astype(np.int64)
             mask = np.ones(S.shape[0], dtype=bool)
             for m in m64:
                 mask &= (S @ m % p == m @ S % p).all(axis=(1, 2))
@@ -351,9 +295,9 @@ def class_GG(g: MatGroup) -> GGReport:
     syl, orbit = sylow_data(g, u)
     syl.word = (word, e)
     order = orbit * syl.normalizer_N.order()
-    if g._stack is not None and order != len(g._keys):
+    if g.listed is not None and order != g.listed.order():
         raise InvariantViolation(
-            f"|U^G| |N_G(U)| = {order} but |G| = {len(g._keys)}")
+            f"|U^G| |N_G(U)| = {order} but |G| = {g.listed.order()}")
     if (order // p) % p == 0:
         return GGReport("not_in_G", order, reason="p^2 divides |G|")
     if orbit == 1:
@@ -425,7 +369,7 @@ def _table_closure(g: MatGroup, gens: list, perms: list) -> MatGroup:
     keyed; its points keep their keys in G's orbit."""
     sub = MatGroup(g.p, gens)
     table = np.stack(perms, axis=1)
-    start = Chain.start(g.chain.codec, 0, MatGroup.trivial(g.p, g.dim))
+    start = Chain.start(g.chain.codec, 0, Listed.trivial(g.chain.codec))
     sub.chain = walk(start, *_stacks(gens),
                      targets=lambda points, *_: table[points].ravel().tolist())
     keys = g.chain.points
@@ -548,7 +492,7 @@ def sylow_normalizer_via_orbit(p, dim, generators, u: FpMatrix,
     chain = _orbit_chain(p, dim, generators, u)
     if into is not None:
         into.chain = chain
-    return chain.stabilizer, len(chain.orbit)
+    return MatGroup.of(chain.stabilizer), len(chain.orbit)
 
 
 def _orbit_chain(p, dim, generators, u: FpMatrix) -> Chain:
@@ -556,5 +500,6 @@ def _orbit_chain(p, dim, generators, u: FpMatrix) -> Chain:
     point keyed by `_subgroup_keys`, walked by `chain.walk` from the trivial
     group."""
     base = _subgroup_keys(u.a[None].astype(np.float64), int(p))[0]
-    start = Chain.start(MatCodec(p, dim, u), base, MatGroup.trivial(p, dim))
-    return walk(start, *_stacks(generators))
+    codec = MatCodec(p, dim, u)
+    return walk(Chain.start(codec, base, Listed.trivial(codec)),
+                *_stacks(generators))

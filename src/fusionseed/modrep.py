@@ -193,13 +193,14 @@ def opp_fixed_in_commutator(v: FpModule, opp: MatGroup) -> bool:
     return gfp.contains(commutator_space(v, opp), fixed_space(v, opp))
 
 
-def w_filtration(v: FpModule, syl: SylowData, check_elements=None
-                 ) -> Filtration:
+def w_filtration(v: FpModule, syl: SylowData, check_elements=None,
+                 exponents=None) -> Filtration:
     """W_1 = [U,V], W_{i+1} = [U, W_i]; requires dim Z0 = 1.
 
     For each g of the (m, n, n) stack check_elements of N_G(U) elements
     the report records (r, t) and whether g multiplies W_i/W_{i+1} by
-    t * r^i for every i: one `gfp.solve_many` per level for all g.
+    t * r^i for every i: one `gfp.solve_many` per level for all g.  The r
+    with g u g^-1 = u^r are exponents, or `u_exponents` when None.
     """
     cs = canonical_subspaces(v, syl)
     if cs.Z0.dim != 1:
@@ -215,7 +216,7 @@ def w_filtration(v: FpModule, syl: SylowData, check_elements=None
     if check_elements is None or not len(check_elements):
         return filt
     mats = np.asarray(check_elements, dtype=np.int64)
-    r = u_exponents(syl.u, mats)
+    r = u_exponents(syl.u, mats) if exponents is None else exponents
     t = _action_scalars(mats, Subspace.full(v.p, v.dim), cs.A0)
     ok = np.ones(len(mats), dtype=bool)
     t_ri = t
@@ -316,20 +317,6 @@ def sym_power(v: FpModule, k: int) -> FpModule:
 
 # -- endomorphism algebra and splitting -----------------------------------
 
-def _endo_basis_sylvester(gens, p, n):
-    """Basis of {e : e g = g e for all gens} by the direct linear system."""
-    rows = []
-    for g in gens:
-        # (e g - g e) entry (i,j): sum_k e[i,k] g[k,j] - g[i,k] e[k,j]
-        A = np.zeros((n * n, n * n), dtype=np.int64)
-        I = np.eye(n, dtype=np.int64)
-        A = (np.kron(I, g.a.T) - np.kron(g.a, I)) % p
-        rows.append(A)
-    big = np.concatenate(rows, axis=0)
-    ker = gfp.kernel_basis(FpMatrix(p, big))
-    return [vec.reshape(n, n) for vec in ker.basis]
-
-
 def _endo_basis_cyclic(gens, p, n, rng):
     """End basis via a cyclic vector and the spinning-relations method."""
     gen_arrs = [g.a for g in gens]
@@ -389,7 +376,7 @@ def endo_basis(v: FpModule):
         if v.dim > 26:
             raise DimTooLarge("module is not cyclic and too large for the "
                               "direct endomorphism solve")
-        basis = _endo_basis_sylvester(v.gens(), v.p.p, v.dim)
+        basis = hom_space(v, v)
     return basis
 
 

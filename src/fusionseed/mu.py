@@ -8,7 +8,7 @@ products Delta_a*Delta_b, and index-2 extensions Delta_i.2.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -220,11 +220,9 @@ class GVee:
     """Elements of N_G(U) acting trivially on Z/Z0, with their mu-values."""
     group: MatGroup                    # G-vee as a matrix group
     mu_values: dict                    # element key -> (r, s)
-    faithful_order: int                # |G-vee|
-    sylow: SylowData = field(repr=False, default=None)
 
     def order(self) -> int:
-        return self.faithful_order
+        return self.group.order()
 
 
 def compute_gvee(g: MatGroup, syl: SylowData,
@@ -260,7 +258,7 @@ def compute_gvee(g: MatGroup, syl: SylowData,
         mu_values.update(zip(_row_keys(stack[lo + found].reshape(
             len(found), -1)), zip(r.tolist(), s.tolist())))
     gv_group = N.subset_group(members)
-    return GVee(gv_group, mu_values, gv_group.order(), syl)
+    return GVee(gv_group, mu_values)
 
 
 def mu_image(gv: GVee) -> DeltaSubgroup:

@@ -1,31 +1,31 @@
 """The p-group S = A x| U and its local automorphism data.
 
-S-elements are affine matrices [[u^k, c], [0, 1]] for c in A = F_p^n and
-u the Sylow generator's matrix, so S is a subgroup of Gamma = A x| G in the
+S-elements are affine matrices [[u^k, c], [0, 1]] for c in A = F_p^n and u
+the Sylow generator's matrix, so S is a subgroup of Gamma = A x| G in the
 same representation.  Z(S), [S,S], Z_2(S) and A_0 are subspaces of A; the
 essential-candidate subgroups H_i = Z<x a^i> and B_i = Z_2<x a^i> are
-MatGroups.  The automorphisms of such a P that Gamma, S and P induce,
-|C_Gamma(P)|, and whether one P is Gamma-conjugate into another (step-2
-condition (1)) come from one F_p solve per exponent k with g u g^-1 = u^k
-over N_G(U) or U, and from a scan of C_G(U), so neither Gamma nor
-A x| N_G(U) is ever built.  The local automorphism groups are permutation
-groups on P's elements over the permutation codec of `fusionseed.chain`
-(`PermGroupOnSet`), keyed by exact codes of their generator images:
-Inn(P) and Aut_S(P) enumerated by its coset growth, Lambda_P, Theta,
-Theta_0 and O^{p'}(Theta) as its one-level chains, and verified against
-their contracts.  Lambda_P and O^{p'}(Theta) grow from Aut_S(P)'s chain,
-built once, Theta_0's generators are walked together, and Theta grows
-from Theta_0's chain; the SL_2 lifts are extended from their generator
-images a BFS level at a time; checks (iii) and (iv) walk the conjugation
-orbit of Aut_S(P) with no stabilizer and read its length and its
-Schreier generators.
+listed MatGroups.  The automorphisms of such a P that Gamma, S and P
+induce, |C_Gamma(P)|, and whether one P is Gamma-conjugate into another
+(step-2 condition (1)) come from one F_p solve per exponent k with g u
+g^-1 = u^k over N_G(U) or U, and from a scan of C_G(U), so neither Gamma
+nor A x| N_G(U) is ever built.  The local automorphism groups are
+permutation groups on P's elements over the permutation codec of
+`fusionseed.chain` (`PermGroupOnSet`), keyed by exact codes of their
+generator images: Inn(P) and Aut_S(P) as its `chain.Listed` groups, grown
+by cosets, Lambda_P, Theta, Theta_0 and O^{p'}(Theta) as its one-level
+chains, and verified against their contracts.  Lambda_P and O^{p'}(Theta)
+grow from Aut_S(P)'s chain, built once, Theta_0's generators are walked
+together, and Theta grows from Theta_0's chain; the SL_2 lifts are
+extended from their generator images a BFS level at a time; checks (iii)
+and (iv) walk the conjugation orbit of Aut_S(P) with no stabilizer and
+read its length and its Schreier generators.
 
 S itself is never enumerated, at any scale: the S-classes of the H_i come
 from a subspace test (the S-conjugates of (c, u) are the (c + w, u) with w
 in S'), A's uniqueness as abelian subgroup of index p from dim Z(S), and
-|Gamma| = p^n |G| is a number.  The only groups enumerated are the H_i
-and B_i that are read (`cmd_sgroup` reads class 0 only) and subgroups of
-N_G(U).
+|Gamma| = p^n |G| is a number.  The only matrix groups listed are the
+H_i and B_i that are read (`cmd_sgroup` reads class 0 only) and subgroups
+of N_G(U).
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ import numpy as np
 from . import gfp, modrep, mu
 from .errors import CapExceeded, InvariantViolation, MuTooSmall, SplitFailed
 from .gfp import FpMatrix, Subspace
-from .chain import (Chain, PermCodec, _mulmod, _row_keys, _stacks, greedy,
-                    grow, walk)
+from .chain import (Chain, Listed, MatCodec, PermCodec, _mulmod, _row_keys,
+                    _stacks, greedy, walk)
 from .grp import MatGroup, SylowData
 from .modrep import FpModule
 
@@ -76,7 +76,7 @@ class SGroup:
     def normalizer(self) -> tuple:
         """N_G(U)'s element stack, its inverse stack, and for each element
         g the r with g u g^-1 = u^r: computed once for every solve that
-        ranges over N_G(U)."""
+        ranges over N_G(U) and for the W-filtration's scalar law."""
         N = self.syl.normalizer_N
         mats = N.elements_stack()
         return mats, N.inverses_stack(), modrep.u_exponents(self.u, mats)
@@ -92,26 +92,26 @@ class SGroup:
                         _affine_array(one, -w % self.p))
 
     def subgroup(self, space: Subspace, *extra: FpMatrix) -> MatGroup:
-        """<space, extra> for a subspace of A and S-elements, enumerated:
-        the translations by the p^dim vectors of space, listed at once,
-        then grown by the cosets of each of extra outside them
-        (`MatGroup.join`).  Its generators are space's basis translations
-        and those of extra."""
+        """<space, extra> for a subspace of A and S-elements, listed: the
+        translations by the p^dim vectors of space, listed at once, then
+        grown by the cosets of each of extra outside them (`Listed.join`).
+        Its generators are space's basis translations and those of
+        extra."""
         p, n = self.p, self.n
         coeffs = np.array(list(itertools.product(range(p), repeat=space.dim)),
                           dtype=np.int64).reshape(-1, space.dim)
         vecs = coeffs @ space.basis % p
         one = np.eye(n, dtype=np.int64)
+        codec = MatCodec(p, n + 1)
         stack = _affine_array(one, vecs).astype(np.int8)
-        keys = dict(zip(_row_keys(stack.reshape(len(stack), -1)),
-                        range(len(stack))))
-        gens = [self.translation(w) for w in space.basis]
-        group = MatGroup.from_elements(
-            self.v.p, gens, stack,
-            _affine_array(one, -vecs % p).astype(np.int8), keys)
-        if not extra:
-            return group
-        return group.join(*_stacks(extra))
+        group = Listed(codec, stack,
+                       _affine_array(one, -vecs % p).astype(np.int8),
+                       dict(zip(codec.keys(stack), range(len(stack)))),
+                       codec.load(_affine_array(one, space.basis)),
+                       codec.load(_affine_array(one, -space.basis % p)))
+        if extra:
+            group = group.join(*_stacks(extra))
+        return MatGroup.of(group)
 
     def _z2(self) -> Subspace:
         p, n = self.p, self.n
@@ -211,8 +211,10 @@ def choose_x_a(s: SGroup, g: MatGroup, syl: SylowData):
     Binv = Bx.inverse().a
     sel = np.diag([1] * W0.dim + [0])
     P0 = (basisext.T @ sel @ Binv) % p
-    # average over the distinct images of N in GL(A/S')
-    lift_mat = _lift_matrix(proj, p, n, q)
+    # average over the distinct images of N in GL(A/S'); column k of
+    # lift_mat solves proj x = e_k, so it lifts a quotient vector as
+    # `gfp.solve` would (proj has full row rank: solve is linear)
+    lift_mat = gfp.solve_many(proj, np.eye(q, dtype=np.int64))[0].T
     images, inverses = (proj.a @ stack.astype(np.int64) % p @ lift_mat % p
                         for stack in (N.elements_stack(), N.inverses_stack()))
     _, first = np.unique(images.reshape(len(images), -1), axis=0,
@@ -223,7 +225,7 @@ def choose_x_a(s: SGroup, g: MatGroup, syl: SylowData):
     if L.dim != 1:
         raise InvariantViolation("invariant complement must be a line")
     # lift the line generator back to A
-    lift = _lift_from_quotient(s, proj, L.basis[0])
+    lift = lift_mat @ L.basis[0] % p
     # verification: S'<a> is N-invariant
     spa = gfp.add(s.Sprime, Subspace(s.v.p, n, lift.reshape(1, -1)))
     if not gfp.invariant(np.array([g.a for g in N.generators]), spa):
@@ -231,22 +233,6 @@ def choose_x_a(s: SGroup, g: MatGroup, syl: SylowData):
     if s.A0.contains_vector(lift):
         raise InvariantViolation("a must lie outside A0")
     return x, s.translation(lift)
-
-
-def _lift_matrix(proj: FpMatrix, p: int, n: int, q: int):
-    # right inverse of proj: proj uses free coordinates of the RREF, so the
-    # unit vectors at those coordinates lift the quotient basis
-    L = np.zeros((n, q), dtype=np.int64)
-    for k in range(q):
-        # solve proj @ x = e_k ; proj has full row rank
-        x = gfp.solve(proj, np.eye(q, dtype=np.int64)[k])
-        L[:, k] = x
-    return L
-
-
-def _lift_from_quotient(s: SGroup, proj: FpMatrix, vec_q: np.ndarray):
-    x = gfp.solve(proj, vec_q)
-    return np.asarray(x, dtype=np.int64) % s.p
 
 
 def class_label(s: SGroup, m: FpMatrix, a: FpMatrix) -> int:
@@ -324,62 +310,6 @@ def hb_subgroups(s: SGroup, x, a):
 _PERM_CAP = 10 ** 6       # orbit points and elements stored for one group
 
 
-@dataclass
-class PermGroup:
-    """A group of automorphisms of P, enumerated: its elements and their
-    inverses as permutation stacks, the code -> index dict of its
-    elements, and its generators."""
-    pset: "PermGroupOnSet"
-    perms: np.ndarray
-    inverses: np.ndarray
-    index: dict
-    gens: np.ndarray
-
-    def order(self) -> int:
-        return len(self.index)
-
-    @functools.cached_property
-    def chain(self) -> Chain:
-        """This group as a chain at g_0, built once and shared by the
-        chains that start from it.  It is read off the elements: the orbit
-        of g_0 is walked with no stabilizer, so the transversal follows the
-        walk, and the stabilizer is the elements that fix g_0, generated by
-        the orbit's Schreier generators (Schreier's lemma)."""
-        pset = self.pset
-        g0 = int(pset.gen_idx[0])
-        orbit = walk(Chain.start(pset, g0, None), self.gens,
-                     pset.inv(self.gens))
-        schreier = orbit.schreier_generators()
-        codes = pset.codes(schreier)
-        _, first = np.unique(codes, return_index=True)
-        first = first[codes[first] != pset.codes(pset.identity[None])[0]]
-        fix = np.flatnonzero(self.perms[:, g0] == g0)
-        stab = PermGroup(pset, self.perms[fix], self.inverses[fix],
-                         dict(zip(pset.keys(pset.image(self.perms[fix])),
-                                  range(len(fix)))),
-                         schreier[np.sort(first)])
-        return dataclasses.replace(orbit, stabilizer=stab)
-
-    def members(self, images: np.ndarray) -> np.ndarray:
-        """Whether each automorphism, given by its generator images (a
-        (..., k) stack), is an element."""
-        return np.array([c in self.index for c in self.pset.keys(images)],
-                        dtype=bool).reshape(images.shape[:-1])
-
-    def join(self, new, new_inv, stored: int = 0) -> "PermGroup":
-        """<self, new>, enumerated by `chain.grow` one new generator at a
-        time, each one that lies outside the group so far; stored counts
-        points kept beside it against _PERM_CAP."""
-        pset = self.pset
-
-        def join(group, i):
-            gens = np.concatenate([group.gens, new[i:i + 1]])
-            return PermGroup(pset, *grow(pset, group.perms, group.inverses,
-                                         group.index, gens, pset.inv(gens),
-                                         stored), gens)
-        return greedy(self, pset.image(new), PermGroup.members, join)
-
-
 class PermGroupOnSet(PermCodec):
     """Automorphisms of P = <W, x'> <= S, with W = P meet A and x' = (c, u),
     as permutations of P's elements, over the permutation codec of
@@ -387,12 +317,12 @@ class PermGroupOnSet(PermCodec):
 
     An automorphism is fixed by the images of P's k generators, so its code
     packs their element indices in base |P|: an exact int64 key, refused
-    with CapExceeded when |P|^k does not fit.  Its groups are `PermGroup`s,
-    enumerated, or `chain.Chain`s at g_0 = x' whose stabilizers are
-    `PermGroup`s; _PERM_CAP bounds what one group stores.  x' leads the
+    with CapExceeded when |P|^k does not fit.  Its groups are
+    `chain.Listed`s, or `chain.Chain`s at g_0 = x' whose stabilizers are
+    `chain.Listed`s; _PERM_CAP bounds what one group stores.  x' leads the
     generators: it lies outside A, and its orbit does not depend on the
     basis, where a translation's orbit under Theta can be a few points,
-    leaving most of Theta to its enumerated stabilizer.
+    leaving most of Theta to its listed stabilizer.
     """
 
     def __init__(self, group: MatGroup, space: Subspace, x: FpMatrix):
@@ -436,16 +366,12 @@ class PermGroupOnSet(PermCodec):
         (m, d, d) stack mats (inverses invs) induces."""
         return self._conjugated(mats, invs, self.elements).astype(self.dtype)
 
-    def trivial_group(self) -> PermGroup:
-        one = self.identity[None]
-        return PermGroup(self, one, one, {int(self.codes(one)[0]): 0}, one[:0])
-
-    def close(self, gens) -> PermGroup:
-        """<gens>, enumerated."""
+    def close(self, gens) -> Listed:
+        """<gens>, listed."""
         gens = np.asarray(gens, dtype=self.dtype).reshape(-1, self.n)
-        return self.trivial_group().join(gens, self.inv(gens))
+        return Listed.trivial(self).join(gens, self.inv(gens))
 
-    def normalizing(self, perms: np.ndarray, sub: PermGroup) -> np.ndarray:
+    def normalizing(self, perms: np.ndarray, sub: Listed) -> np.ndarray:
         """Whether each permutation t normalizes sub: t h t^-1 lies in sub
         for each generator h of sub, evaluated at P's generators only."""
         inv = self.inv(perms)[:, self.gen_idx]
@@ -453,6 +379,25 @@ class PermGroupOnSet(PermCodec):
         return sub.members(vals).all(axis=0)
 
     # -- one-level chains at g_0 ------------------------------------------
+
+    def chain_of(self, group: Listed) -> Chain:
+        """The listed group as a chain at g_0, read off its elements: the
+        orbit of g_0 is walked with no stabilizer, so the transversal
+        follows the walk, and the stabilizer is the elements that fix g_0,
+        generated by the orbit's Schreier generators (Schreier's lemma)."""
+        g0 = int(self.gen_idx[0])
+        orbit = walk(Chain.start(self, g0, None), group.gens, group.gens_inv)
+        schreier = orbit.schreier_generators()
+        codes = self.codes(schreier)
+        _, first = np.unique(codes, return_index=True)
+        one = self.codes(self.identity[None])[0]
+        gens = schreier[np.sort(first[codes[first] != one])]
+        fix = np.flatnonzero(group.stack[:, g0] == g0)
+        stab = Listed(self, group.stack[fix], group.inverses[fix],
+                      dict(zip(self.keys(self.image(group.stack[fix])),
+                               range(len(fix)))),
+                      gens, self.inv(gens))
+        return dataclasses.replace(orbit, stabilizer=stab)
 
     def chain(self, perms, base: Chain | None = None) -> Chain:
         """<base, perms> as a chain (base the trivial group if None)."""
@@ -469,13 +414,12 @@ class PermGroupOnSet(PermCodec):
             base, self._conjugated(mats, invs, self.elements[self.gen_idx]),
             lambda i: self.conjugation_perms(mats[i:i + 1], invs[i:i + 1])[0])
 
-    def normal_closure(self, sub: PermGroup, under: np.ndarray) -> Chain:
-        """The normal closure of sub under <under>, grown from sub's chain:
-        each generator h of the closure, those joined on the way included,
-        has its conjugates t h t^-1 by under sifted in.  So t N t^-1 <= N
-        for every t, and every element that joins is a conjugate of one of
-        sub's generators."""
-        chain = sub.chain
+    def normal_closure(self, chain: Chain, under: np.ndarray) -> Chain:
+        """The normal closure of the chain's group under <under>, grown from
+        the chain: each generator h of the closure, those joined on the way
+        included, has its conjugates t h t^-1 by under sifted in.  So
+        t N t^-1 <= N for every t, and every element that joins is a
+        conjugate of one of the chain's generators."""
         under = np.asarray(under, dtype=self.dtype).reshape(-1, self.n)
         under_inv = self.inv(under)
         rows = np.arange(len(under))[:, None]
@@ -488,13 +432,13 @@ class PermGroupOnSet(PermCodec):
                 lambda i, h=h: under[i][h[under_inv[i]]])
         return chain
 
-    def conjugation_orbit(self, chain: Chain, sub: PermGroup) -> Chain:
+    def conjugation_orbit(self, chain: Chain, sub: Listed) -> Chain:
         """The orbit sub^G for G the group of chain, walked by `chain.walk`
         with each conjugate x^-1 sub x keyed by its sorted codes and no
         stabilizer kept: it has |sub^G| = |G| / |N_G(sub)| points, and its
         Schreier generators generate N_G(sub).  _PERM_CAP bounds its
         points."""
-        hs = sub.perms
+        hs = sub.stack
 
         def targets(points, t, t_inv, gens, gens_inv):
             x = self.mul(t[:, None], gens)
@@ -508,7 +452,7 @@ class PermGroupOnSet(PermCodec):
         return orbit
 
     def _trivial(self) -> Chain:
-        return Chain.start(self, int(self.gen_idx[0]), self.trivial_group())
+        return Chain.start(self, int(self.gen_idx[0]), Listed.trivial(self))
 
     def _sift_in(self, chain: Chain, images, build) -> Chain:
         """chain grown by candidates given as an (m, k) stack of generator
@@ -613,22 +557,23 @@ def normalizer_mats(s: SGroup, pset: PermGroupOnSet, mats, invs, ks
 
 
 def local_automorphisms(s: SGroup, pset: PermGroupOnSet):
-    """Inn(P), Aut_S(P) and Lambda_P: the automorphisms of P induced by
-    conjugation by P's generators, by the elements of S normalizing P, and
-    by the elements of Gamma normalizing P.  The first two are small
-    p-groups and are enumerated; Lambda_P is a `chain.Chain`, grown from
-    Aut_S(P)'s chain (N_S(P) <= N_Gamma(P)) by the generator images of the
-    normalizing elements of Gamma.  N_S(P) is generated by the translations
-    normalizing P and one (a, u), if any (the u^j with a normalizing
-    (a, u^j) form a subgroup of U), so u alone is solved for, with
-    exponent 1."""
+    """Inn(P), Aut_S(P), Aut_S(P)'s chain and Lambda_P: the automorphisms
+    of P induced by conjugation by P's generators, by the elements of S
+    normalizing P, and by the elements of Gamma normalizing P.  The first
+    two are small p-groups and are listed; Lambda_P is a `chain.Chain`,
+    grown from Aut_S(P)'s chain (N_S(P) <= N_Gamma(P)) by the generator
+    images of the normalizing elements of Gamma.  N_S(P) is generated by
+    the translations normalizing P and one (a, u), if any (the u^j with a
+    normalizing (a, u^j) form a subgroup of U), so u alone is solved for,
+    with exponent 1."""
     inn = pset.conjugation_perms(*_stacks(pset.group.generators))
     aut_s = pset.close(pset.conjugation_perms(*normalizer_mats(
         s, pset, np.array(s.upow[1:2]), np.array(s.upow[-1:]),
         np.ones(1, dtype=np.int64))))
+    aut_s_chain = pset.chain_of(aut_s)
     lam = pset.chain_by_conjugation(*normalizer_mats(s, pset, *s.normalizer),
-                                    base=aut_s.chain)
-    return pset.close(inn), aut_s, lam
+                                    base=aut_s_chain)
+    return pset.close(inn), aut_s, aut_s_chain, lam
 
 
 def centralizer_order(s: SGroup, pset: PermGroupOnSet) -> int:
@@ -658,8 +603,8 @@ class ThetaReport:
     pset: PermGroupOnSet = field(repr=False, default=None)
     theta: Chain = field(repr=False, default=None)
     theta0: Chain = field(repr=False, default=None)
-    inn: PermGroup = field(repr=False, default=None)
-    aut_s: PermGroup = field(repr=False, default=None)
+    inn: Listed = field(repr=False, default=None)
+    aut_s: Listed = field(repr=False, default=None)
 
 
 def sl2_images(s: SGroup, kind: str, gen_x: FpMatrix, gvee: mu.GVee):
@@ -748,14 +693,14 @@ def theta_witness(s: SGroup, kind: str, i: int, hb,
     if any(perm is None for perm in theta0_gens):
         raise InvariantViolation(what)
 
-    inn, aut_s, lam = local_automorphisms(s, pset)
+    inn, aut_s, aut_s_chain, lam = local_automorphisms(s, pset)
     # Theta_0's generators are walked together: they are few, and each
     # joined alone would walk Theta_0's orbit again
     theta0_gens = np.concatenate([theta0_gens, inn.gens])
     theta0 = walk(pset._trivial(), theta0_gens, pset.inv(theta0_gens))
     theta = pset.chain(lam.gens, base=theta0)
     # O^{p'}(Theta): normal closure of the Sylow-p subgroup Aut_S(P)
-    opp = pset.normal_closure(aut_s, theta.gens)
+    opp = pset.normal_closure(aut_s_chain, theta.gens)
 
     gx = pset.gen_idx
     sl2_order = p * (p * p - 1)
@@ -876,7 +821,7 @@ def step2_conditions(s: SGroup, thetas) -> dict:
     cond3 = True
     for th in thetas:
         outs = th.aut_s.order() // int(
-            th.inn.members(th.pset.image(th.aut_s.perms)).sum())
+            th.inn.members(th.pset.image(th.aut_s.stack)).sum())
         order_p = outs == p
         aut_s_inn = th.aut_s.join(th.inn.gens, th.pset.inv(th.inn.gens))
         nonnormal = not th.pset.normalizing(th.theta.gens, aut_s_inn).all()

@@ -1,24 +1,8 @@
-import numpy as np
 import pytest
 
 from fusionseed import zoo
 from fusionseed.gfp import FpMatrix
 from fusionseed.grp import MatGroup
-
-
-def perm_mat(p, images, n=None):
-    n = n or len(images)
-    a = np.zeros((n, n), dtype=np.int64)
-    for i, j in enumerate(images):
-        a[j, i] = 1
-    return FpMatrix(p, a)
-
-
-def cycle(n, cyc):
-    img = list(range(n))
-    for k in range(len(cyc)):
-        img[cyc[k]] = cyc[(k + 1) % len(cyc)]
-    return img
 
 
 @pytest.fixture(scope="session")

@@ -9,11 +9,11 @@ import time
 
 import numpy as np
 
-from conftest import cycle, perm_mat
 from fusionseed import cli, criterion as cr, gfp, modrep as mr, mu, sgroup as sg, zoo
 from fusionseed.gfp import FpMatrix, Subspace
 from fusionseed.grp import MatGroup, class_GG, o_pprime
 from fusionseed.modrep import FpModule
+from fusionseed.zoo import cycle_perm, perm_matrix
 
 
 def _mark(name, t0, budget):
@@ -69,8 +69,8 @@ def test_criterion_2_extension_mu_law():
 # -- 3. strongly-closed example reproduction ---------------------------------
 
 def _example_a(p):
-    gens = [perm_mat(p, cycle(p, [0, 1])),
-            perm_mat(p, cycle(p, list(range(p)))),
+    gens = [perm_matrix(p, cycle_perm(p, [0, 1])),
+            perm_matrix(p, cycle_perm(p, list(range(p)))),
             FpMatrix.scalar(p, p, zoo.primitive_root(p))]
     gamma = MatGroup(p, gens)
     v = FpModule(p, p, gamma)
@@ -84,8 +84,8 @@ def _example_a(p):
 
 
 def _example_c(p):
-    gens = [perm_mat(p, cycle(p, [0, 1])),
-            perm_mat(p, cycle(p, list(range(p)))),
+    gens = [perm_matrix(p, cycle_perm(p, [0, 1])),
+            perm_matrix(p, cycle_perm(p, list(range(p)))),
             FpMatrix.scalar(p, p, zoo.primitive_root(p))]
     gamma = MatGroup(p, gens)
     big = FpModule(p, p, gamma)
@@ -295,12 +295,12 @@ def test_criterion_7_oracle_equivalences():
     groups.append(MatGroup(5, [e12, e21, dz]))
     groups.append(MatGroup(7, [FpMatrix(7, [[1, 1], [0, 1]]),
                                FpMatrix(7, [[1, 0], [1, 1]])]))
-    groups.append(MatGroup(5, [perm_mat(5, cycle(5, [0, 1])),
-                               perm_mat(5, cycle(5, list(range(5))))]))
-    groups.append(MatGroup(5, [perm_mat(5, cycle(5, [0, 1, 2])),
-                               perm_mat(5, cycle(5, list(range(5))))]))
-    groups.append(MatGroup(5, [perm_mat(5, cycle(5, list(range(5)))),
-                               perm_mat(5, [0, 2, 4, 1, 3])]))
+    groups.append(MatGroup(5, [perm_matrix(5, cycle_perm(5, [0, 1])),
+                               perm_matrix(5, cycle_perm(5, list(range(5))))]))
+    groups.append(MatGroup(5, [perm_matrix(5, cycle_perm(5, [0, 1, 2])),
+                               perm_matrix(5, cycle_perm(5, list(range(5))))]))
+    groups.append(MatGroup(5, [perm_matrix(5, cycle_perm(5, list(range(5)))),
+                               perm_matrix(5, [0, 2, 4, 1, 3])]))
     groups.append(zoo.extraspecial(3)[0])
     groups.append(zoo.monomial(5, 5, 2, "trivial", "S")[0])
     groups.append(zoo.symmetric(5, 6, "deleted", "S", 1)[0])
@@ -309,18 +309,18 @@ def test_criterion_7_oracle_equivalences():
         groups.append(zoo.sl2p(5, ("Vi", k))[0])
     groups.append(zoo.sl2p(7, ("Vi", 2))[0])
     groups.append(zoo.sl2p(7, ("Vi", 3))[0])
-    groups.append(MatGroup(5, [perm_mat(5, cycle(5, [0, 1])),
-                               perm_mat(5, cycle(5, list(range(5)))),
+    groups.append(MatGroup(5, [perm_matrix(5, cycle_perm(5, [0, 1])),
+                               perm_matrix(5, cycle_perm(5, list(range(5)))),
                                FpMatrix.scalar(5, 5, 2)]))
     groups.append(MatGroup(5, [FpMatrix.scalar(5, 2, 2)]))
-    groups.append(MatGroup(7, [perm_mat(7, cycle(7, [0, 1])),
-                               perm_mat(7, cycle(7, list(range(7))))]))
+    groups.append(MatGroup(7, [perm_matrix(7, cycle_perm(7, [0, 1])),
+                               perm_matrix(7, cycle_perm(7, list(range(7))))]))
     groups.append(MatGroup(3, [FpMatrix(3, [[1, 1], [0, 1]]),
                                FpMatrix(3, [[0, 2], [1, 0]])]))
     groups.append(zoo.symmetric(5, 6, "deleted", "A", 1)[0])   # A_6, 360
     groups.append(zoo.symmetric(7, 7, "deleted", "A", 1)[0])   # A_7, 2520
-    groups.append(MatGroup(5, [perm_mat(5, cycle(5, list(range(5)))),
-                               perm_mat(5, [0, 2, 4, 1, 3]),
+    groups.append(MatGroup(5, [perm_matrix(5, cycle_perm(5, list(range(5)))),
+                               perm_matrix(5, [0, 2, 4, 1, 3]),
                                FpMatrix.scalar(5, 5, 2)]))     # AGL_1 x C_4
     groups.append(MatGroup(3, [mr.sym_power_matrix(
         FpMatrix(3, [[1, 1], [0, 1]]), 2), mr.sym_power_matrix(

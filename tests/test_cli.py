@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from fusionseed import cli, grp, sgroup, zoo
+from fusionseed import cli, grp, modrep, mu, sgroup, zoo
 from fusionseed.errors import InvariantViolation, Z0NotLine
 from fusionseed.gfp import FpMatrix
 
@@ -397,7 +397,7 @@ def enumerated(monkeypatch):
 
     def counted_cache(group):
         cache(group)
-        orders.append(len(group._keys))
+        orders.append(group.listed.order())
         return group
     monkeypatch.setattr(grp.MatGroup, "cache", counted_cache)
     return orders
@@ -422,6 +422,29 @@ def test_sgroup_never_enumerates_gamma_and_builds_each_theta_once(
     assert rep["step2"]["gamma_order"] == 60000
     assert enumerated and max(enumerated) < 60000
     assert calls == {"theta_witness": 2}
+
+
+def test_sgroup_reads_normalizer_exponents_once_each_for_gvee_and_solves(
+        tmp_path, monkeypatch):
+    """On the flagship, the exponents r with g u g^-1 = u^r are computed
+    over N_G(U)'s 80 elements twice: for G-vee (`mu.compute_gvee`) and for
+    the solves over N_G(U) (`SGroup.normalizer`), whose exponents the
+    W-filtration's scalar law reads too."""
+    inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+    assert cli.main(["zoo", "emit", "sn_deleted", "--index", "0",
+                     "--out", str(inst)]) == 0
+    sizes = []
+
+    def counted(u, mats, _fn=modrep.u_exponents):
+        sizes.append(len(mats))
+        return _fn(u, mats)
+    monkeypatch.setattr(modrep, "u_exponents", counted)
+    monkeypatch.setattr(mu, "u_exponents", counted)
+    assert cli.main(["sgroup", str(inst), "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["step2"]["ok"]
+    assert len(rep["filtration"]["scalar_reports"]) == 80
+    assert sizes == [80, 80]
 
 
 @pytest.mark.parametrize("tag, index, which, s_order", [

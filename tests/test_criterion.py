@@ -5,19 +5,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import cycle, perm_mat
 from fusionseed import cli, criterion as cr, gfp, grp, modrep as mr, mu, zoo
 from fusionseed.criterion import E0, e0_menu
 from fusionseed.gfp import FpMatrix, Subspace
 from fusionseed.grp import MatGroup, class_GG, o_pprime
 from fusionseed.modrep import FpModule
+from fusionseed.zoo import cycle_perm, perm_matrix
 
 
 def example_a_instance(p=5):
     """G = O^{p'}(Gamma) . mu^-1(Delta_-1) inside Gamma = S_p x scalars,
     acting on the full permutation module."""
-    gens = [perm_mat(p, cycle(p, [0, 1])),
-            perm_mat(p, cycle(p, list(range(p)))),
+    gens = [perm_matrix(p, cycle_perm(p, [0, 1])),
+            perm_matrix(p, cycle_perm(p, list(range(p)))),
             FpMatrix.scalar(p, p, zoo.primitive_root(p))]
     gamma = MatGroup(p, gens)
     v = FpModule(p, p, gamma)
@@ -33,8 +33,8 @@ def example_a_instance(p=5):
 def example_c_instance(p=5):
     """Same ambient group on the quotient module V = F_p^p / constants,
     with G = O^{p'}(Gamma) . mu^-1(Delta_0)."""
-    gens = [perm_mat(p, cycle(p, [0, 1])),
-            perm_mat(p, cycle(p, list(range(p)))),
+    gens = [perm_matrix(p, cycle_perm(p, [0, 1])),
+            perm_matrix(p, cycle_perm(p, list(range(p)))),
             FpMatrix.scalar(p, p, zoo.primitive_root(p))]
     gamma = MatGroup(p, gens)
     big = FpModule(p, p, gamma)
@@ -67,16 +67,16 @@ def test_check_a_examples():
 
 def test_check_b():
     # S5 x scalars on F5^5: Q_max = Z = Z0, passes
-    gens = [perm_mat(5, cycle(5, [0, 1])),
-            perm_mat(5, cycle(5, [0, 1, 2, 3, 4])),
+    gens = [perm_matrix(5, cycle_perm(5, [0, 1])),
+            perm_matrix(5, cycle_perm(5, [0, 1, 2, 3, 4])),
             FpMatrix.scalar(5, 5, 2)]
     v = FpModule(5, 5, MatGroup(5, gens))
     cs = mr.canonical_subspaces(v, class_GG(v.group).sylow)
     ok, qmax = cr.check_b(v, cs)
     assert ok and qmax == cs.Z0
     # A5 on (zero-sum) + trivial line: invariant line outside Z0 -> fail
-    a5 = MatGroup(5, [perm_mat(5, cycle(5, [0, 1, 2])),
-                      perm_mat(5, cycle(5, [0, 1, 2, 3, 4]))])
+    a5 = MatGroup(5, [perm_matrix(5, cycle_perm(5, [0, 1, 2])),
+                      perm_matrix(5, cycle_perm(5, [0, 1, 2, 3, 4]))])
     big = FpModule(5, 5, a5)
     zs = gfp.kernel_basis(FpMatrix(5, np.ones((1, 5), dtype=np.int64)))
     w, _ = mr.submodule(big, zs)      # dim 4 zero-sum: socle is the constants
@@ -92,8 +92,8 @@ def test_check_b():
 def test_check_b_against_exhaustive_invariant_search():
     # exhaustive invariant-subspace search inside Z agrees with Q_max
     cases = []
-    gens = [perm_mat(5, cycle(5, [0, 1])),
-            perm_mat(5, cycle(5, [0, 1, 2, 3, 4])),
+    gens = [perm_matrix(5, cycle_perm(5, [0, 1])),
+            perm_matrix(5, cycle_perm(5, [0, 1, 2, 3, 4])),
             FpMatrix.scalar(5, 5, 2)]
     cases.append(FpModule(5, 5, MatGroup(5, gens)))
     g, v = zoo.symmetric(7, 9, "deleted", "S", 1)
@@ -125,8 +125,8 @@ def test_check_b_against_exhaustive_invariant_search():
 
 
 def test_check_c():
-    gens = [perm_mat(5, cycle(5, [0, 1])),
-            perm_mat(5, cycle(5, [0, 1, 2, 3, 4]))]
+    gens = [perm_matrix(5, cycle_perm(5, [0, 1])),
+            perm_matrix(5, cycle_perm(5, [0, 1, 2, 3, 4]))]
     v = FpModule(5, 5, MatGroup(5, gens))
     ok, w = cr.check_c(v)
     assert not ok and w.dim == 4
@@ -252,10 +252,10 @@ def test_passing_count_matches_menu():
 
 def test_enumerate_admissible_empty_when_all_fail():
     # permutation matrices alone never satisfy [G, V] = V on F_p^p
-    gens = [perm_mat(5, cycle(5, [0, 1])),
-            perm_mat(5, cycle(5, [0, 1, 2, 3, 4]))]
-    a5gens = [perm_mat(5, cycle(5, [0, 1, 2])),
-              perm_mat(5, cycle(5, [0, 1, 2, 3, 4]))]
+    gens = [perm_matrix(5, cycle_perm(5, [0, 1])),
+            perm_matrix(5, cycle_perm(5, [0, 1, 2, 3, 4]))]
+    a5gens = [perm_matrix(5, cycle_perm(5, [0, 1, 2])),
+              perm_matrix(5, cycle_perm(5, [0, 1, 2, 3, 4]))]
     gbar = MatGroup(5, gens)
     g0 = MatGroup(5, a5gens)
     assert cr.enumerate_admissible(g0, gbar, FpModule(5, 5, gbar)) == []
@@ -263,8 +263,8 @@ def test_enumerate_admissible_empty_when_all_fail():
 
 def test_index_too_large_guard():
     from fusionseed.errors import IndexTooLarge
-    gens = [perm_mat(5, cycle(5, [0, 1])),
-            perm_mat(5, cycle(5, [0, 1, 2, 3, 4]))]
+    gens = [perm_matrix(5, cycle_perm(5, [0, 1])),
+            perm_matrix(5, cycle_perm(5, [0, 1, 2, 3, 4]))]
     gbar = MatGroup(5, gens)
     triv = MatGroup(5, [FpMatrix.identity(5, 5)])
     with pytest.raises(IndexTooLarge):

@@ -4,7 +4,6 @@ import time
 import numpy as np
 import pytest
 
-from conftest import cycle, perm_mat
 from fusionseed import chain, gfp, grp, modrep, mu, zoo
 from fusionseed.errors import (CapExceeded, InvariantViolation,
                              SubgroupViolation)
@@ -13,16 +12,17 @@ from fusionseed.grp import (MatGroup, class_GG, intermediate_subgroups,
                             o_pprime, product_covers,
                             sylow_normalizer_via_orbit)
 from fusionseed.modrep import sym_power_matrix
+from fusionseed.zoo import cycle_perm, perm_matrix
 
 
 def s5_group(p=5):
-    return MatGroup(p, [perm_mat(p, cycle(5, [0, 1])),
-                        perm_mat(p, cycle(5, [0, 1, 2, 3, 4]))])
+    return MatGroup(p, [perm_matrix(p, cycle_perm(5, [0, 1])),
+                        perm_matrix(p, cycle_perm(5, [0, 1, 2, 3, 4]))])
 
 
 def a5_group(p=5):
-    return MatGroup(p, [perm_mat(p, cycle(5, [0, 1, 2])),
-                        perm_mat(p, cycle(5, [0, 1, 2, 3, 4]))])
+    return MatGroup(p, [perm_matrix(p, cycle_perm(5, [0, 1, 2])),
+                        perm_matrix(p, cycle_perm(5, [0, 1, 2, 3, 4]))])
 
 
 def test_enumerate_trivial_and_sl2():
@@ -74,15 +74,15 @@ def test_class_gg_a5():
 
 
 def test_class_gg_normal_sylow():
-    u = perm_mat(5, cycle(5, [0, 1, 2, 3, 4]))
-    sigma2 = perm_mat(5, [0, 2, 4, 1, 3])   # i -> 2i normalizes <u>
+    u = perm_matrix(5, cycle_perm(5, [0, 1, 2, 3, 4]))
+    sigma2 = perm_matrix(5, [0, 2, 4, 1, 3])   # i -> 2i normalizes <u>
     rep = class_GG(MatGroup(5, [u, sigma2]))
     assert rep.status == "not_in_G"
     assert "normal" in rep.reason
 
 
 def test_class_gg_p_not_dividing():
-    g = MatGroup(5, [perm_mat(5, cycle(5, [0, 1]))])
+    g = MatGroup(5, [perm_matrix(5, cycle_perm(5, [0, 1]))])
     assert class_GG(g).status == "not_in_G"
 
 
@@ -109,8 +109,8 @@ def test_o_pprime_s5_and_sl2():
 
 def test_o_pprime_s7():
     p = 7
-    s7 = MatGroup(p, [perm_mat(p, cycle(7, [0, 1])),
-                      perm_mat(p, cycle(7, list(range(7))))])
+    s7 = MatGroup(p, [perm_matrix(p, cycle_perm(7, [0, 1])),
+                      perm_matrix(p, cycle_perm(7, list(range(7))))])
     assert s7.order() == 5040
     a7 = o_pprime(s7, class_GG(s7).sylow)
     assert a7.order() == 2520
@@ -125,7 +125,7 @@ def test_product_covers():
     s5 = s5_group()
     rep = class_GG(s5)
     a5 = o_pprime(s5, rep.sylow)
-    transp = MatGroup(5, [perm_mat(5, cycle(5, [0, 1]))])
+    transp = MatGroup(5, [perm_matrix(5, cycle_perm(5, [0, 1]))])
     triv = MatGroup(5, [FpMatrix.identity(5, 5)])
     assert product_covers(s5, s5, triv)
     assert product_covers(s5, a5, transp)
@@ -134,7 +134,7 @@ def test_product_covers():
     outside = MatGroup(5, [FpMatrix.scalar(5, 5, 2)])
     assert not product_covers(s5, a5, outside)
     # <(1 2)> does not normalize <(0 1)>
-    other = MatGroup(5, [perm_mat(5, cycle(5, [1, 2]))])
+    other = MatGroup(5, [perm_matrix(5, cycle_perm(5, [1, 2]))])
     with pytest.raises(SubgroupViolation):
         product_covers(s5, transp, other)
 
@@ -146,8 +146,8 @@ def test_intermediate_subgroups_small():
     mids = intermediate_subgroups(a5, s5)
     assert sorted(m.order() for m in mids) == [60, 120]
     # a nonabelian quotient: the subgroups of S_3 over the trivial group
-    s3 = MatGroup(5, [perm_mat(5, cycle(3, [0, 1])),
-                      perm_mat(5, cycle(3, [0, 1, 2]))])
+    s3 = MatGroup(5, [perm_matrix(5, cycle_perm(3, [0, 1])),
+                      perm_matrix(5, cycle_perm(3, [0, 1, 2]))])
     triv = MatGroup(5, [FpMatrix.identity(5, 3)])
     assert [m.order() for m in intermediate_subgroups(triv, s3)] == \
         [1, 2, 2, 2, 3, 6]
@@ -426,8 +426,8 @@ def test_batched_keys_match_matrix_powers():
 def test_orbit_bound_is_exact(monkeypatch):
     """S_7 on F_7^7 has 120 Sylow 7-subgroups, each with a normalizer of
     order 42: a cap of 120 admits the orbit, a cap of 119 refuses it."""
-    s7 = MatGroup(7, [perm_mat(7, cycle(7, [0, 1])),
-                      perm_mat(7, cycle(7, list(range(7))))])
+    s7 = MatGroup(7, [perm_matrix(7, cycle_perm(7, [0, 1])),
+                      perm_matrix(7, cycle_perm(7, list(range(7))))])
     u = class_GG(s7).sylow.u
     monkeypatch.setenv("FUSIONSEED_CAP", "120")
     _, orbit = sylow_normalizer_via_orbit(7, 7, s7.generators, u)
@@ -497,8 +497,8 @@ def test_class_gg_against_brute_force():
 
 def test_index_too_large():
     from fusionseed.errors import IndexTooLarge
-    big = MatGroup(5, [perm_mat(5, cycle(5, [0, 1])),
-                       perm_mat(5, cycle(5, [0, 1, 2, 3, 4]))])
+    big = MatGroup(5, [perm_matrix(5, cycle_perm(5, [0, 1])),
+                       perm_matrix(5, cycle_perm(5, [0, 1, 2, 3, 4]))])
     triv = MatGroup(5, [FpMatrix.identity(5, 5)])
     with pytest.raises((IndexTooLarge, SubgroupViolation)):
         intermediate_subgroups(triv, big)
@@ -578,7 +578,7 @@ def test_table_closures_match_key_walks(k, spec, monkeypatch, corpus_bfs):
     stack, inverses = bfs.elements_stack(), bfs.inverses_stack()
     for sub, ref in zip(closures, refs):
         assert set(sub.chain.orbit) == set(ref.orbit)
-        assert set(sub.chain.stabilizer.keys()) == set(ref.stabilizer.keys())
+        assert set(sub.chain.stabilizer.index) == set(ref.stabilizer.keys())
         inside = sub.members(stack, inverses)
         assert inside.tolist() == ref.members(stack, inverses).tolist()
         assert inside.sum() == sub.order()
@@ -605,11 +605,8 @@ def test_o_pprime_keys_only_its_draws(monkeypatch):
 
 def _grown(p, n, gens):
     """<gens> grown by cosets, one generator at a time."""
-    group = MatGroup.trivial(p, n)
-    for m in gens:
-        if m.key() not in group.keys():
-            group = group.extend(m)
-    return group
+    return MatGroup.of(chain.Listed.trivial(chain.MatCodec(p, n)).join(
+        *grp._stacks(gens)))
 
 
 def _assert_enumerated(group, bfs):
@@ -679,6 +676,8 @@ def test_subset_group_refuses_a_subset_that_is_not_closed():
     g = s5_group().cache()
     with pytest.raises(SubgroupViolation, match="not a subgroup"):
         g.subset_group([0, 2])      # 1 and a 5-cycle
+    with pytest.raises(SubgroupViolation, match="not a subgroup"):
+        g.subset_group([1, 2, 3])   # no identity
 
 
 @pytest.mark.parametrize("k, spec", SMALL_CORPUS,

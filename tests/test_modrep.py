@@ -1,26 +1,27 @@
 import numpy as np
 import pytest
 
-from conftest import cycle, perm_mat
 from fusionseed import gfp, modrep as mr
 from fusionseed.errors import (InvalidParams, NotUnipotentOfOrderP,
                                SubgroupViolation)
 from fusionseed.gfp import FpMatrix, Subspace
 from fusionseed.grp import MatGroup, class_GG, o_pprime
 from fusionseed.modrep import FpModule
+from fusionseed.zoo import cycle_perm, perm_matrix
 
 
 def s5_module(scalars=False):
-    gens = [perm_mat(5, cycle(5, [0, 1])),
-            perm_mat(5, cycle(5, [0, 1, 2, 3, 4]))]
+    gens = [perm_matrix(5, cycle_perm(5, [0, 1])),
+            perm_matrix(5, cycle_perm(5, [0, 1, 2, 3, 4]))]
     if scalars:
         gens.append(FpMatrix.scalar(5, 5, 2))
     return FpModule(5, 5, MatGroup(5, gens))
 
 
 def a5_module():
-    return FpModule(5, 5, MatGroup(5, [perm_mat(5, cycle(5, [0, 1, 2])),
-                                       perm_mat(5, cycle(5, [0, 1, 2, 3, 4]))]))
+    return FpModule(5, 5, MatGroup(5, [
+        perm_matrix(5, cycle_perm(5, [0, 1, 2])),
+        perm_matrix(5, cycle_perm(5, [0, 1, 2, 3, 4]))]))
 
 
 def sl2_natural(p=5):

@@ -4,14 +4,15 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import cycle, perm_mat
 from fusionseed import gfp, modrep as mr, mu, sgroup as sg, zoo
-from fusionseed.chain import Chain, walk
+from fusionseed.chain import (Chain, Listed, MatCodec, _row_keys, _stacks,
+                              walk)
 from fusionseed.errors import (CapExceeded, InvariantViolation,
                                MuTooSmall)
 from fusionseed.gfp import FpMatrix
-from fusionseed.grp import MatGroup, _row_keys, class_GG
+from fusionseed.grp import MatGroup, class_GG
 from fusionseed.modrep import FpModule
+from fusionseed.zoo import cycle_perm, perm_matrix
 
 
 def semidirect_affine(v: FpModule, g: MatGroup) -> MatGroup:
@@ -83,8 +84,8 @@ def test_choose_x_a(flagship):
 
 
 def test_sigma_nonzero_at_dim_p():
-    gens = [perm_mat(5, cycle(5, [0, 1])),
-            perm_mat(5, cycle(5, [0, 1, 2, 3, 4])),
+    gens = [perm_matrix(5, cycle_perm(5, [0, 1])),
+            perm_matrix(5, cycle_perm(5, [0, 1, 2, 3, 4])),
             FpMatrix.scalar(5, 5, 2)]
     v = FpModule(5, 5, MatGroup(5, gens))
     gg = class_GG(v.group)
@@ -295,7 +296,7 @@ def test_restricted_ambients_match_full_gamma(request, case, i, kind):
     s, hb, gamma = request.getfixturevalue(case)
     pset = sg.PermGroupOnSet(hb[i][kind], s.Z if kind == "H" else s.Z2,
                              hb[i]["generator"])
-    inn, aut_s, lam = sg.local_automorphisms(s, pset)
+    inn, aut_s, _, lam = sg.local_automorphisms(s, pset)
     lam_scan, central = _scan(pset, gamma)
     assert lam.order() == len(lam_scan) and lam.contains(lam_scan).all()
     assert sg.centralizer_order(s, pset) == central
@@ -566,8 +567,8 @@ def test_perm_layer_matches_dict_bfs(request, case, kind, i):
     outside = np.array([t for k, t in ref_theta.items()
                         if k not in ref_theta0]).reshape(-1, pset.n)[:, gx]
     assert len(outside) == len(ref_theta) - len(ref_theta0)
-    opp = pset.normal_closure(aut_s, th.theta.gens)
-    lam = sg.local_automorphisms(s, pset)[2]
+    opp = pset.normal_closure(pset.chain_of(aut_s), th.theta.gens)
+    lam = sg.local_automorphisms(s, pset)[3]
     for chain, ref in ((th.theta, ref_theta), (th.theta0, ref_theta0),
                        (opp, ref_opp)):
         elements = np.array(list(ref.values()))
@@ -579,7 +580,7 @@ def test_perm_layer_matches_dict_bfs(request, case, kind, i):
         assert (chain.contains(outside) == (chain is th.theta)).all()
 
     ref_aut_s = _bfs(list(aut_s.gens))
-    assert _keys(aut_s.perms) == set(ref_aut_s)
+    assert _keys(aut_s.stack) == set(ref_aut_s)
 
     def normalizes(t):
         return all(t[h[np.argsort(t)]].tobytes() in ref_aut_s
@@ -670,7 +671,7 @@ def _stabilizer_walk(pset, chain, sub):
     stabilizer, N(sub)'s chain at g_0, into which the walk sifts its
     Schreier generators: the reference for the orbit-only walk of checks
     (iii) and (iv)."""
-    hs = sub.perms
+    hs = sub.stack
 
     def targets(points, t, t_inv, gens, gens_inv):
         x = pset.mul(t[:, None], gens)
@@ -692,7 +693,8 @@ def test_orbit_only_walks_match_stabilizer_walks(request, case, kind):
     s, hb, gv = _theta_case(request, case)
     th = sg.theta_witness(s, kind, 0, hb, gv)
     pset, aut_s = th.pset, th.aut_s
-    for chain in (th.theta, pset.normal_closure(aut_s, th.theta.gens)):
+    for chain in (th.theta,
+                  pset.normal_closure(pset.chain_of(aut_s), th.theta.gens)):
         orbit = pset.conjugation_orbit(chain, aut_s)
         ref = _stabilizer_walk(pset, chain, aut_s)
         assert len(orbit.points) == len(ref.points) > 1
@@ -718,6 +720,37 @@ def test_chains_of_random_generator_triples_match_dict_bfs(flagship,
         assert pset.chain(triple).order() == len(_bfs(list(triple)))
 
 
+def _assert_listed(group, ref_keys):
+    """group lists the elements whose bytes are ref_keys, each row at its
+    index and times its inverse the identity."""
+    codec = group.codec
+    assert {m.tobytes() for m in group.stack} == set(ref_keys)
+    assert group.order() == len(group.stack) == len(ref_keys)
+    assert [group.index[k] for k in codec.keys(codec.image(group.stack))] \
+        == list(range(group.order()))
+    prods = codec.mul(codec.load(group.stack), codec.load(group.inverses))
+    assert (prods == codec.identity).all()
+
+
+def test_listed_join_matches_bfs_on_both_codecs(flagship, flagship_hb):
+    """`Listed.trivial(codec).join` lists the group that BFS lists, with
+    every inverse right: S_5 and SL_2(5) as matrices against
+    `MatGroup.cache`, and Theta_0 and Aut_S(P) of the flagship's B_0 as
+    permutations against a dict BFS."""
+    s5 = MatGroup(5, [perm_matrix(5, cycle_perm(5, [0, 1])),
+                      perm_matrix(5, cycle_perm(5, list(range(5))))])
+    sl25 = MatGroup(5, [FpMatrix(5, [[1, 1], [0, 1]]),
+                        FpMatrix(5, [[1, 0], [1, 1]])])
+    for g in (s5, sl25):
+        listed = Listed.trivial(MatCodec(5, g.dim)).join(
+            *_stacks(g.generators))
+        _assert_listed(listed, g.cache().keys())
+    s, (_, _, hb, gv) = flagship[3], flagship_hb
+    th = sg.theta_witness(s, "B", 0, hb, gv)
+    for gens in (th.theta0.gens, th.aut_s.gens):
+        _assert_listed(th.pset.close(gens), _bfs(list(gens)))
+
+
 def test_dropping_a_lambda_generator_fails_check_iv(flagship, flagship_hb,
                                                     monkeypatch):
     """Check (iv) compares |Lambda_P| with |Theta| / |Aut_S(P)^Theta|: with
@@ -728,11 +761,11 @@ def test_dropping_a_lambda_generator_fails_check_iv(flagship, flagship_hb,
     local = sg.local_automorphisms
 
     def dropped(s, pset):
-        inn, aut_s, lam = local(s, pset)
-        return inn, aut_s, pset.chain(lam.gens[:-1])
+        inn, aut_s, aut_s_chain, lam = local(s, pset)
+        return inn, aut_s, aut_s_chain, pset.chain(lam.gens[:-1])
     th = sg.theta_witness(s, "B", 0, hb, gv)
-    lam = local(s, th.pset)[2]
-    assert dropped(s, th.pset)[2].order() < lam.order() == 2000
+    lam = local(s, th.pset)[3]
+    assert dropped(s, th.pset)[3].order() < lam.order() == 2000
     monkeypatch.setattr(sg, "local_automorphisms", dropped)
     mutant = sg.theta_witness(s, "B", 0, hb, gv)
     assert mutant.theta_order == th.theta_order == 12000
