@@ -13,7 +13,8 @@ with every element listed and grows it by cosets (Dimino's algorithm,
 Elements act on the right: `mul(a, b)` is a, then b.  A codec multiplies
 whole stacks, keys them, acts on points and carries its own limit:
 - `MatCodec`: matrices mod p, stored as int8 and multiplied as float64;
-  its points are the conjugates of U = <u>, keyed by `_subgroup_keys`.
+  its points are the conjugates of U = <u>, keyed by the lines through
+  their logarithms (`_line_keys`), equal exactly for equal groups.
 - `PermCodec`: permutations keyed by their images of some points, the
   sift form (`image`) of an element; its points are images of the first.
 A stabilizer is a group with `order`, `members` and `join`: a `Listed`,
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -60,7 +62,11 @@ def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     the floor of its quotient by p; numpy multiplies float64 stacks through
     BLAS, several times faster than int64 stacks.
     """
-    x = a @ b
+    return _floormod(a @ b, p)
+
+
+def _floormod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place, for a float64 array of exact integers."""
     q = x / p
     np.floor(q, out=q)
     q *= p
@@ -80,34 +86,47 @@ def _row_keys(rows: np.ndarray) -> list:
     return rows.view(np.dtype((np.void, rows.shape[1]))).ravel().tolist()
 
 
-def _subgroup_keys(x: np.ndarray, p: int) -> list:
-    """Key of each <x[i]>: the least int8 bytes among x[i], ..., x[i]^(p-1).
+def _log(u: np.ndarray, p: int) -> np.ndarray:
+    """log u = sum over k < p of (-1)^(k+1) N^k / k mod p, N = u - 1, as a
+    float64 matrix, for u of order p.
 
-    Bytes compare as unsigned, so the least is found entry by entry: a
-    power replaces the best so far where it is smaller at the first entry
-    in which the two differ.
+    (u - 1)^p = u^p - 1 = 0 mod p, so the series stops before its first
+    denominator divisible by p, and it is exact: exp(log u) = u and
+    log(u^k) = k log u.
     """
-    k = x.shape[0]
-    rows = np.arange(k)
-    best = x.astype(np.uint8).reshape(k, -1)
-    cur = x
-    for _ in range(p - 2):
-        cur = _mulmod(cur, x, p)
-        cand = cur.astype(np.uint8).reshape(k, -1)
-        first = (cand != best).argmax(axis=1)
-        less = cand[rows, first] < best[rows, first]
-        best[less] = cand[less]
-    return _row_keys(best)
+    nil = _floormod(np.asarray(u, dtype=np.float64) - np.eye(len(u)), p)
+    log, power = np.zeros_like(nil), nil
+    for k in range(1, p):
+        log += pow(k if k % 2 else -k, -1, p) * power
+        power = _mulmod(power, nil, p)
+    return _floormod(log, p)
+
+
+def _line_keys(x: np.ndarray, recip: np.ndarray) -> list:
+    """Key of the line through each nonzero x[i] (a float64 stack mod p,
+    recip[a] being 1 / a mod p): its int8 bytes scaled so that its first
+    nonzero entry is 1."""
+    rows = x.reshape(-1, x.shape[-2] * x.shape[-1])
+    first = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+    return _row_keys(_floormod(rows * recip[first.astype(np.intp)][:, None],
+                               len(recip)))
 
 
 class MatCodec:
     """n x n matrices mod p acting on the conjugates of U = <u> (u None
     when no point is read); FUSIONSEED_CAP bounds the orbit points and,
-    apart, a group's elements."""
+    apart, a group's elements.  A point <x^-1 u x> is keyed by the line
+    through x^-1 L x for L = `_log`(u), and `base` is U's key: log(u^k) =
+    k L, log commutes with conjugation and exp inverts it, so conjugates of
+    u generate one group exactly when their logs span one line."""
 
     def __init__(self, p, n: int, u=None):
         self.p, self.n, self.u, self.cap = int(p), n, u, element_cap()
         self.identity = np.eye(n, dtype=np.int8)
+        if u is not None:       # recip[a] = 1 / a mod p
+            self.log, self.recip = _log(u.a, self.p), np.float64(
+                [pow(a, self.p - 2, self.p) for a in range(self.p)])
+            self.base = _line_keys(self.log[None], self.recip)[0]
 
     def mul(self, a, b):
         return _mulmod(a, b, self.p)
@@ -123,17 +142,17 @@ class MatCodec:
 
     def targets(self, labels, t, t_inv, gens, gens_inv) -> list:
         """Keys of <(t g)^-1 u (t g)>, pair q being (t[q // m], g[q % m])
-        for m generators."""
-        p, uf = self.p, self.u.a.astype(np.float64)
-        reps = _mulmod(_mulmod(t_inv, uf, p), t, p)
-        conj = _mulmod(_mulmod(gens_inv, reps[:, None], p), gens, p)
-        return _subgroup_keys(conj.reshape(-1, self.n, self.n), p)
+        for m generators: the lines through (t g)^-1 L (t g)."""
+        p = self.p
+        reps = _mulmod(_mulmod(t_inv, self.log, p), t, p)
+        return _line_keys(_mulmod(_mulmod(gens_inv, reps[:, None], p),
+                                  gens, p), self.recip)
 
     def locate(self, x, x_inv) -> list:
-        """Keys of <x^-1 u x> for the stack x (inverses x_inv)."""
-        uf = self.u.a.astype(np.float64)
-        return _subgroup_keys(
-            _mulmod(_mulmod(self.load(x_inv), uf, self.p), x, self.p), self.p)
+        """Keys of <x^-1 u x> for the stack x (inverses x_inv): the lines
+        through x^-1 L x."""
+        return _line_keys(_mulmod(_mulmod(self.load(x_inv), self.log,
+                                          self.p), x, self.p), self.recip)
 
     def bound(self, points: int, elements: int) -> None:
         if points > self.cap:
@@ -227,8 +246,8 @@ class Listed:
         """Whether each element of the stack x, given by its sift forms,
         lies in H; x_inv is not read."""
         codec = self.codec
-        return np.array([k in self.index for k in codec.keys(x)],
-                        dtype=bool).reshape(
+        return np.fromiter(map(self.index.__contains__, codec.keys(x)),
+                           dtype=bool).reshape(
             x.shape[:x.ndim - codec.identity.ndim])
 
     def join(self, xs, xs_inv, stored: int = 0) -> "Listed":
@@ -289,8 +308,8 @@ class Chain:
         for lo in range(0, len(x), _SIFT_CHUNK):
             xs = codec.load(x[lo:lo + _SIFT_CHUNK])
             xi = None if x_inv is None else x_inv[lo:lo + _SIFT_CHUNK]
-            j = np.array([self.orbit.get(k, -1)
-                          for k in codec.locate(xs, xi)], dtype=np.int64)
+            j = np.fromiter(map(self.orbit.get, codec.locate(xs, xi),
+                                repeat(-1)), dtype=np.int64, count=len(xs))
             hit = np.flatnonzero(j >= 0)
             res = codec.mul(xs[hit], codec.load(self.trans_inv[j[hit]]))
             out[lo + hit] = self.stabilizer.members(res)
@@ -367,8 +386,8 @@ def walk(chain: Chain, new, new_inv, targets=None, stored: int = 0) -> Chain:
             t = codec.load(trans[c:min(c + _CHUNK, hi)])
             t_inv = codec.load(trans_inv[c:c + len(t)])
             labs = targets(points[c:c + len(t)], t, t_inv, g, g_inv)
-            reached = np.array([orbit.get(k, -1) for k in labs],
-                               dtype=np.int64)
+            reached = np.fromiter(map(orbit.get, labs, repeat(-1)),
+                                  dtype=np.int64, count=len(labs))
             fresh = []
             for q in np.flatnonzero(reached < 0).tolist():
                 j = reached[q] = orbit.setdefault(labs[q], len(points))

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import (Chain, Listed, MatCodec, _mulmod, _stacks,
-                    _subgroup_keys, element_cap, walk)
+from .chain import (Chain, Listed, MatCodec, _mulmod, _stacks, element_cap,
+                    walk)
 from .errors import (CapExceeded, IndexTooLarge, InvariantViolation,
                      SubgroupViolation)
 from .gfp import FpMatrix, Prime, as_prime
@@ -497,9 +497,8 @@ def sylow_normalizer_via_orbit(p, dim, generators, u: FpMatrix,
 
 def _orbit_chain(p, dim, generators, u: FpMatrix) -> Chain:
     """The chain at U = <u> of <generators>: U's conjugation orbit, each
-    point keyed by `_subgroup_keys`, walked by `chain.walk` from the trivial
-    group."""
-    base = _subgroup_keys(u.a[None].astype(np.float64), int(p))[0]
+    point keyed by the line through its logarithm (the matrix codec's key,
+    `base` at U), walked by `chain.walk` from the trivial group."""
     codec = MatCodec(p, dim, u)
-    return walk(Chain.start(codec, base, Listed.trivial(codec)),
+    return walk(Chain.start(codec, codec.base, Listed.trivial(codec)),
                 *_stacks(generators))

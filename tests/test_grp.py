@@ -362,8 +362,7 @@ def test_o_pprime_from_conjugates_of_u(k, spec, monkeypatch):
     forced = o_pprime(g, syl)
     assert forced.order() == bfs_opp.order()
     assert forced.generators[1] == conjugate(first)
-    later = {chain.orbit[grp._subgroup_keys(c.a[None].astype(np.float64),
-                                            g.p.p)[0]]
+    later = {chain.orbit[grp.MatCodec(g.p, g.dim, c).base]
              for c in forced.generators[2:]}
     assert not later & set(held)
 
@@ -410,17 +409,172 @@ def test_class_gg_checks_an_enumerated_order(monkeypatch):
 
 
 def test_batched_keys_match_matrix_powers():
-    """The float64 products and the numpy subgroup key of the orbit route
-    against FpMatrix arithmetic, up to the largest supported prime."""
+    """The float64 products and the line keys of the orbit route against
+    FpMatrix arithmetic, up to the largest supported prime: the key of
+    <y^-1 u y> is y^-1 (log u) y scaled to a first nonzero entry of 1, and
+    u^k gives the same key for every k < p."""
     rng = np.random.default_rng(5)
     for p in (7, 97):
         x = rng.integers(0, p, (12, 8, 8))
         y = rng.integers(0, p, (12, 8, 8))
         prod = grp._mulmod(x.astype(np.float64), y.astype(np.float64), p)
         assert (prod == x @ y % p).all()
-        keys = grp._subgroup_keys(x.astype(np.float64), p)
-        assert keys == [min(FpMatrix(p, m).pow(k).key() for k in range(1, p))
-                        for m in x]
+        u = _order_p_element(p, 8, rng)
+        ys = [_invertible(p, 8, rng) for _ in range(12)]
+        y, y_inv = grp._stacks(ys)
+        keys = grp.MatCodec(p, 8, u).locate(y, y_inv)
+        assert keys == [_fp_line_key(m.inverse() @ u @ m) for m in ys]
+        for k in range(2, p):
+            assert grp.MatCodec(p, 8, u.pow(k)).locate(y, y_inv) == keys
+
+
+def _invertible(p, n, rng):
+    """A random invertible n x n FpMatrix."""
+    while True:
+        m = FpMatrix(p, rng.integers(0, p, (n, n)))
+        if m.is_invertible():
+            return m
+
+
+def _order_p_element(p, n, rng):
+    """A random conjugate of a unipotent Jordan form of order p: blocks of
+    size at most p, the first as large as n allows."""
+    j = np.eye(n, dtype=np.int64)
+    at, size = 0, min(p, n)
+    while at < n:
+        j[range(at, at + size - 1), range(at + 1, at + size)] = 1
+        at += size
+        size = int(rng.integers(1, min(p, n - at) + 1)) if at < n else 0
+    x = _invertible(p, n, rng)
+    return x.inverse() @ FpMatrix(p, j) @ x
+
+
+def _fp_log(c):
+    """log c = sum over k < p of (-1)^(k+1) (c - 1)^k / k, in FpMatrix
+    arithmetic."""
+    p = c.p.p
+    nil = c - FpMatrix.identity(p, c.rows)
+    log = nil * 0
+    for k in range(1, p):
+        log = log + nil.pow(k) * pow((-1) ** (k + 1) * k, -1, p)
+    return log
+
+
+def _fp_line_key(c):
+    """The line key of <c>: int8 bytes of log c over its first nonzero
+    entry."""
+    log = _fp_log(c).a.ravel()
+    first = int(log[np.flatnonzero(log)[0]])
+    return (log * pow(first, -1, c.p.p) % c.p.p).astype(np.int8).tobytes()
+
+
+def _powers_key(x, p):
+    """Key of each <x[i]>: the least int8 bytes among x[i], ..., x[i]^(p-1).
+
+    Bytes compare as unsigned, so the least is found entry by entry: a
+    power replaces the best so far where it is smaller at the first entry
+    in which the two differ.
+    """
+    k = x.shape[0]
+    rows = np.arange(k)
+    best = x.astype(np.uint8).reshape(k, -1)
+    cur = x
+    for _ in range(p - 2):
+        cur = grp._mulmod(cur, x, p)
+        cand = cur.astype(np.uint8).reshape(k, -1)
+        first = (cand != best).argmax(axis=1)
+        less = cand[rows, first] < best[rows, first]
+        best[less] = cand[less]
+    return chain._row_keys(best)
+
+
+def _line_and_powers_keys(p, u, t, t_inv, gens, gens_inv):
+    """Keys of <(t g)^-1 u^j (t g)> for each pair of a row of t and a
+    generator g, pairs in the walk's order, and for j = 1, 2 and p - 1: the
+    walk's line keys (those of the codec at u^j) and `_powers_key`s."""
+    n = gens.shape[-1]
+    line, powers = [], []
+    for j in (1, 2, p - 1):
+        uj = u.pow(j)
+        codec = chain.MatCodec(p, n, uj)
+        for lo in range(0, len(t), 512):
+            tc, tc_inv = t[lo:lo + 512], t_inv[lo:lo + 512]
+            line += codec.targets(None, tc, tc_inv, gens, gens_inv)
+            x = grp._mulmod(tc[:, None], gens, p).reshape(-1, n, n)
+            x_inv = grp._mulmod(gens_inv, tc_inv[:, None], p).reshape(x.shape)
+            powers += _powers_key(grp._mulmod(grp._mulmod(
+                x_inv, uj.a.astype(np.float64), p), x, p), p)
+    return line, powers
+
+
+def _assert_same_partition(a, b):
+    """a[i] == a[j] exactly when b[i] == b[j]."""
+    assert len(set(a)) == len(set(b)) == len(set(zip(a, b)))
+
+
+@pytest.mark.parametrize("k, spec", ENUMERABLE_CORPUS,
+                         ids=[f"{k}-{spec.tag}" for k, spec in
+                              ENUMERABLE_CORPUS])
+def test_line_keys_match_powers_keys(k, spec):
+    """Over every (point, generator) pair of U's orbit walk, two
+    conjugates of u, u^2 or u^-1 get equal line keys exactly when they get
+    equal least-power keys; the pairs' line keys at u are the points that
+    the walk's action table records."""
+    g, _ = zoo.build_family(spec)
+    class_GG(g)
+    p, walked = g.p.p, g.chain
+    gens, gens_inv = grp._stacks(g.generators)
+    t, t_inv = (walked.codec.load(a) for a in (walked.trans,
+                                              walked.trans_inv))
+    line, powers = _line_and_powers_keys(p, walked.codec.u, t, t_inv, gens,
+                                         gens_inv)
+    _assert_same_partition(line, powers)
+    assert line[:walked.action.size] == [walked.points[j]
+                                         for j in walked.action.ravel()]
+
+
+def test_line_keys_match_powers_keys_on_extraspecial_p7():
+    """The same on 2,000 elements of a breadth-first walk of the p = 7
+    extraspecial normalizer's generators, whose orbit is not walked."""
+    spec = next(s for s in zoo.table_corpus() if s.tag == "extraspecial_p7")
+    g, _ = zoo.build_family(spec)
+    u = grp.order_p_element(g)[0]
+    gens, gens_inv = grp._stacks(g.generators)
+    t, t_inv, i = [np.eye(g.dim)], [np.eye(g.dim)], 0
+    seen = {t[0].tobytes()}
+    while len(t) < 2000:
+        for x, x_inv in zip(grp._mulmod(t[i], gens, 7),
+                            grp._mulmod(gens_inv, t_inv[i], 7)):
+            if x.tobytes() not in seen and len(t) < 2000:
+                seen.add(x.tobytes())
+                t.append(x)
+                t_inv.append(x_inv)
+        i += 1
+    line, powers = _line_and_powers_keys(7, u, np.array(t), np.array(t_inv),
+                                         gens, gens_inv)
+    _assert_same_partition(line, powers)
+    assert len(set(line)) < len(line) // 3
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (3, 8), (5, 5), (5, 8), (7, 8),
+                                  (97, 8)])
+def test_log_of_an_order_p_element_is_exact(p, n):
+    """exp(log u) = u and log(u^k) = k log u for every k < p, p < n
+    included, with exp(L) = sum over j < p of L^j / j!."""
+    rng = np.random.default_rng(p * n)
+    for _ in range(3):
+        u = _order_p_element(p, n, rng)
+        assert u != FpMatrix.identity(p, n) and u.pow(p) == \
+            FpMatrix.identity(p, n)
+        log = FpMatrix(p, chain._log(u.a, p).astype(np.int64))
+        assert log == _fp_log(u)
+        term = total = FpMatrix.identity(p, n)
+        for j in range(1, p):
+            term = term @ log * pow(j, -1, p)
+            total = total + term
+        assert total == u
+        for k in range(2, p):
+            assert (chain._log(u.pow(k).a, p) == log.a * k % p).all()
 
 
 def test_orbit_bound_is_exact(monkeypatch):
@@ -505,19 +659,19 @@ def test_index_too_large():
 
 
 def _reference_chain(g, gens, u):
-    """U's orbit under <gens> by a plain walk, each point keyed by its
-    subgroup key, and N(U) enumerated by BFS on the distinct Schreier
-    generators: no table, no `chain.walk` and no coset growth."""
+    """U's orbit under <gens> by a plain walk, each point keyed by the line
+    through its logarithm, and N(U) enumerated by BFS on the distinct
+    Schreier generators: no table, no `chain.walk` and no coset growth."""
     p, n = g.p.p, g.dim
     h, h_inv = grp._stacks(gens)
-    orbit = {grp._subgroup_keys(u.a[None].astype(np.float64), p)[0]: 0}
+    codec = chain.MatCodec(p, n, u)
+    orbit = {codec.base: 0}
     trans, trans_inv = [np.eye(n)], [np.eye(n)]
-    uf = u.a.astype(np.float64)
     schreier = {}
     for t, t_inv in zip(trans, trans_inv):
         th, th_inv = grp._mulmod(t, h, p), grp._mulmod(h_inv, t_inv, p)
-        points = grp._subgroup_keys(
-            grp._mulmod(grp._mulmod(th_inv, uf, p), th, p), p)
+        points = chain._line_keys(
+            grp._mulmod(grp._mulmod(th_inv, codec.log, p), th, p), codec.recip)
         for q, point in enumerate(points):
             if point not in orbit:
                 orbit[point] = len(trans)
@@ -529,7 +683,7 @@ def _reference_chain(g, gens, u):
                 schreier[s.key()] = s
     stab = MatGroup(g.p, list(schreier.values())
                     or [FpMatrix.identity(g.p, n)]).cache()
-    return chain.Chain(chain.MatCodec(p, n, u), None, None, orbit,
+    return chain.Chain(codec, None, None, orbit,
                        list(orbit), None, np.array(trans_inv, dtype=np.int8),
                        stab, None, None)
 
@@ -586,16 +740,17 @@ def test_table_closures_match_key_walks(k, spec, monkeypatch, corpus_bfs):
 
 
 def test_o_pprime_keys_only_its_draws(monkeypatch):
-    """On the an_deleted group (|U^G| = 4,320) the only subgroup keys that
+    """On the an_deleted group (|U^G| = 4,320) the only line keys that
     o_pprime computes are one per conjugate it sifts; walking each closure
     by keys made 12,982."""
     spec = next(s for s in zoo.table_corpus() if s.tag == "an_deleted")
     g, _ = zoo.build_family(spec)
     syl = class_GG(g).sylow
     rows, sifted = [], []
-    real_keys, real_conj = grp._subgroup_keys, grp._conjugate_of_u
-    monkeypatch.setattr(chain, "_subgroup_keys",
-                        lambda x, p: rows.append(len(x)) or real_keys(x, p))
+    real_keys, real_conj = chain._line_keys, grp._conjugate_of_u
+    monkeypatch.setattr(chain, "_line_keys",
+                        lambda x, recip: rows.append(len(x))
+                        or real_keys(x, recip))
     monkeypatch.setattr(grp, "_conjugate_of_u",
                         lambda *a: sifted.append(1) or real_conj(*a))
     opp = o_pprime(g, syl)
