@@ -68,12 +68,22 @@ def _parse_instance(data):
     Raises InvalidInstance for a payload that is not a valid instance.
     """
     try:
+        if not isinstance(data, dict):
+            raise ValueError("the instance must be a JSON object")
+        for key in ("p", "dim", "generators"):
+            if key not in data:
+                raise ValueError(f"the instance has no {key!r} key")
         p = as_prime(_integer(data["p"], "p")).p
         dim = _integer(data["dim"], "dim")
         if dim < 1:
             raise ValueError(f"dim must be positive, got {dim}")
+        flats = data["generators"]
+        if not isinstance(flats, list):
+            raise ValueError("generators must be an array")
         gens = []
-        for flat in data["generators"]:
+        for flat in flats:
+            if not isinstance(flat, list):
+                raise ValueError("each generator must be an array of entries")
             if len(flat) != dim * dim:
                 raise ValueError("generator entry count != dim^2")
             # reduced as Python ints, so no entry overflows int64
@@ -81,8 +91,13 @@ def _parse_instance(data):
                            dtype=np.int64)
             gens.append(FpMatrix(p, arr.reshape(dim, dim)))
         group = MatGroup(p, gens)
-        idx = data.get("labels", {}).get("g0_generators")
+        labels = data.get("labels", {})
+        if not isinstance(labels, dict):
+            raise ValueError("labels must be an object")
+        idx = labels.get("g0_generators")
         g0 = None
+        if idx is not None and not isinstance(idx, list):
+            raise ValueError("g0_generators must be an array")
         if idx:
             if not all(0 <= _integer(i, "g0_generators index") < len(gens)
                        for i in idx):

@@ -7,10 +7,12 @@ canonical byte keys fills, or which grows by the cosets of new generators
 by one element cap (`element_cap`).  The chain layer is
 `fusionseed.chain`, on its matrix codec `MatCodec`; the automorphism
 groups of `sgroup` share it.  The Sylow data never enumerates G: U's orbit
-walk (`chain.walk`) gives N_G(U), listed and grown by cosets, and leaves
-on G a one-level `chain.Chain` that gives |G| and membership by a sift,
-along with each generator's permutation of the orbit; C_G(U) is a scan
-inside N_G(U).  O^{p'}(G) is generated by
+walk (`chain.walk`) runs on a few random elements of G, and G's given
+generators are sifted in, so it is exact: it gives N_G(U), listed and grown
+by cosets, and leaves on G a one-level `chain.Chain` that gives |G| and
+membership by a sift, along with its generators' permutations of the
+orbit; u is a power of the first, so u's permutation is a power of that
+column.  C_G(U) is a scan inside N_G(U).  O^{p'}(G) is generated by
 conjugates of u read from that chain until its own U-orbit is G's, never
 enumerated; each closure walks G's orbit by permutations read from G's
 table, so none of its points is keyed again.  The groups between a normal
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import (Chain, Listed, MatCodec, _mulmod, _stacks, element_cap,
-                    walk)
+                    greedy, walk)
 from .errors import (CapExceeded, IndexTooLarge, InvariantViolation,
                      SubgroupViolation)
 from .gfp import FpMatrix, Prime, as_prime
@@ -147,11 +149,6 @@ class MatGroup:
     def keys(self):
         return self.cache().listed.index
 
-    def element(self, i: int) -> FpMatrix:
-        """The i-th element, carrying its inverse from the inverse stack."""
-        held = self.cache().listed
-        return FpMatrix(self.p, held.stack[i], held.inverses[i])
-
     def contains(self, m: FpMatrix) -> bool:
         return bool(self.members(m.a[None], m.inverse().a[None])[0])
 
@@ -203,7 +200,7 @@ class SylowData:
     normalizer_N: MatGroup
     centralizer_C: MatGroup
     automizer_order: int
-    word: tuple | None = None    # (w, e): u = w^e, w a word in G's generators
+    exponent: int    # u = w^exponent, w the first generator of G's chain
     # modrep.CanonicalSubspaces at u, kept by `modrep.canonical_subspaces`
     subspaces: object = field(default=None, repr=False, compare=False)
 
@@ -219,10 +216,10 @@ class GGReport:
 ORDER_P_WORDS = 10000    # seeded random generator words searched for u
 
 
-def order_p_element(g: MatGroup) -> tuple[FpMatrix, list, int] | None:
+def order_p_element(g: MatGroup) -> tuple[FpMatrix, FpMatrix, int] | None:
     """(u, w, e): an element u = w^e of order p, for w the first of
-    ORDER_P_WORDS seeded random generator words (w as a list of generator
-    indices, read left to right) whose order p divides; or None.
+    ORDER_P_WORDS seeded random generator words whose order p divides, w
+    carrying its inverse w^(ep - 1); or None.
 
     A word's semisimple part has order dividing L = lcm(p^i - 1, i <= n),
     so w^L, a power of w's unipotent part prime to p, is 1 exactly when p
@@ -235,11 +232,9 @@ def order_p_element(g: MatGroup) -> tuple[FpMatrix, list, int] | None:
     exponent = math.lcm(*(p ** i - 1 for i in range(1, n + 1)))
     rng = random.Random(1)
     gens = np.array([h.a for h in g.generators], dtype=np.float64)
-    word, letters = np.eye(n), []
+    word = np.eye(n)
     for _ in range(ORDER_P_WORDS // 100):
-        batch = [rng.randrange(len(gens)) for _ in range(100)]
-        letters.extend(batch)
-        words = gens[batch]
+        words = gens[[rng.randrange(len(gens)) for _ in range(100)]]
         words[0] = _mulmod(word, words[0], p)
         shift = 1
         while shift < len(words):
@@ -255,22 +250,25 @@ def order_p_element(g: MatGroup) -> tuple[FpMatrix, list, int] | None:
                 u, e = FpMatrix(g.p, m.astype(np.int64)), exponent
                 while u.pow(p) != FpMatrix.identity(g.p, n):
                     u, e = u.pow(p), e * p
-                return u, letters[:len(letters) - len(words) + q + 1], e
+                w = FpMatrix(g.p, words[q].astype(np.int64))
+                return u, FpMatrix(g.p, w.a, w.pow(e * p - 1).a), e
     return None
 
 
-def sylow_data(g: MatGroup, u: FpMatrix) -> tuple[SylowData, int]:
-    """Local data at U = <u> and |U^G|, from U's orbit walk (leaving its
-    chain on g) and a centralizer scan inside N_G(U)."""
+def sylow_data(g: MatGroup, u: FpMatrix, w: FpMatrix,
+               e: int) -> tuple[SylowData, int]:
+    """Local data at U = <u>, for u = w^e, and |U^G|, from U's orbit walk
+    (leaving its chain, whose first generator is w, on g) and a
+    centralizer scan inside N_G(U)."""
     p = g.p.p
     ngrp, orbit = sylow_normalizer_via_orbit(g.p, g.dim, g.generators, u,
-                                             into=g)
+                                             into=g, root=w)
     cgrp = ngrp.centralizer_of([u])
     autom = ngrp.order() // cgrp.order()
     if (p - 1) % autom:
         raise InvariantViolation(
             f"automizer order {autom} does not divide p - 1 = {p - 1}")
-    return SylowData(u, ngrp, cgrp, autom), orbit
+    return SylowData(u, ngrp, cgrp, autom, e), orbit
 
 
 def class_GG(g: MatGroup) -> GGReport:
@@ -291,9 +289,7 @@ def class_GG(g: MatGroup) -> GGReport:
         raise InvariantViolation(
             f"Cauchy: p = {p} divides |G| = {order} but no element of "
             "order p was found")
-    u, word, e = found
-    syl, orbit = sylow_data(g, u)
-    syl.word = (word, e)
+    syl, orbit = sylow_data(g, *found)
     order = orbit * syl.normalizer_N.order()
     if g.listed is not None and order != g.listed.order():
         raise InvariantViolation(
@@ -313,14 +309,13 @@ def o_pprime(g: MatGroup, syl: SylowData) -> MatGroup:
     lies in O^{p'}(G); once its U-orbit is G's, it holds every Sylow
     p-subgroup and so is O^{p'}(G).  None is enumerated, and no orbit point
     is keyed: each closure walks G's orbit on its generators' permutations
-    of it (`_table_closure`), u's read off u's word in G's generators and
-    T_j^-1 u T_j's composed along j's path in G's walk."""
+    of it (`_table_closure`), u's a power of the column of G's first chain
+    generator and T_j^-1 u T_j's composed along j's path in G's walk."""
     chain = g.chain
-    if chain is None or chain.codec.u != syl.u or syl.word is None:
-        raise InvariantViolation("o_pprime needs G's orbit chain at u and "
-                                 "u's word in G's generators")
+    if chain is None or chain.codec.u != syl.u:
+        raise InvariantViolation("o_pprime needs G's orbit chain at u")
     size = len(chain.orbit)
-    u_perm = chain.word_action(*syl.word)
+    u_perm = chain.word_action([0], syl.exponent)
     gens, perms = [syl.u], [u_perm]
     sub = _table_closure(g, gens, perms)
     for j in _orbit_draws(size):
@@ -480,8 +475,11 @@ def intermediate_subgroups(g0: MatGroup, gbar: MatGroup) -> list[MatGroup]:
 # -- Sylow normalizer by orbit-stabilizer ---------------------------------
 
 def sylow_normalizer_via_orbit(p, dim, generators, u: FpMatrix,
-                               into: MatGroup | None = None):
-    """N_G(<u>) for G = <generators> without enumerating G.
+                               into: MatGroup | None = None,
+                               root: FpMatrix | None = None):
+    """N_G(<u>) for G = <generators> without enumerating G, u being a power
+    of root (u itself when root is None), an element of G that carries its
+    inverse.
 
     Returns (N as MatGroup, orbit size); |G| then equals orbit_size * |N|
     by orbit-stabilizer.  When `into` is the MatGroup of these generators,
@@ -489,16 +487,41 @@ def sylow_normalizer_via_orbit(p, dim, generators, u: FpMatrix,
     membership without enumeration.  Raises CapExceeded when the orbit has
     more points than the element cap.
     """
-    chain = _orbit_chain(p, dim, generators, u)
+    chain = _orbit_chain(p, dim, generators, u, root or u)
     if into is not None:
         into.chain = chain
     return MatGroup.of(chain.stabilizer), len(chain.orbit)
 
 
-def _orbit_chain(p, dim, generators, u: FpMatrix) -> Chain:
-    """The chain at U = <u> of <generators>: U's conjugation orbit, each
-    point keyed by the line through its logarithm (the matrix codec's key,
-    `base` at U), walked by `chain.walk` from the trivial group."""
+def _orbit_chain(p, dim, generators, u: FpMatrix, root: FpMatrix) -> Chain:
+    """The chain at U = <u> of G = <generators>, for u a power of root in
+    G: U's conjugation orbit, each point keyed by the line through its
+    logarithm (the matrix codec's key, `base` at U), walked by `chain.walk`
+    from the trivial group on candidates in turn (`chain.greedy`): root, a
+    seeded random subproduct of the generators (`_subproduct`), then the
+    generators.  A candidate joins only when it does not sift into the
+    chain's group so far (`Chain.members`), so the chain has few
+    generators, root first; and each of G's generators lies in its group
+    or joined it, so that group is G (Holt, Eick & O'Brien, §4.4)."""
     codec = MatCodec(p, dim, u)
-    return walk(Chain.start(codec, codec.base, Listed.trivial(codec)),
-                *_stacks(generators))
+    gens, gens_inv = _stacks(generators)
+    (w,), (w_inv,) = _stacks([root])
+    s, s_inv = _subproduct(codec, gens, gens_inv)
+    x = np.concatenate([[w, s], gens])
+    x_inv = np.concatenate([[w_inv, s_inv], gens_inv])
+    return greedy(Chain.start(codec, codec.base, Listed.trivial(codec)),
+                  np.arange(len(x)),
+                  lambda chain, idx: chain.members(x[idx], x_inv[idx]),
+                  lambda chain, i: chain.join(x[i:i + 1], x_inv[i:i + 1]))
+
+
+def _subproduct(codec: MatCodec, gens, gens_inv):
+    """A seeded random subproduct of the float64 stack gens (each generator
+    in turn taken or not) and its inverse, the reversed product of the
+    inverses taken."""
+    rng = random.Random(1)
+    s = s_inv = np.eye(codec.n)
+    for g, g_inv in zip(gens, gens_inv):
+        if rng.random() < 0.5:
+            s, s_inv = codec.mul(s, g), codec.mul(g_inv, s_inv)
+    return s, s_inv

@@ -17,7 +17,7 @@ import numpy as np
 from . import gfp, grp, modrep, mu, tables
 from .errors import ExtractionFailed, InvalidParams
 from .gfp import FpMatrix, Subspace
-from .grp import MatGroup, class_GG, o_pprime
+from .grp import MatGroup, class_GG
 from .modrep import FpModule
 from .mu import primitive_root
 
@@ -275,6 +275,12 @@ def symmetric(p: int, n: int, kind: str, group: str = "S",
             raise InvalidParams("scalar_order must divide p-1")
         z = pow(primitive_root(p), (p - 1) // scalar_order, p)
         gens.append(FpMatrix.scalar(p, n, z))
+    return _permutation_module(p, n, kind, gens)
+
+
+def _permutation_module(p: int, n: int, kind: str, gens):
+    """(group, module) of `symmetric`'s kind for the group that the n x n
+    monomial matrices gens generate on F_p^n."""
     big = FpModule(p, n, MatGroup(p, gens))
     if kind == "full":
         return big.group, big
@@ -481,32 +487,45 @@ def heavy_extraspecial_check(v: FpModule) -> dict:
     }
 
 
+# The generators of the strongly closed examples, as elements (images of
+# 0, ..., 4; scalar) of S_5 x F_5^*: generators of O^{p'}(G), then the
+# elements of the mu-preimage.  They are fixed data, so that the emitted
+# files do not depend on how U's orbit walk numbers its points; the tests
+# derive each group again from the engine.
+_STR_CLOSED = {
+    "a": [("40123", 1), ("34120", 1), ("01234", 1), ("12340", 1),
+          ("23401", 1), ("34012", 1), ("40123", 1), ("30241", 3),
+          ("43210", 4), ("14203", 2), ("02413", 3), ("32104", 4),
+          ("42031", 2), ("41302", 3), ("10432", 4), ("04321", 4),
+          ("03142", 2), ("31420", 2), ("20314", 2), ("24130", 3),
+          ("21043", 4), ("13024", 3)],
+    "c": [("40123", 1), ("34120", 1), ("01234", 1), ("12340", 1),
+          ("23401", 1), ("30241", 2), ("34012", 1), ("02413", 2),
+          ("41302", 2), ("40123", 1), ("24130", 2), ("13024", 2),
+          ("43210", 4), ("32104", 4), ("10432", 4), ("04321", 4),
+          ("21043", 4), ("14203", 3), ("42031", 3), ("03142", 3),
+          ("31420", 3), ("20314", 3)],
+}
+
+
 def strongly_closed_example(p: int, which: str):
-    """The two worked strongly-closed instances over S_p x scalars.
+    """The two worked strongly-closed instances over G = S_p x F_p^*, at
+    p = 5, generated by the pinned elements of `_STR_CLOSED`.
 
     which = 'a': the full permutation module with the automizer cut down to
-    O^{p'}(Gamma) . mu^-1(Delta_-1) (index 2, case d2, single H-class menu,
+    O^{p'}(G) . mu^-1(Delta_-1) (index 2, case d2, single H-class menu,
     strongly closed A0.H_0, exotic).
     which = 'c': the quotient module F_p^p / constants with the automizer
-    O^{p'}(Gamma) . mu^-1(Delta_0) (case d3, every nonempty class set I).
+    O^{p'}(G) . mu^-1(Delta_0) (case d3, every nonempty class set I).
     """
-    kinds = {"a": ("full", "Delta_-1"), "c": ("quot", "Delta_0")}
+    kinds = {"a": "full", "c": "quot"}
     if which not in kinds:
         raise InvalidParams("which must be 'a' or 'c'")
-    kind, target = kinds[which]
-    _, v = symmetric(p, p, kind, "S", p - 1)
-    gg = class_GG(v.group)
-    cs = modrep.canonical_subspaces(v, gg.sylow)
-    gv = mu.compute_gvee(v.group, gg.sylow, cs)
-    opp = o_pprime(v.group, gg.sylow)
-    pre = mu.preimage(gv, mu.named(p, target))
-    # every element of the preimage, in the order in which BFS under
-    # N_G(U)'s generators lists them, as the emitted files always have
-    n_bfs = MatGroup(p, gg.sylow.normalizer_N.generators).cache()
-    g = MatGroup(p, opp.generators + [n_bfs.element(i) for i, key in
-                                      enumerate(n_bfs.keys())
-                                      if key in pre.keys()])
-    return g, FpModule(p, v.dim, g)
+    if p != 5:
+        raise InvalidParams("the strongly closed examples are pinned at p = 5")
+    gens = [perm_matrix(p, [int(i) for i in images]) * c
+            for images, c in _STR_CLOSED[which]]
+    return _permutation_module(p, p, kinds[which], gens)
 
 
 # -- corpus -------------------------------------------------------------------

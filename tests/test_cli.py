@@ -350,6 +350,35 @@ E12 = [1, 1, 0, 1]
 D2 = [2, 0, 0, 1]      # diag(2, 1); <D2> is not normal in <E12, D2>
 
 
+@pytest.mark.parametrize("payload, phrase", [
+    ([5, 2], "the instance must be a JSON object"),
+    ({"dim": 2, "generators": [E12]}, "the instance has no 'p' key"),
+    ({"p": 5, "generators": [E12]}, "the instance has no 'dim' key"),
+    ({"p": 5, "dim": 2}, "the instance has no 'generators' key"),
+    ({"p": 5, "dim": 2, "generators": [E12], "labels": [0]},
+     "labels must be an object"),
+    ({"p": 5, "dim": 2, "generators": 3},
+     "generators must be an array"),
+    ({"p": 5, "dim": 2, "generators": [E12, "x"]},
+     "each generator must be an array of entries"),
+    ({"p": 5, "dim": 2, "generators": [E12],
+      "labels": {"g0_generators": 0}},
+     "g0_generators must be an array")],
+    ids=["array", "no_p", "no_dim", "no_generators", "list_labels",
+         "number_generators", "string_generator", "number_g0"])
+def test_malformed_payload_names_the_object_or_key(tmp_path, payload,
+                                                   phrase):
+    """A payload of the wrong shape exits 2 with one line that names the
+    object or key at fault, never a Python message such as "'p'"."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    for command in ("check", "sgroup"):
+        code, out, err = run_cli([command, str(bad)])
+        assert out == ""
+        _assert_invalid(code, err, phrase)
+        assert err.strip() == f"invalid input: {phrase}"
+
+
 def test_non_integer_entry_exit_2(tmp_path):
     code, _, err = run_cli(["check", _instance(tmp_path, [[1, 1.5, 0, 1]])])
     _assert_invalid(code, err, "must be an integer, got 1.5")

@@ -255,7 +255,7 @@ def test_o_pprime_chain_matches_bfs(k, spec, corpus_bfs):
     assert g.members(stack, inverses).all()      # G's own chain
 
     u_chain = grp._table_closure(g, [syl.u],
-                                 [g.chain.word_action(*syl.word)])
+                                 [g.chain.word_action([0], syl.exponent)])
     u_bfs = MatGroup(g.p, [syl.u])
     for chained, enumerated in ((opp, bfs_opp), (u_chain, u_bfs)):
         assert chained.is_normal_in(g) == enumerated.is_normal_in(g)
@@ -348,7 +348,7 @@ def test_o_pprime_from_conjugates_of_u(k, spec, monkeypatch):
         t_inv = FpMatrix(g.p, chain.trans_inv[j])
         return t_inv @ syl.u @ t_inv.inverse()
 
-    u_perm = chain.word_action(*syl.word)
+    u_perm = chain.word_action([0], syl.exponent)
 
     def closure(j):
         conj, perm = grp._conjugate_of_u(g, j, u_perm)
@@ -377,23 +377,6 @@ def test_o_pprime_needs_the_chain_at_u():
     g.chain.codec.u = other.u.pow(2)
     with pytest.raises(InvariantViolation, match="orbit chain"):
         o_pprime(g, other)
-
-
-@pytest.mark.parametrize("tag", ["sn_deleted", "gl2_3"])
-def test_element_carries_its_stored_inverse(tag, monkeypatch):
-    """element(i) reads its inverse from the inverse stack: no RREF."""
-    spec = next(s for s in zoo.table_corpus() if s.tag == tag)
-    built, _ = zoo.build_family(spec)
-    g = MatGroup(built.p, built.generators).cache()
-    calls = []
-    real = gfp._rref_array
-    monkeypatch.setattr(gfp, "_rref_array",
-                        lambda *a: calls.append(1) or real(*a))
-    ident = FpMatrix.identity(g.p, g.dim)
-    for i in range(g.order()):
-        m = g.element(i)
-        assert m @ m.inverse() == ident
-    assert calls == []
 
 
 def test_class_gg_checks_an_enumerated_order(monkeypatch):
@@ -523,11 +506,10 @@ def test_line_keys_match_powers_keys(k, spec):
     g, _ = zoo.build_family(spec)
     class_GG(g)
     p, walked = g.p.p, g.chain
-    gens, gens_inv = grp._stacks(g.generators)
     t, t_inv = (walked.codec.load(a) for a in (walked.trans,
                                               walked.trans_inv))
-    line, powers = _line_and_powers_keys(p, walked.codec.u, t, t_inv, gens,
-                                         gens_inv)
+    line, powers = _line_and_powers_keys(p, walked.codec.u, t, t_inv,
+                                         walked.gens, walked.gens_inv)
     _assert_same_partition(line, powers)
     assert line[:walked.action.size] == [walked.points[j]
                                          for j in walked.action.ravel()]
@@ -840,16 +822,63 @@ def test_subset_group_refuses_a_subset_that_is_not_closed():
 def test_orbit_chain_inverts_each_generator_at_most_once(k, spec,
                                                          monkeypatch):
     """U's orbit walk row-reduces each generator of G at most once (for
-    its inverse); Schreier generators and stabilizer elements carry
-    inverses made from those already held."""
+    its inverse) and the random word w never; the subproduct, Schreier
+    generators and stabilizer elements carry inverses made from those
+    already held."""
     g, _ = zoo.build_family(spec)
-    u = class_GG(g).sylow.u
-    u.inverse()
+    u, w, e = grp.order_p_element(g)
     fresh = [FpMatrix(g.p, h.a) for h in g.generators]
     calls = []
     real = gfp._rref_array
     monkeypatch.setattr(gfp, "_rref_array",
                         lambda *a: calls.append(1) or real(*a))
-    chain = grp._orbit_chain(g.p, g.dim, fresh, u)
+    chain = grp._orbit_chain(g.p, g.dim, fresh, u, w)
     assert chain.order() == g.order()
     assert len(calls) <= len(fresh)
+    # the chain's own generators: w first, then the subproduct and
+    # generators of G, each inverse a product of inverses already held
+    assert (chain.gens[0] == w.a).all() and w.pow(e) == u
+    for x, x_inv in zip(chain.gens, chain.gens_inv):
+        assert (grp._mulmod(x, x_inv, g.p.p) == np.eye(g.dim)).all()
+
+
+FALLBACK_CORPUS = [(k, spec) for k, spec in ENUMERABLE_CORPUS
+                   if spec.tag in ("str_closed", "sn_deleted", "monomial",
+                                   "extraspecial_p5")]
+
+
+@pytest.mark.parametrize("k, spec", FALLBACK_CORPUS,
+                         ids=[f"{k}-{spec.tag}" for k, spec in
+                              FALLBACK_CORPUS])
+def test_orbit_walk_sifts_in_the_given_generators(k, spec, monkeypatch,
+                                                  corpus_bfs):
+    """With the random subproduct forced to the identity, U's orbit walk
+    starts from <w> alone, a proper subgroup of G; the given generators
+    that do not sift into the chain's group join it, so |G|, N_G(U) and
+    C_G(U) still equal those of BFS and a scan."""
+    monkeypatch.setattr(grp, "_subproduct",
+                        lambda codec, gens, gens_inv: np.eye(codec.n)[None]
+                        .repeat(2, axis=0))
+    g, _ = zoo.build_family(spec)
+    rep = class_GG(g)
+    given = {h.key() for h in g.generators}
+    assert len(g.chain.gens) > 1
+    assert all(FpMatrix(g.p, x).key() in given for x in g.chain.gens[1:])
+    bfs = corpus_bfs(k)
+    assert rep.group_order == g.order() == bfs.order()
+    n_keys, c_keys = scan_normalizer_centralizer(bfs, rep.sylow.u)
+    assert set(rep.sylow.normalizer_N.keys()) == n_keys
+    assert set(rep.sylow.centralizer_C.keys()) == c_keys
+
+
+def test_orbit_walk_on_extraspecial_p7_keeps_few_generators():
+    """The p = 7 extraspecial normalizer has 15 given generators; the chain
+    of U's orbit ends with at most 4, and gives |G| = 15,482,880 and
+    |N_G(U)| = 252."""
+    spec = next(s for s in zoo.table_corpus() if s.tag == "extraspecial_p7")
+    g, _ = zoo.build_family(spec)
+    rep = class_GG(g)
+    assert len(g.generators) == 15 and len(g.chain.gens) <= 4
+    assert rep.group_order == g.order() == 15482880
+    assert rep.sylow.normalizer_N.order() == 252
+    assert g._stack is None

@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from fusionseed import criterion as cr, modrep as mr, mu, zoo
+from fusionseed import cli, criterion as cr, modrep as mr, mu, zoo
 from fusionseed.errors import InvalidParams
-from fusionseed.grp import class_GG, o_pprime
+from fusionseed.grp import MatGroup, class_GG, o_pprime
 
 
 def test_sl2p_simple_modules():
@@ -228,12 +230,108 @@ def test_monomial_other_permutation_parts():
 
 
 def test_strongly_closed_example_constructors():
+    """Each pinned example is O^{p'}(G) . mu^-1(target) for G = S_5 x F_5^*
+    on the full (a) or quotient (c) permutation module, with O^{p'}(G) and
+    the mu-preimage computed by the engine: the two groups' elements,
+    listed by BFS, are the same."""
+    for which, kind, target in (("a", "full", "Delta_-1"),
+                                ("c", "quot", "Delta_0")):
+        g, v = zoo.strongly_closed_example(5, which)
+        _, big = zoo.symmetric(5, 5, kind, "S", 4)
+        gg = class_GG(big.group)
+        gv = mu.compute_gvee(big.group, gg.sylow,
+                             mr.canonical_subspaces(big, gg.sylow))
+        pre = mu.preimage(gv, mu.named(5, target))
+        opp = o_pprime(big.group, gg.sylow)
+        derived = MatGroup(5, opp.generators + pre.generators)
+        assert set(g.keys()) == set(derived.keys())
+        assert v.group is g and v.dim == big.dim
     g, v = zoo.strongly_closed_example(5, "a")
     assert g.order() == 240 and v.dim == 5
     g, v = zoo.strongly_closed_example(5, "c")
     assert v.dim == 4
     rep = cr.evaluate(v)
     assert rep.passes and "d3" in rep.cases
+    with pytest.raises(InvalidParams, match="pinned at p = 5"):
+        zoo.strongly_closed_example(7, "a")
+
+
+# sha256 of the file that `zoo emit TAG --index I` writes, for every
+# instantiable corpus row: a change to any corpus input shows here
+EMITTED_SHA256 = {
+    ("sl2p_simple", 0): "a5d508fd3610cda896781248488258ef"
+                        "578158dd2586f2b1b37a9c3fad483007",
+    ("sl2p_simple", 1): "bf4dd7dded1375c59aadb751b462a766"
+                        "8e1b722769e3a6ca208b3d205a3d2a62",
+    ("sl2p_ext", 0): "995e9e9cfefdb8c58298b22dc6901dd0"
+                     "12beed0f799f61bdb569dbe8c0cc8c58",
+    ("sl2p_ext", 1): "77eedbdab1baf48846c575a92be7daa6"
+                     "b0560ee68ad117074cb6c93c0c8a6520",
+    ("sl2p_ext", 2): "e3b6f26275f8e974b826268265eab973"
+                     "1cf98525457aa03f042977b491368983",
+    ("str_closed", 0): "c7b4a884d1eee4522482d83bafbe33a2"
+                       "a6e50b8278f870acec7d8b1333d9d4e0",
+    ("str_closed", 1): "0e3158a37ec2ef4729b70c1b825d45fa"
+                       "ee787088a7a7872ec6ed5d9dd9ecb061",
+    ("sn_deleted", 0): "52010f4d43d61f8199f6d819c042d050"
+                       "ad4bc13185c2ff7f78727ad6b8afd935",
+    ("sn_deleted", 1): "f3fb88caeb641c74d0d46fef23ab9f71"
+                       "1279f08b837590e4cb140e7b1f50bb29",
+    ("sn_deleted", 2): "3152241187695f7cc21684a5097a387e"
+                       "a14024b914eb9b47b156488a7a4dee3c",
+    ("an_deleted", 0): "ada7b2f4492e0168f6c148098168719f"
+                       "af65292aeb416aa9d9569f692f413006",
+    ("sn_perm", 0): "f4dd1c54326fc88c4ee72bcf1ff4ac5d"
+                    "a0ac133ac37910328acdd90be2d4e818",
+    ("monomial", 0): "bcd2632dfaf2331bd24407f1cf624a22"
+                     "20e2da301b8529a1f1969bafca000c70",
+    ("monomial", 1): "b4269f2b721a554061e1306456a0aee1"
+                     "690ff79cb9706f261cec6c3f88a34064",
+    ("monomial", 2): "9c3f1360ee4d747df18cb765492cd708"
+                     "2a574a0ae9d4699e05ba196c8bae5ae1",
+    ("gl2_3", 0): "94f3f51d969de47d0a368f5f8d44d777"
+                  "e4349e63631cff52f763356554798ff6",
+    ("extraspecial_p3", 0): "77c02624dd085035b61ebc5842deaace"
+                            "1a179fef14768ce382e3b4fbf6d207a6",
+    ("extraspecial_p5", 0): "0b3439e145f29df711213d97bb0e535f"
+                            "2e9410556a8a80faea7d5a7c5f66249c",
+    ("extraspecial_p7", 0): "0358070912a00c8e72a48d4cb9cb3f1e"
+                            "2ed952b744f33fa8ad588bd488e5ec45",
+    ("sl2p_mu_law", 0): "9d3caefc309500b1708047e57f4b76bb"
+                        "c2f4e1b729983180bd575159a2a83f8a",
+    ("sl2p_mu_law", 1): "1bc2f991c4eaf7e6c261b4b856142a77"
+                        "4397c545579203778932f0fe0c66c04e",
+    ("sl2p_mu_law", 2): "13bfb99cf733f6eca6bb9bd8cfe2c69b"
+                        "f9635d64186e76eb833f6c8d1180cf4a",
+    ("sl2p_mu_law", 3): "1a538a09bdf21ceec467b948ca80a796"
+                        "618d42ff5ebe49f5de8f112456659d99",
+    ("sl2p_mu_law", 4): "59d982bb929e0b0fa4451dfaa76736da"
+                        "76e7ec0da5feb966cb3e06b2c10795af",
+    ("sl2p_mu_law", 5): "4fc587a55853f2bf9985f7ad4f5e9f77"
+                        "2e1f2ca920a67de9b1cb703722f50587",
+    ("sl2p_mu_law", 6): "17c980cf26c20a2550563b6a14f17eab"
+                        "32172de77bdc7b2163109eb9d045daf8",
+    ("sl2p_mu_law", 7): "b289ad60523d2caca7b29e66d2f15a84"
+                        "c4984290a8372be2feb056318c2c425b",
+    ("sl2p_mu_law", 8): "e5ed0d14cfbbd8d007375c451bf2aeed"
+                        "fbb7fc8ab50bf368468b86d4692dc12a",
+    ("sl2p_mu_law", 9): "b6b04d1f0d51beac9051c2436fbae24d"
+                        "ee4f5961640299e5346f0d7ba33c9b15",
+}
+
+
+def test_emitted_corpus_files_are_pinned(tmp_path):
+    seen, hashes = {}, {}
+    for spec in zoo.table_corpus():
+        if not spec.instantiable:
+            continue
+        index = seen[spec.tag] = seen.get(spec.tag, -1) + 1
+        path = tmp_path / f"{spec.tag}_{index}.json"
+        assert cli.main(["zoo", "emit", spec.tag, "--index", str(index),
+                         "--out", str(path)]) == 0
+        hashes[spec.tag, index] = hashlib.sha256(
+            path.read_bytes()).hexdigest()
+    assert hashes == EMITTED_SHA256
 
 
 def test_mu_law_rows():
