@@ -123,6 +123,7 @@ def check_report(v, g0, family, heavy: bool = False) -> dict:
         payload = {"mode": "heavy", "family": family,
                    "result": zoo.heavy_extraspecial_check(v)}
     elif g0 is not None:
+        class_GG(g0)    # leaves G0 a chain, so is_normal_in sifts, not lists
         if not g0.is_normal_in(v.group):
             raise InvalidInstance("the group that g0_generators generate "
                                   "is not normal in G")

@@ -12,8 +12,10 @@ generators are sifted in, so it is exact: it gives N_G(U), listed and grown
 by cosets, and leaves on G a one-level `chain.Chain` that gives |G| and
 membership by a sift, along with its generators' permutations of the
 orbit; u is a power of the first, so u's permutation is a power of that
-column.  C_G(U) is a scan inside N_G(U).  O^{p'}(G) is generated by
-conjugates of u read from that chain until its own U-orbit is G's, never
+column.  One pass over N_G(U)'s elements labels each g with the r of g u
+g^-1 = u^r (`u_exponents`): C_G(U) is the r = 1 subset, and G-vee's mu
+and the solves of `sgroup` read the same labels.  O^{p'}(G) is generated
+by conjugates of u read from that chain until its own U-orbit is G's, never
 enumerated; each closure walks G's orbit by permutations read from G's
 table, so none of its points is keyed again.  The groups between a normal
 G0 and G come from a walk of G0's cosets whose steps are sifts into G0,
@@ -28,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import (Chain, Listed, MatCodec, _mulmod, _stacks, element_cap,
-                    greedy, walk)
+from .chain import (Chain, Listed, MatCodec, _floormod, _mulmod, _stacks,
+                    element_cap, greedy, walk)
 from .errors import (CapExceeded, IndexTooLarge, InvariantViolation,
                      SubgroupViolation)
 from .gfp import FpMatrix, Prime, as_prime
@@ -173,24 +175,6 @@ class MatGroup:
         return all((a @ b) == (b @ a) for i, a in enumerate(gens)
                    for b in gens[i + 1:])
 
-    # -- scans -------------------------------------------------------------
-    def _scan_commuting(self, mats) -> list:
-        """Indices of elements commuting with every matrix in mats."""
-        p = self.p.p
-        stack = self.elements_stack()
-        out = []
-        m64 = [m.a for m in mats]
-        for lo in range(0, len(stack), _CHUNK):
-            S = stack[lo:lo + _CHUNK].astype(np.int64)
-            mask = np.ones(S.shape[0], dtype=bool)
-            for m in m64:
-                mask &= (S @ m % p == m @ S % p).all(axis=(1, 2))
-            out.extend((lo + np.nonzero(mask)[0]).tolist())
-        return out
-
-    def centralizer_of(self, mats) -> "MatGroup":
-        return self.subset_group(self._scan_commuting(mats))
-
 
 # -- Sylow data ----------------------------------------------------------
 
@@ -201,6 +185,8 @@ class SylowData:
     centralizer_C: MatGroup
     automizer_order: int
     exponent: int    # u = w^exponent, w the first generator of G's chain
+    # the r with g u g^-1 = u^r for each g of normalizer_N's element stack
+    exponents: np.ndarray = field(repr=False, compare=False)
     # modrep.CanonicalSubspaces at u, kept by `modrep.canonical_subspaces`
     subspaces: object = field(default=None, repr=False, compare=False)
 
@@ -258,17 +244,40 @@ def order_p_element(g: MatGroup) -> tuple[FpMatrix, FpMatrix, int] | None:
 def sylow_data(g: MatGroup, u: FpMatrix, w: FpMatrix,
                e: int) -> tuple[SylowData, int]:
     """Local data at U = <u>, for u = w^e, and |U^G|, from U's orbit walk
-    (leaving its chain, whose first generator is w, on g) and a
-    centralizer scan inside N_G(U)."""
+    (leaving its chain, whose first generator is w, on g): N_G(U), each of
+    its elements labelled by its exponent r (`u_exponents`), and C_G(U),
+    the elements with r = 1."""
     p = g.p.p
     ngrp, orbit = sylow_normalizer_via_orbit(g.p, g.dim, g.generators, u,
                                              into=g, root=w)
-    cgrp = ngrp.centralizer_of([u])
+    r = u_exponents(u, ngrp.elements_stack(), ngrp.inverses_stack())
+    cgrp = ngrp.subset_group(np.flatnonzero(r == 1))
     autom = ngrp.order() // cgrp.order()
     if (p - 1) % autom:
         raise InvariantViolation(
             f"automizer order {autom} does not divide p - 1 = {p - 1}")
-    return SylowData(u, ngrp, cgrp, autom, e), orbit
+    return SylowData(u, ngrp, cgrp, autom, e, r), orbit
+
+
+def u_exponents(u: FpMatrix, mats, mats_inv) -> np.ndarray:
+    """The r with g u g^-1 = u^r for each g of the stack mats (inverses
+    mats_inv), _CHUNK elements at a time: g L g^-1 = r L for L = log u
+    (`MatCodec.log`), so r is read at L's first nonzero entry and the rest
+    of the product is checked against r L.  SubgroupViolation if some g
+    does not normalize <u>."""
+    codec = MatCodec(u.p, u.rows, u)
+    p, log = codec.p, codec.log.ravel()
+    at = int(np.flatnonzero(log)[0])
+    out = np.empty(len(mats), dtype=np.int64)
+    for lo in range(0, len(mats), _CHUNK):
+        x = codec.mul(codec.mul(codec.load(mats[lo:lo + _CHUNK]), codec.log),
+                      codec.load(mats_inv[lo:lo + _CHUNK]))
+        x = x.reshape(len(x), -1)
+        r = _floormod(x[:, at] * codec.recip[int(log[at])], p)
+        if (_floormod(r[:, None] * log, p) != x).any():
+            raise SubgroupViolation("element does not normalize U")
+        out[lo:lo + len(x)] = r
+    return out
 
 
 def class_GG(g: MatGroup) -> GGReport:

@@ -16,8 +16,7 @@ import numpy as np
 from . import gfp
 from .errors import (DimensionMismatch, DimTooLarge,
                      FiltrationHypothesisFailed, InvalidParams,
-                     InvariantViolation, NotUnipotentOfOrderP, PrimeMismatch,
-                     SubgroupViolation)
+                     InvariantViolation, NotUnipotentOfOrderP, PrimeMismatch)
 from .gfp import FpMatrix, Subspace, as_prime
 from .grp import MatGroup, SylowData, o_pprime
 
@@ -197,10 +196,10 @@ def w_filtration(v: FpModule, syl: SylowData, check_elements=None,
                  exponents=None) -> Filtration:
     """W_1 = [U,V], W_{i+1} = [U, W_i]; requires dim Z0 = 1.
 
-    For each g of the (m, n, n) stack check_elements of N_G(U) elements
-    the report records (r, t) and whether g multiplies W_i/W_{i+1} by
-    t * r^i for every i: one `gfp.solve_many` per level for all g.  The r
-    with g u g^-1 = u^r are exponents, or `u_exponents` when None.
+    For each g of the (m, n, n) stack check_elements of N_G(U) elements,
+    with g u g^-1 = u^r for r the matching entry of exponents, the report
+    records (r, t) and whether g multiplies W_i/W_{i+1} by t * r^i for
+    every i: one `gfp.solve_many` per level for all g.
     """
     cs = canonical_subspaces(v, syl)
     if cs.Z0.dim != 1:
@@ -216,7 +215,7 @@ def w_filtration(v: FpModule, syl: SylowData, check_elements=None,
     if check_elements is None or not len(check_elements):
         return filt
     mats = np.asarray(check_elements, dtype=np.int64)
-    r = u_exponents(syl.u, mats) if exponents is None else exponents
+    r = np.asarray(exponents)
     t = _action_scalars(mats, Subspace.full(v.p, v.dim), cs.A0)
     ok = np.ones(len(mats), dtype=bool)
     t_ri = t
@@ -226,20 +225,6 @@ def w_filtration(v: FpModule, syl: SylowData, check_elements=None,
     filt.scalar_reports = [{"r": int(ri), "t": int(ti), "law_holds": bool(o)}
                            for ri, ti, o in zip(r, t, ok)]
     return filt
-
-
-def u_exponents(u: FpMatrix, mats) -> np.ndarray:
-    """The r with g u g^-1 = u^r, that is g u = u^r g, for each g of the
-    (m, n, n) stack mats; SubgroupViolation if some g does not normalize
-    <u>."""
-    p = u.p.p
-    mats = np.asarray(mats, dtype=np.int64)
-    upow = np.array([u.pow(k).a for k in range(p)])
-    hit = (mats[:, None] @ u.a % p == upow @ mats[:, None] % p).all(
-        axis=(2, 3))
-    if not hit.any(axis=1).all():
-        raise SubgroupViolation("element does not normalize U")
-    return hit.argmax(axis=1)
 
 
 def _action_scalar(g: FpMatrix, space: Subspace, modulo: Subspace) -> int:

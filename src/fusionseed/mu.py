@@ -1,6 +1,8 @@
 """G-vee and the homomorphism mu into Delta = (Z/p)^x x (Z/p)^x.
 
-mu(g) = (r, s) where g u g^-1 = u^r and g scales the line Z0 by s.
+mu(g) = (r, s) where g u g^-1 = u^r and g scales the line Z0 by s; r is
+read from the exponents that `grp.sylow_data` labels N_G(U) with, and G-vee
+keeps r and s as arrays aligned with its element stack.
 Named Delta-subgroup families: Delta, Delta_i, Delta_{k/l}, (1/d)Delta_i,
 products Delta_a*Delta_b, and index-2 extensions Delta_i.2.
 """
@@ -15,9 +17,8 @@ import numpy as np
 from .errors import (InvariantViolation, NotASubgroup, UnknownName,
                      Z0NotLine)
 from .gfp import as_prime
-from .chain import _row_keys
 from .grp import MatGroup, SylowData
-from .modrep import CanonicalSubspaces, u_exponents
+from .modrep import CanonicalSubspaces
 
 
 def primitive_root(p: int) -> int:
@@ -217,9 +218,11 @@ def contains_delta_t(d: DeltaSubgroup, t: int) -> bool:
 
 @dataclass
 class GVee:
-    """Elements of N_G(U) acting trivially on Z/Z0, with their mu-values."""
+    """Elements of N_G(U) acting trivially on Z/Z0, with mu(g) = (r[i],
+    s[i]) for the i-th element g of the group's stack."""
     group: MatGroup                    # G-vee as a matrix group
-    mu_values: dict                    # element key -> (r, s)
+    r: np.ndarray                      # g u g^-1 = u^r
+    s: np.ndarray                      # g z0 = s z0
 
     def order(self) -> int:
         return self.group.order()
@@ -227,9 +230,9 @@ class GVee:
 
 def compute_gvee(g: MatGroup, syl: SylowData,
                  cs: CanonicalSubspaces) -> GVee:
-    """Scan N_G(U) for elements with [alpha, Z] <= Z0 and compute mu: r
-    from one comparison with u's powers and s from alpha z0, each for all
-    members at once."""
+    """Scan N_G(U) for elements with [alpha, Z] <= Z0, and read mu: r from
+    N_G(U)'s exponents (`SylowData.exponents`) and s from alpha z0, for all
+    members of a chunk at once."""
     if cs.Z0.dim != 1:
         raise Z0NotLine(f"dim Z0 = {cs.Z0.dim}")
     p = g.p.p
@@ -238,8 +241,7 @@ def compute_gvee(g: MatGroup, syl: SylowData,
     nzc = np.nonzero(z0)[0][0]
     z0_inv = pow(int(z0[nzc]), p - 2, p)
     stack = N.elements_stack()
-    members = []
-    mu_values = {}
+    members, s = [], []
     for lo in range(0, len(stack), 1 << 14):
         S = stack[lo:lo + (1 << 14)].astype(np.int64)
         # (alpha - 1) Z <= Z0: alpha z - z lies in <z0> for z in Z's basis
@@ -248,23 +250,20 @@ def compute_gvee(g: MatGroup, syl: SylowData,
             img = (S @ z - z) % p
             coef = img[:, nzc] * z0_inv % p
             ok &= ((coef[:, None] * z0[None, :]) % p == img).all(axis=1)
-        found = np.flatnonzero(ok)
-        r = u_exponents(syl.u, S[found])
-        img = S[found] @ z0 % p
-        s = img[:, nzc] * z0_inv % p
-        if (s[:, None] * z0 % p != img).any():
+        img = S[ok] @ z0 % p
+        s.append(img[:, nzc] * z0_inv % p)
+        if (s[-1][:, None] * z0 % p != img).any():
             raise InvariantViolation("Z0 not preserved")
-        members.extend((lo + found).tolist())
-        mu_values.update(zip(_row_keys(stack[lo + found].reshape(
-            len(found), -1)), zip(r.tolist(), s.tolist())))
-    gv_group = N.subset_group(members)
-    return GVee(gv_group, mu_values)
+        members.append(lo + np.flatnonzero(ok))
+    members = np.concatenate(members)
+    return GVee(N.subset_group(members), syl.exponents[members],
+                np.concatenate(s))
 
 
 def mu_image(gv: GVee) -> DeltaSubgroup:
     """Set of mu-values; checked to form a subgroup of Delta of order
     |G-vee| / p (mu is faithful modulo U)."""
-    pairs = set(gv.mu_values.values())
+    pairs = set(zip(gv.r.tolist(), gv.s.tolist()))
     try:
         d = DeltaSubgroup(gv.group.p, pairs)
     except NotASubgroup as exc:
@@ -279,6 +278,6 @@ def mu_image(gv: GVee) -> DeltaSubgroup:
 
 def preimage(gv: GVee, d: DeltaSubgroup) -> MatGroup:
     """Subgroup {g in G-vee : mu(g) in d}; always contains U."""
-    stack = gv.group.elements_stack()
-    return gv.group.subset_group([i for i in range(len(stack))
-                                  if gv.mu_values[stack[i].tobytes()] in d])
+    inside = np.zeros((d.p.p, d.p.p), dtype=bool)
+    inside[tuple(np.array(d.sorted_pairs()).T)] = True
+    return gv.group.subset_group(np.flatnonzero(inside[gv.r, gv.s]))

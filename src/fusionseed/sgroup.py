@@ -7,8 +7,10 @@ essential-candidate subgroups H_i = Z<x a^i> and B_i = Z_2<x a^i> are
 listed MatGroups.  The automorphisms of such a P that Gamma, S and P
 induce, |C_Gamma(P)|, and whether one P is Gamma-conjugate into another
 (step-2 condition (1)) come from one F_p solve per exponent k with g u
-g^-1 = u^k over N_G(U) or U, and from a scan of C_G(U), so neither Gamma
-nor A x| N_G(U) is ever built.  The local automorphism groups are
+g^-1 = u^k over N_G(U) or U, with k read from N_G(U)'s exponents
+(`SylowData.exponents`), and from a scan of C_G(U), the elements with k =
+1, so neither Gamma nor A x| N_G(U) is ever built.  |Z(P)| is |P| /
+|Inn(P)|.  The local automorphism groups are
 permutation groups on P's elements over the permutation codec of
 `fusionseed.chain` (`PermGroupOnSet`), keyed by exact codes of their
 generator images: Inn(P) and Aut_S(P) as its `chain.Listed` groups, grown
@@ -75,11 +77,11 @@ class SGroup:
     @functools.cached_property
     def normalizer(self) -> tuple:
         """N_G(U)'s element stack, its inverse stack, and for each element
-        g the r with g u g^-1 = u^r: computed once for every solve that
-        ranges over N_G(U) and for the W-filtration's scalar law."""
+        g the r with g u g^-1 = u^r (`SylowData.exponents`): read by every
+        solve that ranges over N_G(U) and by the W-filtration's scalar
+        law."""
         N = self.syl.normalizer_N
-        mats = N.elements_stack()
-        return mats, N.inverses_stack(), modrep.u_exponents(self.u, mats)
+        return N.elements_stack(), N.inverses_stack(), self.syl.exponents
 
     def gamma_order(self) -> int:
         """|Gamma| = p^n |G|, without building Gamma."""
@@ -616,16 +618,11 @@ def sl2_images(s: SGroup, kind: str, gen_x: FpMatrix, gvee: mu.GVee):
     t = -1 if kind == "H" else 0
     # alpha in G-vee with mu(alpha) generating Delta_t
     gen_r = mu.primitive_root(p)
-    alpha_mat = None
-    gv_stack = gvee.group.elements_stack()
-    want = (gen_r, pow(gen_r, t % (p - 1), p))
-    for j in range(gv_stack.shape[0]):
-        key = gv_stack[j].tobytes()
-        if gvee.mu_values[key] == want:
-            alpha_mat = FpMatrix(s.v.p, gv_stack[j])
-            break
-    if alpha_mat is None:
+    hit = np.flatnonzero((gvee.r == gen_r)
+                         & (gvee.s == pow(gen_r, t % (p - 1), p)))
+    if not len(hit):
         raise MuTooSmall(f"no G-vee element with mu generating Delta_{t}")
+    alpha_mat = FpMatrix(s.v.p, gvee.group.elements_stack()[hit[0]])
 
     z0 = s.translation(s.Z0.basis[0])
     if kind == "H":
@@ -768,20 +765,17 @@ def _alpha_complement_in_z(s: SGroup, alpha_mat: FpMatrix) -> Subspace:
         s.Z, gfp.kernel_basis(alpha_mat - FpMatrix.identity(s.v.p, s.n)))
     if fixed.dim == s.Z.dim - 1 and not gfp.contains(fixed, s.Z0):
         return fixed
-    # alpha acts trivially on all of Z in the B-case; fall back to any
-    # complement of Z0 in Z (unused by the Theta_0 construction then)
-    rows = [w for w in s.Z.basis if not s.Z0.contains_vector(w)]
-    comp = Subspace(s.v.p, s.n, np.array(rows[:s.Z.dim - 1], dtype=np.int64)
-                    .reshape(-1, s.n)) if rows else Subspace.zero(s.v.p, s.n)
-    if comp.dim == s.Z.dim - 1:
-        return comp
-    return fixed
-
-
-def _centralizer_order(ambient: MatGroup, P: MatGroup) -> int:
-    """|C_ambient(P)|: the elements of ambient commuting with P's
-    generators."""
-    return len(ambient._scan_commuting(P.generators))
+    # alpha acts trivially on all of Z in the B-case; fall back to a
+    # complement of Z0 in Z (unused by the Theta_0 construction then): Z0's
+    # basis extended by Z's basis rows in turn, each kept when it raises
+    # the rank
+    rows, span = [], s.Z0
+    for w in s.Z.basis:
+        if not span.contains_vector(w):
+            rows.append(w)
+            span = gfp.add(span, Subspace(s.v.p, s.n, w.reshape(1, -1)))
+    return Subspace(s.v.p, s.n,
+                    np.array(rows, dtype=np.int64).reshape(-1, s.n))
 
 
 # -- step-2 witness conditions ---------------------------------------------
@@ -808,7 +802,7 @@ def step2_conditions(s: SGroup, thetas) -> dict:
     centric = []
     for th in thetas:
         c_order = centralizer_order(s, th.pset)
-        zq = _centralizer_order(th.pset.group, th.pset.group)
+        zq = th.p_order // th.inn_order      # |Z(Q)| = |Q| / |Inn(Q)|
         p_centric = _p_part(c_order, p) == zq
         centric.append({"centralizer_order": c_order, "center_order": zq,
                         "p_centric": p_centric})

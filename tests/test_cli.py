@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from fusionseed import cli, grp, modrep, mu, sgroup, zoo
+from fusionseed import cli, grp, sgroup, zoo
 from fusionseed.errors import InvariantViolation, Z0NotLine
 from fusionseed.gfp import FpMatrix
 
@@ -329,9 +329,9 @@ def test_malformed_cap_env_exit_2(tmp_path, monkeypatch, capsys):
                 f"got {value!r}"]
 
 
-def _instance(tmp_path, generators, labels=None):
-    """A p = 5, dim 2 instance file."""
-    payload = {"p": 5, "dim": 2, "generators": generators}
+def _instance(tmp_path, generators, labels=None, dim=2):
+    """A p = 5 instance file, dim 2 unless given."""
+    payload = {"p": 5, "dim": dim, "generators": generators}
     if labels is not None:
         payload["labels"] = labels
     path = tmp_path / "inst.json"
@@ -453,27 +453,28 @@ def test_sgroup_never_enumerates_gamma_and_builds_each_theta_once(
     assert calls == {"theta_witness": 2}
 
 
-def test_sgroup_reads_normalizer_exponents_once_each_for_gvee_and_solves(
-        tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", ["check", "sgroup"])
+def test_normalizer_exponents_computed_once(tmp_path, monkeypatch, command):
     """On the flagship, the exponents r with g u g^-1 = u^r are computed
-    over N_G(U)'s 80 elements twice: for G-vee (`mu.compute_gvee`) and for
-    the solves over N_G(U) (`SGroup.normalizer`), whose exponents the
-    W-filtration's scalar law reads too."""
+    once, over N_G(U)'s 80 elements: C_G(U), G-vee's mu, the solves over
+    N_G(U) and the W-filtration's scalar law all read that one array."""
     inst, out = tmp_path / "inst.json", tmp_path / "out.json"
     assert cli.main(["zoo", "emit", "sn_deleted", "--index", "0",
                      "--out", str(inst)]) == 0
     sizes = []
 
-    def counted(u, mats, _fn=modrep.u_exponents):
+    def counted(u, mats, mats_inv, _fn=grp.u_exponents):
         sizes.append(len(mats))
-        return _fn(u, mats)
-    monkeypatch.setattr(modrep, "u_exponents", counted)
-    monkeypatch.setattr(mu, "u_exponents", counted)
-    assert cli.main(["sgroup", str(inst), "--out", str(out)]) == 0
+        return _fn(u, mats, mats_inv)
+    monkeypatch.setattr(grp, "u_exponents", counted)
+    assert cli.main([command, str(inst), "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
-    assert rep["step2"]["ok"]
-    assert len(rep["filtration"]["scalar_reports"]) == 80
-    assert sizes == [80, 80]
+    if command == "sgroup":
+        assert rep["step2"]["ok"]
+        assert len(rep["filtration"]["scalar_reports"]) == 80
+    else:
+        assert rep["passes"] and rep["mu"]["gvee_order"] == 80
+    assert sizes == [80]
 
 
 @pytest.mark.parametrize("tag, index, which, s_order", [
@@ -628,6 +629,93 @@ def test_regress_never_enumerates_g(enumerated, capsys):
     assert cli.main(["regress", "--filter", "monomial"]) == 0
     assert "regress: 3 run, 0 failed" in capsys.readouterr().out
     assert enumerated and max(enumerated) < 122880
+
+
+def _e7_reflections(p: int, basis=range(7)) -> list:
+    """The simple reflections s_1, ..., s_7 of W(E_7), s_i(a_j) = a_j -
+    A_ij a_i for A Bourbaki's E_7 Cartan matrix (node 2 on node 4), on the
+    root lattice mod p with the simple roots a_(k+1) for k in basis as its
+    ordered basis."""
+    cartan = 2 * np.eye(7, dtype=np.int64)
+    for i, j in ((1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 4)):
+        cartan[i - 1, j - 1] = cartan[j - 1, i - 1] = -1
+    order = np.eye(7, dtype=np.int64)[list(basis)]
+    gens = []
+    for i in range(7):
+        s = np.eye(7, dtype=np.int64)
+        s[i] -= cartan[i]
+        gens.append(FpMatrix(p, order @ s @ order.T % p))
+    return gens
+
+
+@pytest.fixture
+def bfs_listed(monkeypatch):
+    """The order of each group that `MatGroup.cache` lists by BFS, as the
+    engine runs (a group already listed is not counted)."""
+    orders = []
+    cache = grp.MatGroup.cache
+
+    def counted_cache(group):
+        fresh = group.listed is None
+        cache(group)
+        if fresh:
+            orders.append(group.listed.order())
+        return group
+    monkeypatch.setattr(grp.MatGroup, "cache", counted_cache)
+    return orders
+
+
+def test_check_on_a_large_normalizer(tmp_path):
+    """C_4 wr S_9 at p=5: |N_G(U)| = 491,520 spans 30 chunks of G-vee's
+    scan, most of which hold no G-vee member."""
+    g, _ = zoo.monomial(5, 9, 4, "full", "S")
+    inst = _instance(tmp_path, [m.a.ravel().tolist() for m in g.generators],
+                     dim=9)
+    out = tmp_path / "out.json"
+    assert cli.main(["check", inst, "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["gg_status"] == "in_GG"
+    assert rep["group_order"] == 95126814720
+    assert rep["mu"]["recognized"]["name"] == "Delta"
+    assert rep["cases"] == [] and not rep["passes"]
+
+
+@pytest.mark.parametrize("basis", [range(7), (0, 2, 1, 3, 4, 5, 6)])
+def test_sgroup_on_the_e7_passer(tmp_path, bfs_listed, basis):
+    """W(E_7) at p=5 (|G| = 2,903,040, case d3, B{0}): alpha fixes all of
+    Z, so Z0's complement in Z comes from the fallback, and it must be a
+    complement for the SL_2 lifts to be automorphisms.  With a_3 listed
+    before a_2, Z0 is the sum of the first two rows of Z's echelon basis,
+    neither of which lies in Z0.  No group is listed by BFS."""
+    inst = _instance(tmp_path, [m.a.ravel().tolist()
+                                for m in _e7_reflections(5, basis)], dim=7)
+    out = tmp_path / "out.json"
+    assert cli.main(["sgroup", inst, "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["criterion_passes"] and rep["build"]["ok"]
+    [theta] = rep["theta"]
+    assert theta["kind"] == "B" and theta["theta_order"] == 36000
+    assert theta["ok"] and all(theta["checks"].values())
+    assert rep["step2"]["ok"] and all(rep["step2"]["conditions"].values())
+    assert bfs_listed == []
+
+
+def test_admissible_check_lists_no_group_by_bfs(tmp_path, bfs_listed):
+    """W(E_7)·4 at p=5, G0 = W(E_7)' labelled (1,451,520 elements): G0's
+    normality and every intermediate group are read from orbit chains,
+    and no group is listed by BFS."""
+    s = _e7_reflections(5)
+    scalar = FpMatrix(5, 2 * np.eye(7, dtype=np.int64))
+    gens = [s[0] @ t for t in s[1:]] + [s[0], scalar]
+    inst = _instance(tmp_path, [m.a.ravel().tolist() for m in gens],
+                     {"g0_generators": list(range(6))}, dim=7)
+    out = tmp_path / "out.json"
+    assert cli.main(["check", inst, "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["mode"] == "admissible"
+    assert [(r["group_order"], r["report"]["cases"], r["report"]["e0_menu"])
+            for r in rep["passing"]] == [(2903040, ["d3"], ["B{0}"])]
+    assert bfs_listed == []
 
 
 def test_check_never_enumerates_o_pprime(tmp_path, enumerated):

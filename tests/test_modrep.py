@@ -5,7 +5,7 @@ from fusionseed import gfp, modrep as mr
 from fusionseed.errors import (InvalidParams, NotUnipotentOfOrderP,
                                SubgroupViolation)
 from fusionseed.gfp import FpMatrix, Subspace
-from fusionseed.grp import MatGroup, class_GG, o_pprime
+from fusionseed.grp import MatGroup, class_GG, o_pprime, u_exponents
 from fusionseed.modrep import FpModule
 from fusionseed.zoo import cycle_perm, perm_matrix
 
@@ -129,29 +129,34 @@ def test_is_indecomposable():
 
 def test_u_exponents_read_conjugation_on_u():
     """u_exponents gives, for each g of N_G(U), the r with g u g^-1 = u^r,
-    every r in 1..p-1 occurs, and an element outside N_G(U) raises."""
+    every r in 1..p-1 occurs, the Sylow data holds the same labels, and an
+    element outside N_G(U) raises."""
     pm = s5_module()
     syl = class_GG(pm.group).sylow
-    n = syl.normalizer_N.elements_stack()
-    rs = mr.u_exponents(syl.u, n)
+    held = syl.normalizer_N.listed
+    n, n_inv = held.stack, held.inverses
+    rs = u_exponents(syl.u, n, n_inv)
     for g, r in zip(n, rs):
         g = FpMatrix(5, g)
         assert g @ syl.u @ g.inverse() == syl.u.pow(int(r))
     assert sorted(set(rs.tolist())) == [1, 2, 3, 4]
-    outside = next(g.a for g in pm.group.generators
+    assert (syl.exponents == rs).all()
+    outside = next(g for g in pm.group.generators
                    if all(g @ syl.u @ g.inverse() != syl.u.pow(k)
                           for k in range(1, 5)))
     with pytest.raises(SubgroupViolation):
-        mr.u_exponents(syl.u, np.concatenate([n[:1], outside[None]]))
+        u_exponents(syl.u, np.concatenate([n[:1], outside.a[None]]),
+                    np.concatenate([n_inv[:1], outside.inverse().a[None]]))
 
 
 def test_w_filtration_and_scalar_law():
     pm = s5_module()
     rep = class_GG(pm.group)
     n = rep.sylow.normalizer_N.elements_stack()
-    r2 = n[list(mr.u_exponents(rep.sylow.u, n)).index(2)]
+    r2 = n[list(rep.sylow.exponents).index(2)]
     filt = mr.w_filtration(pm, rep.sylow,
-                           check_elements=np.array([np.eye(5), r2]))
+                           check_elements=np.array([np.eye(5), r2]),
+                           exponents=[1, 2])
     assert [w.dim for w in filt.W] == [4, 3, 2, 1, 0]
     assert filt.quotient_dims == [1, 1, 1, 1]
     assert filt.scalar_reports[0] == {"r": 1, "t": 1, "law_holds": True}

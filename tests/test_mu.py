@@ -72,7 +72,8 @@ def test_gvee_dim_le_p_is_whole_normalizer():
     cs = mr.canonical_subspaces(v, rep.sylow)
     gv = mu.compute_gvee(v.group, rep.sylow, cs)
     assert gv.order() == rep.sylow.normalizer_N.order()
-    assert gv.mu_values[rep.sylow.u.key()] == (1, 1)
+    at = gv.group.keys()[rep.sylow.u.key()]
+    assert (gv.r[at], gv.s[at]) == (1, 1)
 
 
 def test_mu_image_sl2_v4():
@@ -137,13 +138,13 @@ def test_filtration_scalar_consistency():
     cs = mr.canonical_subspaces(v, rep.sylow)
     gv = mu.compute_gvee(v.group, rep.sylow, cs)
     elements = gv.group.elements_stack()
-    filt = mr.w_filtration(v, rep.sylow, check_elements=elements)
+    filt = mr.w_filtration(v, rep.sylow, check_elements=elements,
+                           exponents=gv.r)
     p = 5
     assert len(filt.scalar_reports) == len(elements)
-    for g, rep_entry in zip(elements, filt.scalar_reports):
+    for s, rep_entry in zip(gv.s, filt.scalar_reports):
         assert rep_entry["law_holds"]
         r, t = rep_entry["r"], rep_entry["t"]
-        s = gv.mu_values[g.tobytes()][1]
         assert s == t * pow(r, cs.m - 1, p) % p
 
 

@@ -334,6 +334,92 @@ def test_emitted_corpus_files_are_pinned(tmp_path):
     assert hashes == EMITTED_SHA256
 
 
+# Each instantiable row's decisions, and those of each passer of an
+# admissible row (keyed by its order), as `_decisions` reads them from the
+# row's `check` report: (passes, cases, e0_count, the strongly closed
+# subgroups, the number of "exotic" verdicts, every other verdict).  The
+# heavy extraspecial_p7 row reports no decision.
+CORPUS_DECISIONS = {
+    ("sl2p_simple", 0): (True, ["d1"], 1, [], 0, ["B0+H* realizable Co_1"]),
+    ("sl2p_simple", 0, 120):
+        (True, ["d2"], 31, [], 30,
+         ["H{0,1,2,3,4} realizable PSL_p(q), v_p(q-1)=1"]),
+    ("sl2p_simple", 0, 240):
+        (True, ["d3"], 1, [], 0,
+         ["B{0} realizable Sp_4(p)"]),
+    ("sl2p_simple", 0, 480):
+        (True, ["d1"], 1, [], 0,
+         ["B0+H* realizable Co_1"]),
+    ("sl2p_simple", 1): (True, ["d1", "d2", "d3"], 33, [], 33, []),
+    ("sl2p_ext", 0): (False, [], 0, [], 0, []),
+    ("sl2p_ext", 1): (False, [], 0, [], 0, []),
+    ("sl2p_ext", 2): (True, ["d2"], 1, [], 1, []),
+    ("str_closed", 0): (True, ["d2"], 1, ["A0.H_0"], 1, []),
+    ("str_closed", 1):
+        (True, ["d3"], 31,
+         ["A0.B_0", "A0.B_1", "A0.B_2", "A0.B_3", "A0.B_4"],
+         31, []),
+    ("sn_deleted", 0): (True, ["d1"], 1, [], 0, ["B0+H* realizable Co_1"]),
+    ("sn_deleted", 1):
+        (True, ["d2"], 127, [], 126,
+         ["H{0,1,2,3,4,5,6} realizable PSL_p(q), v_p(q-1)=1"]),
+    ("sn_deleted", 2):
+        (True, ["d3"], 1, [], 0,
+         ["B{0} realizable PSL_n(q), p|q-1, p<n<2p"]),
+    ("an_deleted", 0):
+        (True, ["d3"], 1, [], 0,
+         ["B{0} realizable PSL_n(q), p|q-1, p<n<2p"]),
+    ("sn_perm", 0): (False, [], 0, [], 0, []),
+    ("sn_perm", 0, 240): (True, ["d2"], 1, ["A0.H_0"], 1, []),
+    ("monomial", 0): (False, [], 0, [], 0, []),
+    ("monomial", 0, 30720): (True, ["d3"], 1, [], 1, []),
+    ("monomial", 0, 61440):
+        (True, ["d2"], 1, [], 0,
+         ["H{0} realizable A_{pn}"]),
+    ("monomial", 1):
+        (True, ["d3"], 1, [], 0,
+         ["B{0} realizable POmega^+_{2n}(q)"]),
+    ("monomial", 2): (True, ["d3"], 1, [], 1, []),
+    ("gl2_3", 0): (True, ["d2"], 1, [], 1, []),
+    ("extraspecial_p3", 0): (False, ["d1", "d2", "d3"], 9, [], 0, []),
+    ("extraspecial_p5", 0):
+        (True, ["d1", "d2", "d3"], 33, [], 32,
+         ["H0+B* realizable E_8(q), p=5, q=+-2 mod 5"]),
+    ("sl2p_mu_law", 0): (False, [], 0, [], 0, []),
+    ("sl2p_mu_law", 1): (False, [], 0, [], 0, []),
+    ("sl2p_mu_law", 2): (False, [], 0, [], 0, []),
+    ("sl2p_mu_law", 3): (False, [], 0, [], 0, []),
+    ("sl2p_mu_law", 4): (False, [], 0, [], 0, []),
+    ("sl2p_mu_law", 5): (False, [], 0, [], 0, []),
+    ("sl2p_mu_law", 6): (False, [], 0, [], 0, []),
+    ("sl2p_mu_law", 7): (False, [], 0, [], 0, []),
+    ("sl2p_mu_law", 8): (False, [], 0, [], 0, []),
+    ("sl2p_mu_law", 9): (False, [], 0, [], 0, []),
+}
+
+
+def _decisions(report: dict) -> tuple:
+    return (report["passes"], report["cases"], report["e0_count"],
+            [c["subgroup"] for c in report["strongly_closed"]],
+            sum(e["verdict"] == "exotic" for e in report["exotic"]),
+            [f"{e['e0']} {e['verdict']} {e['realized_by']}"
+             for e in report["exotic"] if e["verdict"] != "exotic"])
+
+
+def test_corpus_decisions_are_pinned():
+    seen, got = {}, {}
+    for spec in zoo.table_corpus():
+        if not spec.instantiable or spec.params.get("heavy") is True:
+            continue
+        index = seen[spec.tag] = seen.get(spec.tag, -1) + 1
+        report = cli._row_report(spec)
+        got[spec.tag, index] = _decisions(report)
+        for passer in report.get("passing", []):
+            got[spec.tag, index, passer["group_order"]] = _decisions(
+                passer["report"])
+    assert got == CORPUS_DECISIONS
+
+
 def test_mu_law_rows():
     """One sl2p_mu_law row per (p, i), p in {5, 7} and 2 <= i <= p: SL_2(p)
     on V_i, whose mu-image is the row's law {(u^2, u^(i-1))}."""
