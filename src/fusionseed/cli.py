@@ -123,7 +123,6 @@ def check_report(v, g0, family, heavy: bool = False) -> dict:
         payload = {"mode": "heavy", "family": family,
                    "result": zoo.heavy_extraspecial_check(v)}
     elif g0 is not None:
-        class_GG(g0)    # leaves G0 a chain, so is_normal_in sifts, not lists
         if not g0.is_normal_in(v.group):
             raise InvalidInstance("the group that g0_generators generate "
                                   "is not normal in G")
@@ -193,8 +192,7 @@ def cmd_sgroup(args) -> int:
             out["filtration"] = rep.cond_d
         else:
             mats, _, exponents = s.normalizer
-            filt = modrep.w_filtration(v, syl, check_elements=mats,
-                                       exponents=exponents)
+            filt = modrep.w_filtration(v, syl, check=(mats, exponents))
             # sorted, so that the report does not follow N's generating set
             out["filtration"] = {
                 "quotient_dims": filt.quotient_dims,

@@ -245,12 +245,12 @@ def sylow_data(g: MatGroup, u: FpMatrix, w: FpMatrix,
                e: int) -> tuple[SylowData, int]:
     """Local data at U = <u>, for u = w^e, and |U^G|, from U's orbit walk
     (leaving its chain, whose first generator is w, on g): N_G(U), each of
-    its elements labelled by its exponent r (`u_exponents`), and C_G(U),
-    the elements with r = 1."""
-    p = g.p.p
+    its elements labelled by its exponent r (`u_exponents`, on the walk's
+    codec), and C_G(U), the elements with r = 1."""
+    p, codec = g.p.p, MatCodec(g.p, g.dim, u)
     ngrp, orbit = sylow_normalizer_via_orbit(g.p, g.dim, g.generators, u,
-                                             into=g, root=w)
-    r = u_exponents(u, ngrp.elements_stack(), ngrp.inverses_stack())
+                                             into=g, root=w, codec=codec)
+    r = u_exponents(codec, ngrp.elements_stack(), ngrp.inverses_stack())
     cgrp = ngrp.subset_group(np.flatnonzero(r == 1))
     autom = ngrp.order() // cgrp.order()
     if (p - 1) % autom:
@@ -259,13 +259,12 @@ def sylow_data(g: MatGroup, u: FpMatrix, w: FpMatrix,
     return SylowData(u, ngrp, cgrp, autom, e, r), orbit
 
 
-def u_exponents(u: FpMatrix, mats, mats_inv) -> np.ndarray:
-    """The r with g u g^-1 = u^r for each g of the stack mats (inverses
-    mats_inv), _CHUNK elements at a time: g L g^-1 = r L for L = log u
-    (`MatCodec.log`), so r is read at L's first nonzero entry and the rest
-    of the product is checked against r L.  SubgroupViolation if some g
-    does not normalize <u>."""
-    codec = MatCodec(u.p, u.rows, u)
+def u_exponents(codec: MatCodec, mats, mats_inv) -> np.ndarray:
+    """The r with g u g^-1 = u^r, for u = codec.u, for each g of the stack
+    mats (inverses mats_inv), _CHUNK elements at a time: g L g^-1 = r L
+    for L = log u (`MatCodec.log`), so r is read at L's first nonzero entry
+    and the rest of the product is checked against r L.  SubgroupViolation
+    if some g does not normalize <u>."""
     p, log = codec.p, codec.log.ravel()
     at = int(np.flatnonzero(log)[0])
     out = np.empty(len(mats), dtype=np.int64)
@@ -485,7 +484,8 @@ def intermediate_subgroups(g0: MatGroup, gbar: MatGroup) -> list[MatGroup]:
 
 def sylow_normalizer_via_orbit(p, dim, generators, u: FpMatrix,
                                into: MatGroup | None = None,
-                               root: FpMatrix | None = None):
+                               root: FpMatrix | None = None,
+                               codec: MatCodec | None = None):
     """N_G(<u>) for G = <generators> without enumerating G, u being a power
     of root (u itself when root is None), an element of G that carries its
     inverse.
@@ -493,16 +493,18 @@ def sylow_normalizer_via_orbit(p, dim, generators, u: FpMatrix,
     Returns (N as MatGroup, orbit size); |G| then equals orbit_size * |N|
     by orbit-stabilizer.  When `into` is the MatGroup of these generators,
     the walk's chain is left on it, which then gives its order and
-    membership without enumeration.  Raises CapExceeded when the orbit has
+    membership without enumeration.  The walk runs on codec, the
+    `MatCodec` at u, when given.  Raises CapExceeded when the orbit has
     more points than the element cap.
     """
-    chain = _orbit_chain(p, dim, generators, u, root or u)
+    chain = _orbit_chain(p, dim, generators, u, root or u, codec)
     if into is not None:
         into.chain = chain
     return MatGroup.of(chain.stabilizer), len(chain.orbit)
 
 
-def _orbit_chain(p, dim, generators, u: FpMatrix, root: FpMatrix) -> Chain:
+def _orbit_chain(p, dim, generators, u: FpMatrix, root: FpMatrix,
+                 codec: MatCodec | None = None) -> Chain:
     """The chain at U = <u> of G = <generators>, for u a power of root in
     G: U's conjugation orbit, each point keyed by the line through its
     logarithm (the matrix codec's key, `base` at U), walked by `chain.walk`
@@ -511,8 +513,10 @@ def _orbit_chain(p, dim, generators, u: FpMatrix, root: FpMatrix) -> Chain:
     generators.  A candidate joins only when it does not sift into the
     chain's group so far (`Chain.members`), so the chain has few
     generators, root first; and each of G's generators lies in its group
-    or joined it, so that group is G (Holt, Eick & O'Brien, §4.4)."""
-    codec = MatCodec(p, dim, u)
+    or joined it, so that group is G (Holt, Eick & O'Brien, §4.4).  codec
+    is the `MatCodec` at u, built here when None."""
+    if codec is None:
+        codec = MatCodec(p, dim, u)
     gens, gens_inv = _stacks(generators)
     (w,), (w_inv,) = _stacks([root])
     s, s_inv = _subproduct(codec, gens, gens_inv)

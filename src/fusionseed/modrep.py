@@ -192,14 +192,13 @@ def opp_fixed_in_commutator(v: FpModule, opp: MatGroup) -> bool:
     return gfp.contains(commutator_space(v, opp), fixed_space(v, opp))
 
 
-def w_filtration(v: FpModule, syl: SylowData, check_elements=None,
-                 exponents=None) -> Filtration:
+def w_filtration(v: FpModule, syl: SylowData, check=None) -> Filtration:
     """W_1 = [U,V], W_{i+1} = [U, W_i]; requires dim Z0 = 1.
 
-    For each g of the (m, n, n) stack check_elements of N_G(U) elements,
-    with g u g^-1 = u^r for r the matching entry of exponents, the report
-    records (r, t) and whether g multiplies W_i/W_{i+1} by t * r^i for
-    every i: one `gfp.solve_many` per level for all g.
+    check is None or a pair (mats, exponents): an (m, n, n) stack of
+    N_G(U) elements and, for each g, the r with g u g^-1 = u^r.  For each
+    g the report records (r, t) and whether g multiplies W_i/W_{i+1} by
+    t * r^i for every i: one `gfp.solve_many` per level for all g.
     """
     cs = canonical_subspaces(v, syl)
     if cs.Z0.dim != 1:
@@ -212,10 +211,9 @@ def w_filtration(v: FpModule, syl: SylowData, check_elements=None,
         chain.append(gfp.image_of_subspace(m, chain[-1]))
     qdims = [chain[i].dim - chain[i + 1].dim for i in range(len(chain) - 1)]
     filt = Filtration(chain, qdims)
-    if check_elements is None or not len(check_elements):
+    if check is None or not len(check[0]):
         return filt
-    mats = np.asarray(check_elements, dtype=np.int64)
-    r = np.asarray(exponents)
+    mats, r = np.asarray(check[0], dtype=np.int64), np.asarray(check[1])
     t = _action_scalars(mats, Subspace.full(v.p, v.dim), cs.A0)
     ok = np.ones(len(mats), dtype=bool)
     t_ri = t

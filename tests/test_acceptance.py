@@ -199,8 +199,7 @@ def test_criterion_5_structural_suite():
         if not build.ok:
             failures.append((name, build.checks))
         filt = mr.w_filtration(
-            v, syl, check_elements=syl.normalizer_N.elements_stack(),
-            exponents=syl.exponents)
+            v, syl, check=(syl.normalizer_N.elements_stack(), syl.exponents))
         if any(d != 1 for d in filt.quotient_dims):
             failures.append((name, "quotient dims"))
         if not all(r["law_holds"] for r in filt.scalar_reports):

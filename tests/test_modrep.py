@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fusionseed import gfp, modrep as mr
+from fusionseed.chain import MatCodec
 from fusionseed.errors import (InvalidParams, NotUnipotentOfOrderP,
                                SubgroupViolation)
 from fusionseed.gfp import FpMatrix, Subspace
@@ -135,7 +136,8 @@ def test_u_exponents_read_conjugation_on_u():
     syl = class_GG(pm.group).sylow
     held = syl.normalizer_N.listed
     n, n_inv = held.stack, held.inverses
-    rs = u_exponents(syl.u, n, n_inv)
+    codec = MatCodec(5, pm.dim, syl.u)
+    rs = u_exponents(codec, n, n_inv)
     for g, r in zip(n, rs):
         g = FpMatrix(5, g)
         assert g @ syl.u @ g.inverse() == syl.u.pow(int(r))
@@ -145,7 +147,7 @@ def test_u_exponents_read_conjugation_on_u():
                    if all(g @ syl.u @ g.inverse() != syl.u.pow(k)
                           for k in range(1, 5)))
     with pytest.raises(SubgroupViolation):
-        u_exponents(syl.u, np.concatenate([n[:1], outside.a[None]]),
+        u_exponents(codec, np.concatenate([n[:1], outside.a[None]]),
                     np.concatenate([n_inv[:1], outside.inverse().a[None]]))
 
 
@@ -155,8 +157,7 @@ def test_w_filtration_and_scalar_law():
     n = rep.sylow.normalizer_N.elements_stack()
     r2 = n[list(rep.sylow.exponents).index(2)]
     filt = mr.w_filtration(pm, rep.sylow,
-                           check_elements=np.array([np.eye(5), r2]),
-                           exponents=[1, 2])
+                           check=(np.array([np.eye(5), r2]), [1, 2]))
     assert [w.dim for w in filt.W] == [4, 3, 2, 1, 0]
     assert filt.quotient_dims == [1, 1, 1, 1]
     assert filt.scalar_reports[0] == {"r": 1, "t": 1, "law_holds": True}

@@ -138,8 +138,7 @@ def test_filtration_scalar_consistency():
     cs = mr.canonical_subspaces(v, rep.sylow)
     gv = mu.compute_gvee(v.group, rep.sylow, cs)
     elements = gv.group.elements_stack()
-    filt = mr.w_filtration(v, rep.sylow, check_elements=elements,
-                           exponents=gv.r)
+    filt = mr.w_filtration(v, rep.sylow, check=(elements, gv.r))
     p = 5
     assert len(filt.scalar_reports) == len(elements)
     for s, rep_entry in zip(gv.s, filt.scalar_reports):
