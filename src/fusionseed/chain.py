@@ -8,7 +8,10 @@ stabilizer, which holds every Schreier generator (Holt, Eick & O'Brien,
 to some point j and x T_j^-1 lies in the stabilizer: a sift with no random
 step.  `walk` grows a chain by new generators, `Listed` holds a group
 with every element listed and grows it by cosets (Dimino's algorithm,
-`grow`), and `greedy` sifts candidates into a group one at a time.
+`grow`), `greedy` sifts candidates into a group one at a time, and
+`normal_closure` grows a chain into the normal closure of its group under
+other generators by sifting the conjugates of its generators in: O^{p'}(G)
+on the matrix codec and O^{p'}(Theta) on the permutation codec.
 
 Elements act on the right: `mul(a, b)` is a, then b.  A codec multiplies
 whole stacks, keys them, acts on points and carries its own limit:
@@ -330,27 +333,6 @@ class Chain:
         return codec.mul(codec.mul(codec.load(self.trans[i]), self.gens[k]),
                          codec.load(self.trans_inv[self.action.ravel()]))
 
-    def path(self, j: int) -> list:
-        """Generator indices k_1, ..., k_d with T_j = g_k1 ... g_kd."""
-        word = []
-        while j > 0:
-            j, k = self.parent[j]
-            word.append(int(k))
-        return word[::-1]
-
-    def word_action(self, word, e: int = 1) -> np.ndarray:
-        """The permutation of the orbit points (point i goes to perm[i]) by
-        w^e, for w = g_k1 g_k2 ... given as its generator indices."""
-        perm = np.arange(len(self.orbit))
-        for k in word:
-            perm = self.action[perm, k]
-        power = np.arange(len(perm))
-        while e:
-            if e & 1:
-                power = perm[power]
-            perm, e = perm[perm], e >> 1
-        return power
-
 
 def walk(chain: Chain, new, new_inv, targets=None, stored: int = 0) -> Chain:
     """chain grown by the generators new (inverses new_inv).
@@ -460,6 +442,29 @@ def greedy(group, candidates, member, join):
         group = join(group, idx[at])
         idx = idx[at + 1:]
     return group
+
+
+def normal_closure(chain: Chain, under, under_inv) -> Chain:
+    """The normal closure of the chain's group under <under> (inverses
+    under_inv, loaded), grown from the chain: for each generator h of the
+    closure, those joined on the way included, the conjugates t^-1 h t by
+    every t in under are sifted in turn (`greedy`, on their sift forms),
+    and each that lies outside joins by `Chain.join`.  So t^-1 N t <= N for
+    every t, and every element that joins is a conjugate of one of the
+    chain's generators: the textbook normal closure over a chain (Holt,
+    Eick & O'Brien, 2005), on either codec."""
+    codec = chain.codec
+    done = 0
+    while done < len(chain.gens):
+        h, h_inv = chain.gens[done], chain.gens_inv[done]
+        done += 1
+        x = codec.mul(codec.mul(under_inv, h), under)
+        x_inv = codec.mul(codec.mul(under_inv, h_inv), under)
+        chain = greedy(chain, np.arange(len(x)),
+                       lambda ch, idx: ch.members(codec.image(x[idx]),
+                                                  x_inv[idx]),
+                       lambda ch, i: ch.join(x[i:i + 1], x_inv[i:i + 1]))
+    return chain
 
 
 def grow(group: Listed, gens, gens_inv, stored: int = 0) -> Listed:

@@ -10,8 +10,8 @@ The command line, never the file, picks `check`'s route: `--heavy` writes
 the Sylow-local summary of `zoo.heavy_extraspecial_check` for any file (or
 `class_GG`'s `not_in_G` status and reason, as plain `check` reports them);
 otherwise `check` gives the admissible report when the file sets
-`labels.g0_generators`, and the criterion report of G if not.  The file's
-`family` field is only echoed.
+`labels.g0_generators` (an empty array is invalid input), and the
+criterion report of G if not.  The file's `family` field is only echoed.
 
 `regress` runs every instantiable corpus row as `check` runs the row's
 emitted instance, and `zoo.row_failures` compares that report with the
@@ -96,9 +96,12 @@ def _parse_instance(data):
             raise ValueError("labels must be an object")
         idx = labels.get("g0_generators")
         g0 = None
-        if idx is not None and not isinstance(idx, list):
-            raise ValueError("g0_generators must be an array")
-        if idx:
+        if idx is not None:
+            if not isinstance(idx, list):
+                raise ValueError("g0_generators must be an array")
+            if not idx:
+                raise ValueError("g0_generators must name at least one "
+                                 "generator")
             if not all(0 <= _integer(i, "g0_generators index") < len(gens)
                        for i in idx):
                 raise ValueError(f"g0_generators {idx} must index the "

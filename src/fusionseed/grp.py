@@ -10,16 +10,14 @@ groups of `sgroup` share it.  The Sylow data never enumerates G: U's orbit
 walk (`chain.walk`) runs on a few random elements of G, and G's given
 generators are sifted in, so it is exact: it gives N_G(U), listed and grown
 by cosets, and leaves on G a one-level `chain.Chain` that gives |G| and
-membership by a sift, along with its generators' permutations of the
-orbit; u is a power of the first, so u's permutation is a power of that
-column.  One pass over N_G(U)'s elements labels each g with the r of g u
-g^-1 = u^r (`u_exponents`): C_G(U) is the r = 1 subset, and G-vee's mu
-and the solves of `sgroup` read the same labels.  O^{p'}(G) is generated
-by conjugates of u read from that chain until its own U-orbit is G's, never
-enumerated; each closure walks G's orbit by permutations read from G's
-table, so none of its points is keyed again.  The groups between a normal
-G0 and G come from a walk of G0's cosets whose steps are sifts into G0,
-so G is not enumerated there either.
+membership by a sift.  One pass over N_G(U)'s elements labels each g with
+the r of g u g^-1 = u^r (`u_exponents`): C_G(U) is the r = 1 subset, and
+G-vee's mu and the solves of `sgroup` read the same labels.  O^{p'}(G) is
+the normal closure of U under the generators of G's chain
+(`chain.normal_closure`, the same closure that gives `sgroup`'s
+O^{p'}(Theta)), a chain at U on G's codec, never enumerated.  The groups
+between a normal G0 and G come from a walk of G0's cosets whose steps are
+sifts into G0, so G is not enumerated there either.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import (Chain, Listed, MatCodec, _floormod, _mulmod, _stacks,
-                    element_cap, greedy, walk)
+                    element_cap, greedy, normal_closure, walk)
 from .errors import (CapExceeded, IndexTooLarge, InvariantViolation,
                      SubgroupViolation)
 from .gfp import FpMatrix, Prime, as_prime
@@ -151,9 +149,6 @@ class MatGroup:
     def keys(self):
         return self.cache().listed.index
 
-    def contains(self, m: FpMatrix) -> bool:
-        return bool(self.members(m.a[None], m.inverse().a[None])[0])
-
     def members(self, stack: np.ndarray, inv_stack=None) -> np.ndarray:
         """Whether each matrix of a (k, n, n) stack with entries in [0, p)
         lies in the group; inv_stack holds their inverses (read only by the
@@ -184,7 +179,6 @@ class SylowData:
     normalizer_N: MatGroup
     centralizer_C: MatGroup
     automizer_order: int
-    exponent: int    # u = w^exponent, w the first generator of G's chain
     # the r with g u g^-1 = u^r for each g of normalizer_N's element stack
     exponents: np.ndarray = field(repr=False, compare=False)
     # modrep.CanonicalSubspaces at u, kept by `modrep.canonical_subspaces`
@@ -202,8 +196,8 @@ class GGReport:
 ORDER_P_WORDS = 10000    # seeded random generator words searched for u
 
 
-def order_p_element(g: MatGroup) -> tuple[FpMatrix, FpMatrix, int] | None:
-    """(u, w, e): an element u = w^e of order p, for w the first of
+def order_p_element(g: MatGroup) -> tuple[FpMatrix, FpMatrix] | None:
+    """(u, w): an element u = w^e of order p, for w the first of
     ORDER_P_WORDS seeded random generator words whose order p divides, w
     carrying its inverse w^(ep - 1); or None.
 
@@ -237,16 +231,17 @@ def order_p_element(g: MatGroup) -> tuple[FpMatrix, FpMatrix, int] | None:
                 while u.pow(p) != FpMatrix.identity(g.p, n):
                     u, e = u.pow(p), e * p
                 w = FpMatrix(g.p, words[q].astype(np.int64))
-                return u, FpMatrix(g.p, w.a, w.pow(e * p - 1).a), e
+                return u, FpMatrix(g.p, w.a, w.pow(e * p - 1).a)
     return None
 
 
-def sylow_data(g: MatGroup, u: FpMatrix, w: FpMatrix,
-               e: int) -> tuple[SylowData, int]:
-    """Local data at U = <u>, for u = w^e, and |U^G|, from U's orbit walk
-    (leaving its chain, whose first generator is w, on g): N_G(U), each of
-    its elements labelled by its exponent r (`u_exponents`, on the walk's
-    codec), and C_G(U), the elements with r = 1."""
+def sylow_data(g: MatGroup, u: FpMatrix,
+               w: FpMatrix) -> tuple[SylowData, int]:
+    """Local data at U = <u>, for u a power of w, and |U^G|, from U's
+    orbit walk (leaving its chain, whose first generator is w, on g):
+    N_G(U), each of its elements labelled by its exponent r
+    (`u_exponents`, on the walk's codec), and C_G(U), the elements with
+    r = 1."""
     p, codec = g.p.p, MatCodec(g.p, g.dim, u)
     ngrp, orbit = sylow_normalizer_via_orbit(g.p, g.dim, g.generators, u,
                                              into=g, root=w, codec=codec)
@@ -256,7 +251,7 @@ def sylow_data(g: MatGroup, u: FpMatrix, w: FpMatrix,
     if (p - 1) % autom:
         raise InvariantViolation(
             f"automizer order {autom} does not divide p - 1 = {p - 1}")
-    return SylowData(u, ngrp, cgrp, autom, e, r), orbit
+    return SylowData(u, ngrp, cgrp, autom, r), orbit
 
 
 def u_exponents(codec: MatCodec, mats, mats_inv) -> np.ndarray:
@@ -311,73 +306,23 @@ def class_GG(g: MatGroup) -> GGReport:
 
 
 def o_pprime(g: MatGroup, syl: SylowData) -> MatGroup:
-    """O^{p'}(G), generated by u and conjugates T_j^-1 u T_j from G's chain
-    at u, for orbit indices j in a seeded shuffle; a conjugate that sifts
-    into the closure so far is skipped.  The closure, made of p-elements,
-    lies in O^{p'}(G); once its U-orbit is G's, it holds every Sylow
-    p-subgroup and so is O^{p'}(G).  None is enumerated, and no orbit point
-    is keyed: each closure walks G's orbit on its generators' permutations
-    of it (`_table_closure`), u's a power of the column of G's first chain
-    generator and T_j^-1 u T_j's composed along j's path in G's walk."""
+    """O^{p'}(G), the normal closure of U = <u> under G's chain generators
+    (`chain.normal_closure`), grown from <u>'s chain at U on the codec of
+    G's chain; it is never enumerated.  The closure is generated by
+    conjugates of u, p-elements, so it lies in O^{p'}(G); its U-orbit must
+    be G's, so that it holds every Sylow p-subgroup and is O^{p'}(G)."""
     chain = g.chain
     if chain is None or chain.codec.u != syl.u:
         raise InvariantViolation("o_pprime needs G's orbit chain at u")
-    size = len(chain.orbit)
-    u_perm = chain.word_action([0], syl.exponent)
-    gens, perms = [syl.u], [u_perm]
-    sub = _table_closure(g, gens, perms)
-    for j in _orbit_draws(size):
-        if len(sub.chain.orbit) == size:
-            break
-        conj, perm = _conjugate_of_u(g, j, u_perm)
-        if not sub.contains(conj):
-            gens.append(conj)
-            perms.append(perm)
-            sub = _table_closure(g, gens, perms)
-    if len(sub.chain.orbit) != size:
+    codec = chain.codec
+    start = Chain.start(codec, codec.base, Listed.trivial(codec))
+    closure = normal_closure(start.join(*_stacks([syl.u])), chain.gens,
+                             chain.gens_inv)
+    if len(closure.orbit) != len(chain.orbit):
         raise InvariantViolation("the conjugates of u miss part of U's orbit")
-    return sub
-
-
-def _orbit_draws(size: int):
-    """1, ..., size - 1 in a seeded lazy Fisher-Yates shuffle."""
-    rng = random.Random(1)
-    swapped = {}
-    for i in range(1, size):
-        k = rng.randrange(i, size)
-        yield swapped.get(k, k)
-        swapped[k] = swapped.pop(i, i)
-
-
-def _conjugate_of_u(g: MatGroup, j: int, u_perm: np.ndarray):
-    """T_j^-1 u T_j, with its inverse, and its permutation of U's orbit
-    (T_j^-1, then u, then T_j) for u's permutation u_perm, T_j being G's
-    transversal element at j."""
-    p, chain = g.p.p, g.chain
-    t, t_inv = (chain.codec.load(a[j])
-                for a in (chain.trans, chain.trans_inv))
-    u, u_inv = _stacks([chain.codec.u])
-    t_perm = chain.word_action(chain.path(j))
-    back = np.empty_like(t_perm)
-    back[t_perm] = np.arange(len(t_perm))
-    return (FpMatrix(g.p, _mulmod(_mulmod(t_inv, u[0], p), t, p),
-                     _mulmod(_mulmod(t_inv, u_inv[0], p), t, p)),
-            t_perm[u_perm[back]])
-
-
-def _table_closure(g: MatGroup, gens: list, perms: list) -> MatGroup:
-    """The subgroup <gens> of g, whose generators permute the points of G's
-    chain as perms (perms[k][i] the point reached from i), with the chain
-    of U's orbit under it: that orbit is walked on perms, so no point is
-    keyed; its points keep their keys in G's orbit."""
-    sub = MatGroup(g.p, gens)
-    table = np.stack(perms, axis=1)
-    start = Chain.start(g.chain.codec, 0, Listed.trivial(g.chain.codec))
-    sub.chain = walk(start, *_stacks(gens),
-                     targets=lambda points, *_: table[points].ravel().tolist())
-    keys = g.chain.points
-    sub.chain.points = [keys[i] for i in sub.chain.points]
-    sub.chain.orbit = {key: j for j, key in enumerate(sub.chain.points)}
+    sub = MatGroup(g.p, [FpMatrix(g.p, a, a_inv) for a, a_inv in
+                         zip(closure.gens, closure.gens_inv)])
+    sub.chain = closure
     return sub
 
 

@@ -15,9 +15,11 @@ permutation groups on P's elements over the permutation codec of
 `fusionseed.chain` (`PermGroupOnSet`), keyed by exact codes of their
 generator images: Inn(P) and Aut_S(P) as its `chain.Listed` groups, grown
 by cosets, Lambda_P, Theta, Theta_0 and O^{p'}(Theta) as its one-level
-chains, and verified against their contracts.  Lambda_P and O^{p'}(Theta)
-grow from Aut_S(P)'s chain, built once, Theta_0's generators are walked
-together, and Theta grows from Theta_0's chain; the SL_2 lifts are
+chains, and verified against their contracts.  Aut_S(P)'s chain is built
+once by sifting its generators; Lambda_P grows from it, and O^{p'}(Theta)
+is its normal closure under Theta's generators (`chain.normal_closure`,
+the closure that gives `grp`'s O^{p'}(G)).  Theta_0's generators are
+walked together, and Theta grows from Theta_0's chain; the SL_2 lifts are
 extended from their generator images a BFS level at a time; checks (iii)
 and (iv) walk the conjugation orbit of Aut_S(P) with no stabilizer and
 read its length and its Schreier generators.
@@ -32,7 +34,6 @@ of N_G(U).
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 from dataclasses import dataclass, field
@@ -43,7 +44,7 @@ from . import gfp, modrep, mu
 from .errors import CapExceeded, InvariantViolation, MuTooSmall, SplitFailed
 from .gfp import FpMatrix, Subspace
 from .chain import (Chain, Listed, MatCodec, PermCodec, _mulmod, _row_keys,
-                    _stacks, greedy, walk)
+                    _stacks, greedy, normal_closure, walk)
 from .grp import MatGroup, SylowData
 from .modrep import FpModule
 
@@ -382,25 +383,6 @@ class PermGroupOnSet(PermCodec):
 
     # -- one-level chains at g_0 ------------------------------------------
 
-    def chain_of(self, group: Listed) -> Chain:
-        """The listed group as a chain at g_0, read off its elements: the
-        orbit of g_0 is walked with no stabilizer, so the transversal
-        follows the walk, and the stabilizer is the elements that fix g_0,
-        generated by the orbit's Schreier generators (Schreier's lemma)."""
-        g0 = int(self.gen_idx[0])
-        orbit = walk(Chain.start(self, g0, None), group.gens, group.gens_inv)
-        schreier = orbit.schreier_generators()
-        codes = self.codes(schreier)
-        _, first = np.unique(codes, return_index=True)
-        one = self.codes(self.identity[None])[0]
-        gens = schreier[np.sort(first[codes[first] != one])]
-        fix = np.flatnonzero(group.stack[:, g0] == g0)
-        stab = Listed(self, group.stack[fix], group.inverses[fix],
-                      dict(zip(self.keys(self.image(group.stack[fix])),
-                               range(len(fix)))),
-                      gens, self.inv(gens))
-        return dataclasses.replace(orbit, stabilizer=stab)
-
     def chain(self, perms, base: Chain | None = None) -> Chain:
         """<base, perms> as a chain (base the trivial group if None)."""
         perms = np.asarray(perms, dtype=self.dtype).reshape(-1, self.n)
@@ -415,24 +397,6 @@ class PermGroupOnSet(PermCodec):
         return self._sift_in(
             base, self._conjugated(mats, invs, self.elements[self.gen_idx]),
             lambda i: self.conjugation_perms(mats[i:i + 1], invs[i:i + 1])[0])
-
-    def normal_closure(self, chain: Chain, under: np.ndarray) -> Chain:
-        """The normal closure of the chain's group under <under>, grown from
-        the chain: each generator h of the closure, those joined on the way
-        included, has its conjugates t h t^-1 by under sifted in.  So
-        t N t^-1 <= N for every t, and every element that joins is a
-        conjugate of one of the chain's generators."""
-        under = np.asarray(under, dtype=self.dtype).reshape(-1, self.n)
-        under_inv = self.inv(under)
-        rows = np.arange(len(under))[:, None]
-        done = 0
-        while done < len(chain.gens):
-            h = chain.gens[done]
-            done += 1
-            chain = self._sift_in(
-                chain, under[rows, h[under_inv[:, self.gen_idx]]],
-                lambda i, h=h: under[i][h[under_inv[i]]])
-        return chain
 
     def conjugation_orbit(self, chain: Chain, sub: Listed) -> Chain:
         """The orbit sub^G for G the group of chain, walked by `chain.walk`
@@ -572,7 +536,7 @@ def local_automorphisms(s: SGroup, pset: PermGroupOnSet):
     aut_s = pset.close(pset.conjugation_perms(*normalizer_mats(
         s, pset, np.array(s.upow[1:2]), np.array(s.upow[-1:]),
         np.ones(1, dtype=np.int64))))
-    aut_s_chain = pset.chain_of(aut_s)
+    aut_s_chain = pset.chain(aut_s.gens)
     lam = pset.chain_by_conjugation(*normalizer_mats(s, pset, *s.normalizer),
                                     base=aut_s_chain)
     return pset.close(inn), aut_s, aut_s_chain, lam
@@ -697,7 +661,7 @@ def theta_witness(s: SGroup, kind: str, i: int, hb,
     theta0 = walk(pset._trivial(), theta0_gens, pset.inv(theta0_gens))
     theta = pset.chain(lam.gens, base=theta0)
     # O^{p'}(Theta): normal closure of the Sylow-p subgroup Aut_S(P)
-    opp = pset.normal_closure(aut_s_chain, theta.gens)
+    opp = normal_closure(aut_s_chain, theta.gens, theta.gens_inv)
 
     gx = pset.gen_idx
     sl2_order = p * (p * p - 1)

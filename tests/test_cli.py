@@ -363,9 +363,12 @@ D2 = [2, 0, 0, 1]      # diag(2, 1); <D2> is not normal in <E12, D2>
      "each generator must be an array of entries"),
     ({"p": 5, "dim": 2, "generators": [E12],
       "labels": {"g0_generators": 0}},
-     "g0_generators must be an array")],
+     "g0_generators must be an array"),
+    ({"p": 5, "dim": 2, "generators": [E12],
+      "labels": {"g0_generators": []}},
+     "g0_generators must name at least one generator")],
     ids=["array", "no_p", "no_dim", "no_generators", "list_labels",
-         "number_generators", "string_generator", "number_g0"])
+         "number_generators", "string_generator", "number_g0", "empty_g0"])
 def test_malformed_payload_names_the_object_or_key(tmp_path, payload,
                                                    phrase):
     """A payload of the wrong shape exits 2 with one line that names the

@@ -117,7 +117,7 @@ def test_o_pprime_s7():
     # normality and p'-quotient
     for gen in s7.generators:
         for h in a7.generators:
-            assert a7.contains(gen @ h @ gen.inverse())
+            assert a7.members(*grp._stacks([gen @ h @ gen.inverse()]))[0]
     assert (s7.order() // a7.order()) % p != 0
 
 
@@ -254,8 +254,8 @@ def test_o_pprime_chain_matches_bfs(k, spec, corpus_bfs):
     assert (opp.order() < g.order()) == (spec.tag != "sl2p_mu_law")
     assert g.members(stack, inverses).all()      # G's own chain
 
-    u_chain = grp._table_closure(g, [syl.u],
-                                 [g.chain.word_action([0], syl.exponent)])
+    u_chain = MatGroup(g.p, [syl.u])
+    u_chain.chain = _u_chain(g.chain.codec, syl.u)
     u_bfs = MatGroup(g.p, [syl.u])
     for chained, enumerated in ((opp, bfs_opp), (u_chain, u_bfs)):
         assert chained.is_normal_in(g) == enumerated.is_normal_in(g)
@@ -325,46 +325,57 @@ def test_product_covers_against_brute_force(k, spec):
         assert not product_covers(g, g, MatGroup(g.p, [out]))
 
 
+def _u_chain(codec, u):
+    """The chain of U = <u> at U on codec, a `MatCodec` at u."""
+    start = chain.Chain.start(codec, codec.base, chain.Listed.trivial(codec))
+    return start.join(*grp._stacks([u]))
+
+
 @pytest.mark.parametrize("k, spec", SMALL_CORPUS,
                          ids=[f"{k}-{spec.tag}" for k, spec in SMALL_CORPUS])
-def test_o_pprime_from_conjugates_of_u(k, spec, monkeypatch):
-    """O^{p'}(G) is generated by conjugates of u, is normal in G, and has
-    the BFS order also when the draws first hit conjugates that the
-    closure already holds."""
+def test_o_pprime_from_conjugates_of_u(k, spec):
+    """O^{p'}(G) is generated by conjugates of u and is normal in G.  The
+    normal closure of <u> under G's chain generators has the order and the
+    members, among G's elements, of the BFS closure of every conjugate of
+    u; under N_G(U)'s generators, which normalize U, it is U."""
     g, _ = zoo.build_family(spec)
     syl = class_GG(g).sylow
     bfs = MatGroup(g.p, g.generators).cache()
-    conj_keys = {c.key() for c in _conjugates(bfs, syl.u)}
+    conjugates = _conjugates(bfs, syl.u)
+    conj_keys = {c.key() for c in conjugates}
     opp = o_pprime(g, syl)
     bfs_opp = MatGroup(g.p, opp.generators).cache()
     assert all(c.key() in conj_keys for c in opp.generators)
     assert bfs_opp.is_normal_in(bfs)
 
-    # draw first an orbit point whose closure with u is proper, if any,
-    # then every orbit point that closure holds, then the rest
-    chain, size = g.chain, len(g.chain.orbit)
+    u_chain = _u_chain(g.chain.codec, syl.u)
+    closure = chain.normal_closure(u_chain, g.chain.gens, g.chain.gens_inv)
+    ref = MatGroup(g.p, conjugates).cache()
+    stack, inverses = bfs.elements_stack(), bfs.inverses_stack()
+    inside = closure.members(stack, inverses)
+    assert inside.tolist() == [m.tobytes() in ref.keys() for m in stack]
+    assert closure.order() == ref.order() == inside.sum() == opp.order()
 
-    def conjugate(j):
-        t_inv = FpMatrix(g.p, chain.trans_inv[j])
-        return t_inv @ syl.u @ t_inv.inverse()
+    local = chain.normal_closure(
+        u_chain, *grp._stacks(syl.normalizer_N.generators))
+    assert local.order() == g.p.p < closure.order()
+    powers = np.array([syl.u.pow(i).a for i in range(g.p.p)])
+    assert local.members(powers, powers[-np.arange(g.p.p) % g.p.p]).all()
 
-    u_perm = chain.word_action([0], syl.exponent)
 
-    def closure(j):
-        conj, perm = grp._conjugate_of_u(g, j, u_perm)
-        return grp._table_closure(g, [syl.u, conj], [u_perm, perm])
-    closures = {j: closure(j) for j in range(1, min(size, 12))}
-    first = min(closures, key=lambda j: len(closures[j].chain.orbit))
-    held = [chain.orbit[key] for key in closures[first].chain.orbit]
-    order = [first] + [j for j in held if j not in (0, first)]
-    order += [j for j in range(1, size) if j not in order]
-    monkeypatch.setattr(grp, "_orbit_draws", lambda n: iter(order))
-    forced = o_pprime(g, syl)
-    assert forced.order() == bfs_opp.order()
-    assert forced.generators[1] == conjugate(first)
-    later = {chain.orbit[grp.MatCodec(g.p, g.dim, c).base]
-             for c in forced.generators[2:]}
-    assert not later & set(held)
+def test_normal_closure_conjugates_the_generators_it_joins():
+    """Mod 3, under the permutation matrices of (12), (23), (34) and (45),
+    the conjugates of u = (123) generate only A_4 on the first four points;
+    the normal closure of <u> is A_5, reached through the conjugates of the
+    (124) that the closure joined."""
+    p = 3
+    under = [perm_matrix(p, cycle_perm(5, [i, i + 1])) for i in range(4)]
+    u = perm_matrix(p, cycle_perm(5, [0, 1, 2]))
+    assert MatGroup(p, [u] + [t.inverse() @ u @ t for t in under]).order() \
+        == 12
+    closure = chain.normal_closure(_u_chain(chain.MatCodec(p, 5, u), u),
+                                   *grp._stacks(under))
+    assert closure.order() == 60 and len(closure.gens) == 3
 
 
 def test_o_pprime_needs_the_chain_at_u():
@@ -670,74 +681,38 @@ def _reference_chain(g, gens, u):
                        stab, None, None)
 
 
-def _key_walk_o_pprime(g, syl):
-    """o_pprime's generators, and the chain of each closure on the way,
-    each closure walked afresh by keys."""
-    chain = g.chain
-    size = len(chain.orbit)
-    gens = [syl.u]
-    subs = [_reference_chain(g, gens, syl.u)]
-    for j in grp._orbit_draws(size):
-        if len(subs[-1].orbit) == size:
-            break
-        t_inv = FpMatrix(g.p, chain.trans_inv[j])
-        conj = t_inv @ syl.u @ t_inv.inverse()
-        if not subs[-1].members(conj.a[None], conj.inverse().a[None])[0]:
-            gens.append(conj)
-            subs.append(_reference_chain(g, gens, syl.u))
-    return gens, subs
-
-
 @pytest.mark.parametrize("k, spec", ENUMERABLE_CORPUS,
                          ids=[f"{k}-{spec.tag}" for k, spec in
                               ENUMERABLE_CORPUS])
-def test_table_closures_match_key_walks(k, spec, monkeypatch, corpus_bfs):
-    """Every closure that o_pprime walks on G's orbit table against a walk
-    that keys each of its points: the same orbit and stabilizer key sets,
-    and the same sift answers on every element of G; and o_pprime's
-    generators against those of the closures walked by keys."""
+def test_table_closures_match_key_walks(k, spec, corpus_bfs):
+    """O^{p'}(G)'s chain, grown by `chain.normal_closure` from <u>'s chain,
+    against a walk of its generators that keys each point afresh: the same
+    orbit and stabilizer key sets, the same sift answers on every element
+    of G, and an action table each of whose entries, for point i and
+    generator g_k, is the point keyed by the line through
+    (T_i g_k)^-1 L (T_i g_k)."""
     g, _ = zoo.build_family(spec)
     syl = class_GG(g).sylow
-    closures = []
-    real = grp._table_closure
-
-    def recorded(*args):
-        closures.append(real(*args))
-        return closures[-1]
-    monkeypatch.setattr(grp, "_table_closure", recorded)
     opp = o_pprime(g, syl)
-    gens, refs = _key_walk_o_pprime(g, syl)
-    assert closures[-1] is opp and opp.generators == gens
-    assert len(closures) == len(refs)
+    sub, ref = opp.chain, _reference_chain(g, opp.generators, syl.u)
+    assert set(sub.orbit) == set(ref.orbit)
+    assert set(sub.stabilizer.index) == set(ref.stabilizer.keys())
 
     bfs = corpus_bfs(k)
     stack, inverses = bfs.elements_stack(), bfs.inverses_stack()
-    for sub, ref in zip(closures, refs):
-        assert set(sub.chain.orbit) == set(ref.orbit)
-        assert set(sub.chain.stabilizer.index) == set(ref.stabilizer.keys())
-        inside = sub.members(stack, inverses)
-        assert inside.tolist() == ref.members(stack, inverses).tolist()
-        assert inside.sum() == sub.order()
-    assert closures[0].order() == g.p.p < len(stack)
+    inside = opp.members(stack, inverses)
+    assert inside.tolist() == ref.members(stack, inverses).tolist()
+    assert inside.sum() == opp.order()
 
-
-def test_o_pprime_keys_only_its_draws(monkeypatch):
-    """On the an_deleted group (|U^G| = 4,320) the only line keys that
-    o_pprime computes are one per conjugate it sifts; walking each closure
-    by keys made 12,982."""
-    spec = next(s for s in zoo.table_corpus() if s.tag == "an_deleted")
-    g, _ = zoo.build_family(spec)
-    syl = class_GG(g).sylow
-    rows, sifted = [], []
-    real_keys, real_conj = chain._line_keys, grp._conjugate_of_u
-    monkeypatch.setattr(chain, "_line_keys",
-                        lambda x, recip: rows.append(len(x))
-                        or real_keys(x, recip))
-    monkeypatch.setattr(grp, "_conjugate_of_u",
-                        lambda *a: sifted.append(1) or real_conj(*a))
-    opp = o_pprime(g, syl)
-    assert len(g.chain.orbit) == 4320 and opp.order() == 181440
-    assert sifted and rows == [1] * len(sifted)
+    p, codec = g.p.p, sub.codec
+    i, j = np.divmod(np.arange(sub.action.size), sub.action.shape[1])
+    x = grp._mulmod(sub.trans[i].astype(np.float64), sub.gens[j], p)
+    x_inv = grp._mulmod(sub.gens_inv[j],
+                        sub.trans_inv[i].astype(np.float64), p)
+    keys = chain._line_keys(
+        grp._mulmod(grp._mulmod(x_inv, codec.log, p), x, p), codec.recip)
+    assert [sub.points[a] for a in sub.action.ravel()] == keys
+    assert _u_chain(g.chain.codec, syl.u).order() == p < len(stack)
 
 
 def _grown(p, n, gens):
@@ -826,7 +801,7 @@ def test_orbit_chain_inverts_each_generator_at_most_once(k, spec,
     generators and stabilizer elements carry inverses made from those
     already held."""
     g, _ = zoo.build_family(spec)
-    u, w, e = grp.order_p_element(g)
+    u, w = grp.order_p_element(g)
     fresh = [FpMatrix(g.p, h.a) for h in g.generators]
     calls = []
     real = gfp._rref_array
@@ -837,7 +812,8 @@ def test_orbit_chain_inverts_each_generator_at_most_once(k, spec,
     assert len(calls) <= len(fresh)
     # the chain's own generators: w first, then the subproduct and
     # generators of G, each inverse a product of inverses already held
-    assert (chain.gens[0] == w.a).all() and w.pow(e) == u
+    assert (chain.gens[0] == w.a).all()
+    assert u.key() in MatGroup(g.p, [w]).keys()
     for x, x_inv in zip(chain.gens, chain.gens_inv):
         assert (grp._mulmod(x, x_inv, g.p.p) == np.eye(g.dim)).all()
 
